@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace xlupc::core {
@@ -525,6 +526,12 @@ void Runtime::debug_write(const ArrayDesc& a, std::uint64_t elem,
 void Runtime::warm_address_cache(const ArrayDesc& a) {
   if (!cfg_.cache.enabled) return;
   const std::uint64_t handle = a.handle.pack();
+  struct Home {
+    NodeId node;
+    std::uint32_t chunks;
+    net::BaseInfo info;
+  };
+  std::vector<Home> homes;
   for (NodeId target = 0; target < cfg_.nodes; ++target) {
     Node& tn = node(target);
     const svd::ControlBlock* cb = tn.dir->find(a.handle);
@@ -539,11 +546,32 @@ void Runtime::warm_address_cache(const ArrayDesc& a) {
                   (cb->local_bytes + mem::kPinChunkBytes - 1) /
                   mem::kPinChunkBytes)
             : 1;
-    for (NodeId init = 0; init < cfg_.nodes; ++init) {
-      if (init == target) continue;
-      for (std::uint32_t c = 0; c < chunks; ++c) {
-        node(init).cache->insert(CacheKey{handle, target, c},
-                                 net::BaseInfo{cb->local_base, pr.key});
+    homes.push_back({target, chunks, net::BaseInfo{cb->local_base, pr.key}});
+  }
+  // Each initiator learns the keys (home, chunk) of every other home in
+  // this order. The keys are distinct, so an LRU cache of capacity K ends
+  // up holding exactly the last K of them, in order, whatever it held
+  // before: insert only that suffix, O(nodes × K) rather than O(nodes²).
+  // An unbounded cache (max_entries() == 0) gets every key.
+  for (NodeId init = 0; init < cfg_.nodes; ++init) {
+    AddressCache& cache = *node(init).cache;
+    std::uint64_t room = cache.max_entries() == 0
+                             ? std::numeric_limits<std::uint64_t>::max()
+                             : cache.max_entries();
+    std::size_t first = homes.size();
+    std::uint32_t skip = 0;  // leading chunks of homes[first] left out
+    while (first > 0 && room > 0) {
+      const Home& h = homes[--first];
+      if (h.node == init) continue;
+      const std::uint64_t take = std::min<std::uint64_t>(h.chunks, room);
+      skip = static_cast<std::uint32_t>(h.chunks - take);
+      room -= take;
+    }
+    for (std::size_t i = first; i < homes.size(); ++i) {
+      const Home& h = homes[i];
+      if (h.node == init) continue;
+      for (std::uint32_t c = i == first ? skip : 0; c < h.chunks; ++c) {
+        cache.insert(CacheKey{handle, h.node, c}, h.info);
       }
     }
   }

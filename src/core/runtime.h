@@ -330,7 +330,9 @@ class Runtime final : public net::AmTarget {
   /// base address and the pieces are pinned, as they would be after a
   /// long warm-up phase. Used by experiments that (like the paper's)
   /// measure steady-state behaviour, not cold-start population. No-op
-  /// when the cache is disabled. Statistics are reset afterwards.
+  /// when the cache is disabled. Statistics are reset afterwards. Costs
+  /// O(nodes × max_entries) host time: each cache receives only the keys
+  /// LRU eviction would leave it with.
   void warm_address_cache(const ArrayDesc& a);
 
   // --- AmTarget (target-side handlers, invoked by the transport) ---

@@ -264,6 +264,9 @@ KvWorkloadResult run_kv_workload(core::RuntimeConfig cfg,
       break;
   }
   const std::uint64_t seed = cfg.seed;
+  // A crashed client never reaches the closing barrier, so with crashes
+  // scheduled the survivors skip it rather than wait forever.
+  const bool crashes = !cfg.faults.crashes.empty();
   core::Runtime rt(std::move(cfg));
   const std::uint32_t threads = rt.threads();
   std::vector<KvStoreStats> stats(threads);
@@ -272,7 +275,7 @@ KvWorkloadResult run_kv_workload(core::RuntimeConfig cfg,
   sim::Time t0 = 0;
   sim::Time t1 = 0;
 
-  rt.run([&rt, &p, seed, threads, &stats, &get_h, &put_h, &t0,
+  rt.run([&rt, &p, seed, crashes, threads, &stats, &get_h, &put_h, &t0,
           &t1](UpcThread& th) -> Task<void> {
     KvStore kv = co_await KvStore::create(th, p.store);
     // Preload keys 1..keyspace, round-robin across the clients, so the
@@ -346,6 +349,11 @@ KvWorkloadResult run_kv_workload(core::RuntimeConfig cfg,
     }
     stats[th.id()] = kv.stats();
     if (dead) co_return;  // crashed threads must not enter barriers
+    if (crashes) {
+      // The measured phase ends when the last survivor finishes.
+      t1 = std::max(t1, th.now());
+      co_return;
+    }
     co_await th.barrier();
     if (th.id() == 0) t1 = th.now();
   });

@@ -78,7 +78,7 @@ void IbTransport::on_link_down(NodeId a, NodeId b) {
   // With a redundant path the protocol engine reroutes around the dark
   // link and the connection stays up; only a path-less pair fences.
   if (redundant_paths(machine_.params().topology, a, b) > 0) return;
-  for (const auto key : {std::make_pair(a, b), std::make_pair(b, a)}) {
+  for (const auto& key : {std::make_pair(a, b), std::make_pair(b, a)}) {
     auto it = qps_.find(key);
     if (it != qps_.end() && !it->second.in_error()) {
       it->second.to_error();

@@ -16,7 +16,10 @@ Machine::Machine(sim::Simulator& sim, PlatformParams params,
   }
   nodes_.reserve(config_.nodes);
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {
-    const std::string prefix = "n" + std::to_string(n) + ".";
+    // Appended piecewise: GCC 12's -Wrestrict misfires on "n" + str + ".".
+    std::string prefix = "n";
+    prefix += std::to_string(n);
+    prefix += '.';
     Node node;
     node.cores.reserve(config_.cores_per_node);
     for (std::uint32_t c = 0; c < config_.cores_per_node; ++c) {

@@ -8,20 +8,12 @@ Directory::Directory(std::uint32_t threads) : threads_(threads) {
   if (threads == 0) {
     throw std::invalid_argument("Directory: thread count must be positive");
   }
-  partitions_.resize(static_cast<std::size_t>(threads) + 1);
 }
 
-Directory::Partition& Directory::partition_for(std::uint32_t partition) {
-  if (partition == kAllPartition) return partitions_.back();
-  if (partition >= threads_) {
+void Directory::check_partition(std::uint32_t partition) const {
+  if (partition != kAllPartition && partition >= threads_) {
     throw std::out_of_range("Directory: bad partition number");
   }
-  return partitions_[partition];
-}
-
-const Directory::Partition& Directory::partition_for(
-    std::uint32_t partition) const {
-  return const_cast<Directory*>(this)->partition_for(partition);
 }
 
 Handle Directory::add_local(std::uint32_t partition, ThreadId writer,
@@ -33,32 +25,33 @@ Handle Directory::add_local(std::uint32_t partition, ThreadId writer,
     throw std::logic_error(
         "Directory::add_local: thread may only write its own partition");
   }
-  Partition& part = partition_for(partition);
-  const std::uint32_t index = part.next_index++;
-  part.entries.emplace(index, cb);
+  check_partition(partition);
+  const Handle h{partition, next_index_[partition]++};
+  entries_.emplace(h, cb);
   ++adds_;
-  return Handle{partition, index};
+  return h;
 }
 
 void Directory::add_remote(Handle h, std::uint64_t total_bytes,
                            ObjectKind kind) {
-  Partition& part = partition_for(h.partition);
+  check_partition(h.partition);
   ControlBlock cb;
   cb.kind = kind;
   cb.total_bytes = total_bytes;
   // No local address: translation for this object is impossible on this
   // replica — that is the point of the design.
-  part.entries.emplace(h.index, cb);
+  entries_.emplace(h, cb);
   // Keep index allocation ahead of remotely-announced handles so a later
   // local allocation cannot collide.
-  if (h.index >= part.next_index) part.next_index = h.index + 1;
+  std::uint32_t& next = next_index_[h.partition];
+  if (h.index >= next) next = h.index + 1;
   ++adds_;
 }
 
 ControlBlock* Directory::find(Handle h) {
-  Partition& part = partition_for(h.partition);
-  auto it = part.entries.find(h.index);
-  return it == part.entries.end() ? nullptr : &it->second;
+  check_partition(h.partition);
+  auto it = entries_.find(h);
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 const ControlBlock* Directory::find(Handle h) const {
@@ -82,20 +75,17 @@ Addr Directory::translate(Handle h, std::uint64_t offset) const {
 }
 
 bool Directory::remove(Handle h) {
-  Partition& part = partition_for(h.partition);
-  const bool erased = part.entries.erase(h.index) > 0;
+  check_partition(h.partition);
+  const bool erased = entries_.erase(h) > 0;
   if (erased) ++removes_;
   return erased;
 }
 
 std::size_t Directory::partition_size(std::uint32_t partition) const {
-  return partition_for(partition).entries.size();
-}
-
-std::size_t Directory::size() const {
-  std::size_t total = 0;
-  for (const auto& p : partitions_) total += p.entries.size();
-  return total;
+  check_partition(partition);
+  std::size_t n = 0;
+  for (const auto& [h, cb] : entries_) n += h.partition == partition;
+  return n;
 }
 
 }  // namespace xlupc::svd

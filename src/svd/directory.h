@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.h"
 #include "svd/handle.h"
@@ -69,27 +68,27 @@ class Directory {
   /// Returns true if it was present.
   bool remove(Handle h);
 
-  /// Number of live entries in a partition.
+  /// Number of live entries in a partition (a scan of the replica; for
+  /// diagnostics).
   std::size_t partition_size(std::uint32_t partition) const;
 
   /// Total live entries across all partitions.
-  std::size_t size() const;
+  std::size_t size() const noexcept { return entries_.size(); }
 
   /// Lifetime counters (consistency diagnostics).
   std::uint64_t adds() const noexcept { return adds_; }
   std::uint64_t removes() const noexcept { return removes_; }
 
  private:
-  struct Partition {
-    std::unordered_map<std::uint32_t, ControlBlock> entries;
-    std::uint32_t next_index = 0;
-  };
-
-  Partition& partition_for(std::uint32_t partition);
-  const Partition& partition_for(std::uint32_t partition) const;
+  /// Throws std::out_of_range unless `partition` is a thread's partition
+  /// or ALL.
+  void check_partition(std::uint32_t partition) const;
 
   std::uint32_t threads_;
-  std::vector<Partition> partitions_;  // [0..threads-1] + ALL at the end
+  // Sparse: a replica stores only the objects it knows and the partitions
+  // that have been written, so memory is O(objects), not O(threads).
+  std::unordered_map<Handle, ControlBlock, HandleHash> entries_;
+  std::unordered_map<std::uint32_t, std::uint32_t> next_index_;
   std::uint64_t adds_ = 0;
   std::uint64_t removes_ = 0;
 };

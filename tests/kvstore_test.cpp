@@ -466,5 +466,19 @@ TEST(KvStoreFaults, DistCounterStatusReadsPartialSumPastDeadStripe) {
   EXPECT_TRUE(rt.peer_failed(3));
 }
 
+TEST(KvStoreFaults, WorkloadEndsWhenAClientCrashesInTheMeasuredPhase) {
+  // The crashed client never reaches the closing barrier; the survivors
+  // must finish anyway instead of waiting on it while the failure
+  // detector ticks forever.
+  RuntimeConfig cfg = config("gm", 4, 1);
+  cfg.faults.seed = 13;
+  cfg.faults.crashes = {{3, sim::us(800.0)}};
+  const KvWorkloadResult r =
+      run_kv_workload(cfg, small_workload(KvAccessPath::kAm));
+  EXPECT_GT(r.report.counter("kv.errors.peer_failed"), 0u);
+  EXPECT_GT(r.elapsed_us, 0.0);
+  EXPECT_LT(r.stats.gets + r.stats.puts, 4u * 32u);  // node 3 stopped early
+}
+
 }  // namespace
 }  // namespace xlupc::dis

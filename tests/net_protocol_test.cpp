@@ -298,10 +298,10 @@ TEST(ProtocolSeqno, DeliveryAndDuplicateSuppressionAcrossWrap) {
 
   int done = 0;
   for (int i = 0; i < kLegs; ++i) {
-    rig.sim.spawn([](Rig& r, ProtocolEngine& e, int& d) -> sim::Task<> {
+    rig.sim.spawn([](ProtocolEngine& e, int& d) -> sim::Task<> {
       co_await e.deliver(0, 1, nullptr, 0, 0);
       ++d;
-    }(rig, pe, done));
+    }(pe, done));
   }
   rig.sim.run();
 
@@ -341,9 +341,9 @@ TEST(ProtocolBudget, ExhaustionThrowsTransportTimeout) {
   fp.max_retransmits = 3;
   Rig rig(mare_nostrum_gm(), 2, fp);
   ProtocolEngine pe(rig.machine);
-  rig.sim.spawn([](Rig& r, ProtocolEngine& e) -> sim::Task<> {
+  rig.sim.spawn([](ProtocolEngine& e) -> sim::Task<> {
     co_await e.deliver(0, 1, nullptr, 0, 0);
-  }(rig, pe));
+  }(pe));
   EXPECT_THROW(rig.sim.run(), TransportTimeout);
   EXPECT_EQ(pe.stats().timeouts, 1u);
   EXPECT_EQ(pe.stats().retransmits, 3u);

@@ -263,10 +263,17 @@ TEST(PinStrategies, GreedyAndChunkedGiveSimilarImprovements) {
   EXPECT_GT(c.improvement_pct, 10.0);
 }
 
+// gtest names each case by the raw bytes of its parameter, so the bytes
+// after the one-byte `kind` are a real, zeroed member rather than
+// compiler padding whose contents vary with the surrounding code.
 struct ScaleCase {
+  constexpr ScaleCase(net::TransportKind k, std::uint32_t n, std::uint32_t t)
+      : kind(k), nodes(n), tpn(t) {}
   net::TransportKind kind;
+  std::uint8_t zero_pad[3] = {};
   std::uint32_t nodes, tpn;
 };
+static_assert(sizeof(ScaleCase) == 12, "ScaleCase must have no padding");
 
 class StressmarkScaleProperty : public ::testing::TestWithParam<ScaleCase> {};
 

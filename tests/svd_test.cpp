@@ -2,6 +2,7 @@
 // single-writer rule, home-only translation and replica consistency.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "svd/directory.h"
@@ -33,6 +34,38 @@ TEST(Directory, HasNPlusOnePartitions) {
   EXPECT_NO_THROW(dir.add_local(kAllPartition, 2, ControlBlock{}));
   EXPECT_EQ(dir.size(), 5u);
   EXPECT_THROW(dir.add_local(4, 4, ControlBlock{}), std::out_of_range);
+}
+
+TEST(Directory, EveryAccessorRejectsPartitionsBeyondThreads) {
+  Directory dir(4);
+  for (std::uint32_t part : {4u, 5u, 1000u, kAllPartition - 1}) {
+    const Handle h{part, 0};
+    EXPECT_THROW(dir.find(h), std::out_of_range) << part;
+    EXPECT_THROW(std::as_const(dir).find(h), std::out_of_range) << part;
+    EXPECT_THROW(dir.remove(h), std::out_of_range) << part;
+    EXPECT_THROW(dir.add_remote(h, 64, ObjectKind::kArray), std::out_of_range)
+        << part;
+    EXPECT_THROW(dir.partition_size(part), std::out_of_range) << part;
+  }
+  EXPECT_EQ(dir.size(), 0u);
+  EXPECT_EQ(dir.adds(), 0u);
+}
+
+TEST(Directory, UntouchedPartitionsReadAsEmpty) {
+  Directory dir(8);
+  dir.add_local(3, 3, ControlBlock{});
+  EXPECT_EQ(dir.partition_size(kAllPartition), 0u);
+  EXPECT_EQ(dir.find(Handle{kAllPartition, 0}), nullptr);
+  EXPECT_FALSE(dir.remove(Handle{kAllPartition, 0}));
+  for (std::uint32_t part = 0; part < 8; ++part) {
+    if (part == 3) continue;
+    EXPECT_EQ(dir.partition_size(part), 0u) << part;
+    EXPECT_EQ(dir.find(Handle{part, 0}), nullptr) << part;
+    EXPECT_FALSE(dir.remove(Handle{part, 0})) << part;
+  }
+  EXPECT_EQ(dir.partition_size(3), 1u);
+  EXPECT_EQ(dir.size(), 1u);
+  EXPECT_EQ(dir.removes(), 0u);
 }
 
 TEST(Directory, SingleWriterRuleIsEnforced) {

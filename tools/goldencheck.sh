@@ -14,7 +14,9 @@
 # (infinite buffers), so this doubles as the gate that the
 # congestion-aware fabric stays byte-invisible when off
 # (docs/FABRIC.md); congestion_sweep pins the finite-buffer incast and
-# routing-policy tables themselves.
+# routing-policy tables themselves. scale_probe pins the 512-2048-node
+# table, so the address-cache warm-up and the SVD replicas must keep
+# their exact simulated behaviour at scale.
 #
 # Usage: tools/goldencheck.sh <build-dir>
 set -eu
@@ -27,7 +29,7 @@ fresh=$(mktemp)
 trap 'rm -f "$fresh"' EXIT
 
 status=0
-for name in atomics_sweep kvstore_sweep congestion_sweep; do
+for name in atomics_sweep kvstore_sweep congestion_sweep scale_probe; do
   committed="$repo_root/BENCH_$name.json"
   if [ ! -f "$committed" ]; then
     echo "goldencheck: missing $committed" >&2
