@@ -81,20 +81,25 @@ void BM_RegistrationCacheEnsure(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistrationCacheEnsure);
 
+// Schedules a batch of state.range(0) events, then drains it: the
+// argument is the pending population at the peak (16 is a small
+// machine, 8192 the thousands of blocked threads of perfbench `scale`).
 void BM_EventQueueScheduleRun(benchmark::State& state) {
+  const auto pending = state.range(0);
   sim::EventQueue q;
   sim::Rng rng(13);
   sim::Time now = 0;
   int sink = 0;
   for (auto _ : state) {
-    for (int i = 0; i < 16; ++i) {
+    for (std::int64_t i = 0; i < pending; ++i) {
       q.schedule(now + rng.below(1000), [&sink] { ++sink; });
     }
     while (!q.empty()) now = q.pop_and_run();
     benchmark::DoNotOptimize(sink);
   }
+  state.SetItemsProcessed(state.iterations() * pending);
 }
-BENCHMARK(BM_EventQueueScheduleRun);
+BENCHMARK(BM_EventQueueScheduleRun)->Arg(16)->Arg(8192);
 
 void BM_RngBelow(benchmark::State& state) {
   sim::Rng rng(17);

@@ -14,18 +14,16 @@
 //                   queues and per-node state at CI-friendly duration.
 //
 // Two execution modes, selectable per process:
-//  * fast   — pairing-heap scheduler + pooled allocation (the default
-//             production configuration).
-//  * legacy — the pre-refactor core: binary-heap scheduler
-//             (XLUPC_SIM_SCHEDULER=heap) with the allocation pool
-//             bypassed to plain operator new (pool_set_bypass).
+//  * fast   — pooled allocation (the default production configuration).
+//  * legacy — the allocation pool bypassed to plain operator new
+//             (pool_set_bypass), as before the pool existed.
 //
 // The default --mode compare runs every workload in both modes and
-// reports the speedup. Simulations are deterministic and scheduler-
-// independent, so both modes must execute the *exact same* event count —
-// simspeed exits nonzero if they ever disagree, and tools/perfcheck.sh
-// gates CI on the committed BENCH_simspeed.json event counts staying
-// exact.
+// reports the speedup. Simulations are deterministic and independent of
+// the allocator, so both modes must execute the *exact same* event
+// count — simspeed exits nonzero if they ever disagree, and
+// tools/perfcheck.sh gates CI on the committed BENCH_simspeed.json event
+// counts staying exact.
 //
 // Usage: simspeed [--machine gm|lapi|ib] [--seed N] [--json <file>]
 //                 [--mode fast|legacy|compare] [--scale-probe]
@@ -43,7 +41,6 @@
 #include "benchsupport/table.h"
 #include "core/runtime.h"
 #include "net/machine_registry.h"
-#include "sim/event_queue.h"
 #include "sim/pool.h"
 #include "sim/rng.h"
 
@@ -242,16 +239,9 @@ WorkloadResult run_scale_probe(std::uint64_t seed) {
 // mode plumbing
 // ------------------------------------------------------------------
 void apply_mode(const std::string& mode) {
-  // Both knobs are read at construction time (EventQueue backend) or
-  // per-allocation (pool bypass); flipping them between simulations is
-  // supported and exact — see sim/pool.h.
-  if (mode == "legacy") {
-    ::setenv("XLUPC_SIM_SCHEDULER", "heap", 1);
-    sim::pool_set_bypass(true);
-  } else {
-    ::setenv("XLUPC_SIM_SCHEDULER", "pairing", 1);
-    sim::pool_set_bypass(false);
-  }
+  // The bypass is read per allocation; flipping it between simulations
+  // is supported and exact — see sim/pool.h.
+  sim::pool_set_bypass(mode == "legacy");
 }
 
 struct Options {
@@ -380,8 +370,8 @@ int main(int argc, char** argv) {
 
   table.print();
   std::printf(
-      "\nfast = pairing-heap scheduler + pooled allocation;\n"
-      "legacy = pre-refactor binary heap + plain operator new.\n"
+      "\nfast = pooled allocation;\n"
+      "legacy = pool bypassed to plain operator new.\n"
       "Both modes run the identical event sequence (exit 1 otherwise).\n");
   rep.results(table);
   const int rc = rep.finish();

@@ -1,131 +1,82 @@
 #include "sim/event_queue.h"
 
-#include <cstdlib>
-#include <cstring>
-#include <new>
+#include <algorithm>
+#include <cstddef>
 #include <utility>
 
 namespace xlupc::sim {
 
-SchedulerBackend default_scheduler_backend() noexcept {
-  const char* env = std::getenv("XLUPC_SIM_SCHEDULER");
-  if (env != nullptr && std::strcmp(env, "heap") == 0) {
-    return SchedulerBackend::kHeap;
+// Bucket 0 is drained: move base_ to the smallest pending time and
+// spread its bucket over the (empty) lower ones, in order.
+Time EventQueue::refill() {
+  const int b = std::countr_zero(occupied_) + 1;
+  occupied_ &= occupied_ - 1;
+  std::vector<Entry>& src = buckets_[b];
+  Time lo = src[0].time;
+  Time hi = lo;
+  for (const Entry& e : src) {
+    lo = std::min(lo, e.time);
+    hi = std::max(hi, e.time);
   }
-  return SchedulerBackend::kPairing;
+  base_ = lo;
+  if (lo == hi) {
+    buckets_[0].swap(src);  // all due at once: no entry needs re-filing
+  } else {
+    for (const Entry& e : src) push(e);
+    src.clear();
+  }
+  return base_;
 }
 
-EventQueue::EventQueue(SchedulerBackend backend) : backend_(backend) {}
-
-EventQueue::~EventQueue() {
-  if (backend_ == SchedulerBackend::kPairing && root_ != nullptr) {
-    // Destroy still-pending events (an aborted run); free-listed blocks
-    // hold no live node. Iterative walk — the child/sibling chain can be
-    // as deep as the queue is long.
-    merge_scratch_.clear();
-    merge_scratch_.push_back(root_);
-    while (!merge_scratch_.empty()) {
-      Node* n = merge_scratch_.back();
-      merge_scratch_.pop_back();
-      if (n->child != nullptr) merge_scratch_.push_back(n->child);
-      if (n->sibling != nullptr) merge_scratch_.push_back(n->sibling);
-      n->~Node();
-    }
+// Slow path for an insert below base_: re-file every pending entry
+// relative to `base`. Equal times come from one bucket, in order, so
+// concatenating the buckets keeps ties FIFO.
+void EventQueue::respread(Time base) {
+  std::vector<Entry> pending;
+  for (std::vector<Entry>& bucket : buckets_) {
+    pending.insert(pending.end(), bucket.begin(), bucket.end());
+    bucket.clear();
   }
-  for (void* chunk : arena_chunks_) ::operator delete(chunk);
-}
-
-void* EventQueue::alloc_block() {
-  void* p = free_blocks_;
-  if (p != nullptr) {
-    free_blocks_ = *static_cast<void**>(p);
-    --arena_free_count_;
-    return p;
-  }
-  // Carve a fresh 64 KiB chunk wholesale into the freelist; capacity
-  // only ever grows, so steady-state simulation stops allocating.
-  constexpr std::size_t kNodesPerChunk = (64 * 1024) / sizeof(Node);
-  auto* base =
-      static_cast<char*>(::operator new(kNodesPerChunk * sizeof(Node)));
-  arena_chunks_.push_back(base);
-  arena_capacity_ += kNodesPerChunk;
-  for (std::size_t i = 1; i < kNodesPerChunk; ++i) {
-    void* block = base + i * sizeof(Node);
-    *static_cast<void**>(block) = free_blocks_;
-    free_blocks_ = block;
-  }
-  arena_free_count_ += kNodesPerChunk - 1;
-  return base;
-}
-
-void EventQueue::release_block(void* p) noexcept {
-  *static_cast<void**>(p) = free_blocks_;
-  free_blocks_ = p;
-  ++arena_free_count_;
-}
-
-// Detach the minimum node: two-pass sibling merge of the root's children.
-EventQueue::Node* EventQueue::pop_min_pairing() {
-  Node* min = root_;
-  Node* first = min->child;
-  if (first == nullptr) {
-    root_ = nullptr;
-    return min;
-  }
-  // Pass 1: meld children pairwise, left to right.
-  merge_scratch_.clear();
-  while (first != nullptr) {
-    Node* second = first->sibling;
-    first->sibling = nullptr;
-    if (second == nullptr) {
-      merge_scratch_.push_back(first);
-      break;
-    }
-    Node* next = second->sibling;
-    second->sibling = nullptr;
-    merge_scratch_.push_back(meld(first, second));
-    first = next;
-  }
-  // Pass 2: fold right to left.
-  Node* merged = merge_scratch_.back();
-  for (std::size_t i = merge_scratch_.size() - 1; i-- > 0;) {
-    merged = meld(merge_scratch_[i], merged);
-  }
-  root_ = merged;
-  return min;
+  // Bucket 0 came first; drop its already-popped prefix.
+  pending.erase(pending.begin(),
+                pending.begin() + static_cast<std::ptrdiff_t>(head_));
+  base_ = base;
+  head_ = 0;
+  occupied_ = 0;
+  for (const Entry& e : pending) push(e);
 }
 
 void EventQueue::schedule(Time t, Callback fn) {
-  if (backend_ == SchedulerBackend::kPairing) {
-    Node* n = ::new (alloc_block())
-        Node{t, next_seq_++, nullptr, nullptr, std::move(fn)};
-    root_ = root_ == nullptr ? n : meld(root_, n);
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(fn));
   } else {
-    heap_.push(Event{t, next_seq_++, std::move(fn)});
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(fn);
   }
+  if (t < base_) respread(t);
+  push({t, slot});
   ++size_;
 }
 
 Time EventQueue::pop_and_run() {
-  ++executed_;
-  --size_;
-  if (backend_ == SchedulerBackend::kPairing) {
-    Node* n = pop_min_pairing();
-    const Time t = n->time;
-    // Move the callback out and recycle the block *before* running, so
-    // the callback can schedule freely (often straight back into the
-    // block it just vacated — cache-hot by construction).
-    Callback fn = std::move(n->fn);
-    n->~Node();
-    release_block(n);
-    fn();
-    return t;
+  const Time t = next_time();
+  std::vector<Entry>& ready = buckets_[0];
+  const std::uint32_t slot = ready[head_].slot;
+  if (++head_ == ready.size()) {
+    ready.clear();
+    head_ = 0;
   }
-  // Move the callback out before popping so it can reschedule freely.
-  Event ev = std::move(const_cast<Event&>(heap_.top()));
-  heap_.pop();
-  ev.fn();
-  return ev.time;
+  // Move the callback out and free its slot *before* running, so the
+  // callback can schedule freely (often straight back into that slot).
+  Callback fn = std::move(slab_[slot]);
+  free_.push_back(slot);
+  --size_;
+  ++executed_;
+  fn();
+  return t;
 }
 
 }  // namespace xlupc::sim

@@ -1,28 +1,27 @@
 // Time-ordered event queue for the discrete-event simulator.
 //
 // Events with equal timestamps are delivered in insertion order (FIFO),
-// which makes every simulation deterministic: the key is the pair
-// (time, seq) with seq a monotone schedule counter, a strict total
-// order, so every backend pops the exact same sequence and whole runs
-// stay byte-identical whichever scheduler is selected.
+// which makes every simulation deterministic (docs/SIMULATOR.md).
 //
-// Two backends (docs/PERFORMANCE.md):
-//  * kPairing (default) — a pairing heap over arena/freelist nodes.
-//    schedule() is O(1) (one meld), pop is amortized O(log n) (two-pass
-//    sibling merge), and nodes never move after construction, so the
-//    callback payload is built once and run in place. The node arena
-//    recycles freed nodes LIFO; steady state allocates nothing.
-//  * kHeap — the pre-refactor binary heap (std::priority_queue), kept as
-//    the reference scheduler: bench/simspeed measures the fast path
-//    against it and tests assert both produce identical runs.
+// The queue is a monotone radix heap: simulated time never runs
+// backwards, so each pending time t is filed relative to `base_`, the
+// time of the last event popped or peeked, in bucket
+// bit_width(t ^ base_) — the position of the highest bit in which it
+// differs. Bucket 0 holds exactly the events at base_, in pop order.
+// When it runs dry, next_time() moves base_ to the minimum of the lowest
+// non-empty bucket and spreads that bucket over the lower ones, so an
+// entry only ever moves down. Equal times always share a bucket and
+// every move keeps their order, so ties stay FIFO without a sequence
+// number.
 //
-// Backend selection: explicit constructor argument, or the
-// XLUPC_SIM_SCHEDULER environment variable ("pairing" | "heap") for
-// whole-process experiments; anything else falls back to kPairing.
+// Buckets hold 16-byte (time, slot) pairs. The callbacks live in a slab
+// indexed by slot; freed slots are reused LIFO, so steady state
+// allocates nothing.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/callback.h"
@@ -30,28 +29,14 @@
 
 namespace xlupc::sim {
 
-enum class SchedulerBackend : std::uint8_t {
-  kPairing,  ///< pairing heap + node arena (fast path, default)
-  kHeap,     ///< binary heap of (time, seq, callback) (legacy reference)
-};
-
-/// Resolve XLUPC_SIM_SCHEDULER ("pairing" | "heap"); kPairing otherwise.
-SchedulerBackend default_scheduler_backend() noexcept;
-
 /// Min-queue of timed callbacks with stable FIFO ordering for ties.
 class EventQueue {
  public:
   using Callback = sim::Callback;
 
-  explicit EventQueue(
-      SchedulerBackend backend = default_scheduler_backend());
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
-  ~EventQueue();
-
-  SchedulerBackend backend() const noexcept { return backend_; }
-
-  /// Schedule `fn` to run at absolute time `t`.
+  /// Schedule `fn` to run at absolute time `t`. A time below the last
+  /// popped or peeked one is allowed (the simulator does that only after
+  /// run_until() stops at a deadline) but re-spreads every pending entry.
   void schedule(Time t, Callback fn);
 
   /// True when no events remain.
@@ -61,10 +46,7 @@ class EventQueue {
   std::size_t size() const noexcept { return size_; }
 
   /// Timestamp of the earliest pending event. Precondition: !empty().
-  Time next_time() const {
-    return backend_ == SchedulerBackend::kPairing ? root_->time
-                                                  : heap_.top().time;
-  }
+  Time next_time() { return head_ < buckets_[0].size() ? base_ : refill(); }
 
   /// Remove and run the earliest event; returns its timestamp.
   Time pop_and_run();
@@ -72,62 +54,33 @@ class EventQueue {
   /// Total number of events executed so far (for micro-benchmarks/tests).
   std::uint64_t executed() const noexcept { return executed_; }
 
-  /// Pairing-heap arena occupancy (tests: reuse under churn). Both count
-  /// nodes; capacity never shrinks, so steady state means
-  /// arena_capacity() stops growing while events keep flowing.
-  std::size_t arena_capacity() const noexcept { return arena_capacity_; }
-  std::size_t arena_free() const noexcept { return arena_free_count_; }
+  /// Callback slab occupancy in slots (tests: reuse under churn). The
+  /// capacity is the peak number of pending events and never shrinks.
+  std::size_t arena_capacity() const noexcept { return slab_.size(); }
+  std::size_t arena_free() const noexcept { return free_.size(); }
 
  private:
-  // --- pairing-heap backend ---------------------------------------
-  struct Node {
+  struct Entry {
     Time time;
-    std::uint64_t seq;
-    Node* child;    // leftmost child (higher key)
-    Node* sibling;  // next sibling / freelist link
-    Callback fn;
+    std::uint32_t slot;
   };
 
-  // Meld two heaps; the (time, seq) minimum becomes the root.
-  static Node* meld(Node* a, Node* b) noexcept {
-    if (b->time < a->time || (b->time == a->time && b->seq < a->seq)) {
-      Node* t = a;
-      a = b;
-      b = t;
-    }
-    b->sibling = a->child;
-    a->child = b;
-    return a;
+  // Bucket 0 (due at base_) has no occupancy bit; head_ tracks it.
+  void push(const Entry& e) {
+    const int b = std::bit_width(e.time ^ base_);
+    buckets_[b].push_back(e);
+    occupied_ |= std::uint64_t{b != 0} << ((b - 1) & 63);
   }
+  Time refill();
+  void respread(Time base);
 
-  void* alloc_block();
-  void release_block(void* p) noexcept;
-  Node* pop_min_pairing();
-
-  Node* root_ = nullptr;
-  void* free_blocks_ = nullptr;  // raw-storage freelist, linked in place
-  std::vector<void*> arena_chunks_;
-  std::size_t arena_capacity_ = 0;
-  std::size_t arena_free_count_ = 0;
-  std::vector<Node*> merge_scratch_;  // reused across pops (no realloc)
-
-  // --- legacy binary-heap backend ----------------------------------
-  struct Event {
-    Time time;
-    std::uint64_t seq;
-    mutable Callback fn;  // moved out of top() before pop
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-
-  SchedulerBackend backend_;
+  Time base_ = 0;
+  std::size_t head_ = 0;        // next entry of buckets_[0] to pop
+  std::uint64_t occupied_ = 0;  // bit i-1 set: buckets_[i] non-empty
+  std::array<std::vector<Entry>, 65> buckets_;
+  std::vector<Callback> slab_;
+  std::vector<std::uint32_t> free_;
   std::size_t size_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
 };
 

@@ -59,9 +59,8 @@ Pool& pool() {
   static Pool* p = [] {
     auto* created = new Pool;
     // XLUPC_SIM_POOL=malloc starts the process in bypass mode — the
-    // whole-process counterpart of pool_set_bypass(true), pairing with
-    // XLUPC_SIM_SCHEDULER=heap to reproduce the pre-refactor core on any
-    // binary (docs/PERFORMANCE.md).
+    // whole-process counterpart of pool_set_bypass(true), so sanitizers
+    // see every block as its own allocation (docs/PERFORMANCE.md).
     const char* env = std::getenv("XLUPC_SIM_POOL");
     if (env != nullptr && std::strcmp(env, "malloc") == 0) {
       created->bypass = true;

@@ -2,7 +2,7 @@
 //
 // The discrete-event hot path allocates millions of small, short-lived
 // blocks per simulated second: coroutine frames for every Task<> in a
-// co_await chain, heap-spilled callbacks, pairing-heap nodes. glibc
+// co_await chain and every callback too big to store inline. glibc
 // malloc/free dominated the event loop before this pool existed (~2.8
 // mallocs per simulated event on the fig9 stressmark mix). The pool
 // replaces them with LIFO freelists binned by size class, so a block

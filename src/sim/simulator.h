@@ -22,12 +22,7 @@ namespace xlupc::sim {
 
 class Simulator {
  public:
-  /// The scheduler backend defaults to the pairing heap (or the
-  /// XLUPC_SIM_SCHEDULER override — docs/PERFORMANCE.md); either backend
-  /// produces byte-identical runs.
-  explicit Simulator(
-      SchedulerBackend backend = default_scheduler_backend())
-      : queue_(backend) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator();
@@ -94,7 +89,7 @@ class Simulator {
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// The event queue (scheduler-backend introspection for tests/benches).
+  /// The event queue (slab occupancy for tests/benches).
   const EventQueue& queue() const noexcept { return queue_; }
 
  private:

@@ -1,145 +1,275 @@
-// Scheduler-backend and allocator tests for the fast simulator core
-// (docs/PERFORMANCE.md): equal-time FIFO ordering on both event-queue
-// backends, byte-identical whole runs across backends on every machine
-// model, arena/pool reuse under churn, and the small-buffer-optimized
-// callback types.
+// Event-queue and allocator tests for the fast simulator core
+// (docs/PERFORMANCE.md): equal-time FIFO ordering on both insert paths
+// of the radix event queue, the queue against a sorted reference, slab
+// and pool reuse under churn, and the
+// small-buffer-optimized callback types.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <string>
+#include <bit>
+#include <bitset>
+#include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
-#include "benchsupport/report.h"
-#include "core/runtime.h"
-#include "net/machine_registry.h"
 #include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "sim/pool.h"
-#include "sim/simulator.h"
+#include "sim/rng.h"
 
 namespace xlupc {
 namespace {
 
 using sim::Callback;
 using sim::EventQueue;
-using sim::SchedulerBackend;
 using sim::SmallFn;
 
 // ------------------------------------------------------------------
-// Event-queue ordering, per backend
+// Event queue against a sorted reference
 // ------------------------------------------------------------------
 
+// The queue files an insert in one of two ways: relative to the last
+// popped or peeked time, or, for an insert below that time, by
+// re-spreading every pending entry. Ties must stay FIFO on both.
 TEST(SchedulerBackends, EqualTimeEventsRunFifoOnBothBackends) {
-  for (SchedulerBackend b :
-       {SchedulerBackend::kPairing, SchedulerBackend::kHeap}) {
-    EventQueue q(b);
+  for (const bool respread : {false, true}) {
+    EventQueue q;
     std::vector<int> order;
     // Interleave two timestamps so FIFO must hold per time, not
     // globally: expected pop order is all of t=5 (0..15), then t=9.
     for (int i = 0; i < 16; ++i) {
+      if (respread && i == 8) {
+        // Peek at t=5, then insert below it: the 16 pending entries are
+        // re-filed relative to t=1 and the rest go in after them.
+        ASSERT_EQ(q.next_time(), 5u);
+        q.schedule(1, [&order] { order.push_back(-1); });
+      }
       q.schedule(5, [&order, i] { order.push_back(i); });
       q.schedule(9, [&order, i] { order.push_back(100 + i); });
     }
     while (!q.empty()) q.pop_and_run();
-    ASSERT_EQ(order.size(), 32u);
+    const char* path = respread ? "re-spread" : "monotone";
+    if (respread) {
+      ASSERT_EQ(order.size(), 33u);
+      EXPECT_EQ(order.front(), -1);
+      order.erase(order.begin());
+    }
+    ASSERT_EQ(order.size(), 32u) << path;
     for (int i = 0; i < 16; ++i) {
-      EXPECT_EQ(order[i], i) << "backend " << static_cast<int>(b);
-      EXPECT_EQ(order[16 + i], 100 + i) << "backend " << static_cast<int>(b);
+      EXPECT_EQ(order[i], i) << path;
+      EXPECT_EQ(order[16 + i], 100 + i) << path;
     }
   }
+}
+
+// A second queue with the same interface: pending (time, schedule order,
+// callback) triples in a plain vector, popped by linear search.
+class ReferenceQueue {
+ public:
+  void schedule(sim::Time t, Callback fn) {
+    pending_.push_back({t, seq_++, std::move(fn)});
+  }
+  bool empty() const { return pending_.empty(); }
+  sim::Time pop_and_run() {
+    auto it = std::min_element(
+        pending_.begin(), pending_.end(), [](const Item& a, const Item& b) {
+          return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+        });
+    Item item = std::move(*it);
+    pending_.erase(it);
+    item.fn();
+    return item.time;
+  }
+
+ private:
+  struct Item {
+    sim::Time time;
+    std::uint64_t seq;
+    Callback fn;
+  };
+  std::vector<Item> pending_;
+  std::uint64_t seq_ = 0;
+};
+
+// Runs one pseudo-random schedule, including re-scheduling from inside
+// callbacks, and returns the (time, id) pairs in pop order.
+template <class Queue>
+std::vector<std::pair<sim::Time, int>> pop_sequence() {
+  Queue q;
+  std::vector<std::pair<sim::Time, int>> seen;
+  std::uint64_t x = 88172645463325252ull;
+  auto rnd = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (int i = 0; i < 200; ++i) {
+    const sim::Time t = rnd() % 50;
+    q.schedule(t, [&seen, &q, t, i] {
+      seen.emplace_back(t, i);
+      if (seen.size() % 3 == 0) {
+        q.schedule(t + 1 + seen.size() % 7,
+                   [&seen, t] { seen.emplace_back(t + 1000, -1); });
+      }
+    });
+  }
+  while (!q.empty()) q.pop_and_run();
+  return seen;
 }
 
 TEST(SchedulerBackends, BackendsPopIdenticalSequences) {
-  // A pseudo-random schedule, including re-scheduling from inside
-  // callbacks, must pop identically on both backends: the (time, seq)
-  // key is a strict total order, so the pop sequence is unique.
-  auto run = [](SchedulerBackend b) {
-    EventQueue q(b);
-    std::vector<std::pair<sim::Time, int>> seen;
-    std::uint64_t x = 88172645463325252ull;
-    auto rnd = [&x] {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      return x;
-    };
-    for (int i = 0; i < 200; ++i) {
-      const sim::Time t = rnd() % 50;
-      q.schedule(t, [&seen, &q, &rnd, t, i] {
-        seen.emplace_back(t, i);
-        if (seen.size() % 3 == 0) {
-          q.schedule(t + 1 + seen.size() % 7, [&seen, t] {
-            seen.emplace_back(t + 1000, -1);
-          });
-        }
-      });
-    }
-    while (!q.empty()) q.pop_and_run();
-    return seen;
+  // The (time, schedule order) key is a strict total order, so the pop
+  // sequence is unique: the radix queue must match the reference.
+  const auto radix = pop_sequence<EventQueue>();
+  ASSERT_GT(radix.size(), 200u);
+  EXPECT_EQ(radix, pop_sequence<ReferenceQueue>());
+}
+
+// Drives an EventQueue and a reference side by side. The reference keeps
+// pending (time, schedule order) pairs in a plain vector and pops the
+// minimum by linear search; every schedule goes to both.
+class Differential {
+ public:
+  struct Item {
+    sim::Time time;
+    std::uint64_t id;  // schedule order
   };
-  EXPECT_EQ(run(SchedulerBackend::kPairing), run(SchedulerBackend::kHeap));
-}
 
-TEST(SchedulerBackends, EnvSelectsBackend) {
-  ::setenv("XLUPC_SIM_SCHEDULER", "heap", 1);
-  EXPECT_EQ(sim::default_scheduler_backend(), SchedulerBackend::kHeap);
-  ::setenv("XLUPC_SIM_SCHEDULER", "pairing", 1);
-  EXPECT_EQ(sim::default_scheduler_backend(), SchedulerBackend::kPairing);
-  ::setenv("XLUPC_SIM_SCHEDULER", "nonsense", 1);
-  EXPECT_EQ(sim::default_scheduler_backend(), SchedulerBackend::kPairing);
-  ::unsetenv("XLUPC_SIM_SCHEDULER");
-}
+  Differential(std::uint64_t seed, std::uint64_t events)
+      : rng_(seed), events_(events) {}
 
-// ------------------------------------------------------------------
-// Cross-backend byte-identical whole runs, every machine model
-// ------------------------------------------------------------------
+  EventQueue& queue() { return q_; }
+  sim::Rng& rng() { return rng_; }
+  std::size_t pending() const { return ref_.size(); }
+  sim::Time now() const { return now_; }
+  const std::bitset<65>& widths() const { return widths_; }
 
-std::string run_fingerprint(const char* machine) {
-  core::RuntimeConfig cfg;
-  cfg.platform = net::make_machine(machine);
-  cfg.nodes = 4;
-  cfg.threads_per_node = 2;
-  core::Runtime rt(std::move(cfg));
-  rt.run([](core::UpcThread& th) -> sim::Task<void> {
-    core::ArrayDesc a = co_await th.all_alloc(256, sizeof(std::uint64_t));
-    co_await th.barrier();
-    std::uint64_t pos = (th.id() * 13) % 256;
-    for (int i = 0; i < 24; ++i) {
-      const std::uint64_t v = co_await th.read<std::uint64_t>(a, pos);
-      co_await th.write<std::uint64_t>(a, (pos + 7) % 256, v + 1);
-      pos = (pos + 31) % 256;
-      co_await th.compute(50);
-    }
-    co_await th.fence();
-    co_await th.barrier();
-  });
-  // The full observability snapshot serialized: any divergence in
-  // timing, counters, resource accounting or event count shows up here.
-  return bench::to_json(rt.metrics()).dump_string() + "|" +
-         std::to_string(rt.simulator().events_executed()) + "|" +
-         std::to_string(rt.elapsed());
-}
-
-TEST(SchedulerBackends, WholeRunsIdenticalAcrossBackends) {
-  for (const char* machine : {"gm", "lapi", "ib"}) {
-    ::setenv("XLUPC_SIM_SCHEDULER", "pairing", 1);
-    const std::string pairing = run_fingerprint(machine);
-    ::setenv("XLUPC_SIM_SCHEDULER", "heap", 1);
-    const std::string heap = run_fingerprint(machine);
-    ::unsetenv("XLUPC_SIM_SCHEDULER");
-    EXPECT_EQ(pairing, heap) << "machine " << machine;
+  void schedule(sim::Time t) {
+    const std::uint64_t id = next_id_++;
+    widths_.set(static_cast<std::size_t>(std::bit_width(t ^ now_)));
+    ref_.push_back({t, id});
+    q_.schedule(t, [this, id, t] { fire(id, t); });
   }
+
+  const Item& reference_min() const {
+    return *std::min_element(ref_.begin(), ref_.end(), before);
+  }
+
+  // Pops both sides: returns the reference's pick, then the time the
+  // queue returned and the id of the callback it ran.
+  std::pair<Item, Item> pop() {
+    auto it = std::min_element(ref_.begin(), ref_.end(), before);
+    const Item want = *it;
+    ref_.erase(it);
+    const sim::Time t = q_.pop_and_run();
+    now_ = want.time;
+    return {want, {t, ran_}};
+  }
+
+ private:
+  static bool before(const Item& a, const Item& b) {
+    return a.time != b.time ? a.time < b.time : a.id < b.id;
+  }
+
+  // A callback records itself and schedules 0-2 children while the
+  // event budget lasts: a third at zero delay (dense ties, inserted
+  // from inside a callback), a third close by, a third with a delay of
+  // a random bit width, saturating at the largest time.
+  void fire(std::uint64_t id, sim::Time t) {
+    ran_ = id;
+    if (next_id_ >= events_ || ref_.size() > 256) return;
+    for (std::uint64_t n = rng_.below(3); n > 0; --n) {
+      sim::Duration d = 0;
+      switch (rng_.below(3)) {
+        case 0:
+          break;
+        case 1:
+          d = rng_.below(16);
+          break;
+        default:
+          if (const auto bits = rng_.below(65); bits > 0) {
+            const std::uint64_t top = std::uint64_t{1} << (bits - 1);
+            d = top | (rng_.next_u64() & (top - 1));
+          }
+      }
+      const sim::Time room = std::numeric_limits<sim::Time>::max() - t;
+      schedule(t + std::min(d, room));
+    }
+  }
+
+  EventQueue q_;
+  std::vector<Item> ref_;
+  sim::Rng rng_;
+  std::uint64_t events_;
+  std::uint64_t next_id_ = 0;
+  std::uint64_t ran_ = 0;
+  sim::Time now_ = 0;
+  std::bitset<65> widths_;
+};
+
+TEST(EventQueue, PopsLikeSortedReference) {
+  std::uint64_t pops = 0;
+  std::uint64_t below_peek = 0;
+  std::bitset<65> widths;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Differential d(seed, 40000);
+    // Odd seeds start at 0, even ones just below 2^63, so times cross
+    // into the top bucket both by huge delays and by small ones.
+    const sim::Time start =
+        seed % 2 == 0 ? (std::uint64_t{1} << 63) - 4096 : 0;
+    for (int i = 0; i < 64; ++i) d.schedule(start + d.rng().below(8));
+    while (d.queue().size() > 0) {
+      ASSERT_EQ(d.queue().size(), d.pending());
+      if (d.rng().below(16) == 0) {
+        // Peek, then insert below the peeked time, as the simulator does
+        // after run_until() stops at a deadline. One time in eight, go
+        // below the last popped time too, as only direct users can.
+        const sim::Time peek = d.queue().next_time();
+        ASSERT_EQ(peek, d.reference_min().time) << "seed " << seed;
+        const sim::Time from = d.rng().below(8) == 0 ? d.now() / 2 : d.now();
+        if (peek > from) {
+          d.schedule(from + d.rng().below(peek - from));
+          ++below_peek;
+        }
+      }
+      const auto [want, got] = d.pop();
+      ASSERT_EQ(got.time, want.time) << "seed " << seed << " pop " << pops;
+      ASSERT_EQ(got.id, want.id) << "seed " << seed << " pop " << pops;
+      ++pops;
+    }
+    widths |= d.widths();
+  }
+  EXPECT_GE(pops, 400000u);
+  EXPECT_GT(below_peek, 1000u);
+  EXPECT_TRUE(widths.all()) << "bit widths covered: " << widths;
+}
+
+TEST(EventQueue, DestroyReleasesPendingSpilledCallbacks) {
+  auto token = std::make_shared<int>(0);
+  const std::array<char, Callback::kInlineBytes> pad{};
+  auto spilled = [token, pad] { (void)pad; };
+  ASSERT_FALSE(Callback(spilled).inline_stored());
+  {
+    EventQueue q;
+    for (sim::Time t = 0; t < 12; ++t) q.schedule(t % 5, spilled);
+    q.pop_and_run();
+    q.pop_and_run();
+    q.pop_and_run();
+    EXPECT_EQ(token.use_count(), 1 + 1 + 9);  // token, `spilled`, pending
+  }
+  EXPECT_EQ(token.use_count(), 2);
 }
 
 // ------------------------------------------------------------------
-// Arena / pool reuse under churn
+// Slab / pool reuse under churn
 // ------------------------------------------------------------------
 
-TEST(SchedulerBackends, PairingArenaStopsGrowingUnderChurn) {
-  EventQueue q(SchedulerBackend::kPairing);
-  // Prime the arena with one full round, then churn: capacity must not
+TEST(EventQueue, SlabStopsGrowingUnderChurn) {
+  EventQueue q;
+  // Prime the slab with one full round, then churn: capacity must not
   // grow once the high-water mark of pending events is reached.
   auto round = [&q](sim::Time base) {
     for (int i = 0; i < 64; ++i) q.schedule(base + i % 8, [] {});
@@ -147,10 +277,10 @@ TEST(SchedulerBackends, PairingArenaStopsGrowingUnderChurn) {
   };
   round(0);
   const std::size_t cap = q.arena_capacity();
-  ASSERT_GT(cap, 0u);
+  EXPECT_EQ(cap, 64u);  // one slot per pending event at the peak
   for (int r = 1; r < 50; ++r) round(r * 100);
   EXPECT_EQ(q.arena_capacity(), cap);
-  EXPECT_EQ(q.arena_free(), cap);  // drained queue: every node recycled
+  EXPECT_EQ(q.arena_free(), cap);  // drained queue: every slot free
 }
 
 TEST(PoolAllocator, ReusesFreedBlocksWithoutNewChunks) {

@@ -91,6 +91,20 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 3);
 }
 
+TEST(Simulator, ScheduleBelowPeekedTimeAfterRunUntil) {
+  // run_until(20) peeks the event at 30 and stops; an event scheduled
+  // at 25 afterwards must still fire before it.
+  Simulator sim;
+  std::vector<Time> fired;
+  for (Time t : {10, 20, 30}) {
+    sim.schedule_at(t, [&] { fired.push_back(sim.now()); });
+  }
+  sim.run_until(20);
+  sim.schedule_at(25, [&] { fired.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{10, 20, 25, 30}));
+}
+
 TEST(Simulator, ExceptionInProcessPropagatesFromRun) {
   Simulator sim;
   sim.spawn([](Simulator& s) -> Task<> {

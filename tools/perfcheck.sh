@@ -18,7 +18,7 @@
 #
 # simspeed itself additionally exits nonzero if the fast and legacy
 # modes disagree on the event sequence, so a perfcheck pass also
-# certifies scheduler-backend determinism.
+# certifies that the pool bypass leaves simulated behaviour unchanged.
 #
 # Usage: tools/perfcheck.sh <build-dir> [min-ratio]
 set -eu
