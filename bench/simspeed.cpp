@@ -13,20 +13,12 @@
 //                   doing neighbour reads: exercises thousand-node event
 //                   queues and per-node state at CI-friendly duration.
 //
-// Two execution modes, selectable per process:
-//  * fast   — pooled allocation (the default production configuration).
-//  * legacy — the allocation pool bypassed to plain operator new
-//             (pool_set_bypass), as before the pool existed.
-//
-// The default --mode compare runs every workload in both modes and
-// reports the speedup. Simulations are deterministic and independent of
-// the allocator, so both modes must execute the *exact same* event
-// count — simspeed exits nonzero if they ever disagree, and
-// tools/perfcheck.sh gates CI on the committed BENCH_simspeed.json event
-// counts staying exact.
+// Simulations are deterministic, so every workload executes an exact
+// event count for a seed; tools/perfcheck.sh gates CI on the committed
+// BENCH_simspeed.json event counts staying exact.
 //
 // Usage: simspeed [--machine gm|lapi|ib] [--seed N] [--json <file>]
-//                 [--mode fast|legacy|compare] [--scale-probe]
+//                 [--scale-probe]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -235,26 +227,16 @@ WorkloadResult run_scale_probe(std::uint64_t seed) {
   return r;
 }
 
-// ------------------------------------------------------------------
-// mode plumbing
-// ------------------------------------------------------------------
-void apply_mode(const std::string& mode) {
-  // The bypass is read per allocation; flipping it between simulations
-  // is supported and exact — see sim/pool.h.
-  sim::pool_set_bypass(mode == "legacy");
-}
-
 struct Options {
   std::string machine = "gm";
   std::uint64_t seed = 1;
-  std::string mode = "compare";
   bool scale_probe = false;
 };
 
 [[noreturn]] void usage_and_exit() {
   std::fprintf(stderr,
                "usage: simspeed [--machine %s] [--seed N] [--json <file>]\n"
-               "                [--mode fast|legacy|compare] [--scale-probe]\n",
+               "                [--scale-probe]\n",
                net::machine_names().c_str());
   std::exit(2);
 }
@@ -275,12 +257,6 @@ Options parse_options(int argc, char** argv) {
       opt.machine = value("--machine");
     } else if (a == "--seed" || a.substr(0, 7) == "--seed=") {
       opt.seed = std::strtoull(value("--seed").c_str(), nullptr, 10);
-    } else if (a == "--mode" || a.substr(0, 7) == "--mode=") {
-      opt.mode = value("--mode");
-      if (opt.mode != "fast" && opt.mode != "legacy" &&
-          opt.mode != "compare") {
-        usage_and_exit();
-      }
     } else if (a == "--scale-probe") {
       opt.scale_probe = true;
     } else if (a == "--json" || a.substr(0, 7) == "--json=") {
@@ -303,7 +279,6 @@ int main(int argc, char** argv) {
   bench::Reporter rep("simspeed", argc, argv);
   rep.config("machine", bench::Json::str(opt.machine));
   rep.config("seed", bench::Json::number(opt.seed));
-  rep.config("mode", bench::Json::str(opt.mode));
 
   struct Workload {
     const char* name;
@@ -320,61 +295,16 @@ int main(int argc, char** argv) {
          [](const Options& o) { return run_scale_probe(o.seed); }});
   }
 
-  std::printf("simspeed: machine=%s seed=%llu mode=%s\n\n",
-              opt.machine.c_str(),
-              static_cast<unsigned long long>(opt.seed), opt.mode.c_str());
-  bench::Table table(
-      {"workload", "mode", "events", "sim_ms", "wall_ms", "Mev/s"});
-  bool events_mismatch = false;
-
+  std::printf("simspeed: machine=%s seed=%llu\n\n", opt.machine.c_str(),
+              static_cast<unsigned long long>(opt.seed));
+  bench::Table table({"workload", "events", "sim_ms", "wall_ms", "Mev/s"});
   for (const Workload& w : workloads) {
-    WorkloadResult fast;
-    WorkloadResult legacy;
-    const bool run_fast = opt.mode != "legacy";
-    const bool run_legacy = opt.mode != "fast";
-    if (run_legacy) {
-      apply_mode("legacy");
-      legacy = w.run(opt);
-      table.row({w.name, "legacy", std::to_string(legacy.events),
-                 bench::fmt(legacy.sim_ns / 1e6, 2),
-                 bench::fmt(legacy.wall_ms, 1),
-                 bench::fmt(legacy.events_per_sec() / 1e6, 2)});
-    }
-    if (run_fast) {
-      apply_mode("fast");
-      fast = w.run(opt);
-      table.row({w.name, "fast", std::to_string(fast.events),
-                 bench::fmt(fast.sim_ns / 1e6, 2),
-                 bench::fmt(fast.wall_ms, 1),
-                 bench::fmt(fast.events_per_sec() / 1e6, 2)});
-    }
-    if (run_fast && run_legacy) {
-      if (fast.events != legacy.events || fast.sim_ns != legacy.sim_ns) {
-        std::fprintf(stderr,
-                     "simspeed: DETERMINISM VIOLATION on %s: fast "
-                     "%llu events / %llu ns vs legacy %llu events / %llu "
-                     "ns\n",
-                     w.name, static_cast<unsigned long long>(fast.events),
-                     static_cast<unsigned long long>(fast.sim_ns),
-                     static_cast<unsigned long long>(legacy.events),
-                     static_cast<unsigned long long>(legacy.sim_ns));
-        events_mismatch = true;
-      }
-      const double speedup =
-          legacy.wall_ms > 0.0 ? fast.events_per_sec() /
-                                     (legacy.events / (legacy.wall_ms / 1e3))
-                               : 0.0;
-      table.row({w.name, "speedup", "-", "-", "-", bench::fmt(speedup, 2)});
-    }
+    const WorkloadResult r = w.run(opt);
+    table.row({w.name, std::to_string(r.events), bench::fmt(r.sim_ns / 1e6, 2),
+               bench::fmt(r.wall_ms, 1),
+               bench::fmt(r.events_per_sec() / 1e6, 2)});
   }
-
   table.print();
-  std::printf(
-      "\nfast = pooled allocation;\n"
-      "legacy = pool bypassed to plain operator new.\n"
-      "Both modes run the identical event sequence (exit 1 otherwise).\n");
   rep.results(table);
-  const int rc = rep.finish();
-  if (events_mismatch) return 1;
-  return rc;
+  return rep.finish();
 }

@@ -64,14 +64,6 @@ class IbTransport final : public Transport {
   /// protocol engine then reroutes and the QPs stay RTS).
   void on_link_down(NodeId a, NodeId b) override;
 
- protected:
-  /// Two-sided dispatch runs on the communication processor (the verbs
-  /// progress engine), never on the target's application cores.
-  sim::Resource& handler_cpu(NodeId dst, std::uint32_t /*target_core*/)
-      override {
-    return machine_.comm_cpu(dst);
-  }
-
  private:
   ib::QueuePair& qp(NodeId src, NodeId dst);
   /// Post one WQE on the src -> dst queue pair (counting stalls when the

@@ -49,8 +49,8 @@ struct ProtocolStats {
   std::uint64_t link_resyncs = 0;     ///< seqno resyncs after reconnection
 };
 
-/// The per-link protocol state machine shared by GmTransport and
-/// LapiTransport. One instance per Transport; links are keyed by the
+/// The per-link protocol state machine shared by every transport
+/// backend. One instance per Transport; links are keyed by the
 /// (src, dst) node pair.
 class ProtocolEngine {
  public:

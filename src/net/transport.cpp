@@ -683,15 +683,10 @@ Task<RdmaBatchResult> Transport::rdma_batch(Initiator from, NodeId dst,
 }
 
 std::unique_ptr<Transport> make_transport(Machine& machine, AmTarget& target) {
-  switch (machine.params().kind) {
-    case TransportKind::kGm:
-      return std::make_unique<GmTransport>(machine, target);
-    case TransportKind::kLapi:
-      return std::make_unique<LapiTransport>(machine, target);
-    case TransportKind::kIb:
-      return std::make_unique<IbTransport>(machine, target);
+  if (machine.params().kind == TransportKind::kIb) {
+    return std::make_unique<IbTransport>(machine, target);
   }
-  return std::make_unique<GmTransport>(machine, target);
+  return std::make_unique<Transport>(machine, target);
 }
 
 }  // namespace xlupc::net

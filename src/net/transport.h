@@ -370,10 +370,14 @@ class Transport {
 
  protected:
   /// The CPU that runs AM handlers at `dst` for data owned by
-  /// `target_core`: GM uses the application core itself (no overlap of
-  /// communication and computation); LAPI uses the dedicated
-  /// communication processor.
-  virtual sim::Resource& handler_cpu(NodeId dst, std::uint32_t target_core) = 0;
+  /// `target_core`: the dedicated communication processor when the
+  /// platform overlaps communication with computation (LAPI, IB's
+  /// progress engine), else the application core itself (GM).
+  sim::Resource& handler_cpu(NodeId dst, std::uint32_t target_core) {
+    return machine_.params().comm_comp_overlap
+               ? machine_.comm_cpu(dst)
+               : machine_.core(dst, target_core);
+  }
 
   sim::Task<void> charge_reg_cache(sim::Resource& cpu, NodeId node, Addr addr,
                                    std::size_t len);
@@ -423,30 +427,6 @@ class Transport {
   /// Read-time merge target of stats_ + protocol_.stats(); refreshed on
   /// every stats() call so callers keep the cheap const-reference API.
   mutable TransportStats merged_stats_;
-};
-
-/// Myrinet/GM transport (paper Sec. 3.3): handlers run on the target
-/// application core — communication does not overlap computation.
-class GmTransport final : public Transport {
- public:
-  using Transport::Transport;
-
- protected:
-  sim::Resource& handler_cpu(NodeId dst, std::uint32_t target_core) override {
-    return machine_.core(dst, target_core);
-  }
-};
-
-/// LAPI transport (paper Sec. 3.2): header handlers run on a dedicated
-/// communication processor — communication overlaps computation.
-class LapiTransport final : public Transport {
- public:
-  using Transport::Transport;
-
- protected:
-  sim::Resource& handler_cpu(NodeId dst, std::uint32_t /*target_core*/) override {
-    return machine_.comm_cpu(dst);
-  }
 };
 
 /// Factory selecting the transport from the platform parameters.

@@ -32,8 +32,6 @@ namespace xlupc::sim {
 /// Min-queue of timed callbacks with stable FIFO ordering for ties.
 class EventQueue {
  public:
-  using Callback = sim::Callback;
-
   /// Schedule `fn` to run at absolute time `t`. A time below the last
   /// popped or peeked one is allowed (the simulator does that only after
   /// run_until() stops at a deadline) but re-spreads every pending entry.

@@ -1,9 +1,6 @@
 #include "sim/pool.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <new>
-#include <vector>
 
 namespace xlupc::sim {
 
@@ -16,103 +13,72 @@ constexpr std::size_t kGranularity = 32;
 constexpr std::size_t kMaxBlock = 2048;
 constexpr std::size_t kClasses = kMaxBlock / kGranularity;
 constexpr std::size_t kChunkBytes = 64 * 1024;
-constexpr std::uint32_t kMallocTag = 0xffffffffu;
-constexpr std::uint32_t kMagic = 0x51700000u;  // "SIm POol" tag bits
 
-// Prefixed to every block. 16 bytes keeps the returned pointer aligned
-// for std::max_align_t (coroutine frames require it).
-struct alignas(std::max_align_t) Header {
-  std::uint32_t tag;  // kMagic | class index, or kMallocTag
-  std::uint32_t pad;
-  void* next;  // freelist link while the block is free
+// ASan cannot see a use-after-free inside a recycled block, so its
+// builds give every block to operator new instead (see pool.h).
+#ifdef __SANITIZE_ADDRESS__
+constexpr bool kFreelists = false;
+#else
+constexpr bool kFreelists = true;
+#endif
+
+// A free block's first word links it to the next free block of its class.
+struct FreeBlock {
+  FreeBlock* next;
 };
-static_assert(sizeof(Header) == 16);
 
+// Constant-initialized and trivially destructible, so it needs no init
+// guard and stays valid for frames freed by static destructors after
+// main() returns.
 struct Pool {
-  void* freelist[kClasses] = {};
-  std::vector<void*> chunks;
+  FreeBlock* freelist[kClasses];
   PoolStats stats;
-  bool bypass = false;
-
-  void* carve(std::size_t cls) {
-    // Carve one 64 KiB chunk wholesale into this class's freelist.
-    const std::size_t block = sizeof(Header) + (cls + 1) * kGranularity;
-    const std::size_t count = kChunkBytes / block;
-    char* base = static_cast<char*>(::operator new(kChunkBytes));
-    chunks.push_back(base);
-    ++stats.chunks;
-    stats.chunk_bytes += kChunkBytes;
-    for (std::size_t i = 0; i < count; ++i) {
-      auto* h = reinterpret_cast<Header*>(base + i * block);
-      h->next = freelist[cls];
-      freelist[cls] = h;
-    }
-    return freelist[cls];
-  }
 };
+constinit Pool g_pool{};
 
-// Never destroyed (function-local static pointer): coroutine frames held
-// by static-duration objects may be freed after main() returns, so the
-// pool must outlive every destructor. The pointer keeps the chunks
-// reachable, which also keeps leak checkers quiet.
-Pool& pool() {
-  static Pool* p = [] {
-    auto* created = new Pool;
-    // XLUPC_SIM_POOL=malloc starts the process in bypass mode — the
-    // whole-process counterpart of pool_set_bypass(true), so sanitizers
-    // see every block as its own allocation (docs/PERFORMANCE.md).
-    const char* env = std::getenv("XLUPC_SIM_POOL");
-    if (env != nullptr && std::strcmp(env, "malloc") == 0) {
-      created->bypass = true;
-    }
-    return created;
-  }();
-  return *p;
+std::size_t class_of(std::size_t bytes) {
+  return bytes == 0 ? 0 : (bytes - 1) / kGranularity;
+}
+
+// Carve one 64 KiB chunk wholesale into the (empty) freelist of `cls`.
+FreeBlock* carve(std::size_t cls) {
+  const std::size_t block = (cls + 1) * kGranularity;
+  char* base = static_cast<char*>(::operator new(kChunkBytes));
+  ++g_pool.stats.chunks;
+  g_pool.stats.chunk_bytes += kChunkBytes;
+  FreeBlock* head = nullptr;
+  for (std::size_t off = 0; off + block <= kChunkBytes; off += block) {
+    head = ::new (base + off) FreeBlock{head};
+  }
+  return head;
 }
 
 }  // namespace
 
 void* pool_alloc(std::size_t bytes) {
-  Pool& p = pool();
-  ++p.stats.allocations;
-  if (bytes == 0) bytes = 1;
-  if (p.bypass || bytes > kMaxBlock) {
-    if (bytes > kMaxBlock) ++p.stats.oversize;
-    auto* h = static_cast<Header*>(::operator new(sizeof(Header) + bytes));
-    h->tag = kMallocTag;
-    return h + 1;
-  }
-  const std::size_t cls = (bytes - 1) / kGranularity;
-  void* head = p.freelist[cls];
+  if (bytes > kMaxBlock) ++g_pool.stats.oversize;
+  if (!kFreelists || bytes > kMaxBlock) return ::operator new(bytes);
+  const std::size_t cls = class_of(bytes);
+  FreeBlock* head = g_pool.freelist[cls];
   if (head != nullptr) {
-    ++p.stats.reuses;
+    ++g_pool.stats.reuses;
   } else {
-    head = p.carve(cls);
+    head = carve(cls);
   }
-  auto* h = static_cast<Header*>(head);
-  p.freelist[cls] = h->next;
-  h->tag = kMagic | static_cast<std::uint32_t>(cls);
-  return h + 1;
+  g_pool.freelist[cls] = head->next;
+  return head;
 }
 
-void pool_free(void* ptr) noexcept {
-  if (ptr == nullptr) return;
-  Pool& p = pool();
-  ++p.stats.frees;
-  auto* h = static_cast<Header*>(ptr) - 1;
-  if (h->tag == kMallocTag) {
-    ::operator delete(h);
+void pool_free(void* p, std::size_t bytes) noexcept {
+  if (p == nullptr) return;
+  if (!kFreelists || bytes > kMaxBlock) {
+    ::operator delete(p, bytes);
     return;
   }
-  const std::size_t cls = h->tag & 0xffffu;
-  h->next = p.freelist[cls];
-  p.freelist[cls] = h;
+  FreeBlock*& head = g_pool.freelist[class_of(bytes)];
+  head = ::new (p) FreeBlock{head};
 }
 
-const PoolStats& pool_stats() noexcept { return pool().stats; }
-
-void pool_set_bypass(bool on) noexcept { pool().bypass = on; }
-
-bool pool_bypass() noexcept { return pool().bypass; }
+const PoolStats& pool_stats() noexcept { return g_pool.stats; }
 
 }  // namespace xlupc::sim

@@ -11,18 +11,19 @@
 //
 // Design (docs/PERFORMANCE.md):
 //  * classes of 32-byte granularity up to 2 KiB; larger blocks fall
-//    through to operator new. Every block carries a 16-byte header
-//    recording its class, so frees dispatch correctly even for blocks
-//    allocated before a mode switch.
+//    through to operator new. Blocks carry no header: every caller hands
+//    the block's size back to pool_free, which picks the class from it
+//    (coroutine frames through the sized PooledFrame::operator delete,
+//    containers through PoolAllocator, callback spills with sizeof).
 //  * backing chunks of 64 KiB are carved whole into a class's freelist
 //    and are never returned to the OS: steady-state simulation reaches a
 //    high-water mark once and allocates nothing afterwards.
 //  * single-threaded by design, like the simulator itself. There is one
 //    process-global pool (coroutine frames outlive any one Simulator).
-//  * pool_set_bypass(true) routes new blocks to operator new — the
-//    pre-refactor allocation behaviour, kept so bench/simspeed can
-//    measure the pool's contribution honestly. Blocks remain tagged, so
-//    the modes can be switched between (not during) simulations.
+//  * AddressSanitizer builds compile the freelists out: every block is
+//    its own ::operator new allocation, released by a sized
+//    ::operator delete, so ASan checks each frame's lifetime and each
+//    caller's size (new-delete-type-mismatch).
 //
 // Determinism: pointer values never influence simulation behaviour, so
 // the pool cannot change results — only wall-clock speed.
@@ -33,38 +34,33 @@
 
 namespace xlupc::sim {
 
-/// Allocate `bytes` from the pool (or operator new in bypass mode /
-/// for oversize blocks). Never returns nullptr; throws std::bad_alloc.
+/// Allocate `bytes` from the pool (operator new for oversize blocks).
+/// Never returns nullptr; throws std::bad_alloc.
 void* pool_alloc(std::size_t bytes);
 
-/// Return a pool_alloc'd block to its freelist (or operator delete).
-void pool_free(void* p) noexcept;
+/// Return a block to its freelist. `bytes` must be the size it was
+/// allocated with.
+void pool_free(void* p, std::size_t bytes) noexcept;
 
 /// Allocation statistics, for tests and docs/PERFORMANCE.md numbers.
 struct PoolStats {
-  std::uint64_t allocations = 0;  ///< total pool_alloc calls
   std::uint64_t reuses = 0;       ///< served from a freelist (cache-hot)
-  std::uint64_t frees = 0;        ///< total pool_free calls
   std::uint64_t oversize = 0;     ///< larger than the largest class
   std::uint64_t chunks = 0;       ///< 64 KiB backing chunks carved
   std::uint64_t chunk_bytes = 0;  ///< total backing bytes reserved
 };
 const PoolStats& pool_stats() noexcept;
 
-/// Route future allocations straight to operator new (the pre-pool
-/// behaviour). Existing blocks stay valid: frees consult the per-block
-/// header. Only flip this between simulations (bench/simspeed --mode).
-void pool_set_bypass(bool on) noexcept;
-bool pool_bypass() noexcept;
-
 /// Mixin giving a class (and, for coroutine promise types, the whole
 /// coroutine frame) pooled allocation. Task<T>::promise_type and
 /// Simulator's detached driver inherit this, which is what removes the
-/// per-operation frame malloc from every co_await chain.
+/// per-operation frame malloc from every co_await chain. The delete is
+/// sized-only, so a coroutine frame is freed with its frame size.
 struct PooledFrame {
   static void* operator new(std::size_t n) { return pool_alloc(n); }
-  static void operator delete(void* p) noexcept { pool_free(p); }
-  static void operator delete(void* p, std::size_t) noexcept { pool_free(p); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    pool_free(p, n);
+  }
 };
 
 /// STL allocator over the pool, for short-lived containers on the hot
@@ -82,7 +78,9 @@ struct PoolAllocator {
   T* allocate(std::size_t n) {
     return static_cast<T*>(pool_alloc(n * sizeof(T)));
   }
-  void deallocate(T* p, std::size_t) noexcept { pool_free(p); }
+  void deallocate(T* p, std::size_t n) noexcept {
+    pool_free(p, n * sizeof(T));
+  }
 
   friend bool operator==(const PoolAllocator&, const PoolAllocator&) {
     return true;

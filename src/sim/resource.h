@@ -33,7 +33,7 @@ class Resource {
       Resource* r;
       bool await_ready() const noexcept { return r->can_grant_now(); }
       void await_suspend(std::coroutine_handle<> h) {
-        r->queue_.push_back(Waiter{Callback::resume(h), r->sim_->now()});
+        r->queue_.push_back(Waiter{resume_callback(h), r->sim_->now()});
       }
       void await_resume() const { r->granted(); }
     };
@@ -160,8 +160,5 @@ class Resource {
   std::uint64_t acquisitions_ = 0;
   Time usage_epoch_ = 0;
 };
-
-/// Acquire `r`, hold it for `d`, release — the common usage pattern.
-inline auto hold(Resource& r, Duration d) { return r.use(d); }
 
 }  // namespace xlupc::sim

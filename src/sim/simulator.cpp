@@ -13,7 +13,7 @@ Simulator::~Simulator() {
   while (!drivers_.empty()) drivers_.front().destroy();
 }
 
-void Simulator::schedule_at(Time t, EventQueue::Callback fn) {
+void Simulator::schedule_at(Time t, Callback fn) {
   if (t < now_) {
     throw std::logic_error("Simulator::schedule_at: time in the past");
   }

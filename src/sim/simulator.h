@@ -31,25 +31,25 @@ class Simulator {
   Time now() const noexcept { return now_; }
 
   /// Schedule a callback at absolute simulated time `t` (>= now).
-  void schedule_at(Time t, EventQueue::Callback fn);
+  void schedule_at(Time t, Callback fn);
 
   /// Schedule a callback `d` nanoseconds from now.
-  void schedule_after(Duration d, EventQueue::Callback fn) {
+  void schedule_after(Duration d, Callback fn) {
     schedule_at(now_ + d, std::move(fn));
   }
 
   /// Schedule a callback at the current time (runs after the current event).
-  void post(EventQueue::Callback fn) { schedule_at(now_, std::move(fn)); }
+  void post(Callback fn) { schedule_at(now_, std::move(fn)); }
 
   /// Resume a suspended coroutine at the current time — the dominant
-  /// event payload, stored as a bare handle (no capture, no allocation).
+  /// event payload, stored inline (one captured handle, no allocation).
   void post_resume(std::coroutine_handle<> h) {
-    post(Callback::resume(h));
+    post(resume_callback(h));
   }
 
   /// Resume a suspended coroutine `d` nanoseconds from now.
   void schedule_resume_after(Duration d, std::coroutine_handle<> h) {
-    schedule_at(now_ + d, Callback::resume(h));
+    schedule_at(now_ + d, resume_callback(h));
   }
 
   /// Awaitable that suspends the caller for `d` simulated nanoseconds.

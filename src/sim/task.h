@@ -15,9 +15,6 @@
 
 namespace xlupc::sim {
 
-template <class T>
-class Task;
-
 namespace detail {
 
 // Inheriting PooledFrame routes every Task<> coroutine frame through the
@@ -27,6 +24,7 @@ namespace detail {
 // (docs/PERFORMANCE.md).
 struct PromiseBase : PooledFrame {
   std::coroutine_handle<> continuation{};
+  std::exception_ptr error;
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }
@@ -41,24 +39,22 @@ struct PromiseBase : PooledFrame {
 
   std::suspend_always initial_suspend() const noexcept { return {}; }
   FinalAwaiter final_suspend() const noexcept { return {}; }
+  void unhandled_exception() { error = std::current_exception(); }
 };
 
-template <class Promise, class T>
-struct TaskAwaiter {
-  std::coroutine_handle<Promise> handle;
+/// Where a finished Task<T> keeps its result until the awaiter takes it.
+template <class T>
+struct ValuePromise : PromiseBase {
+  std::optional<T> value;
 
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
-    handle.promise().continuation = cont;
-    return handle;  // start (or resume into) the child coroutine
-  }
-  T await_resume() {
-    auto& p = handle.promise();
-    if (p.error) std::rethrow_exception(p.error);
-    if constexpr (!std::is_void_v<T>) {
-      return std::move(*p.value);
-    }
-  }
+  void return_value(T v) { value.emplace(std::move(v)); }
+  T take() { return std::move(*value); }
+};
+
+template <>
+struct ValuePromise<void> : PromiseBase {
+  void return_void() const noexcept {}
+  void take() const noexcept {}
 };
 
 }  // namespace detail
@@ -68,15 +64,10 @@ struct TaskAwaiter {
 template <class T = void>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-    std::exception_ptr error;
-
+  struct promise_type : detail::ValuePromise<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_value(T v) { value.emplace(std::move(v)); }
-    void unhandled_exception() { error = std::current_exception(); }
   };
 
   Task() = default;
@@ -95,56 +86,25 @@ class [[nodiscard]] Task {
   bool valid() const noexcept { return static_cast<bool>(handle_); }
 
   auto operator co_await() && noexcept {
-    return detail::TaskAwaiter<promise_type, T>{handle_};
+    struct Awaiter {
+      std::coroutine_handle<promise_type> handle;
+
+      bool await_ready() const noexcept { return false; }
+      std::coroutine_handle<> await_suspend(
+          std::coroutine_handle<> cont) noexcept {
+        handle.promise().continuation = cont;
+        return handle;  // start (or resume into) the child coroutine
+      }
+      T await_resume() {
+        auto& p = handle.promise();
+        if (p.error) std::rethrow_exception(p.error);
+        return p.take();
+      }
+    };
+    return Awaiter{handle_};
   }
 
  private:
-  explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
-
-  void destroy() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = {};
-    }
-  }
-
-  std::coroutine_handle<promise_type> handle_;
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    std::exception_ptr error;
-
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() const noexcept {}
-    void unhandled_exception() { error = std::current_exception(); }
-  };
-
-  Task() = default;
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      handle_ = std::exchange(other.handle_, {});
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { destroy(); }
-
-  bool valid() const noexcept { return static_cast<bool>(handle_); }
-
-  auto operator co_await() && noexcept {
-    return detail::TaskAwaiter<promise_type, void>{handle_};
-  }
-
- private:
-  friend struct promise_type;
   explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
 
   void destroy() {

@@ -419,16 +419,19 @@ TEST(Transport, ControlReachesHandler) {
 }
 
 TEST(Transport, FactorySelectsByPlatform) {
-  sim::Simulator sim;
-  FakeTarget t(64);
-  Machine gm_machine(sim, mare_nostrum_gm(), mc(2, 1));
-  Machine lapi_machine(sim, power5_lapi(), mc(2, 1));
-  EXPECT_NE(dynamic_cast<GmTransport*>(
-                make_transport(gm_machine, t).get()),
-            nullptr);
-  EXPECT_NE(dynamic_cast<LapiTransport*>(
-                make_transport(lapi_machine, t).get()),
-            nullptr);
+  // AM handlers run where the platform's comm_comp_overlap puts them: on
+  // the target's application core for GM, on its communication
+  // processor for LAPI and IB.
+  for (const TransportKind kind :
+       {TransportKind::kGm, TransportKind::kLapi, TransportKind::kIb}) {
+    Fixture f(preset(kind));
+    timed_get(f, 64);
+    const bool on_comm_cpu = kind != TransportKind::kGm;
+    EXPECT_EQ(f.machine.core(1, 0).acquisitions() > 0, !on_comm_cpu)
+        << static_cast<int>(kind);
+    EXPECT_EQ(f.machine.comm_cpu(1).acquisitions() > 0, on_comm_cpu)
+        << static_cast<int>(kind);
+  }
 }
 
 TEST(Transport, RendezvousRegistrationIsCachedAcrossGets) {

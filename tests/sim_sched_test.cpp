@@ -1,7 +1,7 @@
 // Event-queue and allocator tests for the fast simulator core
 // (docs/PERFORMANCE.md): equal-time FIFO ordering on both insert paths
 // of the radix event queue, the queue against a sorted reference, slab
-// and pool reuse under churn, and the
+// and pool reuse under churn, sized frees, and the
 // small-buffer-optimized callback types.
 #include <gtest/gtest.h>
 
@@ -284,13 +284,16 @@ TEST(EventQueue, SlabStopsGrowingUnderChurn) {
 }
 
 TEST(PoolAllocator, ReusesFreedBlocksWithoutNewChunks) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
   // Prime the size class, then churn it: every allocation must be served
   // from the freelist (no new chunks carved).
-  sim::pool_free(sim::pool_alloc(128));
+  sim::pool_free(sim::pool_alloc(128), 128);
   const sim::PoolStats before = sim::pool_stats();
   for (int i = 0; i < 1000; ++i) {
     void* p = sim::pool_alloc(128);
-    sim::pool_free(p);
+    sim::pool_free(p, 128);
   }
   const sim::PoolStats after = sim::pool_stats();
   EXPECT_EQ(after.chunks, before.chunks);
@@ -298,24 +301,45 @@ TEST(PoolAllocator, ReusesFreedBlocksWithoutNewChunks) {
   EXPECT_EQ(after.reuses, before.reuses + 1000);
 }
 
-TEST(PoolAllocator, TaggedHeadersSurviveModeSwitches) {
-  // Blocks are tagged with their origin, so frees dispatch correctly
-  // even across pool_set_bypass flips (the simspeed --mode switch).
-  ASSERT_FALSE(sim::pool_bypass());
-  void* pooled = sim::pool_alloc(64);
-  sim::pool_set_bypass(true);
-  void* heaped = sim::pool_alloc(64);
-  sim::pool_free(pooled);  // pooled block freed while bypass is on
-  sim::pool_set_bypass(false);
-  sim::pool_free(heaped);  // malloc'd block freed while bypass is off
-  const sim::PoolStats st = sim::pool_stats();
-  EXPECT_GE(st.frees, 2u);
+TEST(PoolAllocator, SizedFreeReturnsBlockToItsClass) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // Blocks carry no header, so the size passed to pool_free alone picks
+  // the freelist: a block freed with size n is the next one pool_alloc(n)
+  // returns, LIFO within the class. 1 and 32 share the first class, 33
+  // opens the second, 2048 is the last and 2049 falls through.
+  for (const std::size_t n : {1, 32, 33, 2048, 2049}) {
+    const std::uint64_t oversize = sim::pool_stats().oversize;
+    void* a = sim::pool_alloc(n);
+    void* b = sim::pool_alloc(n);
+    sim::pool_free(a, n);
+    sim::pool_free(b, n);
+    void* c = sim::pool_alloc(n);
+    void* d = sim::pool_alloc(n);
+    if (n <= 2048) {
+      EXPECT_EQ(c, b) << "size " << n;
+      EXPECT_EQ(d, a) << "size " << n;
+    }
+    EXPECT_EQ(sim::pool_stats().oversize - oversize, n > 2048 ? 4u : 0u)
+        << "size " << n;
+    sim::pool_free(c, n);
+    sim::pool_free(d, n);
+  }
+  void* small = sim::pool_alloc(32);
+  sim::pool_free(small, 32);
+  void* next_class = sim::pool_alloc(33);
+  EXPECT_NE(next_class, small);
+  void* same_class = sim::pool_alloc(1);
+  EXPECT_EQ(same_class, small);
+  sim::pool_free(same_class, 1);
+  sim::pool_free(next_class, 33);
 }
 
 TEST(PoolAllocator, OversizeBlocksFallThrough) {
   const sim::PoolStats before = sim::pool_stats();
   void* big = sim::pool_alloc(1 << 20);
-  sim::pool_free(big);
+  sim::pool_free(big, 1 << 20);
   EXPECT_EQ(sim::pool_stats().oversize, before.oversize + 1);
 }
 

@@ -2,23 +2,19 @@
 # Simulator-core performance gate (docs/PERFORMANCE.md,
 # .github/workflows/ci.yml "perf-smoke").
 #
-# Runs bench/simspeed (both modes, including the 4096-node scale probe)
-# and compares the fresh report against the committed perf trajectory
+# Runs bench/simspeed (including the 4096-node scale probe) and compares
+# the fresh report against the committed perf trajectory
 # BENCH_simspeed.json at the repo root:
 #
 #   1. Event counts must match the committed report EXACTLY, workload by
 #      workload. Simulations are deterministic; any drift means the
 #      change altered simulated behaviour, not just speed.
-#   2. The fast mode's events-per-wall-second must stay above a very
-#      generous floor (default 0.2x the committed figure). Wall clock on
-#      shared CI runners is noisy — this only catches order-of-magnitude
+#   2. Events-per-wall-second must stay above a very generous floor
+#      (default 0.2x the committed figure). Wall clock on shared CI
+#      runners is noisy — this only catches order-of-magnitude
 #      regressions (an accidental O(n^2), a debug build, the pool
 #      disabled); tighter tracking is done by updating the committed
 #      report deliberately and reviewing the diff.
-#
-# simspeed itself additionally exits nonzero if the fast and legacy
-# modes disagree on the event sequence, so a perfcheck pass also
-# certifies that the pool bypass leaves simulated behaviour unchanged.
 #
 # Usage: tools/perfcheck.sh <build-dir> [min-ratio]
 set -eu
@@ -46,7 +42,7 @@ trap 'rm -f "$fresh"' EXIT
 # them without paying for the simspeed scale probe.
 "$repo_root"/tools/goldencheck.sh "$build"
 
-"$build"/bench/simspeed --mode compare --scale-probe --json "$fresh"
+"$build"/bench/simspeed --scale-probe --json "$fresh"
 
 python3 - "$committed" "$fresh" "$min_ratio" <<'EOF'
 import json
@@ -57,37 +53,30 @@ committed_path, fresh_path, min_ratio = sys.argv[1], sys.argv[2], float(sys.argv
 def rows(path):
     with open(path) as f:
         doc = json.load(f)
-    out = {}
-    for row in doc["results"]:
-        out[(row["workload"], row["mode"])] = row
-    return out
+    return {row["workload"]: row for row in doc["results"]}
 
 committed = rows(committed_path)
 fresh = rows(fresh_path)
 status = 0
 
-for (workload, mode), row in sorted(committed.items()):
-    if mode not in ("fast", "legacy"):
-        continue
-    key = (workload, mode)
-    if key not in fresh:
-        print(f"perfcheck: workload {workload}/{mode} missing from fresh run",
+for workload, row in sorted(committed.items()):
+    if workload not in fresh:
+        print(f"perfcheck: workload {workload} missing from fresh run",
               file=sys.stderr)
         status = 1
         continue
-    want, got = row["events"], fresh[key]["events"]
+    want, got = row["events"], fresh[workload]["events"]
     if want != got:
-        print(f"perfcheck: {workload}/{mode} event count drifted: "
+        print(f"perfcheck: {workload} event count drifted: "
               f"committed {want}, fresh {got}", file=sys.stderr)
         status = 1
-    if mode == "fast":
-        want_eps = float(row["Mev/s"])
-        got_eps = float(fresh[key]["Mev/s"])
-        if got_eps < want_eps * min_ratio:
-            print(f"perfcheck: {workload} fast mode at {got_eps} Mev/s, "
-                  f"below {min_ratio}x the committed {want_eps} Mev/s",
-                  file=sys.stderr)
-            status = 1
+    want_eps = float(row["Mev/s"])
+    got_eps = float(fresh[workload]["Mev/s"])
+    if got_eps < want_eps * min_ratio:
+        print(f"perfcheck: {workload} at {got_eps} Mev/s, "
+              f"below {min_ratio}x the committed {want_eps} Mev/s",
+              file=sys.stderr)
+        status = 1
 
 if status == 0:
     print("perfcheck: event counts exact, throughput within bounds")
