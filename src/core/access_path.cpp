@@ -71,12 +71,12 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
       const Addr raddr = info->base + node_off;
       if (len > p.rdma_bounce_limit) {
         // Zero-copy into the user buffer: it must be registered locally.
-        co_await rt_.transport_->ensure_local_registered(
+        co_await rt_.transport_.ensure_local_registered(
             from, static_cast<Addr>(reinterpret_cast<std::uintptr_t>(
                       dst.data())),
             len);
       }
-      auto res = co_await rt_.transport_->rdma_get(from, owner, raddr, len);
+      auto res = co_await rt_.transport_.rdma_get(from, owner, raddr, len);
       if (res.ok()) {
         if (len <= p.rdma_bounce_limit) {
           // Landed in a preregistered bounce buffer; copy out on the CPU.
@@ -107,7 +107,7 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
   req.target_core = layout.core_of(loc.thread);
   req.local_buf =
       static_cast<Addr>(reinterpret_cast<std::uintptr_t>(dst.data()));
-  auto reply = co_await rt_.transport_->get(from, owner, std::move(req));
+  auto reply = co_await rt_.transport_.get(from, owner, std::move(req));
   if (reply.base && use_cache) {
     co_await rt_.machine_.core(th.node(), th.core()).use(p.cache_update);
     rt_.node(th.node()).cache->insert(key, *reply.base);
@@ -170,7 +170,7 @@ Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
         // Stage into a preregistered bounce buffer.
         co_await rt_.machine_.core(th.node(), th.core()).use(p.copy_time(len));
       } else {
-        co_await rt_.transport_->ensure_local_registered(
+        co_await rt_.transport_.ensure_local_registered(
             from, static_cast<Addr>(reinterpret_cast<std::uintptr_t>(
                       src.data())),
             len);
@@ -179,7 +179,7 @@ Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
       const ThreadId tid = th.id();
       net::RdmaPutResult res;
       try {
-        res = co_await rt_.transport_->rdma_put(
+        res = co_await rt_.transport_.rdma_put(
             from, owner, raddr, {src.begin(), src.end()},
             [rt, tid] { rt->note_put_completed(tid); });
       } catch (...) {
@@ -213,7 +213,7 @@ Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
   const CacheKey key = rt_.make_key(a, owner, node_off);
   const NodeId my_node = th.node();
   try {
-    co_await rt_.transport_->put(
+    co_await rt_.transport_.put(
         from, owner, std::move(req),
         [rt, tid, key, my_node, cache_on](const net::PutAck& ack) {
           if (ack.base && cache_on) {
@@ -304,14 +304,14 @@ Task<void> AccessPath::amo_span(UpcThread& th, CommOp op, Layout::Loc loc) {
     }
   }
 
-  net::AmoResult res = co_await rt_.transport_->amo(from, owner, req);
+  net::AmoResult res = co_await rt_.transport_.amo(from, owner, req);
   if (!res.ok()) {
     // NAK: the cached window is no longer pinned. Invalidate and retry
     // through the AM lowering (which translates at the home node).
     rt_.node(th.node()).cache->invalidate(key);
     ++rt_.counters_.rdma_naks;
     req.raddr = kNullAddr;
-    res = co_await rt_.transport_->amo(from, owner, req);
+    res = co_await rt_.transport_.amo(from, owner, req);
   }
   if (op.result != nullptr) *op.result = res.value;
   if (res.offloaded) {

@@ -80,7 +80,7 @@ Task<void> CoalescingEngine::run_batch(NodeId dest,
   std::exception_ptr err;
   net::RdmaBatchResult res;
   try {
-    res = co_await rt_.transport_->rdma_batch(
+    res = co_await rt_.transport_.rdma_batch(
         net::Initiator{th_.node(), th_.core()}, dest, std::move(batch));
   } catch (...) {
     // The whole aggregated message failed (retransmission budget

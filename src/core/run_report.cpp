@@ -150,14 +150,14 @@ RunReport Runtime::metrics() {
   // mapping for transport-owned counters (transport.*, and the
   // fault.*/reliability.* names the protocol engine feeds); the struct
   // and the registry cannot drift (metrics_test asserts equality).
-  const net::TransportStats& ts = transport_->stats();
+  const net::TransportStats& ts = transport_.stats();
   ts.fold_into(reg, machine_.faults().enabled(), cfg_.coalesce.enabled(),
                cfg_.platform.kind == net::TransportKind::kIb,
                machine_.faults().fabric_enabled(), total_amos > 0);
   std::uint64_t rc_hits = 0, rc_misses = 0, rc_evictions = 0;
   std::uint64_t rc_resident = 0;
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
-    const mem::RegistrationCache& rc = transport_->reg_cache(n);
+    const mem::RegistrationCache& rc = transport_.reg_cache(n);
     rc_hits += rc.hits();
     rc_misses += rc.misses();
     rc_evictions += rc.evictions();
@@ -269,7 +269,7 @@ RunReport Runtime::metrics() {
 
 void Runtime::reset_metrics() {
   counters_ = OpCounters{};
-  transport_->reset_stats();
+  transport_.reset_stats();
   if (detector_) detector_->reset_stats();
   for (auto& th : threads_) th->completion_.reset_stats();
   for (NodeId n = 0; n < cfg_.nodes; ++n) {

@@ -55,7 +55,6 @@ Runtime::Runtime(RuntimeConfig cfg)
     throw std::invalid_argument(
         "Runtime: full-table resolution requires greedy pinning");
   }
-  transport_ = net::make_transport(machine_, *this);
 
   mem::PinLimits limits;
   limits.max_bytes_per_handle = cfg_.platform.max_bytes_per_handle;
@@ -126,14 +125,14 @@ void Runtime::run(ThreadBody body) {
 
 void Runtime::on_peer_dead(NodeId corpse) {
   // Connection layer: fail in-flight legs fast, error-fence IB QPs.
-  transport_->peer_dead(corpse);
+  transport_.peer_dead(corpse);
   // Address caches: every node drops entries pointing at the corpse (an
   // RDMA-tier hit against a dead node's base address must never happen).
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
     node(n).cache->invalidate_node(corpse);
   }
   // The corpse's pin-down state died with it.
-  transport_->reg_cache_mut(corpse).invalidate_all();
+  transport_.reg_cache_mut(corpse).invalidate_all();
 }
 
 Duration Runtime::barrier_cost() const {
@@ -228,7 +227,7 @@ Task<ArrayDesc> Runtime::global_alloc_spec(UpcThread& th, LayoutSpec spec,
                                      static_cast<std::uint8_t>(kind)};
     for (NodeId n = 0; n < cfg_.nodes; ++n) {
       if (n == th.node()) continue;
-      sim_.spawn(control_counted(transport_.get(),
+      sim_.spawn(control_counted(&transport_,
                                  net::Initiator{th.node(), th.core()}, n,
                                  notice, &latch));
     }
@@ -263,7 +262,7 @@ void Runtime::publish_bases(NodeId origin, svd::Handle h) {
     // O(nodes) messages per node per object: the "extensive
     // communication" cost the SVD design avoids (Sec. 2.1). Delivery is
     // asynchronous; accesses racing it simply miss and take the AM path.
-    sim_.spawn(transport_->control(net::Initiator{origin, 0}, n, msg));
+    sim_.spawn(transport_.control(net::Initiator{origin, 0}, n, msg));
   }
 }
 
@@ -275,7 +274,7 @@ void Runtime::do_free(NodeId n, svd::Handle h) {
   if (cb == nullptr) return;
   if (cb->local_base != kNullAddr) {
     nd.pinned->unpin(cb->local_base, cb->local_bytes);
-    transport_->reg_cache_mut(n).invalidate(cb->local_base, cb->local_bytes);
+    transport_.reg_cache_mut(n).invalidate(cb->local_base, cb->local_bytes);
     nd.space->free(cb->local_base);
   }
   nd.dir->remove(h);
@@ -471,7 +470,7 @@ void Runtime::grant_lock(NodeId home_node, std::uint64_t handle,
     waiter.lock_wait_->set(true);
     return;
   }
-  sim_.spawn(transport_->control(net::Initiator{home_node, 0}, req_node,
+  sim_.spawn(transport_.control(net::Initiator{home_node, 0}, req_node,
                                  net::LockGrant{handle, requester, true}));
 }
 
@@ -646,7 +645,7 @@ Task<void> UpcThread::free_array(ArrayDesc desc) {
     for (NodeId n = 0; n < rt_->cfg_.nodes; ++n) {
       if (n == node_) continue;
       rt_->sim_.spawn(control_counted(
-          rt_->transport_.get(), net::Initiator{node_, core_}, n,
+          &rt_->transport_, net::Initiator{node_, core_}, n,
           net::SvdFreeNotice{desc.handle.pack()}, &latch));
     }
     co_await latch.wait();
@@ -958,7 +957,7 @@ Task<void> UpcThread::lock(const LockDesc& lk) {
         rt_->cfg_.platform.local_access);
     rt_->lock_request_at_home(home_node, lk.handle.pack(), id_);
   } else {
-    co_await rt_->transport_->control(
+    co_await rt_->transport_.control(
         net::Initiator{node_, core_}, home_node,
         net::LockRequest{lk.handle.pack(), id_, false});
   }
@@ -973,7 +972,7 @@ Task<void> UpcThread::unlock(const LockDesc& lk) {
         rt_->cfg_.platform.local_access);
     rt_->lock_release_at_home(home_node, lk.handle.pack(), id_);
   } else {
-    co_await rt_->transport_->control(net::Initiator{node_, core_}, home_node,
+    co_await rt_->transport_.control(net::Initiator{node_, core_}, home_node,
                                       net::LockRelease{lk.handle.pack(), id_});
   }
 }

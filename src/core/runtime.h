@@ -278,7 +278,7 @@ class Runtime final : public net::AmTarget {
   }
   sim::Simulator& simulator() noexcept { return sim_; }
   net::Machine& machine() noexcept { return machine_; }
-  net::Transport& transport() noexcept { return *transport_; }
+  net::Transport& transport() noexcept { return transport_; }
   sim::Time elapsed() const noexcept { return sim_.now(); }
 
   AddressCache& cache(NodeId n) { return *node(n).cache; }
@@ -412,7 +412,7 @@ class Runtime final : public net::AmTarget {
   RuntimeConfig cfg_;
   sim::Simulator sim_;
   net::Machine machine_;
-  std::unique_ptr<net::Transport> transport_;
+  net::Transport transport_{machine_, *this};
   AccessPath path_{*this};  ///< the tier dispatch every CommOp runs through
   std::vector<Node> nodes_;
   std::vector<std::unique_ptr<UpcThread>> threads_;

@@ -1,19 +1,21 @@
 // Verbs-style queue pairs and completion queues on top of the DES.
 //
-// The IB transport (ib_transport.h) models the host-visible half of the
-// verbs interface that Liu et al. build MPICH2's RDMA channel on: work
-// requests are posted to a reliable-connection QueuePair's send queue and
-// retire through a per-node CompletionQueue. The wire and the hardware
-// engines stay where they are for every backend — `net::Machine`'s
-// nic_tx/nic_dma resources and the shared ProtocolEngine — so these
-// classes own only the queue discipline: a send queue has `sq_depth`
-// WQE slots, and posting to a full queue stalls the caller until a
-// completion frees one (the backpressure a real sender spins on).
+// On the InfiniBand machine (docs/MACHINES.md), net::Transport models the
+// host-visible half of the verbs interface that Liu et al. build MPICH2's
+// RDMA channel on: work requests are posted to a reliable-connection
+// QueuePair's send queue and retire through a per-node CompletionQueue.
+// The wire and the hardware engines stay where they are for every
+// machine — `net::Machine`'s nic_tx/nic_dma resources and the shared
+// ProtocolEngine — so these classes own only the queue discipline: a
+// send queue has `sq_depth` WQE slots, and posting to a full queue
+// stalls the caller until a completion frees one (the backpressure a
+// real sender spins on).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -47,9 +49,10 @@ class QueuePair {
  public:
   enum class State : std::uint8_t { kRts, kError };
 
-  /// `sq_depth` = send-queue WQE slots; 0 = unbounded.
-  QueuePair(sim::Simulator& sim, std::uint32_t sq_depth)
-      : sim_(&sim), depth_(sq_depth) {}
+  /// `sq_depth` = send-queue WQE slots; 0 = unbounded. Completions land
+  /// on `cq`, the initiator node's completion queue.
+  QueuePair(sim::Simulator& sim, std::uint32_t sq_depth, CompletionQueue& cq)
+      : sim_(&sim), cq_(&cq), depth_(sq_depth) {}
   QueuePair(QueuePair&&) = default;
 
   State state() const noexcept { return state_; }
@@ -98,10 +101,11 @@ class QueuePair {
     hwm_ = std::max(hwm_, outstanding_);
   }
 
-  /// Retire the oldest outstanding WQE (work completion), waking stalled
-  /// posters.
+  /// Retire the oldest outstanding WQE (work completion): raise a CQE on
+  /// the completion queue and wake stalled posters.
   void complete() {
     if (outstanding_ > 0) --outstanding_;
+    cq_->completed();
     if (stall_) {
       const std::shared_ptr<sim::Trigger> t = std::move(stall_);
       stall_.reset();
@@ -114,12 +118,39 @@ class QueuePair {
 
  private:
   sim::Simulator* sim_;
+  CompletionQueue* cq_;
   std::uint32_t depth_;
   std::uint32_t outstanding_ = 0;
   std::uint32_t hwm_ = 0;
   State state_ = State::kRts;
   std::uint32_t incarnation_ = 0;
   std::shared_ptr<sim::Trigger> stall_;
+};
+
+/// One WQE posted on a QueuePair (empty once retired). It retires its
+/// send-queue slot exactly once: explicitly where the initiator polls the
+/// CQE, otherwise when the guard dies — so an operation whose leg throws
+/// (a retransmission timeout) never leaks the slot. The queue pair is
+/// held weakly: a frame destroyed after its transport (simulator
+/// teardown of a process that never finished) retires nothing.
+class Wqe {
+ public:
+  Wqe() = default;
+  explicit Wqe(const std::shared_ptr<QueuePair>& qp) : qp_(qp) {}
+  Wqe(Wqe&&) noexcept = default;
+  Wqe& operator=(Wqe&& o) noexcept {
+    retire();
+    qp_ = std::move(o.qp_);
+    return *this;
+  }
+  ~Wqe() { retire(); }
+
+  void retire() {
+    if (const auto qp = std::exchange(qp_, {}).lock()) qp->complete();
+  }
+
+ private:
+  std::weak_ptr<QueuePair> qp_;
 };
 
 }  // namespace xlupc::net::ib

@@ -49,9 +49,9 @@ struct ProtocolStats {
   std::uint64_t link_resyncs = 0;     ///< seqno resyncs after reconnection
 };
 
-/// The per-link protocol state machine shared by every transport
-/// backend. One instance per Transport; links are keyed by the
-/// (src, dst) node pair.
+/// The per-link protocol state machine shared by every machine model.
+/// One instance per Transport; links are keyed by the (src, dst) node
+/// pair.
 class ProtocolEngine {
  public:
   explicit ProtocolEngine(Machine& machine) : machine_(machine) {}

@@ -1,10 +1,11 @@
 #include "net/transport.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 
-#include "net/ib/ib_transport.h"
+#include "net/topology.h"
 
 namespace xlupc::net {
 
@@ -12,7 +13,11 @@ using sim::Duration;
 using sim::Task;
 
 Transport::Transport(Machine& machine, AmTarget& target)
-    : machine_(machine), target_(target), protocol_(machine) {
+    : machine_(machine),
+      target_(target),
+      ib_(machine.params().kind == TransportKind::kIb),
+      protocol_(machine),
+      cqs_(ib_ ? machine.nodes() : 0) {
   reg_caches_.reserve(machine.nodes());
   for (std::uint32_t n = 0; n < machine.nodes(); ++n) {
     reg_caches_.emplace_back(machine.params().max_dmaable_bytes);
@@ -48,13 +53,75 @@ const TransportStats& Transport::stats() const noexcept {
   return merged_stats_;
 }
 
-void Transport::on_peer_dead(NodeId /*node*/) {
-  // GM/LAPI keep no per-peer connection state: nothing to tear down.
-  // In-flight legs to the dead peer fail fast inside the protocol
-  // engine's delivery loop instead of burning the retransmit budget.
+// ------------------------------------------------ IB queue pairs ---
+
+const std::shared_ptr<ib::QueuePair>& Transport::qp(NodeId src, NodeId dst) {
+  auto& q = qps_[std::make_pair(src, dst)];
+  if (!q) {
+    q = std::make_shared<ib::QueuePair>(machine_.simulator(),
+                                        machine_.params().sq_depth, cqs_[src]);
+  }
+  return q;
 }
 
-void Transport::on_link_down(NodeId /*a*/, NodeId /*b*/) {}
+const ib::QueuePair* Transport::queue_pair(NodeId src, NodeId dst) const {
+  const auto it = qps_.find(std::make_pair(src, dst));
+  return it == qps_.end() ? nullptr : it->second.get();
+}
+
+Task<ib::Wqe> Transport::post_wqe(NodeId src, NodeId dst) {
+  const std::shared_ptr<ib::QueuePair>& qp_ptr = qp(src, dst);
+  ib::QueuePair& q = *qp_ptr;
+  if (q.in_error()) {
+    // The connection was error-fenced by a failure event. Posting against
+    // a peer the detector still considers dead is pointless — surface the
+    // typed error instead of re-establishing a connection that can only
+    // fail again.
+    if (protocol_.peer_declared_dead(dst)) {
+      throw PeerDeadError(dst, "ib: connection " + std::to_string(src) +
+                                   "->" + std::to_string(dst) +
+                                   " is error-fenced and the peer is dead");
+    }
+    // Tear down and re-establish: one connection-setup round trip, then
+    // the QP comes back RTS as a fresh incarnation. Resyncing both
+    // directions of the link rebases the sequence stamps onto what the
+    // receiver has applied, so replayed traffic stays apply-once.
+    co_await machine_.simulator().delay(2 * machine_.latency(src, dst));
+    q.reactivate();
+    ++stats_.qp_reconnects;
+    protocol_.resync_link(src, dst);
+    protocol_.resync_link(dst, src);
+  }
+  ++stats_.qp_posts;
+  if (q.would_stall()) ++stats_.sq_stalls;
+  co_await q.post_send();
+  co_return ib::Wqe(qp_ptr);
+}
+
+void Transport::peer_dead(NodeId node) {
+  // In-flight legs to the dead peer fail fast inside the protocol
+  // engine's delivery loop instead of burning the retransmit budget.
+  protocol_.declare_peer_dead(node);
+  for (auto& [key, q] : qps_) {
+    if ((key.first == node || key.second == node) && !q->in_error()) {
+      q->to_error();
+      ++stats_.qp_errors;
+    }
+  }
+}
+
+void Transport::on_link_down(NodeId a, NodeId b) {
+  // With a redundant path the protocol engine reroutes around the dark
+  // link and the connection stays up; only a path-less pair fences.
+  if (redundant_paths(machine_.params().topology, a, b) > 0) return;
+  for (const auto& key : {std::make_pair(a, b), std::make_pair(b, a)}) {
+    auto it = qps_.find(key);
+    if (it != qps_.end() && !it->second->in_error()) {
+      it->second->to_error();
+      ++stats_.qp_errors;
+    }
+  }
+}
 
 AmTarget::BatchServe AmTarget::serve_batch(NodeId target, RdmaBatch&& batch) {
   // Default routing: each member goes through the ordinary AM handlers
@@ -116,8 +183,8 @@ void TransportStats::fold_into(sim::MetricsRegistry& reg, bool faults_enabled,
     reg.set("transport.amos", amo_msgs);
     if (ib_enabled) reg.set("transport.ib.nic_atomics", nic_atomics);
   }
-  // Folded only for the IB transport, so GM/LAPI reports stay
-  // byte-identical to builds that predate the verbs backend.
+  // Folded only on IB, so GM/LAPI reports stay byte-identical to
+  // builds that predate the verbs model.
   if (ib_enabled) {
     reg.set("transport.ib.qp_posts", qp_posts);
     reg.set("transport.ib.sq_stalls", sq_stalls);
@@ -152,9 +219,15 @@ void TransportStats::fold_into(sim::MetricsRegistry& reg, bool faults_enabled,
   }
 }
 
-Task<void> Transport::charge_reg_cache(sim::Resource& cpu, NodeId node,
-                                       Addr addr, std::size_t len) {
+Duration Transport::reg_cache_cost(NodeId node, Addr addr, std::size_t len,
+                                   bool pin_failed) {
   const auto& p = machine_.params();
+  if (pin_failed) {
+    // IB's RNR retry budget ran out: degrade to staging through bounce
+    // buffers instead of NAKing forever.
+    ++stats_.bounce_fallbacks;
+    return p.copy_time(len);
+  }
   const auto rl = reg_caches_[node].ensure(addr, len);
   Duration cost = 0;
   if (rl.bounced) {
@@ -167,14 +240,53 @@ Task<void> Transport::charge_reg_cache(sim::Resource& cpu, NodeId node,
   } else if (!rl.hit) {
     cost += p.reg_time(rl.registered, 1);
   }
-  cost += p.dereg_base * rl.evicted_regions;  // lazy deregistration bill
-  if (cost != 0) co_await cpu.use(cost);
+  return cost + p.dereg_base * rl.evicted_regions;  // lazy deregistration
 }
 
 Task<void> Transport::ensure_local_registered(Initiator from, Addr key,
                                               std::size_t len) {
-  co_await charge_reg_cache(machine_.core(from.node, from.core), from.node,
-                            key, len);
+  const Duration cost = reg_cache_cost(from.node, key, len);
+  if (cost != 0) co_await machine_.core(from.node, from.core).use(cost);
+}
+
+template <bool kIb>
+Task<bool> Transport::admit_rendezvous(Initiator from, NodeId dst,
+                                       sim::Resource& hcpu,
+                                       WqeFor<kIb>& wqe) {
+  auto& sim = machine_.simulator();
+  const auto& p = machine_.params();
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    co_await hcpu.acquire();
+    co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
+    const bool pin_fail = kIb && machine_.faults().enabled() &&
+                          machine_.faults().pin_fails(dst);
+    if (!pin_fail || attempt >= p.rnr_retry_limit) co_return pin_fail;
+    if constexpr (kIb) {
+      // RNR NAK frame back to the initiator.
+      ++stats_.rnr_naks;
+      hcpu.release();
+      co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
+                                        machine_.serialize_with_header(0));
+      stats_.wire_bytes += p.header_bytes;
+      co_await deliver(dst, from.node, &machine_.nic_tx(dst),
+                       p.nic_tx_overhead + machine_.serialize_with_header(0),
+                       p.header_bytes);
+      // Initiator: the NAKed WQE completes in error; wait out the RNR
+      // timer, then re-post the request.
+      co_await machine_.core(from.node, from.core).use(p.rdma_completion);
+      wqe.retire();
+      co_await sim.delay(p.rnr_backoff);
+      ++stats_.rnr_retries;
+      co_await machine_.core(from.node, from.core).use(p.send_overhead);
+      wqe = co_await post_wqe(from.node, dst);
+      co_await machine_.nic_tx(from.node)
+          .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
+      stats_.wire_bytes += p.header_bytes;
+      co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
+                       p.nic_tx_overhead + machine_.serialize_with_header(0),
+                       p.header_bytes);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- GET ---
@@ -182,19 +294,25 @@ Task<void> Transport::ensure_local_registered(Initiator from, Addr key,
 Task<GetReply> Transport::get(Initiator from, NodeId dst, GetRequest req) {
   if (req.len <= machine_.params().eager_limit) {
     ++stats_.am_gets;
-    return get_eager(from, dst, std::move(req));
+    return ib_ ? get_eager<true>(from, dst, std::move(req))
+               : get_eager<false>(from, dst, std::move(req));
   }
   ++stats_.rendezvous_gets;
-  return get_rendezvous(from, dst, std::move(req));
+  return ib_ ? get_rendezvous<true>(from, dst, std::move(req))
+             : get_rendezvous<false>(from, dst, std::move(req));
 }
 
+template <bool kIb>
 Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
                                     GetRequest req) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
 
   // Initiator: build and post the AM request (Fig. 5: "send Active Msg").
+  // On IB the request is header-only, so its WQE carries it inline.
   co_await machine_.core(from.node, from.core).use(p.send_overhead);
+  WqeFor<kIb> wqe;
+  if constexpr (kIb) wqe = co_await post_wqe(from.node, dst);
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
   stats_.wire_bytes += p.header_bytes;
@@ -214,7 +332,8 @@ Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
   co_await sim.delay(scaled(dst, extra));
   hcpu.release();
 
-  // Reply carrying the data (plus the piggybacked base address).
+  // Reply carrying the data (plus the piggybacked base address); on IB an
+  // RDMA write into the initiator's preposted eager buffer.
   co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
                                     machine_.serialize_with_header(req.len));
   stats_.wire_bytes += p.header_bytes + req.len;
@@ -222,27 +341,31 @@ Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
                    p.nic_tx_overhead + machine_.serialize_with_header(req.len),
                    p.header_bytes + req.len);
 
-  // Initiator: receive dispatch; small replies land in a preposted bounce
-  // buffer and are copied out, larger ones land in place.
-  Duration recv_cost = p.recv_overhead;
+  // Initiator: receive dispatch (IB: CQ poll); small replies land in a
+  // preposted bounce buffer and are copied out, larger ones land in place.
+  Duration recv_cost = reply_overhead<kIb>();
   if (req.len <= p.both_copy_limit) recv_cost += p.copy_time(req.len);
   co_await machine_.core(from.node, from.core).use(recv_cost);
+  wqe.retire();
 
   co_return GetReply{std::move(serve.data), serve.base};
 }
 
+template <bool kIb>
 Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
                                          GetRequest req) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
 
-  // Initiator: post the request; pre-register the private receive buffer
-  // for zero-copy delivery (registration cache, lazy deregistration).
+  // Initiator: pre-register the private receive buffer for zero-copy
+  // delivery (registration cache, lazy deregistration), then post the
+  // request.
   co_await machine_.core(from.node, from.core).use(p.send_overhead);
   if (req.local_buf != kNullAddr) {
-    co_await charge_reg_cache(machine_.core(from.node, from.core), from.node,
-                              req.local_buf, req.len);
+    co_await ensure_local_registered(from, req.local_buf, req.len);
   }
+  WqeFor<kIb> wqe;
+  if constexpr (kIb) wqe = co_await post_wqe(from.node, dst);
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
   stats_.wire_bytes += p.header_bytes;
@@ -252,23 +375,13 @@ Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
 
   // Target: translate, register the source region, directed zero-copy send.
   auto& hcpu = handler_cpu(dst, req.target_core);
-  co_await hcpu.acquire();
-  co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
+  const bool pin_failed = co_await admit_rendezvous<kIb>(from, dst, hcpu, wqe);
   auto serve = target_.serve_get(dst, req);
-  const Duration pin_cost =
-      p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-      p.dereg_base * serve.reg_evicted_handles;
-  co_await sim.delay(scaled(dst, pin_cost));
-  const auto rl = reg_caches_[dst].ensure(serve.src_addr, req.len);
-  Duration reg_cost = 0;
-  if (rl.bounced) {
-    ++stats_.bounce_fallbacks;
-    reg_cost += p.copy_time(req.len);  // stage through bounce buffers
-  } else if (!rl.hit) {
-    reg_cost += p.reg_time(rl.registered, 1);
-  }
-  reg_cost += p.dereg_base * rl.evicted_regions;
-  co_await sim.delay(scaled(dst, reg_cost));
+  co_await sim.delay(
+      scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
+                      p.dereg_base * serve.reg_evicted_handles +
+                      reg_cache_cost(dst, serve.src_addr, req.len,
+                                     pin_failed)));
   hcpu.release();
 
   co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
@@ -278,8 +391,9 @@ Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
                    p.nic_tx_overhead + machine_.serialize_with_header(req.len),
                    p.header_bytes + req.len);
 
-  // Zero-copy landing: completion notification only.
-  co_await machine_.core(from.node, from.core).use(p.recv_overhead);
+  // Zero-copy landing: completion notification only (IB: a CQ poll).
+  co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
+  wqe.retire();
   co_return GetReply{std::move(serve.data), serve.base};
 }
 
@@ -287,39 +401,51 @@ Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
 
 Task<void> Transport::put(Initiator from, NodeId dst, PutRequest req,
                           PutAckHook on_ack) {
-  if (req.data.size() <= machine_.params().eager_limit) {
+  const std::size_t len = req.data.size();
+  const auto& p = machine_.params();
+  // IB carries the smallest payloads inline in the WQE.
+  const bool inline_send = ib_ && len <= p.inline_limit;
+  if (inline_send || len <= p.eager_limit) {
     ++stats_.am_puts;
-    return put_eager(from, dst, std::move(req), std::move(on_ack));
+    if (inline_send) ++stats_.inline_sends;
+    return ib_ ? put_eager<true>(from, dst, std::move(req), std::move(on_ack))
+               : put_eager<false>(from, dst, std::move(req),
+                                  std::move(on_ack));
   }
   ++stats_.rendezvous_puts;
-  return put_rendezvous(from, dst, std::move(req), std::move(on_ack));
+  return ib_ ? put_rendezvous<true>(from, dst, std::move(req),
+                                    std::move(on_ack))
+             : put_rendezvous<false>(from, dst, std::move(req),
+                                     std::move(on_ack));
 }
 
+template <bool kIb>
 Task<void> Transport::put_eager(Initiator from, NodeId dst, PutRequest req,
                                 PutAckHook on_ack) {
   const auto& p = machine_.params();
   const std::size_t len = req.data.size();
 
   // Initiator: copy into a send bounce buffer (frees the user buffer —
-  // local completion), then inject on the NIC.
-  co_await machine_.core(from.node, from.core)
-      .use(p.send_overhead + p.copy_time(len));
+  // local completion), then inject on the NIC. An IB inline send carries
+  // the payload in the WQE itself: the user buffer is reusable at post
+  // time and no bounce copy is charged.
+  Duration send_cost = p.send_overhead;
+  if (!kIb || len > p.inline_limit) send_cost += p.copy_time(len);
+  co_await machine_.core(from.node, from.core).use(send_cost);
+  WqeFor<kIb> wqe;
+  if constexpr (kIb) wqe = co_await post_wqe(from.node, dst);
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(len));
   stats_.wire_bytes += p.header_bytes + len;
 
   // The remote half proceeds in the background; PUT is locally complete.
-  spawn_put_remote(from, dst, std::move(req), std::move(on_ack));
+  machine_.simulator().spawn(put_remote<kIb>(
+      from, dst, std::move(req), std::move(on_ack), std::move(wqe)));
 }
 
-void Transport::spawn_put_remote(Initiator from, NodeId dst, PutRequest req,
-                                 PutAckHook on_ack) {
-  machine_.simulator().spawn(
-      put_remote(from, dst, std::move(req), std::move(on_ack)));
-}
-
+template <bool kIb>
 Task<void> Transport::put_remote(Initiator from, NodeId dst, PutRequest req,
-                                 PutAckHook on_ack) {
+                                 PutAckHook on_ack, WqeFor<kIb> wqe) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
   const std::size_t len = req.data.size();
@@ -329,9 +455,10 @@ Task<void> Transport::put_remote(Initiator from, NodeId dst, PutRequest req,
                      p.nic_tx_overhead + machine_.serialize_with_header(len),
                      p.header_bytes + len);
   } catch (const TransportTimeout&) {
-    // Detached half: the initiator already completed locally. Complete the
-    // operation (without a piggybacked base) so fences cannot deadlock;
-    // the loss is visible in stats().timeouts.
+    // Detached half: the initiator already completed locally. Retire the
+    // WQE and complete the operation (without a piggybacked base) so
+    // fences cannot deadlock; the loss is visible in stats().timeouts.
+    wqe.retire();
     if (on_ack) on_ack(PutAck{});
     co_return;
   }
@@ -355,13 +482,16 @@ Task<void> Transport::put_remote(Initiator from, NodeId dst, PutRequest req,
                      p.nic_tx_overhead + machine_.serialize_with_header(0),
                      p.header_bytes);
   } catch (const TransportTimeout&) {
+    wqe.retire();
     if (on_ack) on_ack(PutAck{});
     co_return;
   }
-  co_await machine_.core(from.node, from.core).use(p.recv_overhead);
+  co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
+  wqe.retire();
   if (on_ack) on_ack(PutAck{serve.base});
 }
 
+template <bool kIb>
 Task<void> Transport::put_rendezvous(Initiator from, NodeId dst,
                                      PutRequest req, PutAckHook on_ack) {
   auto& sim = machine_.simulator();
@@ -370,6 +500,8 @@ Task<void> Transport::put_rendezvous(Initiator from, NodeId dst,
 
   // RTS (no data).
   co_await machine_.core(from.node, from.core).use(p.send_overhead);
+  WqeFor<kIb> rts;
+  if constexpr (kIb) rts = co_await post_wqe(from.node, dst);
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
   stats_.wire_bytes += p.header_bytes;
@@ -379,51 +511,45 @@ Task<void> Transport::put_rendezvous(Initiator from, NodeId dst,
 
   // Target: translate + register the destination region.
   auto& hcpu = handler_cpu(dst, req.target_core);
-  co_await hcpu.acquire();
-  co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
+  const bool pin_failed = co_await admit_rendezvous<kIb>(from, dst, hcpu, rts);
   auto serve = target_.serve_put_rendezvous(dst, req, len);
   co_await sim.delay(
       scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-                      p.dereg_base * serve.reg_evicted_handles));
-  const auto rl = reg_caches_[dst].ensure(serve.dst_addr, len);
-  Duration reg_cost = 0;
-  if (rl.bounced) {
-    ++stats_.bounce_fallbacks;
-    reg_cost += p.copy_time(len);  // stage through bounce buffers
-  } else if (!rl.hit) {
-    reg_cost += p.reg_time(rl.registered, 1);
-  }
-  reg_cost += p.dereg_base * rl.evicted_regions;
-  co_await sim.delay(scaled(dst, reg_cost));
+                      p.dereg_base * serve.reg_evicted_handles +
+                      reg_cache_cost(dst, serve.dst_addr, len, pin_failed)));
   hcpu.release();
 
-  // CTS back to the initiator.
+  // CTS back to the initiator; the RTS WQE retires here.
   co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
                                     machine_.serialize_with_header(0));
   stats_.wire_bytes += p.header_bytes;
   co_await deliver(dst, from.node, &machine_.nic_tx(dst),
                    p.nic_tx_overhead + machine_.serialize_with_header(0),
                    p.header_bytes);
-  co_await machine_.core(from.node, from.core).use(p.recv_overhead);
+  co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
+  rts.retire();
 
-  // Stream the payload zero-copy; local completion when the NIC has
-  // drained the user buffer.
+  // Stream the payload zero-copy (an RDMA write from the registered user
+  // buffer on IB); local completion when the NIC has drained it.
   if (req.local_buf != kNullAddr) {
-    co_await charge_reg_cache(machine_.core(from.node, from.core), from.node,
-                              req.local_buf, len);
+    co_await ensure_local_registered(from, req.local_buf, len);
   }
+  WqeFor<kIb> payload;
+  if constexpr (kIb) payload = co_await post_wqe(from.node, dst);
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(len));
   stats_.wire_bytes += p.header_bytes + len;
 
   PutAck ack{serve.base};
-  machine_.simulator().spawn(
-      put_payload_remote(from, dst, std::move(req), ack, std::move(on_ack)));
+  machine_.simulator().spawn(put_payload_remote<kIb>(
+      from, dst, std::move(req), ack, std::move(on_ack), std::move(payload)));
 }
 
+template <bool kIb>
 Task<void> Transport::put_payload_remote(Initiator from, NodeId dst,
                                          PutRequest req, PutAck ack,
-                                         PutAckHook on_ack) {
+                                         PutAckHook on_ack,
+                                         WqeFor<kIb> wqe) {
   const auto& p = machine_.params();
   try {
     co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
@@ -431,13 +557,15 @@ Task<void> Transport::put_payload_remote(Initiator from, NodeId dst,
                          machine_.serialize_with_header(req.data.size()),
                      p.header_bytes + req.data.size());
   } catch (const TransportTimeout&) {
+    wqe.retire();
     if (on_ack) on_ack(PutAck{});
     co_return;
   }
   // Data lands via DMA into the registered destination — no target CPU.
   target_.deliver_put_payload(dst, req.svd_handle, req.offset,
                               std::move(req.data));
-  co_await machine_.core(from.node, from.core).use(p.recv_overhead);
+  co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
+  wqe.retire();
   if (on_ack) on_ack(ack);
 }
 
@@ -445,6 +573,17 @@ Task<void> Transport::put_payload_remote(Initiator from, NodeId dst,
 
 Task<RdmaGetResult> Transport::rdma_get(Initiator from, NodeId dst, Addr raddr,
                                         std::uint32_t len) {
+  return ib_ ? rdma_get_leg<true>(from, dst, raddr, len)
+             : rdma_get_leg<false>(from, dst, raddr, len);
+}
+
+template <bool kIb>
+Task<RdmaGetResult> Transport::rdma_get_leg(Initiator from, NodeId dst,
+                                            Addr raddr, std::uint32_t len) {
+  // The read runs entirely on the NIC DMA engines (zero target-CPU
+  // cycles); IB adds only the QP/CQ bookkeeping.
+  WqeFor<kIb> wqe;
+  if constexpr (kIb) wqe = co_await post_wqe(from.node, dst);
   ++stats_.rdma_gets;
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
@@ -471,6 +610,7 @@ Task<RdmaGetResult> Transport::rdma_get(Initiator from, NodeId dst, Addr raddr,
     co_await deliver(dst, from.node, &machine_.nic_dma(dst),
                      p.dma_engine_overhead, 0);
     co_await machine_.core(from.node, from.core).use(p.rdma_completion);
+    wqe.retire();
     co_return RdmaGetResult{win.nak, {}};
   }
   Bytes out(win.memory, win.memory + len);
@@ -484,12 +624,26 @@ Task<RdmaGetResult> Transport::rdma_get(Initiator from, NodeId dst, Addr raddr,
 
   // Completion detection at the initiator.
   co_await machine_.core(from.node, from.core).use(p.rdma_completion);
+  wqe.retire();
   co_return RdmaGetResult{RdmaNak::kNone, std::move(out)};
 }
 
 Task<RdmaPutResult> Transport::rdma_put(Initiator from, NodeId dst, Addr raddr,
-                                        Bytes data,
-                                        DoneHook on_done) {
+                                        Bytes data, DoneHook on_done) {
+  return ib_ ? rdma_put_leg<true>(from, dst, raddr, std::move(data),
+                                  std::move(on_done))
+             : rdma_put_leg<false>(from, dst, raddr, std::move(data),
+                                   std::move(on_done));
+}
+
+template <bool kIb>
+Task<RdmaPutResult> Transport::rdma_put_leg(Initiator from, NodeId dst,
+                                            Addr raddr, Bytes data,
+                                            DoneHook on_done) {
+  // On IB the RDMA-write WQE retires at local completion (source buffer
+  // drained); the landing half needs no QP slot.
+  WqeFor<kIb> wqe;
+  if constexpr (kIb) wqe = co_await post_wqe(from.node, dst);
   ++stats_.rdma_puts;
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
@@ -510,6 +664,7 @@ Task<RdmaPutResult> Transport::rdma_put(Initiator from, NodeId dst, Addr raddr,
                        p.dma_engine_overhead, 0);
     }
     co_await machine_.core(from.node, from.core).use(p.rdma_completion);
+    wqe.retire();
     co_return RdmaPutResult{win.nak};
   }
 
@@ -522,6 +677,7 @@ Task<RdmaPutResult> Transport::rdma_put(Initiator from, NodeId dst, Addr raddr,
   machine_.simulator().spawn(rdma_put_landing(from, dst, win.memory,
                                               std::move(data),
                                               std::move(on_done)));
+  wqe.retire();
   co_return RdmaPutResult{};
 }
 
@@ -568,6 +724,16 @@ Task<void> Transport::control(Initiator from, NodeId dst, ControlMsg msg) {
 // ------------------------------------------------------------ atomics ---
 
 Task<AmoResult> Transport::amo(Initiator from, NodeId dst, AmoRequest req) {
+  // A plain dispatcher, like get(): folding the NIC lowering into the AM
+  // coroutine would grow every AM AMO frame by the NIC path's locals.
+  if (ib_ && req.raddr != kNullAddr) {
+    return amo_nic(from, dst, std::move(req));
+  }
+  return amo_am(from, dst, std::move(req));
+}
+
+Task<AmoResult> Transport::amo_am(Initiator from, NodeId dst,
+                                  AmoRequest req) {
   // AM-handler lowering (GM/LAPI and the IB cold-cache fallback): a
   // small request AM serviced on the handler CPU at the home node. The
   // handler CPU's mutual exclusion is what makes the read-modify-write
@@ -607,6 +773,64 @@ Task<AmoResult> Transport::amo(Initiator from, NodeId dst, AmoRequest req) {
       p.header_bytes + sizeof(old));
   co_await machine_.core(from.node, from.core).use(p.recv_overhead);
   co_return AmoResult{RdmaNak::kNone, old, /*offloaded=*/false};
+}
+
+Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
+                                   AmoRequest req) {
+  // NIC-offloaded verbs atomic (fetch-and-add / compare-and-swap WQE):
+  // the target's DMA engine performs the fetch-modify-write against
+  // pinned memory — no target CPU, neither application core nor progress
+  // engine. The DMA engine's mutual exclusion is the HCA's atomicity
+  // guarantee; the request leg rides the ProtocolEngine's sequence
+  // window, so a retransmitted request can never double-apply.
+  ++stats_.amo_msgs;
+  auto& sim = machine_.simulator();
+  const auto& p = machine_.params();
+
+  ib::Wqe wqe = co_await post_wqe(from.node, dst);
+  co_await machine_.core(from.node, from.core).use(p.rdma_get_setup);
+  co_await machine_.nic_dma(from.node)
+      .use(p.dma_engine_overhead + machine_.serialize_with_header(kAmoBytes));
+  stats_.wire_bytes += p.header_bytes + kAmoBytes;
+  co_await deliver(
+      from.node, dst, &machine_.nic_dma(from.node),
+      p.dma_engine_overhead + machine_.serialize_with_header(kAmoBytes),
+      p.header_bytes + kAmoBytes);
+
+  auto& dma = machine_.nic_dma(dst);
+  co_await dma.acquire();
+  const RdmaWindow win =
+      target_.rdma_memory(dst, req.raddr, sizeof(std::uint64_t));
+  if (!win.ok()) {
+    // NAK: window not pinned. Small control frame back; the caller
+    // invalidates its cache entry and retries through the AM lowering.
+    co_await sim.delay(p.dma_engine_overhead);
+    dma.release();
+    ++stats_.rdma_naks;
+    co_await deliver(dst, from.node, &machine_.nic_dma(dst),
+                     p.dma_engine_overhead, 0);
+    co_await machine_.core(from.node, from.core).use(p.rdma_completion);
+    wqe.retire();
+    co_return AmoResult{win.nak, 0, /*offloaded=*/false};
+  }
+  std::uint64_t old = 0;
+  std::memcpy(&old, win.memory, sizeof(old));
+  const std::uint64_t next =
+      req.verb == AmoVerb::kFaa ? old + req.operand
+                                : (old == req.compare ? req.operand : old);
+  std::memcpy(win.memory, &next, sizeof(next));
+  ++stats_.nic_atomics;
+  co_await sim.delay(p.dma_engine_overhead +
+                     machine_.serialize_with_header(sizeof(old)));
+  dma.release();
+  stats_.wire_bytes += p.header_bytes + sizeof(old);
+  co_await deliver(
+      dst, from.node, &machine_.nic_dma(dst),
+      p.dma_engine_overhead + machine_.serialize_with_header(sizeof(old)),
+      p.header_bytes + sizeof(old));
+  co_await machine_.core(from.node, from.core).use(p.rdma_completion);
+  wqe.retire();
+  co_return AmoResult{RdmaNak::kNone, old, /*offloaded=*/true};
 }
 
 // -------------------------------------------------- aggregated batches ---
@@ -680,13 +904,6 @@ Task<RdmaBatchResult> Transport::rdma_batch(Initiator from, NodeId dst,
   co_await machine_.core(from.node, from.core).use(recv_cost);
 
   co_return RdmaBatchResult{std::move(serve.get_data)};
-}
-
-std::unique_ptr<Transport> make_transport(Machine& machine, AmTarget& target) {
-  if (machine.params().kind == TransportKind::kIb) {
-    return std::make_unique<IbTransport>(machine, target);
-  }
-  return std::make_unique<Transport>(machine, target);
 }
 
 }  // namespace xlupc::net

@@ -12,17 +12,29 @@
 //    involves no CPU on the remote end.
 //
 // Target-side behaviour (SVD translation, pinning, data movement) is
-// delegated to an AmTarget implemented by the runtime; the transports own
+// delegated to an AmTarget implemented by the runtime; the transport owns
 // all *timing* and hardware-resource contention.
+//
+// One protocol serves every platform; only the per-platform costs differ
+// (PlatformParams). The InfiniBand verbs model (docs/MACHINES.md) adds a
+// few guarded steps to the same legs: a WQE posted on, and retired from,
+// the per-(src, dst) reliable-connection queue pair (ib/verbs.h); a CQ
+// poll (`rdma_completion`) instead of an AM receive dispatch for replies;
+// PUTs up to `inline_limit` carried inline in the WQE; RNR-NAK rounds in
+// the rendezvous handlers; and NIC-offloaded atomics on a warm cache.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
 #include "mem/registration_cache.h"
+#include "net/ib/verbs.h"
 #include "net/machine.h"
 #include "net/message.h"
 #include "net/protocol_engine.h"
@@ -219,8 +231,8 @@ struct TransportStats {
   std::uint64_t nic_atomics = 0;  ///< AMOs applied by the NIC DMA engine
 
   // Verbs queue-pair layer (src/net/ib). All zero on GM/LAPI; folded
-  // into the registry only for the IB transport, so GM/LAPI reports
-  // stay byte-identical to pre-IB builds.
+  // into the registry only on IB, so GM/LAPI reports stay
+  // byte-identical to pre-IB builds.
   std::uint64_t qp_posts = 0;      ///< WQEs posted to send queues
   std::uint64_t sq_stalls = 0;     ///< posts that waited for a SQ slot
   std::uint64_t inline_sends = 0;  ///< sends carried inline in the WQE
@@ -272,45 +284,41 @@ class Transport {
   using DoneHook = sim::SmallFn<void()>;
 
   Transport(Machine& machine, AmTarget& target);
-  virtual ~Transport() = default;
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
   /// Two-sided GET via the default SVD path (Fig. 3a / Fig. 5).
-  /// Completes when the data is available at the initiator. Virtual so a
-  /// backend can substitute its own wire protocol (the IB transport's
-  /// verbs eager/rendezvous, src/net/ib).
-  virtual sim::Task<GetReply> get(Initiator from, NodeId dst, GetRequest req);
+  /// Completes when the data is available at the initiator.
+  sim::Task<GetReply> get(Initiator from, NodeId dst, GetRequest req);
 
   /// Two-sided PUT. Completes at *local* completion (source buffer
   /// reusable); `on_ack` fires later at remote completion.
-  virtual sim::Task<void> put(Initiator from, NodeId dst, PutRequest req,
-                              PutAckHook on_ack);
+  sim::Task<void> put(Initiator from, NodeId dst, PutRequest req,
+                      PutAckHook on_ack);
 
   /// One-sided RDMA read of [raddr, raddr+len) at `dst` (Fig. 3b).
   /// Returns RdmaNak::kNotPinned when the target NAKs the window (memory
   /// no longer pinned); the caller invalidates its cache entry and falls
   /// back to the AM path.
-  virtual sim::Task<RdmaGetResult> rdma_get(Initiator from, NodeId dst,
-                                            Addr raddr, std::uint32_t len);
+  sim::Task<RdmaGetResult> rdma_get(Initiator from, NodeId dst, Addr raddr,
+                                    std::uint32_t len);
 
   /// One-sided RDMA write; completes at local completion, `on_done` fires
   /// when the data has landed in target memory. Returns a NAK when the
   /// target window is not pinned; `on_done` does not fire then.
-  virtual sim::Task<RdmaPutResult> rdma_put(Initiator from, NodeId dst,
-                                            Addr raddr,
-                                            Bytes data,
-                                            DoneHook on_done);
+  sim::Task<RdmaPutResult> rdma_put(Initiator from, NodeId dst, Addr raddr,
+                                    Bytes data, DoneHook on_done);
 
   /// Remote atomic (FAA/CAS) on the 64-bit word at svd_handle+offset.
-  /// The base implementation is the AM-handler lowering shared by
-  /// GM/LAPI: a small request AM serviced on the handler CPU (whose
-  /// serialization provides atomicity), riding the ProtocolEngine's
-  /// seqno/ACK window so duplicated or retransmitted requests apply
-  /// exactly once. The IB transport overrides it with NIC-offloaded
-  /// verbs atomics when `req.raddr` carries a cached remote address.
-  /// Completes when the old value is available at the initiator.
-  virtual sim::Task<AmoResult> amo(Initiator from, NodeId dst, AmoRequest req);
+  /// The AM-handler lowering: a small request AM serviced on the handler
+  /// CPU (whose serialization provides atomicity), riding the
+  /// ProtocolEngine's seqno/ACK window so duplicated or retransmitted
+  /// requests apply exactly once. On IB, a request that carries a cached
+  /// remote address (`req.raddr`) lowers instead to a NIC-offloaded verbs
+  /// atomic: the target's DMA engine applies it, zero target-CPU cycles,
+  /// counted in `transport.ib.nic_atomics`. Completes when the old value
+  /// is available at the initiator.
+  sim::Task<AmoResult> amo(Initiator from, NodeId dst, AmoRequest req);
 
   /// Aggregated small-op batch (docs/COALESCING.md): one framed wire
   /// message carrying every member, unpacked per leg on the handler CPU
@@ -335,27 +343,18 @@ class Transport {
   /// The shared per-link protocol core (seqno/ACK/retransmit/NAK).
   const ProtocolEngine& protocol() const noexcept { return protocol_; }
 
-  /// Declare `node` dead to the reliability layer (in-flight legs against
-  /// it fail fast with PeerDeadError) and let the backend tear down its
-  /// connection state. The runtime's failure detector calls this once per
-  /// declared death.
-  void peer_dead(NodeId node) {
-    protocol_.declare_peer_dead(node);
-    on_peer_dead(node);
-  }
-
-  /// Recovery notification from the runtime's failure detector: `node`
-  /// has been declared dead (membership epoch advanced). Backends react
-  /// to connection state — the IB transport moves every queue pair that
-  /// touches `node` into the error state; the GM/LAPI AM paths keep no
-  /// per-peer connection state, so the base implementation is a no-op
-  /// (their in-flight legs fail fast through the protocol engine's
-  /// dead-peer check instead).
-  virtual void on_peer_dead(NodeId node);
+  /// Declare `node` dead, called by the runtime's failure detector once
+  /// per declared death: in-flight legs against it fail fast with
+  /// PeerDeadError, and every IB queue pair touching it moves to the
+  /// error state (outstanding WQEs flush, stalled posters wake). A fenced
+  /// connection is re-established by its next post unless the peer stays
+  /// declared dead. GM/LAPI keep no per-peer connection state.
+  void peer_dead(NodeId node);
   /// Recovery notification: the (a, b) fabric link entered a scheduled
-  /// down window. The IB transport error-fences the pair's queue pairs
-  /// when the topology offers no failover path; base is a no-op.
-  virtual void on_link_down(NodeId a, NodeId b);
+  /// down window. On IB the pair's queue pairs are error-fenced only when
+  /// the topology offers no redundant path (the fat tree usually does;
+  /// the protocol engine then reroutes and the QPs stay RTS).
+  void on_link_down(NodeId a, NodeId b);
   /// Zero the message/byte counters, the protocol engine's recovery
   /// counters and every node's registration-cache counters (resident
   /// registrations are kept — only the statistics window restarts).
@@ -368,7 +367,26 @@ class Transport {
   }
   Machine& machine() noexcept { return machine_; }
 
- protected:
+  /// Test introspection: the IB initiator-side completion queue of `node`.
+  const ib::CompletionQueue& completion_queue(NodeId node) const {
+    return cqs_.at(node);
+  }
+  /// Test introspection: the IB queue pair src -> dst, or nullptr when no
+  /// operation has used that connection yet (always, off IB).
+  const ib::QueuePair* queue_pair(NodeId src, NodeId dst) const;
+
+ private:
+  // The legs below are each one implementation for all three machines.
+  // get(), put(), rdma_get() and rdma_put() pick the instantiation from
+  // ib_; kIb then switches the verbs steps on at compile time, so the
+  // GM/LAPI coroutine frames carry no verbs state. Their sim::pool size
+  // classes set the memory of every in-flight op (`scale` peak RSS).
+  struct NoWqe {
+    void retire() {}
+  };
+  template <bool kIb>
+  using WqeFor = std::conditional_t<kIb, ib::Wqe, NoWqe>;
+
   /// The CPU that runs AM handlers at `dst` for data owned by
   /// `target_core`: the dedicated communication processor when the
   /// platform overlaps communication with computation (LAPI, IB's
@@ -378,9 +396,20 @@ class Transport {
                ? machine_.comm_cpu(dst)
                : machine_.core(dst, target_core);
   }
+  /// Initiator CPU cost of noticing a reply: a CQ poll on IB, an AM
+  /// receive dispatch elsewhere.
+  template <bool kIb>
+  sim::Duration reply_overhead() const {
+    const auto& p = machine_.params();
+    return kIb ? p.rdma_completion : p.recv_overhead;
+  }
 
-  sim::Task<void> charge_reg_cache(sim::Resource& cpu, NodeId node, Addr addr,
-                                   std::size_t len);
+  /// Registration-cache bill for [addr, addr+len) at `node`: registration
+  /// on a miss, bounce-buffer staging when the region can never be
+  /// registered (or `pin_failed`: IB's RNR retry budget ran out), plus
+  /// lazy deregistration of whatever the cache evicted.
+  sim::Duration reg_cache_cost(NodeId node, Addr addr, std::size_t len,
+                               bool pin_failed = false);
 
   // --- reliability layer: delegated to the shared ProtocolEngine ---
   /// One wire traversal src -> dst; see ProtocolEngine::deliver.
@@ -392,44 +421,73 @@ class Transport {
   sim::Duration scaled(NodeId node, sim::Duration d) const {
     return protocol_.scaled(node, d);
   }
-  /// Mutable protocol core for backend recovery paths (seqno resync
-  /// after a connection is re-established).
-  ProtocolEngine& protocol_mut() noexcept { return protocol_; }
 
-  Machine& machine_;
-  AmTarget& target_;
-  std::vector<mem::RegistrationCache> reg_caches_;
-  TransportStats stats_;
+  const std::shared_ptr<ib::QueuePair>& qp(NodeId src, NodeId dst);
+  /// Post one WQE on the src -> dst queue pair (counting stalls when the
+  /// send queue is full), re-establishing an error-fenced connection
+  /// first unless its peer is declared dead.
+  sim::Task<ib::Wqe> post_wqe(NodeId src, NodeId dst);
+  /// Target side of a rendezvous request up to its admission: acquire
+  /// the handler CPU and dispatch the request. On IB a transient
+  /// registration failure is a receiver-not-ready condition: the
+  /// responder NAKs, the NAKed WQE completes in error, and the initiator
+  /// re-posts the request after the RNR timer, up to the retry budget.
+  /// Returns holding `hcpu`, with whether the admitted round's pin still
+  /// failed (budget exhausted). The caller's handler then runs exactly
+  /// once, so a retried request is never duplicate-applied.
+  template <bool kIb>
+  sim::Task<bool> admit_rendezvous(Initiator from, NodeId dst,
+                                   sim::Resource& hcpu, WqeFor<kIb>& wqe);
 
- private:
+  template <bool kIb>
   sim::Task<GetReply> get_eager(Initiator from, NodeId dst, GetRequest req);
+  template <bool kIb>
   sim::Task<GetReply> get_rendezvous(Initiator from, NodeId dst,
                                      GetRequest req);
+  template <bool kIb>
   sim::Task<void> put_eager(Initiator from, NodeId dst, PutRequest req,
                             PutAckHook on_ack);
+  template <bool kIb>
   sim::Task<void> put_rendezvous(Initiator from, NodeId dst, PutRequest req,
                                  PutAckHook on_ack);
   // Remote half of an eager PUT, detached after local completion.
-  void spawn_put_remote(Initiator from, NodeId dst, PutRequest req,
-                        PutAckHook on_ack);
+  template <bool kIb>
   sim::Task<void> put_remote(Initiator from, NodeId dst, PutRequest req,
-                             PutAckHook on_ack);
+                             PutAckHook on_ack, WqeFor<kIb> wqe);
+  // Payload half of a rendezvous PUT, detached after local completion.
+  template <bool kIb>
   sim::Task<void> put_payload_remote(Initiator from, NodeId dst,
                                      PutRequest req, PutAck ack,
-                                     PutAckHook on_ack);
+                                     PutAckHook on_ack, WqeFor<kIb> wqe);
+  template <bool kIb>
+  sim::Task<RdmaGetResult> rdma_get_leg(Initiator from, NodeId dst,
+                                        Addr raddr, std::uint32_t len);
+  template <bool kIb>
+  sim::Task<RdmaPutResult> rdma_put_leg(Initiator from, NodeId dst,
+                                        Addr raddr, Bytes data,
+                                        DoneHook on_done);
   // Detached landing half of an accepted rdma_put.
   sim::Task<void> rdma_put_landing(Initiator from, NodeId dst,
-                                   std::byte* dst_mem,
-                                   Bytes data,
+                                   std::byte* dst_mem, Bytes data,
                                    DoneHook on_done);
+  sim::Task<AmoResult> amo_am(Initiator from, NodeId dst, AmoRequest req);
+  sim::Task<AmoResult> amo_nic(Initiator from, NodeId dst, AmoRequest req);
 
+  Machine& machine_;
+  AmTarget& target_;
+  /// PlatformParams::kind == TransportKind::kIb: the verbs steps apply.
+  const bool ib_;
+  std::vector<mem::RegistrationCache> reg_caches_;
+  TransportStats stats_;
   ProtocolEngine protocol_;
   /// Read-time merge target of stats_ + protocol_.stats(); refreshed on
   /// every stats() call so callers keep the cheap const-reference API.
   mutable TransportStats merged_stats_;
+  /// IB: one RC connection per ordered (initiator, target) node pair,
+  /// created on first use (std::map keeps iteration deterministic), and
+  /// one initiator-side completion queue per node.
+  std::map<std::pair<NodeId, NodeId>, std::shared_ptr<ib::QueuePair>> qps_;
+  std::vector<ib::CompletionQueue> cqs_;
 };
-
-/// Factory selecting the transport from the platform parameters.
-std::unique_ptr<Transport> make_transport(Machine& machine, AmTarget& target);
 
 }  // namespace xlupc::net

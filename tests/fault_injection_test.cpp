@@ -149,13 +149,11 @@ class EchoTarget : public AmTarget {
 struct Rig {
   explicit Rig(PlatformParams p, FaultParams fp = {},
                std::size_t bytes = 1 << 20)
-      : target(bytes), machine(sim, std::move(p), {2, 1, std::move(fp), {}}) {
-    transport = make_transport(machine, target);
-  }
+      : target(bytes), machine(sim, std::move(p), {2, 1, std::move(fp), {}}) {}
   sim::Simulator sim;
   EchoTarget target;
   Machine machine;
-  std::unique_ptr<Transport> transport;
+  Transport transport{machine, target};
 };
 
 sim::Duration timed_get(Rig& rig, std::uint32_t len, GetReply* out = nullptr) {
@@ -165,7 +163,7 @@ sim::Duration timed_get(Rig& rig, std::uint32_t len, GetReply* out = nullptr) {
     a = r.sim.now();
     GetRequest req;
     req.len = l;
-    auto reply = co_await r.transport->get({0, 0}, 1, req);
+    auto reply = co_await r.transport.get({0, 0}, 1, req);
     b = r.sim.now();
     if (o != nullptr) *o = std::move(reply);
   }(rig, len, out, t0, t1));
@@ -192,7 +190,7 @@ TEST(FaultTransport, EagerGetRecoversFromDropsWithRetransmits) {
     }
     timed_get(clean, 64);
   }
-  const auto& s = rig.transport->stats();
+  const auto& s = rig.transport.stats();
   EXPECT_GT(s.retransmits, 0u);
   EXPECT_GT(s.dropped_msgs + s.corrupt_msgs, 0u);
   EXPECT_EQ(s.retransmits, s.dropped_msgs + s.corrupt_msgs);  // all recovered
@@ -200,7 +198,7 @@ TEST(FaultTransport, EagerGetRecoversFromDropsWithRetransmits) {
   EXPECT_GT(s.backoff_ns, 0u);
   // Every retransmission re-sends the message: more wire traffic than
   // the fault-free rig moving the same payloads.
-  EXPECT_GT(s.wire_bytes, clean.transport->stats().wire_bytes);
+  EXPECT_GT(s.wire_bytes, clean.transport.stats().wire_bytes);
   EXPECT_EQ(rig.target.gets_served, 8);
 }
 
@@ -213,11 +211,11 @@ TEST(FaultTransport, RendezvousGetRecoversFromDrops) {
   rig.target.data(1)[1000] = std::byte{0x5a};
   GetReply reply;
   for (int i = 0; i < 4; ++i) timed_get(rig, len, &reply);
-  EXPECT_EQ(rig.transport->stats().rendezvous_gets, 4u);
+  EXPECT_EQ(rig.transport.stats().rendezvous_gets, 4u);
   ASSERT_EQ(reply.data.size(), len);
   EXPECT_EQ(reply.data[1000], std::byte{0x5a});
-  EXPECT_GT(rig.transport->stats().retransmits, 0u);
-  EXPECT_EQ(rig.transport->stats().timeouts, 0u);
+  EXPECT_GT(rig.transport.stats().retransmits, 0u);
+  EXPECT_EQ(rig.transport.stats().timeouts, 0u);
 }
 
 TEST(FaultTransport, LateDuplicatesAreSuppressedAndCounted) {
@@ -227,7 +225,7 @@ TEST(FaultTransport, LateDuplicatesAreSuppressedAndCounted) {
   fp.dup_prob = 1.0;  // every recovered loss resurfaces as a duplicate
   Rig rig(mare_nostrum_gm(), fp);
   for (int i = 0; i < 12; ++i) timed_get(rig, 32);
-  const auto& s = rig.transport->stats();
+  const auto& s = rig.transport.stats();
   EXPECT_GT(s.retransmits, 0u);
   // One late duplicate per *recovered message* (dup_prob = 1), however
   // many times that message was dropped along the way.
@@ -245,11 +243,11 @@ TEST(FaultTransport, AwaitedGetThrowsTransportTimeoutAfterMaxRetries) {
   rig.sim.spawn([](Rig& r) -> sim::Task<> {
     GetRequest req;
     req.len = 8;
-    (void)co_await r.transport->get({0, 0}, 1, req);
+    (void)co_await r.transport.get({0, 0}, 1, req);
   }(rig));
   EXPECT_THROW(rig.sim.run(), TransportTimeout);
-  EXPECT_EQ(rig.transport->stats().timeouts, 1u);
-  EXPECT_EQ(rig.transport->stats().retransmits, 2u);
+  EXPECT_EQ(rig.transport.stats().timeouts, 1u);
+  EXPECT_EQ(rig.transport.stats().retransmits, 2u);
   EXPECT_EQ(rig.target.gets_served, 0);
 }
 
@@ -265,12 +263,12 @@ TEST(FaultTransport, DetachedPutStillAcksUnderTotalLoss) {
   rig.sim.spawn([](Rig& r, bool& a) -> sim::Task<> {
     PutRequest req;
     req.data.assign(64, std::byte{0x33});
-    co_await r.transport->put({0, 0}, 1, std::move(req),
-                              [&a](const PutAck&) { a = true; });
+    co_await r.transport.put({0, 0}, 1, std::move(req),
+                             [&a](const PutAck&) { a = true; });
   }(rig, acked));
   rig.sim.run();  // must terminate: no deadlock, no escaped exception
   EXPECT_TRUE(acked);
-  EXPECT_EQ(rig.transport->stats().timeouts, 1u);
+  EXPECT_EQ(rig.transport.stats().timeouts, 1u);
   EXPECT_EQ(rig.target.puts_served, 0);  // the data really was lost
 }
 
@@ -280,7 +278,7 @@ TEST(FaultTransport, NicStallWindowDelaysInjection) {
   Rig rig(mare_nostrum_gm(), fp);
   const auto stalled = timed_get(rig, 8);
   EXPECT_GT(stalled, sim::us(300.0));
-  EXPECT_GE(rig.transport->stats().nic_stall_waits, 1u);
+  EXPECT_GE(rig.transport.stats().nic_stall_waits, 1u);
 
   Rig clean(mare_nostrum_gm());
   EXPECT_LT(timed_get(clean, 8), sim::us(20.0));
@@ -307,9 +305,9 @@ TEST(FaultTransport, PinCapExhaustionDegradesToBounceBuffers) {
   EXPECT_GT(elapsed, 0u);
   ASSERT_EQ(reply.data.size(), len);
   EXPECT_EQ(reply.data[77], std::byte{0x42});
-  EXPECT_GT(rig.transport->stats().bounce_fallbacks, 0u);
-  EXPECT_EQ(rig.transport->reg_cache(1).resident_bytes(), 0u);  // never over
-  EXPECT_GT(rig.transport->reg_cache(1).bounces(), 0u);
+  EXPECT_GT(rig.transport.stats().bounce_fallbacks, 0u);
+  EXPECT_EQ(rig.transport.reg_cache(1).resident_bytes(), 0u);  // never over
+  EXPECT_GT(rig.transport.reg_cache(1).bounces(), 0u);
 }
 
 // ------------------------------------------------------- runtime level ---

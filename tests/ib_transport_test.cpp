@@ -2,8 +2,9 @@
 // registry lookup, fat-tree routing, the eager/rendezvous crossover,
 // inline sends, send-queue backpressure, RNR-NAK retry under fault
 // injection (with apply-once handler semantics), true zero-target-CPU
-// one-sided transfers, the nic_dma trace marker, and blocking ==
-// nonblocking+wait equivalence on the IB tier.
+// one-sided transfers, WQE retirement on every exit (timeouts too), the
+// nic_dma trace marker, and blocking == nonblocking+wait equivalence on
+// the IB tier.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,7 +15,6 @@
 
 #include "benchsupport/report.h"
 #include "core/runtime.h"
-#include "net/ib/ib_transport.h"
 #include "net/machine.h"
 #include "net/machine_registry.h"
 #include "net/topology.h"
@@ -151,15 +151,11 @@ class CountingTarget : public AmTarget {
 
 struct Rig {
   explicit Rig(PlatformParams p = infiniband_verbs(), FaultParams fp = {})
-      : target(1 << 20), machine(sim, std::move(p), {2, 2, std::move(fp), {}}) {
-    transport = make_transport(machine, target);
-    ib = dynamic_cast<IbTransport*>(transport.get());
-  }
+      : target(1 << 20), machine(sim, std::move(p), {2, 2, std::move(fp), {}}) {}
   sim::Simulator sim;
   CountingTarget target;
   Machine machine;
-  std::unique_ptr<Transport> transport;
-  IbTransport* ib = nullptr;  ///< non-null when the platform is IB
+  Transport transport{machine, target};
 };
 
 GetReply run_get(Rig& rig, std::uint32_t len, Addr local_buf = kNullAddr) {
@@ -168,7 +164,7 @@ GetReply run_get(Rig& rig, std::uint32_t len, Addr local_buf = kNullAddr) {
     GetRequest req;
     req.len = l;
     req.local_buf = b;
-    o = co_await r.transport->get({0, 0}, 1, req);
+    o = co_await r.transport.get({0, 0}, 1, req);
   }(rig, len, local_buf, out));
   rig.sim.run();
   return out;
@@ -179,19 +175,18 @@ void run_put(Rig& rig, std::size_t len, std::uint64_t offset = 0) {
     PutRequest req;
     req.offset = off;
     req.data.assign(l, std::byte{0x5a});
-    co_await r.transport->put({0, 0}, 1, std::move(req), {});
+    co_await r.transport.put({0, 0}, 1, std::move(req), {});
   }(rig, len, offset));
   rig.sim.run();
 }
 
 // ----------------------------------------------------- protocol splits ---
 
-TEST(IbProtocol, MakeTransportBuildsTheVerbsBackend) {
+TEST(IbProtocol, NoConnectionExistsBeforeFirstUse) {
   Rig rig;
-  ASSERT_NE(rig.ib, nullptr);
   // No connection exists until first use; the CQ is empty.
-  EXPECT_EQ(rig.ib->queue_pair(0, 1), nullptr);
-  EXPECT_EQ(rig.ib->completion_queue(0).cqes(), 0u);
+  EXPECT_EQ(rig.transport.queue_pair(0, 1), nullptr);
+  EXPECT_EQ(rig.transport.completion_queue(0).cqes(), 0u);
 }
 
 TEST(IbProtocol, EagerRendezvousCrossoverAtEagerLimit) {
@@ -199,15 +194,15 @@ TEST(IbProtocol, EagerRendezvousCrossoverAtEagerLimit) {
   const auto limit =
       static_cast<std::uint32_t>(rig.machine.params().eager_limit);
   run_get(rig, limit);  // at the limit: still eager
-  EXPECT_EQ(rig.transport->stats().am_gets, 1u);
-  EXPECT_EQ(rig.transport->stats().rendezvous_gets, 0u);
+  EXPECT_EQ(rig.transport.stats().am_gets, 1u);
+  EXPECT_EQ(rig.transport.stats().rendezvous_gets, 0u);
   run_get(rig, limit + 1);
-  EXPECT_EQ(rig.transport->stats().rendezvous_gets, 1u);
+  EXPECT_EQ(rig.transport.stats().rendezvous_gets, 1u);
 
   run_put(rig, limit);
-  EXPECT_EQ(rig.transport->stats().am_puts, 1u);
+  EXPECT_EQ(rig.transport.stats().am_puts, 1u);
   run_put(rig, limit + 1);
-  EXPECT_EQ(rig.transport->stats().rendezvous_puts, 1u);
+  EXPECT_EQ(rig.transport.stats().rendezvous_puts, 1u);
   EXPECT_EQ(rig.target.rendezvous_puts_served, 1);
   EXPECT_EQ(rig.target.payloads_delivered, 1);
 }
@@ -216,24 +211,24 @@ TEST(IbProtocol, TinyPutsTravelInlineInTheWqe) {
   Rig rig;
   const std::size_t inline_limit = rig.machine.params().inline_limit;
   run_put(rig, inline_limit);  // at the limit: inline
-  EXPECT_EQ(rig.transport->stats().inline_sends, 1u);
+  EXPECT_EQ(rig.transport.stats().inline_sends, 1u);
   run_put(rig, inline_limit + 1);  // still eager, but via the bounce copy
-  EXPECT_EQ(rig.transport->stats().inline_sends, 1u);
-  EXPECT_EQ(rig.transport->stats().am_puts, 2u);
+  EXPECT_EQ(rig.transport.stats().inline_sends, 1u);
+  EXPECT_EQ(rig.transport.stats().am_puts, 2u);
   // The inline send is cheaper on the initiator: no send-side copy.
   Rig a, b;
   sim::Time ta = 0, tb = 0;
   a.sim.spawn([](Rig& r, sim::Time& t) -> sim::Task<> {
     PutRequest req;
     req.data.assign(r.machine.params().inline_limit, std::byte{1});
-    co_await r.transport->put({0, 0}, 1, std::move(req), {});
+    co_await r.transport.put({0, 0}, 1, std::move(req), {});
     t = r.sim.now();
   }(a, ta));
   a.sim.run();
   b.sim.spawn([](Rig& r, sim::Time& t) -> sim::Task<> {
     PutRequest req;
     req.data.assign(r.machine.params().inline_limit + 1, std::byte{1});
-    co_await r.transport->put({0, 0}, 1, std::move(req), {});
+    co_await r.transport.put({0, 0}, 1, std::move(req), {});
     t = r.sim.now();
   }(b, tb));
   b.sim.run();
@@ -256,7 +251,7 @@ TEST(IbProtocol, DataMovesIntactOnEveryPath) {
     GetRequest req;
     req.offset = 16384;
     req.len = 16384;  // > eager_limit: rendezvous
-    o = co_await r.transport->get({0, 0}, 1, req);
+    o = co_await r.transport.get({0, 0}, 1, req);
   }(rig, rz));
   rig.sim.run();
   ASSERT_EQ(rz.data.size(), 16384u);
@@ -283,7 +278,7 @@ TEST(IbProtocol, HandlersRunOnTheProgressEngineNotAppCores) {
     req.len = 8;
     req.target_core = 0;
     a = r.sim.now();
-    (void)co_await r.transport->get({0, 0}, 1, req);
+    (void)co_await r.transport.get({0, 0}, 1, req);
     b = r.sim.now();
   }(rig, t0, t1));
   rig.sim.run();
@@ -297,10 +292,10 @@ TEST(IbProtocol, OneSidedOpsCostZeroTargetCpu) {
   RdmaGetResult get_res;
   RdmaPutResult put_res;
   rig.sim.spawn([](Rig& r, RdmaGetResult& g, RdmaPutResult& p) -> sim::Task<> {
-    g = co_await r.transport->rdma_get({0, 0}, 1, r.target.base(1), 64);
+    g = co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 64);
     net::Bytes data(256, std::byte{0x2a});
-    p = co_await r.transport->rdma_put({0, 0}, 1, r.target.base(1) + 1024,
-                                       std::move(data), {});
+    p = co_await r.transport.rdma_put({0, 0}, 1, r.target.base(1) + 1024,
+                                      std::move(data), {});
   }(rig, get_res, put_res));
   rig.sim.run();
   ASSERT_TRUE(get_res.ok());
@@ -313,8 +308,8 @@ TEST(IbProtocol, OneSidedOpsCostZeroTargetCpu) {
   EXPECT_EQ(rig.machine.core(1, 1).busy_time(), 0u);
   EXPECT_EQ(rig.machine.comm_cpu(1).busy_time(), 0u);
   EXPECT_GT(rig.machine.nic_dma(1).busy_time(), 0u);  // the DMA engine did
-  EXPECT_EQ(rig.transport->stats().rdma_gets, 1u);
-  EXPECT_EQ(rig.transport->stats().rdma_puts, 1u);
+  EXPECT_EQ(rig.transport.stats().rdma_gets, 1u);
+  EXPECT_EQ(rig.transport.stats().rdma_puts, 1u);
 }
 
 // ------------------------------------------------------ QP accounting ---
@@ -325,14 +320,14 @@ TEST(IbProtocol, EveryWqePostedRetiresThroughTheCq) {
   run_get(rig, 16384);              // rendezvous GET: 1 WQE
   run_put(rig, 64);                 // inline PUT: 1 WQE
   run_put(rig, 16384);              // rendezvous PUT: RTS + payload, 2 WQEs
-  const auto& s = rig.transport->stats();
+  const auto& s = rig.transport.stats();
   EXPECT_EQ(s.qp_posts, 5u);
-  EXPECT_EQ(rig.ib->completion_queue(0).cqes(), 5u);
-  const ib::QueuePair* q = rig.ib->queue_pair(0, 1);
+  EXPECT_EQ(rig.transport.completion_queue(0).cqes(), 5u);
+  const ib::QueuePair* q = rig.transport.queue_pair(0, 1);
   ASSERT_NE(q, nullptr);
   EXPECT_EQ(q->outstanding(), 0u);  // nothing leaked
   EXPECT_GT(q->hwm(), 0u);
-  EXPECT_EQ(rig.ib->queue_pair(1, 0), nullptr);  // replies need no QP slot
+  EXPECT_EQ(rig.transport.queue_pair(1, 0), nullptr);  // replies need no QP slot
 }
 
 TEST(IbProtocol, FullSendQueueBackpressuresPosters) {
@@ -341,28 +336,110 @@ TEST(IbProtocol, FullSendQueueBackpressuresPosters) {
   Rig rig(std::move(p));
   for (int i = 0; i < 6; ++i) {
     rig.sim.spawn([](Rig& r) -> sim::Task<> {
-      (void)co_await r.transport->rdma_get({0, 0}, 1, r.target.base(1), 4096);
+      (void)co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 4096);
     }(rig));
   }
   rig.sim.run();
-  const auto& s = rig.transport->stats();
+  const auto& s = rig.transport.stats();
   EXPECT_EQ(s.qp_posts, 6u);
   EXPECT_GT(s.sq_stalls, 0u);
-  const ib::QueuePair* q = rig.ib->queue_pair(0, 1);
+  const ib::QueuePair* q = rig.transport.queue_pair(0, 1);
   ASSERT_NE(q, nullptr);
   EXPECT_EQ(q->hwm(), 2u);  // never exceeded the configured depth
   EXPECT_EQ(q->outstanding(), 0u);
-  EXPECT_EQ(rig.ib->completion_queue(0).cqes(), 6u);
+  EXPECT_EQ(rig.transport.completion_queue(0).cqes(), 6u);
 
   // An unbounded (or deep enough) queue never stalls the same burst.
   Rig deep;
   for (int i = 0; i < 6; ++i) {
     deep.sim.spawn([](Rig& r) -> sim::Task<> {
-      (void)co_await r.transport->rdma_get({0, 0}, 1, r.target.base(1), 4096);
+      (void)co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 4096);
     }(deep));
   }
   deep.sim.run();
-  EXPECT_EQ(deep.transport->stats().sq_stalls, 0u);
+  EXPECT_EQ(deep.transport.stats().sq_stalls, 0u);
+}
+
+TEST(IbProtocol, TimedOutLegRetiresItsWqe) {
+  // A leg that exhausts its retransmission budget must still retire the
+  // WQE its op posted. With a one-slot send queue a leaked slot would
+  // leave the next post on the connection waiting forever, so each kind
+  // runs twice and both runs must surface the timeout.
+  auto p = infiniband_verbs();
+  p.sq_depth = 1;
+  FaultParams fp;
+  fp.seed = 9;
+  fp.drop_prob = 1.0;
+  fp.max_retransmits = 0;
+  using Op = sim::Task<void> (*)(Rig&);
+  const std::pair<const char*, Op> kinds[] = {
+      {"eager GET",
+       [](Rig& r) -> sim::Task<void> {
+         GetRequest req;
+         req.len = 64;
+         (void)co_await r.transport.get({0, 0}, 1, req);
+       }},
+      {"rendezvous GET",
+       [](Rig& r) -> sim::Task<void> {
+         GetRequest req;
+         req.len = 16384;
+         (void)co_await r.transport.get({0, 0}, 1, req);
+       }},
+      {"rdma_get",
+       [](Rig& r) -> sim::Task<void> {
+         (void)co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 64);
+       }},
+      {"NIC FAA",
+       [](Rig& r) -> sim::Task<void> {
+         AmoRequest req;
+         req.operand = 1;
+         req.raddr = r.target.base(1);
+         (void)co_await r.transport.amo({0, 0}, 1, req);
+       }},
+      {"rendezvous PUT",
+       [](Rig& r) -> sim::Task<void> {
+         PutRequest req;
+         req.data.assign(16384, std::byte{1});
+         co_await r.transport.put({0, 0}, 1, std::move(req), {});
+       }},
+  };
+  for (const auto& [name, op] : kinds) {
+    Rig rig(p, fp);
+    int timeouts = 0;
+    for (int i = 0; i < 2; ++i) {
+      rig.sim.spawn([](Rig& r, Op o, int& n) -> sim::Task<> {
+        try {
+          co_await o(r);
+        } catch (const TransportTimeout&) {
+          ++n;
+        }
+      }(rig, op, timeouts));
+      rig.sim.run();
+    }
+    EXPECT_EQ(timeouts, 2) << name;
+    const ib::QueuePair* q = rig.transport.queue_pair(0, 1);
+    ASSERT_NE(q, nullptr) << name;
+    EXPECT_EQ(q->outstanding(), 0u) << name;
+    EXPECT_EQ(rig.transport.stats().qp_posts, 2u) << name;
+    EXPECT_EQ(rig.transport.completion_queue(0).cqes(), 2u) << name;
+  }
+}
+
+TEST(IbProtocol, TeardownWithAWqeInFlightIsSafe) {
+  // A process still in flight when its rig goes away holds a posted WQE.
+  // The simulator destroys that frame after the transport and its queue
+  // pairs are gone, so the guard must not touch them then (the sanitizer
+  // build checks this).
+  Rig rig;
+  rig.sim.spawn([](Rig& r) -> sim::Task<> {
+    GetRequest req;
+    req.len = 64;
+    (void)co_await r.transport.get({0, 0}, 1, req);
+  }(rig));
+  rig.sim.run_until(sim::us(1));  // request posted, reply not back yet
+  const ib::QueuePair* q = rig.transport.queue_pair(0, 1);
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(q->outstanding(), 1u);
 }
 
 // -------------------------------------------------- RNR-NAK semantics ---
@@ -375,7 +452,7 @@ TEST(IbProtocol, RnrRetryExhaustsBudgetThenDegradesToBounce) {
   const auto& p = rig.machine.params();
   const GetReply reply = run_get(rig, 16384);
   ASSERT_EQ(reply.data.size(), 16384u);  // the op still completed
-  const auto& s = rig.transport->stats();
+  const auto& s = rig.transport.stats();
   // The responder NAKed once per retry round, the full 3-bit budget.
   EXPECT_EQ(s.rnr_naks, p.rnr_retry_limit);
   EXPECT_EQ(s.rnr_retries, p.rnr_retry_limit);
@@ -385,8 +462,8 @@ TEST(IbProtocol, RnrRetryExhaustsBudgetThenDegradesToBounce) {
   EXPECT_EQ(rig.target.gets_served, 1);
   // Every retry re-posted a WQE and retired it through the CQ.
   EXPECT_EQ(s.qp_posts, 1u + p.rnr_retry_limit);
-  EXPECT_EQ(rig.ib->completion_queue(0).cqes(), 1u + p.rnr_retry_limit);
-  EXPECT_EQ(rig.ib->queue_pair(0, 1)->outstanding(), 0u);
+  EXPECT_EQ(rig.transport.completion_queue(0).cqes(), 1u + p.rnr_retry_limit);
+  EXPECT_EQ(rig.transport.queue_pair(0, 1)->outstanding(), 0u);
 }
 
 TEST(IbProtocol, RnrRetryOnRendezvousPutAppliesPayloadOnce) {
@@ -397,12 +474,12 @@ TEST(IbProtocol, RnrRetryOnRendezvousPutAppliesPayloadOnce) {
   run_put(rig, 16384, 2048);
   EXPECT_EQ(rig.target.data(1)[2048], std::byte{0x5a});
   const auto& p = rig.machine.params();
-  const auto& s = rig.transport->stats();
+  const auto& s = rig.transport.stats();
   EXPECT_EQ(s.rnr_naks, p.rnr_retry_limit);
   EXPECT_EQ(s.rnr_retries, p.rnr_retry_limit);
   EXPECT_EQ(rig.target.rendezvous_puts_served, 1);  // apply-once
   EXPECT_EQ(rig.target.payloads_delivered, 1);
-  EXPECT_EQ(rig.ib->queue_pair(0, 1)->outstanding(), 0u);
+  EXPECT_EQ(rig.transport.queue_pair(0, 1)->outstanding(), 0u);
 }
 
 TEST(IbProtocol, TransientRnrRecoversWithoutBounceDegradation) {
@@ -415,7 +492,7 @@ TEST(IbProtocol, TransientRnrRecoversWithoutBounceDegradation) {
     const GetReply r = run_get(rig, 16384);
     ASSERT_EQ(r.data.size(), 16384u);
   }
-  const auto& s = rig.transport->stats();
+  const auto& s = rig.transport.stats();
   EXPECT_GT(s.rnr_naks, 0u);  // the lossy path was actually exercised
   EXPECT_EQ(s.rnr_naks, s.rnr_retries);
   EXPECT_LT(s.rnr_naks, 8u * p.rnr_retry_limit);  // budget never exhausted...
@@ -434,7 +511,7 @@ TEST(IbProtocol, RnrRetriesAreSeedDeterministic) {
       run_get(rig, 16384);
       end = rig.sim.now();
     }
-    return std::make_pair(rig.transport->stats().rnr_retries, end);
+    return std::make_pair(rig.transport.stats().rnr_retries, end);
   };
   const auto a = run_once();
   const auto b = run_once();

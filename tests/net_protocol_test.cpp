@@ -74,13 +74,11 @@ struct Rig {
           c.cores_per_node = cores;
           c.faults = faults;
           return c;
-        }()) {
-    transport = make_transport(machine, target);
-  }
+        }()) {}
   sim::Simulator sim;
   Target target;
   Machine machine;
-  std::unique_ptr<Transport> transport;
+  Transport transport{machine, target};
 };
 
 sim::Duration run_get(Rig& rig, std::uint32_t len,
@@ -92,7 +90,7 @@ sim::Duration run_get(Rig& rig, std::uint32_t len,
     req.len = l;
     req.target_core = tc;
     a = r.sim.now();
-    (void)co_await r.transport->get({0, 0}, 1, req);
+    (void)co_await r.transport.get({0, 0}, 1, req);
     b = r.sim.now();
   }(rig, len, target_core, t0, t1));
   rig.sim.run();
@@ -102,10 +100,10 @@ sim::Duration run_get(Rig& rig, std::uint32_t len,
 TEST(Protocol, LapiEagerRegionExtendsTo2MB) {
   Rig rig(power5_lapi());
   run_get(rig, 2 * 1024 * 1024);  // at the limit: still eager
-  EXPECT_EQ(rig.transport->stats().am_gets, 1u);
-  EXPECT_EQ(rig.transport->stats().rendezvous_gets, 0u);
+  EXPECT_EQ(rig.transport.stats().am_gets, 1u);
+  EXPECT_EQ(rig.transport.stats().rendezvous_gets, 0u);
   run_get(rig, 2 * 1024 * 1024 + 1);
-  EXPECT_EQ(rig.transport->stats().rendezvous_gets, 1u);
+  EXPECT_EQ(rig.transport.stats().rendezvous_gets, 1u);
 }
 
 TEST(Protocol, GmHandlerBlocksBehindBusyTargetCore) {
@@ -146,12 +144,12 @@ TEST(Protocol, PutWireBytesIncludePayloadAndAck) {
   rig.sim.spawn([](Rig& r) -> sim::Task<> {
     PutRequest req;
     req.data.assign(100, std::byte{1});
-    co_await r.transport->put({0, 0}, 1, std::move(req), {});
+    co_await r.transport.put({0, 0}, 1, std::move(req), {});
   }(rig));
   rig.sim.run();
   const auto& p = rig.machine.params();
   // Data message (header + 100) + ACK (header).
-  EXPECT_EQ(rig.transport->stats().wire_bytes, 2 * p.header_bytes + 100);
+  EXPECT_EQ(rig.transport.stats().wire_bytes, 2 * p.header_bytes + 100);
 }
 
 TEST(Protocol, RendezvousPutWireBytesIncludeControlRoundtrip) {
@@ -160,32 +158,32 @@ TEST(Protocol, RendezvousPutWireBytesIncludeControlRoundtrip) {
   rig.sim.spawn([](Rig& r, std::size_t n) -> sim::Task<> {
     PutRequest req;
     req.data.assign(n, std::byte{1});
-    co_await r.transport->put({0, 0}, 1, std::move(req), {});
+    co_await r.transport.put({0, 0}, 1, std::move(req), {});
   }(rig, big));
   rig.sim.run();
   const auto& p = rig.machine.params();
   // RTS + CTS + payload message.
-  EXPECT_EQ(rig.transport->stats().wire_bytes, 3 * p.header_bytes + big);
+  EXPECT_EQ(rig.transport.stats().wire_bytes, 3 * p.header_bytes + big);
 }
 
 TEST(Protocol, EagerThresholdIsPerPlatform) {
   Rig gm(mare_nostrum_gm());
   run_get(gm, 32 * 1024);  // > 16 KB: rendezvous on GM
-  EXPECT_EQ(gm.transport->stats().rendezvous_gets, 1u);
+  EXPECT_EQ(gm.transport.stats().rendezvous_gets, 1u);
 
   Rig lapi(power5_lapi());
   run_get(lapi, 32 * 1024);  // well inside LAPI's eager region
-  EXPECT_EQ(lapi.transport->stats().am_gets, 1u);
+  EXPECT_EQ(lapi.transport.stats().am_gets, 1u);
 }
 
 TEST(Protocol, RegistrationCacheInvalidationForcesReRegistration) {
   Rig rig(mare_nostrum_gm());
   const std::uint32_t big = 128 * 1024;
   run_get(rig, big);
-  const auto misses_before = rig.transport->reg_cache(1).misses();
-  rig.transport->reg_cache_mut(1).invalidate(rig.target.base(1), big);
+  const auto misses_before = rig.transport.reg_cache(1).misses();
+  rig.transport.reg_cache_mut(1).invalidate(rig.target.base(1), big);
   run_get(rig, big);
-  EXPECT_EQ(rig.transport->reg_cache(1).misses(), misses_before + 1);
+  EXPECT_EQ(rig.transport.reg_cache(1).misses(), misses_before + 1);
 }
 
 TEST(Protocol, RdmaNakIsDistinctFromProtocolError) {
@@ -197,10 +195,10 @@ TEST(Protocol, RdmaNakIsDistinctFromProtocolError) {
   RdmaGetResult get_res;
   RdmaPutResult put_res;
   rig.sim.spawn([](Rig& r, RdmaGetResult& g, RdmaPutResult& p) -> sim::Task<> {
-    g = co_await r.transport->rdma_get({0, 0}, 1, r.target.base(1), 64);
+    g = co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 64);
     Bytes data(64, std::byte{0x2a});
-    p = co_await r.transport->rdma_put({0, 0}, 1, r.target.base(1),
-                                       std::move(data), {});
+    p = co_await r.transport.rdma_put({0, 0}, 1, r.target.base(1),
+                                      std::move(data), {});
   }(rig, get_res, put_res));
   rig.sim.run();
   EXPECT_FALSE(get_res.ok());
@@ -208,15 +206,15 @@ TEST(Protocol, RdmaNakIsDistinctFromProtocolError) {
   EXPECT_TRUE(get_res.data.empty());
   EXPECT_FALSE(put_res.ok());
   EXPECT_EQ(put_res.nak, RdmaNak::kNotPinned);
-  EXPECT_EQ(rig.transport->stats().rdma_naks, 2u);
+  EXPECT_EQ(rig.transport.stats().rdma_naks, 2u);
 
   // Bogus address: throws regardless of pin state — not reported as NAK.
   Rig bad(mare_nostrum_gm());
   bad.sim.spawn([](Rig& r) -> sim::Task<> {
-    (void)co_await r.transport->rdma_get({0, 0}, 1, 0x2, 8);
+    (void)co_await r.transport.rdma_get({0, 0}, 1, 0x2, 8);
   }(bad));
   EXPECT_THROW(bad.sim.run(), RdmaProtocolError);
-  EXPECT_EQ(bad.transport->stats().rdma_naks, 0u);
+  EXPECT_EQ(bad.transport.stats().rdma_naks, 0u);
 }
 
 TEST(Protocol, ConcurrentGetsToOneLapiNodeOverlapOnCommPool) {
@@ -229,7 +227,7 @@ TEST(Protocol, ConcurrentGetsToOneLapiNodeOverlapOnCommPool) {
         GetRequest req;
         req.len = 8192;
         req.target_core = static_cast<std::uint32_t>(k);
-        (void)co_await r.transport->get({0, 0}, 1, req);
+        (void)co_await r.transport.get({0, 0}, 1, req);
       }(rig, i));
     }
     return rig.sim.run();
@@ -243,7 +241,7 @@ TEST(Protocol, ConcurrentGetsToOneLapiNodeOverlapOnCommPool) {
         GetRequest req;
         req.len = 8192;
         req.target_core = 0;
-        (void)co_await r.transport->get({0, 0}, 1, req);
+        (void)co_await r.transport.get({0, 0}, 1, req);
       }(rig));
     }
     return rig.sim.run();
@@ -362,10 +360,10 @@ TEST(ProtocolBudget, TransportGetSurfacesTimeoutNotHang) {
   rig.sim.spawn([](Rig& r) -> sim::Task<> {
     GetRequest req;
     req.len = 8;
-    (void)co_await r.transport->get({0, 0}, 1, req);
+    (void)co_await r.transport.get({0, 0}, 1, req);
   }(rig));
   EXPECT_THROW(rig.sim.run(), TransportTimeout);
-  EXPECT_GE(rig.transport->stats().timeouts, 1u);
+  EXPECT_GE(rig.transport.stats().timeouts, 1u);
 }
 
 }  // namespace

@@ -178,6 +178,15 @@ class FakeTarget : public AmTarget {
     return out;
   }
 
+  std::uint64_t serve_amo(NodeId target, const AmoRequest& req) override {
+    std::uint64_t old = 0;
+    std::memcpy(&old, store_[target].data() + req.offset, sizeof(old));
+    const std::uint64_t next = old + req.operand;  // FAA only
+    std::memcpy(store_[target].data() + req.offset, &next, sizeof(next));
+    ++amos_served;
+    return old;
+  }
+
   void deliver_put_payload(NodeId target, std::uint64_t, std::uint64_t offset,
                            net::Bytes&& data) override {
     std::memcpy(store_[target].data() + offset, data.data(), data.size());
@@ -201,6 +210,7 @@ class FakeTarget : public AmTarget {
   int puts_served = 0;
   int controls_served = 0;
   int payloads_delivered = 0;
+  int amos_served = 0;
 
  private:
   std::size_t bytes_;
@@ -211,13 +221,11 @@ class FakeTarget : public AmTarget {
 
 struct Fixture {
   explicit Fixture(PlatformParams params, std::size_t bytes = 1 << 22)
-      : target(bytes), machine(sim, std::move(params), mc(2, 1)) {
-    transport = make_transport(machine, target);
-  }
+      : target(bytes), machine(sim, std::move(params), mc(2, 1)) {}
   sim::Simulator sim;
   FakeTarget target;
   Machine machine;
-  std::unique_ptr<Transport> transport;
+  Transport transport{machine, target};
 };
 
 sim::Duration timed_get(Fixture& f, std::uint32_t len, bool want_base = false,
@@ -229,7 +237,7 @@ sim::Duration timed_get(Fixture& f, std::uint32_t len, bool want_base = false,
     GetRequest req;
     req.len = l;
     req.want_base = wb;
-    auto reply = co_await fx.transport->get({0, 0}, 1, req);
+    auto reply = co_await fx.transport.get({0, 0}, 1, req);
     b = fx.sim.now();
     if (o != nullptr) *o = std::move(reply);
   }(f, len, want_base, out, t0, t1));
@@ -285,10 +293,10 @@ TEST(Transport, WantBasePiggybacksBaseAddress) {
 TEST(Transport, EagerVsRendezvousSelection) {
   Fixture f(mare_nostrum_gm());
   timed_get(f, 16 * 1024);  // at the limit -> eager
-  EXPECT_EQ(f.transport->stats().am_gets, 1u);
-  EXPECT_EQ(f.transport->stats().rendezvous_gets, 0u);
+  EXPECT_EQ(f.transport.stats().am_gets, 1u);
+  EXPECT_EQ(f.transport.stats().rendezvous_gets, 0u);
   timed_get(f, 16 * 1024 + 1);  // above -> rendezvous
-  EXPECT_EQ(f.transport->stats().rendezvous_gets, 1u);
+  EXPECT_EQ(f.transport.stats().rendezvous_gets, 1u);
 }
 
 TEST(Transport, FirstWantBaseGetChargesPinningTime) {
@@ -307,8 +315,8 @@ TEST(Transport, RdmaGetBypassesTargetCpuAndIsFaster) {
   f.sim.spawn([](Fixture& fx, net::Bytes& o, sim::Time& a,
                  sim::Time& b) -> sim::Task<> {
     a = fx.sim.now();
-    auto r = co_await fx.transport->rdma_get({0, 0}, 1,
-                                             fx.target.base(1), 8);
+    auto r = co_await fx.transport.rdma_get({0, 0}, 1,
+                                            fx.target.base(1), 8);
     b = fx.sim.now();
     o = std::move(r.data);
   }(f, got, t0, t1));
@@ -323,18 +331,18 @@ TEST(Transport, RdmaGetNakWhenUnpinned) {
   f.target.set_pinned(false);
   bool naked = false;
   f.sim.spawn([](Fixture& fx, bool& nak) -> sim::Task<> {
-    auto r = co_await fx.transport->rdma_get({0, 0}, 1, fx.target.base(1), 8);
+    auto r = co_await fx.transport.rdma_get({0, 0}, 1, fx.target.base(1), 8);
     nak = !r.ok() && r.nak == RdmaNak::kNotPinned;
   }(f, naked));
   f.sim.run();
   EXPECT_TRUE(naked);
-  EXPECT_EQ(f.transport->stats().rdma_naks, 1u);
+  EXPECT_EQ(f.transport.stats().rdma_naks, 1u);
 }
 
 TEST(Transport, RdmaToInvalidAddressThrows) {
   Fixture f(mare_nostrum_gm());
   f.sim.spawn([](Fixture& fx) -> sim::Task<> {
-    (void)co_await fx.transport->rdma_get({0, 0}, 1, 0x1, 8);
+    (void)co_await fx.transport.rdma_get({0, 0}, 1, 0x1, 8);
   }(f));
   EXPECT_THROW(f.sim.run(), RdmaProtocolError);
 }
@@ -346,8 +354,8 @@ TEST(Transport, PutCompletesLocallyBeforeRemoteDelivery) {
   f.sim.spawn([](Fixture& fx, sim::Time& ld, sim::Time& ad) -> sim::Task<> {
     PutRequest req;
     req.data.assign(64, std::byte{0x55});
-    co_await fx.transport->put({0, 0}, 1, std::move(req),
-                               [&fx, &ad](const PutAck&) { ad = fx.sim.now(); });
+    co_await fx.transport.put({0, 0}, 1, std::move(req),
+                              [&fx, &ad](const PutAck&) { ad = fx.sim.now(); });
     ld = fx.sim.now();
   }(f, local_done, ack_done));
   f.sim.run();
@@ -363,12 +371,12 @@ TEST(Transport, LargePutUsesRendezvousAndDeliversPayload) {
   f.sim.spawn([](Fixture& fx, bool& a) -> sim::Task<> {
     PutRequest req;
     req.data.assign(64 * 1024, std::byte{0x11});
-    co_await fx.transport->put({0, 0}, 1, std::move(req),
-                               [&a](const PutAck&) { a = true; });
+    co_await fx.transport.put({0, 0}, 1, std::move(req),
+                              [&a](const PutAck&) { a = true; });
   }(f, acked));
   f.sim.run();
   EXPECT_TRUE(acked);
-  EXPECT_EQ(f.transport->stats().rendezvous_puts, 1u);
+  EXPECT_EQ(f.transport.stats().rendezvous_puts, 1u);
   EXPECT_EQ(f.target.payloads_delivered, 1);
   EXPECT_EQ(f.target.data(1)[1000], std::byte{0x11});
 }
@@ -379,8 +387,8 @@ TEST(Transport, RdmaPutWritesMemoryAndSignalsDone) {
   bool ok = false;
   f.sim.spawn([](Fixture& fx, bool& d, bool& o) -> sim::Task<> {
     net::Bytes data(16, std::byte{0x77});
-    o = (co_await fx.transport->rdma_put({0, 0}, 1, fx.target.base(1) + 8,
-                                         std::move(data), [&d] { d = true; }))
+    o = (co_await fx.transport.rdma_put({0, 0}, 1, fx.target.base(1) + 8,
+                                        std::move(data), [&d] { d = true; }))
             .ok();
   }(f, done, ok));
   f.sim.run();
@@ -397,9 +405,9 @@ TEST(Transport, RdmaPutNakWhenUnpinned) {
   bool ok = true;
   f.sim.spawn([](Fixture& fx, bool& d, bool& o) -> sim::Task<> {
     net::Bytes data(16, std::byte{0x77});
-    const auto r = co_await fx.transport->rdma_put({0, 0}, 1, fx.target.base(1),
-                                                   std::move(data),
-                                                   [&d] { d = true; });
+    const auto r = co_await fx.transport.rdma_put({0, 0}, 1, fx.target.base(1),
+                                                  std::move(data),
+                                                  [&d] { d = true; });
     o = r.ok();
     EXPECT_EQ(r.nak, RdmaNak::kNotPinned);
   }(f, done, ok));
@@ -411,14 +419,14 @@ TEST(Transport, RdmaPutNakWhenUnpinned) {
 TEST(Transport, ControlReachesHandler) {
   Fixture f(power5_lapi());
   f.sim.spawn([](Fixture& fx) -> sim::Task<> {
-    co_await fx.transport->control({0, 0}, 1, SvdFreeNotice{42});
+    co_await fx.transport.control({0, 0}, 1, SvdFreeNotice{42});
   }(f));
   f.sim.run();
   EXPECT_EQ(f.target.controls_served, 1);
-  EXPECT_EQ(f.transport->stats().control_msgs, 1u);
+  EXPECT_EQ(f.transport.stats().control_msgs, 1u);
 }
 
-TEST(Transport, FactorySelectsByPlatform) {
+TEST(Transport, PlatformSelectsHandlerCpuAndVerbsSteps) {
   // AM handlers run where the platform's comm_comp_overlap puts them: on
   // the target's application core for GM, on its communication
   // processor for LAPI and IB.
@@ -432,6 +440,34 @@ TEST(Transport, FactorySelectsByPlatform) {
     EXPECT_EQ(f.machine.comm_cpu(1).acquisitions() > 0, on_comm_cpu)
         << static_cast<int>(kind);
   }
+  // The verbs steps live in the shared protocol legs, keyed on the IB
+  // platform: on GM and LAPI a GET, a PUT, an rdma_get and an FAA must
+  // leave the queue-pair state untouched.
+  for (const TransportKind kind : {TransportKind::kGm, TransportKind::kLapi}) {
+    Fixture f(preset(kind));
+    timed_get(f, 64);
+    f.sim.spawn([](Fixture& fx) -> sim::Task<> {
+      PutRequest put;
+      put.data.assign(8, std::byte{1});
+      co_await fx.transport.put({0, 0}, 1, std::move(put), {});
+      (void)co_await fx.transport.rdma_get({0, 0}, 1, fx.target.base(1), 8);
+      AmoRequest faa;
+      faa.operand = 1;
+      faa.raddr = fx.target.base(1);
+      (void)co_await fx.transport.amo({0, 0}, 1, faa);
+    }(f));
+    f.sim.run();
+    const auto& s = f.transport.stats();
+    EXPECT_EQ(s.am_gets, 1u) << static_cast<int>(kind);
+    EXPECT_EQ(s.am_puts, 1u) << static_cast<int>(kind);
+    EXPECT_EQ(s.rdma_gets, 1u) << static_cast<int>(kind);
+    EXPECT_EQ(s.amo_msgs, 1u) << static_cast<int>(kind);
+    EXPECT_EQ(s.nic_atomics, 0u) << static_cast<int>(kind);
+    EXPECT_EQ(f.target.amos_served, 1) << static_cast<int>(kind);
+    EXPECT_EQ(f.transport.queue_pair(0, 1), nullptr) << static_cast<int>(kind);
+    EXPECT_EQ(s.qp_posts, 0u) << static_cast<int>(kind);
+    EXPECT_EQ(s.inline_sends, 0u) << static_cast<int>(kind);
+  }
 }
 
 TEST(Transport, RendezvousRegistrationIsCachedAcrossGets) {
@@ -439,13 +475,13 @@ TEST(Transport, RendezvousRegistrationIsCachedAcrossGets) {
   const auto first = timed_get(f, 128 * 1024);
   const auto second = timed_get(f, 128 * 1024);
   EXPECT_GT(first, second);  // registration cache hit on the second
-  EXPECT_GE(f.transport->reg_cache(1).hits(), 1u);
+  EXPECT_GE(f.transport.reg_cache(1).hits(), 1u);
 }
 
 TEST(Transport, WireBytesAccumulate) {
   Fixture f(mare_nostrum_gm());
   timed_get(f, 1000);
-  const auto& s = f.transport->stats();
+  const auto& s = f.transport.stats();
   // Request header + reply header + 1000 payload bytes.
   EXPECT_EQ(s.wire_bytes, 2 * f.machine.params().header_bytes + 1000);
 }

@@ -37,7 +37,7 @@ fi
 fresh=$(mktemp)
 trap 'rm -f "$fresh"' EXIT
 
-# Behavioural goldens first (atomics, KV serving, congestion sweeps):
+# Behavioural goldens first (every entry of tests/golden/manifest.txt):
 # those byte-compares live in tools/goldencheck.sh so ctest can gate
 # them without paying for the simspeed scale probe.
 "$repo_root"/tools/goldencheck.sh "$build"
