@@ -40,7 +40,7 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
     cost += sim::transfer_time(len, p.shm_copy_bw);
     co_await rt_.machine_.core(th.node(), th.core()).use(cost);
     const Addr addr = rt_.local_translate(owner, a.handle, node_off, len);
-    rt_.node(owner).space->read(addr, dst);
+    rt_.node(owner).space.read(addr, dst);
     if (same_thread) {
       ++rt_.counters_.local_gets;
       trace(TracePath::kLocal);
@@ -67,7 +67,7 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
 
   if (use_cache) {
     co_await rt_.machine_.core(th.node(), th.core()).use(p.cache_lookup);
-    if (auto info = rt_.node(th.node()).cache->lookup(key)) {
+    if (auto info = rt_.node(th.node()).cache.lookup(key)) {
       const Addr raddr = info->base + node_off;
       if (len > p.rdma_bounce_limit) {
         // Zero-copy into the user buffer: it must be registered locally.
@@ -92,7 +92,7 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
       }
       // NAK: the target no longer pins that window. Invalidate and fall
       // back to the default path (which will re-populate the cache).
-      rt_.node(th.node()).cache->invalidate(key);
+      rt_.node(th.node()).cache.invalidate(key);
       ++rt_.counters_.rdma_naks;
     }
   }
@@ -110,7 +110,7 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
   auto reply = co_await rt_.transport_.get(from, owner, std::move(req));
   if (reply.base && use_cache) {
     co_await rt_.machine_.core(th.node(), th.core()).use(p.cache_update);
-    rt_.node(th.node()).cache->insert(key, *reply.base);
+    rt_.node(th.node()).cache.insert(key, *reply.base);
   }
   std::memcpy(dst.data(), reply.data.data(), len);
   ++rt_.counters_.am_gets;
@@ -138,7 +138,7 @@ Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
     cost += sim::transfer_time(len, p.shm_copy_bw);
     co_await rt_.machine_.core(th.node(), th.core()).use(cost);
     const Addr addr = rt_.local_translate(owner, a.handle, node_off, len);
-    rt_.node(owner).space->write(addr, src);
+    rt_.node(owner).space.write(addr, src);
     if (same_thread) {
       ++rt_.counters_.local_puts;
       trace(TracePath::kLocal);
@@ -164,7 +164,7 @@ Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
   if (cache_on) {
     const CacheKey key = rt_.make_key(a, owner, node_off);
     co_await rt_.machine_.core(th.node(), th.core()).use(p.cache_lookup);
-    if (auto info = rt_.node(th.node()).cache->lookup(key)) {
+    if (auto info = rt_.node(th.node()).cache.lookup(key)) {
       const Addr raddr = info->base + node_off;
       if (len <= p.rdma_bounce_limit) {
         // Stage into a preregistered bounce buffer.
@@ -195,7 +195,7 @@ Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
         co_return;
       }
       rt_.note_put_completed(th.id());  // nothing was issued
-      rt_.node(th.node()).cache->invalidate(key);
+      rt_.node(th.node()).cache.invalidate(key);
       ++rt_.counters_.rdma_naks;
     }
   }
@@ -217,7 +217,7 @@ Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
         from, owner, std::move(req),
         [rt, tid, key, my_node, cache_on](const net::PutAck& ack) {
           if (ack.base && cache_on) {
-            rt->node(my_node).cache->insert(key, *ack.base);
+            rt->node(my_node).cache.insert(key, *ack.base);
           }
           rt->note_put_completed(tid);
         });
@@ -299,7 +299,7 @@ Task<void> AccessPath::amo_span(UpcThread& th, CommOp op, Layout::Loc loc) {
   const CacheKey key = rt_.make_key(op.array, owner, node_off);
   if (use_cache) {
     co_await rt_.machine_.core(th.node(), th.core()).use(p.cache_lookup);
-    if (auto info = rt_.node(th.node()).cache->lookup(key)) {
+    if (auto info = rt_.node(th.node()).cache.lookup(key)) {
       req.raddr = info->base + node_off;
     }
   }
@@ -308,7 +308,7 @@ Task<void> AccessPath::amo_span(UpcThread& th, CommOp op, Layout::Loc loc) {
   if (!res.ok()) {
     // NAK: the cached window is no longer pinned. Invalidate and retry
     // through the AM lowering (which translates at the home node).
-    rt_.node(th.node()).cache->invalidate(key);
+    rt_.node(th.node()).cache.invalidate(key);
     ++rt_.counters_.rdma_naks;
     req.raddr = kNullAddr;
     res = co_await rt_.transport_.amo(from, owner, req);

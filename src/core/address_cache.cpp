@@ -1,66 +1,116 @@
 #include "core/address_cache.h"
 
+#include <algorithm>
+
 namespace xlupc::core {
 
+void AddressCache::unlink(std::uint32_t e) noexcept {
+  Entry& en = entries_[e];
+  if (en.newer == kNil) {
+    mru_ = en.older;
+  } else {
+    entries_[en.newer].older = en.older;
+  }
+  if (en.older == kNil) {
+    lru_ = en.newer;
+  } else {
+    entries_[en.older].newer = en.newer;
+  }
+}
+
+void AddressCache::push_front(std::uint32_t e) noexcept {
+  Entry& en = entries_[e];
+  en.newer = kNil;
+  en.older = mru_;
+  if (mru_ == kNil) {
+    lru_ = e;
+  } else {
+    entries_[mru_].newer = e;
+  }
+  mru_ = e;
+}
+
+void AddressCache::touch(std::uint32_t e) noexcept {
+  if (e != mru_) {
+    unlink(e);
+    push_front(e);
+  }
+}
+
 std::optional<net::BaseInfo> AddressCache::lookup(const CacheKey& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+  const std::uint32_t* e = index_.find(key);
+  if (e == nullptr) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  return it->second.info;
+  touch(*e);
+  return entries_[*e].info;
+}
+
+std::uint32_t AddressCache::take_entry() {
+  if (max_entries_ != 0 && index_.size() >= max_entries_) {
+    const std::uint32_t victim = lru_;
+    unlink(victim);
+    index_.erase(entries_[victim].key);
+    ++stats_.evictions;
+    return victim;
+  }
+  if (free_ != kNil) {
+    const std::uint32_t e = free_;
+    free_ = entries_[e].older;
+    return e;
+  }
+  if (entries_.size() == entries_.capacity() && max_entries_ != 0) {
+    // Double as usual, but never past the limit.
+    entries_.reserve(std::min(max_entries_,
+                              std::max<std::size_t>(4, 2 * entries_.size())));
+  }
+  entries_.emplace_back();
+  return static_cast<std::uint32_t>(entries_.size() - 1);
 }
 
 void AddressCache::insert(const CacheKey& key, net::BaseInfo info) {
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second.info = info;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  if (const std::uint32_t* e = index_.find(key)) {
+    entries_[*e].info = info;
+    touch(*e);
     return;
   }
-  if (max_entries_ != 0 && map_.size() >= max_entries_) {
-    const CacheKey victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
-    ++stats_.evictions;
-  }
-  lru_.push_front(key);
-  map_.emplace(key, Entry{info, lru_.begin()});
+  const std::uint32_t e = take_entry();
+  entries_[e].key = key;
+  entries_[e].info = info;
+  push_front(e);
+  index_.try_emplace(key, e);
   ++stats_.insertions;
 }
 
-void AddressCache::invalidate_handle(std::uint64_t handle) {
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.handle == handle) {
-      lru_.erase(it->second.lru_pos);
-      it = map_.erase(it);
-      ++stats_.invalidations;
-    } else {
-      ++it;
-    }
+void AddressCache::drop(std::uint32_t e) {
+  unlink(e);
+  index_.erase(entries_[e].key);
+  entries_[e].older = free_;
+  free_ = e;
+  ++stats_.invalidations;
+}
+
+template <class Pred>
+void AddressCache::drop_if(Pred pred) {
+  for (std::uint32_t e = mru_; e != kNil;) {
+    const std::uint32_t older = entries_[e].older;
+    if (pred(entries_[e].key)) drop(e);
+    e = older;
   }
+}
+
+void AddressCache::invalidate_handle(std::uint64_t handle) {
+  drop_if([handle](const CacheKey& k) { return k.handle == handle; });
 }
 
 void AddressCache::invalidate_node(NodeId node) {
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.node == node) {
-      lru_.erase(it->second.lru_pos);
-      it = map_.erase(it);
-      ++stats_.invalidations;
-    } else {
-      ++it;
-    }
-  }
+  drop_if([node](const CacheKey& k) { return k.node == node; });
 }
 
 void AddressCache::invalidate(const CacheKey& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return;
-  lru_.erase(it->second.lru_pos);
-  map_.erase(it);
-  ++stats_.invalidations;
+  if (const std::uint32_t* e = index_.find(key)) drop(*e);
 }
 
 }  // namespace xlupc::core

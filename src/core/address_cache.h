@@ -17,13 +17,19 @@
 // because a cache hit must imply the addressed memory is pinned at the
 // target; under the paper's greedy strategy chunk is always 0 and "the
 // cache tags can simply be the SVD handles".
+//
+// Layout: an open-addressing index (common/flat_map.h) maps each key to a
+// slot of an entry array, and the LRU list runs through the entries by
+// 32-bit indices. Both grow on demand, the entry array only up to the
+// limit: a full cache allocates nothing to insert or evict, and one that
+// is never used (cache off) costs nothing.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "net/message.h"
 
@@ -39,12 +45,10 @@ struct CacheKey {
 
 struct CacheKeyHash {
   std::size_t operator()(const CacheKey& k) const noexcept {
-    std::uint64_t x = k.handle ^ (static_cast<std::uint64_t>(k.node) << 40) ^
-                      (static_cast<std::uint64_t>(k.chunk) << 20);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdull;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
+    const std::uint64_t where =
+        (static_cast<std::uint64_t>(k.node) << 32) | k.chunk;
+    return static_cast<std::size_t>(
+        mix64(k.handle + 0x9e3779b97f4a7c15ull * where));
   }
 };
 
@@ -64,7 +68,8 @@ struct AddressCacheStats {
 
 class AddressCache {
  public:
-  /// `max_entries` = growth limit of the dynamic hash table (paper: 100).
+  /// `max_entries` = growth limit of the dynamic hash table (paper: 100);
+  /// 0 = unbounded.
   explicit AddressCache(std::size_t max_entries) : max_entries_(max_entries) {}
 
   /// Probe for a remote base address; counts a hit or a miss and
@@ -86,20 +91,40 @@ class AddressCache {
   /// Drop one entry (e.g. an RDMA NAK revealed the target unpinned it).
   void invalidate(const CacheKey& key);
 
-  std::size_t size() const noexcept { return map_.size(); }
+  std::size_t size() const noexcept { return index_.size(); }
   std::size_t max_entries() const noexcept { return max_entries_; }
   const AddressCacheStats& stats() const noexcept { return stats_; }
   void reset_stats() { stats_ = {}; }
 
  private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
   struct Entry {
+    CacheKey key;
     net::BaseInfo info;
-    std::list<CacheKey>::iterator lru_pos;
+    std::uint32_t newer = kNil;  ///< toward the most recently used end
+    std::uint32_t older = kNil;  ///< toward the LRU end; free-list link
   };
 
+  void unlink(std::uint32_t e) noexcept;
+  void push_front(std::uint32_t e) noexcept;
+  /// Make `e` the most recently used entry.
+  void touch(std::uint32_t e) noexcept;
+  /// Drop entry `e` as an invalidation: out of the index and the LRU
+  /// list, onto the free list.
+  void drop(std::uint32_t e);
+  /// An entry for a new key: the LRU victim when full, else a freed or
+  /// appended one.
+  std::uint32_t take_entry();
+  template <class Pred>
+  void drop_if(Pred pred);
+
   std::size_t max_entries_;
-  std::unordered_map<CacheKey, Entry, CacheKeyHash> map_;
-  std::list<CacheKey> lru_;  // front = most recently used
+  FlatMap<CacheKey, std::uint32_t, CacheKeyHash> index_;
+  std::vector<Entry> entries_;
+  std::uint32_t mru_ = kNil;
+  std::uint32_t lru_ = kNil;
+  std::uint32_t free_ = kNil;
   AddressCacheStats stats_;
 };
 

@@ -78,14 +78,14 @@ RunReport Runtime::metrics() {
   std::uint64_t pinned_bytes = 0, pin_handles = 0;
   std::uint64_t cap_evictions = 0;
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
-    const AddressCacheStats& s = node(n).cache->stats();
+    const AddressCacheStats& s = node(n).cache.stats();
     cs.hits += s.hits;
     cs.misses += s.misses;
     cs.insertions += s.insertions;
     cs.evictions += s.evictions;
     cs.invalidations += s.invalidations;
-    cache_entries += node(n).cache->size();
-    const mem::PinnedAddressTable& pt = *node(n).pinned;
+    cache_entries += node(n).cache.size();
+    const mem::PinnedAddressTable& pt = node(n).pinned;
     pin_calls += pt.total_pin_calls();
     registrations += pt.total_registrations();
     deregistrations += pt.total_deregistrations();
@@ -273,8 +273,8 @@ void Runtime::reset_metrics() {
   if (detector_) detector_->reset_stats();
   for (auto& th : threads_) th->completion_.reset_stats();
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
-    node(n).cache->reset_stats();
-    node(n).pinned->reset_counters();
+    node(n).cache.reset_stats();
+    node(n).pinned.reset_counters();
   }
   machine_.reset_resource_usage();
   machine_.fabric().reset_stats();

@@ -62,14 +62,11 @@ Runtime::Runtime(RuntimeConfig cfg)
 
   nodes_.reserve(cfg_.nodes);
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
-    Node nd;
-    nd.space = std::make_unique<mem::AddressSpace>(n);
-    nd.dir = std::make_unique<svd::Directory>(threads());
-    nd.pinned =
-        std::make_unique<mem::PinnedAddressTable>(cfg_.pin_strategy, limits);
-    nd.cache = std::make_unique<AddressCache>(
-        cfg_.cache.full_table ? 0 : cfg_.cache.max_entries);
-    nodes_.push_back(std::move(nd));
+    nodes_.push_back(Node{
+        mem::AddressSpace(n), svd::Directory(threads()),
+        mem::PinnedAddressTable(cfg_.pin_strategy, limits),
+        AddressCache(cfg_.cache.full_table ? 0 : cfg_.cache.max_entries),
+        {}, {}});
   }
 
   threads_.reserve(threads());
@@ -129,7 +126,7 @@ void Runtime::on_peer_dead(NodeId corpse) {
   // Address caches: every node drops entries pointing at the corpse (an
   // RDMA-tier hit against a dead node's base address must never happen).
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
-    node(n).cache->invalidate_node(corpse);
+    node(n).cache.invalidate_node(corpse);
   }
   // The corpse's pin-down state died with it.
   transport_.reg_cache_mut(corpse).invalidate_all();
@@ -179,8 +176,8 @@ Task<ArrayDesc> Runtime::all_alloc_spec(UpcThread& th, LayoutSpec spec) {
     cb.kind = svd::ObjectKind::kArray;
     cb.total_bytes = layout->total_bytes();
     cb.local_bytes = layout->node_piece_bytes(th.node());
-    cb.local_base = nd.space->allocate(cb.local_bytes);
-    const svd::Handle h = nd.dir->add_local(svd::kAllPartition, th.id(), cb);
+    cb.local_base = nd.space.allocate(cb.local_bytes);
+    const svd::Handle h = nd.dir.add_local(svd::kAllPartition, th.id(), cb);
     nd.pending_alloc = ArrayDesc{h, std::move(layout)};
     if (cfg_.cache.enabled && cfg_.cache.full_table) {
       publish_bases(th.node(), h);
@@ -211,8 +208,8 @@ Task<ArrayDesc> Runtime::global_alloc_spec(UpcThread& th, LayoutSpec spec,
   cb.kind = kind;
   cb.total_bytes = layout->total_bytes();
   cb.local_bytes = layout->node_piece_bytes(th.node());
-  cb.local_base = nd.space->allocate(cb.local_bytes);
-  const svd::Handle h = nd.dir->add_local(th.id(), th.id(), cb);
+  cb.local_base = nd.space.allocate(cb.local_bytes);
+  const svd::Handle h = nd.dir.add_local(th.id(), th.id(), cb);
   co_await machine_.core(th.node(), th.core()).use(cfg_.platform.svd_lookup);
   if (cfg_.cache.enabled && cfg_.cache.full_table) {
     publish_bases(th.node(), h);
@@ -239,10 +236,10 @@ Task<ArrayDesc> Runtime::global_alloc_spec(UpcThread& th, LayoutSpec spec,
 void Runtime::materialize_piece(NodeId n, svd::Handle h, const Layout& layout,
                                 svd::ObjectKind kind) {
   Node& nd = node(n);
-  nd.dir->add_remote(h, layout.total_bytes(), kind);
-  svd::ControlBlock* cb = nd.dir->find(h);
+  nd.dir.add_remote(h, layout.total_bytes(), kind);
+  svd::ControlBlock* cb = nd.dir.find(h);
   cb->local_bytes = layout.node_piece_bytes(n);
-  cb->local_base = nd.space->allocate(cb->local_bytes);
+  cb->local_base = nd.space.allocate(cb->local_bytes);
   if (cfg_.cache.enabled && cfg_.cache.full_table) {
     publish_bases(n, h);
   }
@@ -250,11 +247,11 @@ void Runtime::materialize_piece(NodeId n, svd::Handle h, const Layout& layout,
 
 void Runtime::publish_bases(NodeId origin, svd::Handle h) {
   Node& nd = node(origin);
-  const svd::ControlBlock* cb = nd.dir->find(h);
+  const svd::ControlBlock* cb = nd.dir.find(h);
   if (cb == nullptr || cb->local_base == kNullAddr || cb->local_bytes == 0) {
     return;
   }
-  const mem::PinResult pr = nd.pinned->pin(cb->local_base, cb->local_bytes);
+  const mem::PinResult pr = nd.pinned.pin(cb->local_base, cb->local_bytes);
   if (!pr.ok) return;
   const net::SvdBasePublish msg{h.pack(), origin, cb->local_base, pr.key};
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
@@ -269,22 +266,22 @@ void Runtime::publish_bases(NodeId origin, svd::Handle h) {
 void Runtime::do_free(NodeId n, svd::Handle h) {
   Node& nd = node(n);
   // Eager invalidation of this node's remote-address cache (Sec. 3.1).
-  nd.cache->invalidate_handle(h.pack());
-  svd::ControlBlock* cb = nd.dir->find(h);
+  nd.cache.invalidate_handle(h.pack());
+  svd::ControlBlock* cb = nd.dir.find(h);
   if (cb == nullptr) return;
   if (cb->local_base != kNullAddr) {
-    nd.pinned->unpin(cb->local_base, cb->local_bytes);
+    nd.pinned.unpin(cb->local_base, cb->local_bytes);
     transport_.reg_cache_mut(n).invalidate(cb->local_base, cb->local_bytes);
-    nd.space->free(cb->local_base);
+    nd.space.free(cb->local_base);
   }
-  nd.dir->remove(h);
+  nd.dir.remove(h);
 }
 
 // ===================================================== data movement ===
 
 Addr Runtime::local_translate(NodeId n, svd::Handle h,
                               std::uint64_t node_offset, std::size_t len) {
-  const svd::ControlBlock* cb = node(n).dir->find(h);
+  const svd::ControlBlock* cb = node(n).dir.find(h);
   if (cb == nullptr || cb->local_base == kNullAddr) {
     throw std::logic_error("Runtime: translation failed on node replica");
   }
@@ -304,7 +301,7 @@ net::AmTarget::GetServe Runtime::serve_get(NodeId target,
 
   GetServe out;
   out.data.resize(req.len);
-  nd.space->read(addr, out.data);
+  nd.space.read(addr, out.data);
   out.src_addr = addr;
 
   if (req.want_base && machine_.faults().pin_fails(target)) {
@@ -313,11 +310,11 @@ net::AmTarget::GetServe Runtime::serve_get(NodeId target,
     // later accesses retry via the AM path.
     ++counters_.pin_failures;
   } else if (req.want_base) {
-    const svd::ControlBlock* cb = nd.dir->find(h);
+    const svd::ControlBlock* cb = nd.dir.find(h);
     const mem::PinResult pr =
         cfg_.pin_strategy == mem::PinStrategy::kGreedy
-            ? nd.pinned->pin(cb->local_base, cb->local_bytes)
-            : nd.pinned->pin(addr, req.len);
+            ? nd.pinned.pin(cb->local_base, cb->local_bytes)
+            : nd.pinned.pin(addr, req.len);
     if (pr.ok) {
       out.base = net::BaseInfo{cb->local_base, pr.key};
       out.reg_new_bytes = pr.new_bytes;
@@ -333,18 +330,18 @@ net::AmTarget::PutServe Runtime::serve_put(NodeId target,
   const svd::Handle h = svd::Handle::unpack(req.svd_handle);
   const Addr addr = local_translate(target, h, req.offset, req.data.size());
   Node& nd = node(target);
-  nd.space->write(addr, req.data);
+  nd.space.write(addr, req.data);
 
   PutServe out;
   out.dst_addr = addr;
   if (req.want_base && machine_.faults().pin_fails(target)) {
     ++counters_.pin_failures;  // injected transient registration failure
   } else if (req.want_base) {
-    const svd::ControlBlock* cb = nd.dir->find(h);
+    const svd::ControlBlock* cb = nd.dir.find(h);
     const mem::PinResult pr =
         cfg_.pin_strategy == mem::PinStrategy::kGreedy
-            ? nd.pinned->pin(cb->local_base, cb->local_bytes)
-            : nd.pinned->pin(addr, req.data.size());
+            ? nd.pinned.pin(cb->local_base, cb->local_bytes)
+            : nd.pinned.pin(addr, req.data.size());
     if (pr.ok) {
       out.base = net::BaseInfo{cb->local_base, pr.key};
       out.reg_new_bytes = pr.new_bytes;
@@ -366,11 +363,11 @@ net::AmTarget::PutServe Runtime::serve_put_rendezvous(
   if (req.want_base && machine_.faults().pin_fails(target)) {
     ++counters_.pin_failures;  // injected transient registration failure
   } else if (req.want_base) {
-    const svd::ControlBlock* cb = nd.dir->find(h);
+    const svd::ControlBlock* cb = nd.dir.find(h);
     const mem::PinResult pr =
         cfg_.pin_strategy == mem::PinStrategy::kGreedy
-            ? nd.pinned->pin(cb->local_base, cb->local_bytes)
-            : nd.pinned->pin(addr, len);
+            ? nd.pinned.pin(cb->local_base, cb->local_bytes)
+            : nd.pinned.pin(addr, len);
     if (pr.ok) {
       out.base = net::BaseInfo{cb->local_base, pr.key};
       out.reg_new_bytes = pr.new_bytes;
@@ -386,19 +383,19 @@ void Runtime::deliver_put_payload(NodeId target, std::uint64_t svd_handle,
                                   net::Bytes&& data) {
   const svd::Handle h = svd::Handle::unpack(svd_handle);
   const Addr addr = local_translate(target, h, offset, data.size());
-  node(target).space->write(addr, data);
+  node(target).space.write(addr, data);
 }
 
 net::RdmaWindow Runtime::rdma_memory(NodeId target, Addr addr,
                                      std::size_t len) {
   Node& nd = node(target);
-  if (!nd.space->contains(addr, len)) {
+  if (!nd.space.contains(addr, len)) {
     throw net::RdmaProtocolError("RDMA to invalid remote address");
   }
-  if (!nd.pinned->is_pinned(addr, len)) {
+  if (!nd.pinned.is_pinned(addr, len)) {
     return net::RdmaWindow{nullptr, net::RdmaNak::kNotPinned};
   }
-  return net::RdmaWindow{nd.space->data(addr, len), net::RdmaNak::kNone};
+  return net::RdmaWindow{nd.space.data(addr, len), net::RdmaNak::kNone};
 }
 
 void Runtime::serve_control(NodeId target, NodeId source,
@@ -412,7 +409,7 @@ void Runtime::serve_control(NodeId target, NodeId source,
   } else if (const auto* free_n = std::get_if<net::SvdFreeNotice>(&msg)) {
     do_free(target, svd::Handle::unpack(free_n->svd_handle));
   } else if (const auto* pub = std::get_if<net::SvdBasePublish>(&msg)) {
-    node(target).cache->insert(
+    node(target).cache.insert(
         CacheKey{pub->svd_handle, pub->origin, 0},
         net::BaseInfo{pub->base, pub->key});
   } else if (const auto* lreq = std::get_if<net::LockRequest>(&msg)) {
@@ -439,11 +436,11 @@ std::uint64_t Runtime::apply_amo(NodeId n, Addr addr, OpKind kind,
   // home's handler-CPU mutual exclusion, the IB offload under the target
   // NIC DMA engine's.
   Node& nd = node(n);
-  const auto old = nd.space->load<std::uint64_t>(addr);
+  const auto old = nd.space.load<std::uint64_t>(addr);
   if (kind == OpKind::kFaa) {
-    nd.space->store<std::uint64_t>(addr, old + operand);
+    nd.space.store<std::uint64_t>(addr, old + operand);
   } else if (old == compare) {
-    nd.space->store<std::uint64_t>(addr, operand);
+    nd.space.store<std::uint64_t>(addr, operand);
   }
   return old;
 }
@@ -510,7 +507,7 @@ void Runtime::debug_read(const ArrayDesc& a, std::uint64_t elem,
   const NodeId owner = a.layout->node_of(loc.thread);
   const Addr addr = local_translate(owner, a.handle, a.layout->node_offset(loc),
                                     out.size());
-  node(owner).space->read(addr, out);
+  node(owner).space.read(addr, out);
 }
 
 void Runtime::debug_write(const ArrayDesc& a, std::uint64_t elem,
@@ -519,7 +516,7 @@ void Runtime::debug_write(const ArrayDesc& a, std::uint64_t elem,
   const NodeId owner = a.layout->node_of(loc.thread);
   const Addr addr = local_translate(owner, a.handle, a.layout->node_offset(loc),
                                     in.size());
-  node(owner).space->write(addr, in);
+  node(owner).space.write(addr, in);
 }
 
 void Runtime::warm_address_cache(const ArrayDesc& a) {
@@ -533,11 +530,11 @@ void Runtime::warm_address_cache(const ArrayDesc& a) {
   std::vector<Home> homes;
   for (NodeId target = 0; target < cfg_.nodes; ++target) {
     Node& tn = node(target);
-    const svd::ControlBlock* cb = tn.dir->find(a.handle);
+    const svd::ControlBlock* cb = tn.dir.find(a.handle);
     if (cb == nullptr || cb->local_base == kNullAddr || cb->local_bytes == 0) {
       continue;
     }
-    const mem::PinResult pr = tn.pinned->pin(cb->local_base, cb->local_bytes);
+    const mem::PinResult pr = tn.pinned.pin(cb->local_base, cb->local_bytes);
     if (!pr.ok) continue;
     const std::uint32_t chunks =
         cfg_.pin_strategy == mem::PinStrategy::kChunked
@@ -553,7 +550,7 @@ void Runtime::warm_address_cache(const ArrayDesc& a) {
   // before: insert only that suffix, O(nodes × K) rather than O(nodes²).
   // An unbounded cache (max_entries() == 0) gets every key.
   for (NodeId init = 0; init < cfg_.nodes; ++init) {
-    AddressCache& cache = *node(init).cache;
+    AddressCache& cache = node(init).cache;
     std::uint64_t room = cache.max_entries() == 0
                              ? std::numeric_limits<std::uint64_t>::max()
                              : cache.max_entries();
@@ -574,7 +571,7 @@ void Runtime::warm_address_cache(const ArrayDesc& a) {
       }
     }
   }
-  for (NodeId n = 0; n < cfg_.nodes; ++n) node(n).cache->reset_stats();
+  for (NodeId n = 0; n < cfg_.nodes; ++n) node(n).cache.reset_stats();
 }
 
 // ===================================================== UpcThread =======
@@ -944,7 +941,7 @@ Task<LockDesc> UpcThread::lock_alloc() {
   cb.total_bytes = 0;
   cb.local_base = kNullAddr;
   cb.local_bytes = 0;
-  const svd::Handle h = rt_->node(node_).dir->add_local(id_, id_, cb);
+  const svd::Handle h = rt_->node(node_).dir.add_local(id_, id_, cb);
   co_await rt_->machine_.core(node_, core_).use(rt_->cfg_.platform.svd_lookup);
   co_return LockDesc{h, id_};
 }

@@ -281,10 +281,10 @@ class Runtime final : public net::AmTarget {
   net::Transport& transport() noexcept { return transport_; }
   sim::Time elapsed() const noexcept { return sim_.now(); }
 
-  AddressCache& cache(NodeId n) { return *node(n).cache; }
-  mem::PinnedAddressTable& pinned(NodeId n) { return *node(n).pinned; }
-  mem::AddressSpace& memory(NodeId n) { return *node(n).space; }
-  svd::Directory& directory(NodeId n) { return *node(n).dir; }
+  AddressCache& cache(NodeId n) { return node(n).cache; }
+  mem::PinnedAddressTable& pinned(NodeId n) { return node(n).pinned; }
+  mem::AddressSpace& memory(NodeId n) { return node(n).space; }
+  svd::Directory& directory(NodeId n) { return node(n).dir; }
   const OpCounters& counters() const noexcept { return counters_; }
   UpcThread& thread(ThreadId t) { return *threads_.at(t); }
   Tracer& tracer() noexcept { return tracer_; }
@@ -362,10 +362,10 @@ class Runtime final : public net::AmTarget {
   };
 
   struct Node {
-    std::unique_ptr<mem::AddressSpace> space;
-    std::unique_ptr<svd::Directory> dir;
-    std::unique_ptr<mem::PinnedAddressTable> pinned;
-    std::unique_ptr<AddressCache> cache;
+    mem::AddressSpace space;
+    svd::Directory dir;
+    mem::PinnedAddressTable pinned;
+    AddressCache cache;
     std::unordered_map<std::uint64_t, LockState> locks;  // homed here
     ArrayDesc pending_alloc;  // collective publication slot
   };

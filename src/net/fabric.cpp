@@ -135,7 +135,7 @@ std::uint64_t Fabric::route_load(NodeId src, NodeId dst,
     // the report's resource list).
     const auto it = ports_.find(path.key[i]);
     if (it == ports_.end()) continue;
-    load += it->second.buf->in_use() + it->second.buf->queue_length();
+    load += it->second.buf.in_use() + it->second.buf.queue_length();
   }
   return load;
 }
@@ -166,26 +166,22 @@ std::string Fabric::port_name(std::uint64_t key) const {
 Fabric::Port& Fabric::port(std::uint64_t key) {
   auto it = ports_.find(key);
   if (it != ports_.end()) return it->second;
-  const std::string name = port_name(key);
-  Port p;
-  p.buf = std::make_unique<sim::Resource>(*sim_, config_.port_credits,
-                                          name + ".buf");
-  p.wire = std::make_unique<sim::Resource>(*sim_, 1, name + ".wire");
-  return ports_.emplace(key, std::move(p)).first->second;
+  return ports_.try_emplace(key, *sim_, config_.port_credits, port_name(key))
+      .first->second;
 }
 
 void Fabric::for_each_port(
     const std::function<void(const sim::Resource&)>& fn) const {
   for (const auto& [key, p] : ports_) {
-    fn(*p.buf);
-    fn(*p.wire);
+    fn(p.buf);
+    fn(p.wire);
   }
 }
 
 void Fabric::reset_port_usage() {
   for (auto& [key, p] : ports_) {
-    p.buf->reset_usage();
-    p.wire->reset_usage();
+    p.buf.reset_usage();
+    p.wire.reset_usage();
   }
 }
 
@@ -243,27 +239,27 @@ Task<void> Fabric::transit_on(NodeId src, NodeId dst, std::uint64_t bytes,
   Port* cur = &port(path.key[0]);
   {
     const sim::Time t0 = sim.now();
-    co_await cur->buf->acquire();
+    co_await cur->buf.acquire();
     if (sim.now() != t0) {
       ++stats_.credit_waits;
       stats_.credit_wait_ns += sim.now() - t0;
     }
   }
   for (std::uint32_t i = 0; i < path.n; ++i) {
-    co_await cur->wire->acquire();
+    co_await cur->wire.acquire();
     if (ser != 0) co_await sim.delay(ser);
     Port* next = nullptr;
     if (i + 1 < path.n) {
       next = &port(path.key[i + 1]);
       const sim::Time t0 = sim.now();
-      co_await next->buf->acquire();
+      co_await next->buf.acquire();
       if (sim.now() != t0) {
         ++stats_.credit_waits;
         stats_.credit_wait_ns += sim.now() - t0;
       }
     }
-    cur->wire->release();
-    cur->buf->release();
+    cur->wire.release();
+    cur->buf.release();
     // Per-hop propagation; the wire is already free for the next
     // serialization (propagation pipelines, store-and-forward does not).
     co_await sim.delay(params_->hop_latency);

@@ -38,7 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
+#include <string>
 
 #include "common/types.h"
 #include "net/params.h"
@@ -134,10 +134,13 @@ class Fabric {
  private:
   /// One switch egress port: `buf` holds the finite buffer slots (the
   /// credit window advertised to the upstream hop), `wire` is the
-  /// single-lane egress link that serializes one message at a time.
+  /// single-lane egress link that serializes one message at a time. Held
+  /// in place in the ports map, whose nodes never move.
   struct Port {
-    std::unique_ptr<sim::Resource> buf;
-    std::unique_ptr<sim::Resource> wire;
+    Port(sim::Simulator& sim, std::uint64_t credits, const std::string& name)
+        : buf(sim, credits, name + ".buf"), wire(sim, 1, name + ".wire") {}
+    sim::Resource buf;
+    sim::Resource wire;
   };
 
   /// Egress-port levels across the three topologies. Values are packed

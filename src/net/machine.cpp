@@ -10,43 +10,37 @@ Machine::Machine(sim::Simulator& sim, PlatformParams params,
       params_(std::move(params)),
       config_(std::move(config)),
       faults_(config_.faults),
-      fabric_(sim, params_, config_.fabric) {
+      fabric_(sim, params_, config_.fabric),
+      slots_(config_.cores_per_node + 3) {
   if (config_.nodes == 0 || config_.cores_per_node == 0) {
     throw std::invalid_argument("Machine: nodes and cores must be positive");
   }
-  nodes_.reserve(config_.nodes);
+  // Reserved once and never resized: a queued awaiter holds the address
+  // of the Resource it waits on, so the array must not relocate.
+  resources_.reserve(static_cast<std::size_t>(config_.nodes) * slots_);
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {
     // Appended piecewise: GCC 12's -Wrestrict misfires on "n" + str + ".".
     std::string prefix = "n";
     prefix += std::to_string(n);
     prefix += '.';
-    Node node;
-    node.cores.reserve(config_.cores_per_node);
     for (std::uint32_t c = 0; c < config_.cores_per_node; ++c) {
-      node.cores.push_back(std::make_unique<sim::Resource>(
-          sim, 1, prefix + "core" + std::to_string(c)));
+      resources_.emplace_back(sim, 1, prefix + "core" + std::to_string(c));
     }
     // Communication processors: LAPI-style transports dispatch header
     // handlers on a small pool of service (SMT) threads per node.
-    node.comm = std::make_unique<sim::Resource>(
+    resources_.emplace_back(
         sim, std::max<std::uint32_t>(2, config_.cores_per_node / 4),
         prefix + "comm");
-    node.tx = std::make_unique<sim::Resource>(sim, 1, prefix + "nic_tx");
+    resources_.emplace_back(sim, 1, prefix + "nic_tx");
     // NICs carry independent send/receive DMA engines; one-sided traffic
     // in both directions can overlap.
-    node.dma = std::make_unique<sim::Resource>(sim, 2, prefix + "nic_dma");
-    nodes_.push_back(std::move(node));
+    resources_.emplace_back(sim, 2, prefix + "nic_dma");
   }
 }
 
 void Machine::for_each_resource(
     const std::function<void(const sim::Resource&)>& fn) const {
-  for (const Node& node : nodes_) {
-    for (const auto& core : node.cores) fn(*core);
-    fn(*node.comm);
-    fn(*node.tx);
-    fn(*node.dma);
-  }
+  for (const sim::Resource& r : resources_) fn(r);
   // Fabric ports trail the node resources; none exist (and none are ever
   // created) when the fabric is disabled, so default-config reports are
   // untouched.
@@ -54,23 +48,34 @@ void Machine::for_each_resource(
 }
 
 void Machine::reset_resource_usage() {
-  for (Node& node : nodes_) {
-    for (auto& core : node.cores) core->reset_usage();
-    node.comm->reset_usage();
-    node.tx->reset_usage();
-    node.dma->reset_usage();
-  }
+  for (sim::Resource& r : resources_) r.reset_usage();
   fabric_.reset_port_usage();
 }
 
-sim::Resource& Machine::core(NodeId node, std::uint32_t core) {
-  return *nodes_.at(node).cores.at(core);
+sim::Resource& Machine::at(NodeId node, std::uint32_t slot) {
+  if (node >= config_.nodes) {
+    throw std::out_of_range("Machine: node beyond the machine");
+  }
+  return resources_[static_cast<std::size_t>(node) * slots_ + slot];
 }
 
-sim::Resource& Machine::comm_cpu(NodeId node) { return *nodes_.at(node).comm; }
+sim::Resource& Machine::core(NodeId node, std::uint32_t core) {
+  if (core >= config_.cores_per_node) {
+    throw std::out_of_range("Machine: core beyond the node");
+  }
+  return at(node, core);
+}
 
-sim::Resource& Machine::nic_tx(NodeId node) { return *nodes_.at(node).tx; }
+sim::Resource& Machine::comm_cpu(NodeId node) {
+  return at(node, config_.cores_per_node);
+}
 
-sim::Resource& Machine::nic_dma(NodeId node) { return *nodes_.at(node).dma; }
+sim::Resource& Machine::nic_tx(NodeId node) {
+  return at(node, config_.cores_per_node + 1);
+}
+
+sim::Resource& Machine::nic_dma(NodeId node) {
+  return at(node, config_.cores_per_node + 2);
+}
 
 }  // namespace xlupc::net

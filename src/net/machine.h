@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -82,19 +81,19 @@ class Machine {
   }
 
  private:
-  struct Node {
-    std::vector<std::unique_ptr<sim::Resource>> cores;
-    std::unique_ptr<sim::Resource> comm;
-    std::unique_ptr<sim::Resource> tx;
-    std::unique_ptr<sim::Resource> dma;
-  };
+  /// Resource `slot` of `node`; slots 0..cores-1 are the cores, then come
+  /// the comm CPU, NIC tx and NIC dma. Throws std::out_of_range for a
+  /// node beyond the machine.
+  sim::Resource& at(NodeId node, std::uint32_t slot);
 
   sim::Simulator* sim_;
   PlatformParams params_;
   MachineConfig config_;
   sim::FaultPlan faults_;
   Fabric fabric_;
-  std::vector<Node> nodes_;
+  std::uint32_t slots_;  ///< resources per node: cores + 3
+  /// Every node's resources in place, node-major, `slots_` per node.
+  std::vector<sim::Resource> resources_;
 };
 
 }  // namespace xlupc::net

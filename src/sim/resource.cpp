@@ -14,18 +14,31 @@ void Resource::grant_one() {
   ++in_use_;
 }
 
+void Resource::enqueue(Waiter* w) noexcept {
+  w->enqueued = sim_->now();
+  if (tail_ == nullptr) {
+    head_ = w;
+  } else {
+    tail_->next = w;
+  }
+  tail_ = w;
+  ++queued_;
+}
+
 void Resource::release() {
   if (in_use_ == 0) {
     throw std::logic_error("Resource::release without acquire");
   }
-  if (!queue_.empty()) {
+  if (head_ != nullptr) {
     // Hand the unit directly to the first waiter: in_use_ stays constant
     // (the unit remains reserved for the waiter until it resumes).
     ++pending_handoffs_;
-    Waiter w = std::move(queue_.front());
-    queue_.pop_front();
-    queue_wait_accum_ += sim_->now() - w.enqueued;
-    sim_->post(std::move(w.cb));
+    Waiter* w = head_;
+    head_ = w->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    --queued_;
+    queue_wait_accum_ += sim_->now() - w->enqueued;
+    sim_->post(Callback([w] { w->on_handoff(); }));
   } else {
     account();
     --in_use_;

@@ -10,7 +10,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/simulator.h"
@@ -24,84 +23,87 @@ class Resource {
       : sim_(&sim), capacity_(capacity), name_(std::move(name)) {}
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
+  /// Only for building a container of idle resources: queued awaiters and
+  /// their grant events hold a Resource's address, so a container must
+  /// never relocate its resources once simulated processes use them.
+  Resource(Resource&&) noexcept = default;
 
+ private:
+  static constexpr Duration kNoRelease = ~Duration{0};
+
+  /// The awaiter of acquire() and use(). While its coroutine waits for a
+  /// unit it is linked into the resource's FIFO through `next`, so a
+  /// queued waiter costs no allocation; it lives in the suspended
+  /// coroutine's frame, which does not move.
+  struct Waiter {
+    Resource* r;
+    Duration hold;  ///< use(): hold time; acquire(): kNoRelease
+    std::coroutine_handle<> cont{};
+    Waiter* next = nullptr;
+    Time enqueued = 0;
+
+    bool await_ready() {
+      // Fully synchronous when the unit is free and no hold follows
+      // (acquire's ready path, or use() with delay(0)'s no-suspend path).
+      if (!r->can_grant_now() || (hold != 0 && hold != kNoRelease)) {
+        return false;
+      }
+      r->granted();
+      if (hold == 0) r->release();
+      return true;
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      cont = h;
+      if (r->can_grant_now()) {
+        r->granted();
+        start_hold();
+      } else {
+        r->enqueue(this);
+      }
+    }
+    void await_resume() const noexcept {}
+
+    /// The unit was handed over in release(): run the rest of the grant.
+    void on_handoff() {
+      r->granted();
+      if (hold == kNoRelease) {
+        cont.resume();
+      } else if (hold == 0) {
+        r->release();
+        cont.resume();
+      } else {
+        start_hold();
+      }
+    }
+    // Unit held: schedule the release at the end of the hold.
+    void start_hold() {
+      r->sim_->schedule_after(hold, Callback([this] {
+                                r->release();
+                                cont.resume();
+                              }));
+    }
+  };
+
+ public:
   /// Awaitable acquisition of one capacity unit (FIFO). When a unit is
   /// released to a queued waiter it stays reserved until that waiter runs,
   /// so later arrivals can never overtake the queue.
-  auto acquire() {
-    struct Awaiter {
-      Resource* r;
-      bool await_ready() const noexcept { return r->can_grant_now(); }
-      void await_suspend(std::coroutine_handle<> h) {
-        r->queue_.push_back(Waiter{resume_callback(h), r->sim_->now()});
-      }
-      void await_resume() const { r->granted(); }
-    };
-    return Awaiter{this};
-  }
+  Waiter acquire() { return Waiter{this, kNoRelease}; }
 
   /// Release one previously acquired unit.
   void release();
 
   /// Convenience: acquire, hold for `d`, release — the single hottest
   /// pattern in the runtime (every CPU charge, every NIC injection).
-  /// Implemented as a frameless awaiter rather than a Task<> coroutine:
-  /// the acquire/delay/release sequence needs no frame of its own, which
-  /// removes one coroutine allocation + teardown per hardware charge.
-  /// Event scheduling is identical to the coroutine form, so simulations
-  /// are byte-for-byte unchanged.
-  auto use(Duration d) {
-    struct UseAwaiter {
-      Resource* r;
-      Duration d;
-      std::coroutine_handle<> cont;
-
-      bool await_ready() {
-        // Fully synchronous when the unit is free and the hold is zero
-        // (mirrors acquire's ready path + delay(0)'s no-suspend path).
-        if (r->can_grant_now() && d == 0) {
-          r->granted();
-          r->release();
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        cont = h;
-        if (r->can_grant_now()) {
-          r->granted();
-          hold();
-        } else {
-          r->queue_.push_back(
-              Waiter{Callback([this] {
-                       r->granted();
-                       if (d == 0) {
-                         r->release();
-                         cont.resume();
-                       } else {
-                         hold();
-                       }
-                     }),
-                     r->sim_->now()});
-        }
-      }
-      void await_resume() const noexcept {}
-
-      // Unit held: schedule the release at the end of the hold.
-      void hold() {
-        r->sim_->schedule_after(d, Callback([this] {
-                                  r->release();
-                                  cont.resume();
-                                }));
-      }
-    };
-    return UseAwaiter{this, d, {}};
-  }
+  /// The awaiter needs no coroutine frame of its own; acquire() and use()
+  /// waiters share one FIFO. Event scheduling is identical to an
+  /// acquire/delay/release coroutine.
+  Waiter use(Duration d) { return Waiter{this, d}; }
 
   const std::string& name() const noexcept { return name_; }
   std::uint64_t capacity() const noexcept { return capacity_; }
   std::uint64_t in_use() const noexcept { return in_use_; }
-  std::uint64_t queue_length() const noexcept { return queue_.size(); }
+  std::uint64_t queue_length() const noexcept { return queued_; }
 
   /// Accumulated unit-busy nanoseconds (integral of in_use over time)
   /// since construction or the last reset_usage().
@@ -125,15 +127,10 @@ class Resource {
   void reset_usage();
 
  private:
-  struct Waiter {
-    Callback cb;  ///< resumes the waiter (or runs a UseAwaiter grant)
-    Time enqueued;
-  };
-
   /// A fresh acquire can proceed immediately: a unit is free and nobody
   /// is queued ahead (released units stay reserved for queued waiters).
   bool can_grant_now() const noexcept {
-    return in_use_ < capacity_ && queue_.empty() && pending_handoffs_ == 0;
+    return in_use_ < capacity_ && head_ == nullptr && pending_handoffs_ == 0;
   }
   /// Bookkeeping common to every successful acquisition.
   void granted() {
@@ -147,18 +144,22 @@ class Resource {
 
   void grant_one();
   void account() const;
+  void enqueue(Waiter* w) noexcept;
 
+  // What every grant and release touches comes first.
   Simulator* sim_;
   std::uint64_t capacity_;
-  std::string name_;
   std::uint64_t in_use_ = 0;
-  std::deque<Waiter> queue_;
-  mutable std::uint64_t pending_handoffs_ = 0;
+  std::uint64_t pending_handoffs_ = 0;
   mutable Time last_change_ = 0;
   mutable Duration busy_accum_ = 0;
-  Duration queue_wait_accum_ = 0;
   std::uint64_t acquisitions_ = 0;
+  Waiter* head_ = nullptr;  ///< FIFO of queued waiters
+  Waiter* tail_ = nullptr;
+  std::uint64_t queued_ = 0;
+  Duration queue_wait_accum_ = 0;
   Time usage_epoch_ = 0;
+  std::string name_;
 };
 
 }  // namespace xlupc::sim

@@ -26,8 +26,8 @@ Handle Directory::add_local(std::uint32_t partition, ThreadId writer,
         "Directory::add_local: thread may only write its own partition");
   }
   check_partition(partition);
-  const Handle h{partition, next_index_[partition]++};
-  entries_.emplace(h, cb);
+  const Handle h{partition, (*next_index_.try_emplace(partition).first)++};
+  entries_.try_emplace(h, cb);
   ++adds_;
   return h;
 }
@@ -40,18 +40,17 @@ void Directory::add_remote(Handle h, std::uint64_t total_bytes,
   cb.total_bytes = total_bytes;
   // No local address: translation for this object is impossible on this
   // replica — that is the point of the design.
-  entries_.emplace(h, cb);
+  entries_.try_emplace(h, cb);
   // Keep index allocation ahead of remotely-announced handles so a later
   // local allocation cannot collide.
-  std::uint32_t& next = next_index_[h.partition];
+  std::uint32_t& next = *next_index_.try_emplace(h.partition).first;
   if (h.index >= next) next = h.index + 1;
   ++adds_;
 }
 
 ControlBlock* Directory::find(Handle h) {
   check_partition(h.partition);
-  auto it = entries_.find(h);
-  return it == entries_.end() ? nullptr : &it->second;
+  return entries_.find(h);
 }
 
 const ControlBlock* Directory::find(Handle h) const {
@@ -76,7 +75,7 @@ Addr Directory::translate(Handle h, std::uint64_t offset) const {
 
 bool Directory::remove(Handle h) {
   check_partition(h.partition);
-  const bool erased = entries_.erase(h) > 0;
+  const bool erased = entries_.erase(h);
   if (erased) ++removes_;
   return erased;
 }
@@ -84,7 +83,9 @@ bool Directory::remove(Handle h) {
 std::size_t Directory::partition_size(std::uint32_t partition) const {
   check_partition(partition);
   std::size_t n = 0;
-  for (const auto& [h, cb] : entries_) n += h.partition == partition;
+  entries_.for_each([&](const Handle& h, const ControlBlock&) {
+    n += h.partition == partition;
+  });
   return n;
 }
 

@@ -12,8 +12,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "svd/handle.h"
 
@@ -55,7 +55,10 @@ class Directory {
   /// The control block has no local address on this replica.
   void add_remote(Handle h, std::uint64_t total_bytes, ObjectKind kind);
 
-  /// Find the control block, or nullptr if unknown/freed.
+  /// Find the control block, or nullptr if unknown/freed. The pointer is
+  /// valid only until the next add_local, add_remote or remove: the
+  /// entries live in one flat table that moves them when it grows or
+  /// closes a gap.
   ControlBlock* find(Handle h);
   const ControlBlock* find(Handle h) const;
 
@@ -87,8 +90,8 @@ class Directory {
   std::uint32_t threads_;
   // Sparse: a replica stores only the objects it knows and the partitions
   // that have been written, so memory is O(objects), not O(threads).
-  std::unordered_map<Handle, ControlBlock, HandleHash> entries_;
-  std::unordered_map<std::uint32_t, std::uint32_t> next_index_;
+  FlatMap<Handle, ControlBlock, HandleHash> entries_;
+  FlatMap<std::uint32_t, std::uint32_t> next_index_;
   std::uint64_t adds_ = 0;
   std::uint64_t removes_ = 0;
 };

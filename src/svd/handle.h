@@ -6,7 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+
+#include "common/flat_map.h"
 
 namespace xlupc::svd {
 
@@ -34,7 +35,7 @@ struct Handle {
 
 struct HandleHash {
   std::size_t operator()(const Handle& h) const noexcept {
-    return std::hash<std::uint64_t>{}(h.pack());
+    return static_cast<std::size_t>(mix64(h.pack()));
   }
 };
 

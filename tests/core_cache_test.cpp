@@ -1,10 +1,15 @@
 // Tests for the remote address cache — the paper's core data structure.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/address_cache.h"
 #include "sim/rng.h"
+#include "svd/handle.h"
 
 namespace xlupc::core {
 namespace {
@@ -103,6 +108,188 @@ TEST(AddressCache, ResetStatsKeepsEntries) {
   cache.reset_stats();
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+// --- differential test against the node-based implementation -------------
+
+// The address cache over node-based containers: an unordered_map of
+// entries plus a std::list of keys in LRU order. It is the reference the
+// random op streams below are checked against.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(std::size_t max_entries)
+      : max_entries_(max_entries) {}
+
+  std::optional<net::BaseInfo> lookup(const CacheKey& key) {
+    auto it = map_.find(key);
+    if (it == map_.end()) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    return it->second.info;
+  }
+
+  void insert(const CacheKey& key, net::BaseInfo info) {
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      it->second.info = info;
+      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+      return;
+    }
+    if (max_entries_ != 0 && map_.size() >= max_entries_) {
+      map_.erase(lru_.back());
+      lru_.pop_back();
+      ++stats_.evictions;
+    }
+    lru_.push_front(key);
+    map_.emplace(key, Entry{info, lru_.begin()});
+    ++stats_.insertions;
+  }
+
+  void invalidate_handle(std::uint64_t handle) {
+    drop_if([&](const CacheKey& k) { return k.handle == handle; });
+  }
+  void invalidate_node(NodeId node) {
+    drop_if([&](const CacheKey& k) { return k.node == node; });
+  }
+  void invalidate(const CacheKey& key) {
+    auto it = map_.find(key);
+    if (it == map_.end()) return;
+    lru_.erase(it->second.lru_pos);
+    map_.erase(it);
+    ++stats_.invalidations;
+  }
+
+  std::size_t size() const { return map_.size(); }
+  const AddressCacheStats& stats() const { return stats_; }
+
+ private:
+  struct Entry {
+    net::BaseInfo info;
+    std::list<CacheKey>::iterator lru_pos;
+  };
+
+  template <class Pred>
+  void drop_if(Pred pred) {
+    for (auto it = map_.begin(); it != map_.end();) {
+      if (pred(it->first)) {
+        lru_.erase(it->second.lru_pos);
+        it = map_.erase(it);
+        ++stats_.invalidations;
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  std::size_t max_entries_;
+  std::unordered_map<CacheKey, Entry, CacheKeyHash> map_;
+  std::list<CacheKey> lru_;  // front = most recently used
+  AddressCacheStats stats_;
+};
+
+// The key universe: 4 handles x 12 nodes x 3 chunks, so keys share
+// handles, nodes and chunks and every invalidation form drops several
+// entries.
+constexpr std::uint32_t kKeys = 4 * 12 * 3;
+CacheKey key_at(std::uint32_t i) {
+  static const std::uint64_t handles[] = {
+      svd::Handle{svd::kAllPartition, 0}.pack(),
+      svd::Handle{svd::kAllPartition, 1}.pack(), svd::Handle{3, 0}.pack(),
+      svd::Handle{7, 2}.pack()};
+  return CacheKey{handles[i % 4], (i / 4) % 12, i / 48};
+}
+
+void expect_same_stats(const AddressCacheStats& got,
+                       const AddressCacheStats& want, const std::string& at) {
+  EXPECT_EQ(got.hits, want.hits) << at;
+  EXPECT_EQ(got.misses, want.misses) << at;
+  EXPECT_EQ(got.insertions, want.insertions) << at;
+  EXPECT_EQ(got.evictions, want.evictions) << at;
+  EXPECT_EQ(got.invalidations, want.invalidations) << at;
+}
+
+struct CachePair {
+  AddressCache cache;
+  ReferenceCache ref;
+};
+
+// Run `ops` seeded random operations on both caches, comparing every
+// result, size() and every statistic after each one.
+void run_stream(CachePair& p, std::uint64_t seed, int ops) {
+  sim::Rng rng(seed);
+  for (int i = 0; i < ops; ++i) {
+    const std::string at = "seed " + std::to_string(seed) + " op " +
+                           std::to_string(i);
+    const CacheKey key = key_at(static_cast<std::uint32_t>(rng.below(kKeys)));
+    const std::uint64_t op = rng.below(100);
+    if (op < 45) {
+      const auto got = p.cache.lookup(key);
+      const auto want = p.ref.lookup(key);
+      ASSERT_EQ(got.has_value(), want.has_value()) << at;
+      if (want) {
+        EXPECT_EQ(got->base, want->base) << at;
+        EXPECT_EQ(got->key, want->key) << at;
+      }
+    } else if (op < 85) {
+      const net::BaseInfo info{0x1000 + rng.below(1u << 20), rng.next_u64()};
+      p.cache.insert(key, info);
+      p.ref.insert(key, info);
+    } else if (op < 93) {
+      p.cache.invalidate(key);
+      p.ref.invalidate(key);
+    } else if (op < 97) {
+      p.cache.invalidate_handle(key.handle);
+      p.ref.invalidate_handle(key.handle);
+    } else {
+      p.cache.invalidate_node(key.node);
+      p.ref.invalidate_node(key.node);
+    }
+    ASSERT_EQ(p.cache.size(), p.ref.size()) << at;
+    expect_same_stats(p.cache.stats(), p.ref.stats(), at);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(AddressCacheDifferential, MatchesListAndMapReference) {
+  constexpr int kOps = 4000;
+  for (const std::size_t capacity : {0u, 1u, 3u, 100u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
+                   std::to_string(seed));
+      const std::uint64_t stream = seed * 1000 + capacity;
+      std::size_t final_size = 0;
+      {
+        CachePair p{AddressCache(capacity), ReferenceCache(capacity)};
+        run_stream(p, stream, kOps);
+        if (HasFailure()) return;
+        final_size = p.ref.size();
+      }
+      // Pin the final LRU order without reading it: replay the stream,
+      // insert m fresh keys (each evicts the oldest entry when full), and
+      // see which keys survive. The survivors for m = 0, 1, 2, ... fix the
+      // whole order; a lookup pass reorders the cache, hence the replay.
+      for (std::size_t m = 0; m <= final_size; ++m) {
+        CachePair p{AddressCache(capacity), ReferenceCache(capacity)};
+        run_stream(p, stream, kOps);
+        for (std::uint32_t i = 0; i < m; ++i) {
+          const CacheKey fresh{0xf00dull << 32, 0, i};
+          p.cache.insert(fresh, net::BaseInfo{});
+          p.ref.insert(fresh, net::BaseInfo{});
+        }
+        for (std::uint32_t i = 0; i < kKeys; ++i) {
+          const CacheKey k = key_at(i);
+          ASSERT_EQ(p.cache.lookup(k).has_value(), p.ref.lookup(k).has_value())
+              << "after " << m << " fresh keys: handle " << k.handle
+              << " node " << k.node << " chunk " << k.chunk;
+        }
+        expect_same_stats(p.cache.stats(), p.ref.stats(),
+                          "after " + std::to_string(m) + " fresh keys");
+      }
+    }
+  }
 }
 
 // The paper's key working-set property (Fig. 8a): with uniform random

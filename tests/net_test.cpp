@@ -119,6 +119,9 @@ TEST(Machine, ProvidesPerNodeResources) {
   }
   EXPECT_THROW(m.core(0, 2), std::out_of_range);
   EXPECT_THROW(m.core(4, 0), std::out_of_range);
+  EXPECT_THROW(m.comm_cpu(4), std::out_of_range);
+  EXPECT_THROW(m.nic_tx(4), std::out_of_range);
+  EXPECT_THROW(m.nic_dma(4), std::out_of_range);
 }
 
 TEST(Machine, RejectsZeroConfig) {

@@ -251,6 +251,64 @@ TEST(Resource, QueueLengthVisibleWhileContended) {
   EXPECT_EQ(r.in_use(), 0u);
 }
 
+TEST(Resource, AcquireAndUseWaitersShareOneFifo) {
+  // A holds [0,10) through acquire(). While it holds, B (use 5), C
+  // (acquire, then holds 3), D (use 0) and E (use 2) queue at t = 1..4 in
+  // that order. Each release hands the unit to the next waiter, whichever
+  // call it queued through, so they are granted back to back: B at 10, C
+  // at 15, D at 18 (its zero hold releases at once), E at 18.
+  Simulator sim;
+  Resource r(sim, 1);
+  struct Done {
+    char who;
+    Time at;
+  };
+  std::vector<Done> done;
+  sim.spawn([](Simulator& s, Resource& res, std::vector<Done>& d) -> Task<> {
+    co_await res.acquire();
+    d.push_back({'A', s.now()});
+    co_await s.delay(us(10));
+    res.release();
+  }(sim, r, done));
+  const auto user = [](Simulator& s, Resource& res, std::vector<Done>& d,
+                       char who, double arrive, double hold) -> Task<> {
+    co_await s.delay(us(arrive));
+    co_await res.use(us(hold));
+    d.push_back({who, s.now()});  // resumes once the hold is over
+  };
+  sim.spawn(user(sim, r, done, 'B', 1, 5));
+  sim.spawn([](Simulator& s, Resource& res, std::vector<Done>& d) -> Task<> {
+    co_await s.delay(us(2));
+    co_await res.acquire();
+    d.push_back({'C', s.now()});  // resumes at the grant
+    co_await s.delay(us(3));
+    res.release();
+  }(sim, r, done));
+  sim.spawn(user(sim, r, done, 'D', 3, 0));
+  sim.spawn(user(sim, r, done, 'E', 4, 2));
+
+  std::vector<std::uint64_t> queued;
+  for (const double t : {0.5, 4.5, 12.0, 16.0, 18.5}) {
+    sim.schedule_at(us(t), [&] { queued.push_back(r.queue_length()); });
+  }
+  sim.run();
+
+  ASSERT_EQ(done.size(), 5u);
+  const std::vector<char> order{'A', 'B', 'C', 'D', 'E'};
+  const std::vector<Time> at{0, us(15), us(15), us(18), us(20)};
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    EXPECT_EQ(done[i].who, order[i]) << i;
+    EXPECT_EQ(done[i].at, at[i]) << done[i].who;
+  }
+  EXPECT_EQ(queued, (std::vector<std::uint64_t>{0, 4, 3, 2, 0}));
+  // Waits from queueing to grant: B 10-1, C 15-2, D 18-3, E 18-4.
+  EXPECT_EQ(r.queue_wait_time(), us(9 + 13 + 15 + 14));
+  EXPECT_EQ(r.acquisitions(), 5u);
+  EXPECT_EQ(r.busy_time(), us(20));
+  EXPECT_EQ(r.in_use(), 0u);
+  EXPECT_EQ(sim.now(), us(20));
+}
+
 // Property sweep: N producers through a capacity-C resource always finish
 // at ceil(N/C)*hold and never exceed capacity.
 class ResourceProperty

@@ -2,9 +2,13 @@
 // single-writer rule, home-only translation and replica consistency.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
+#include "sim/rng.h"
 #include "svd/directory.h"
 #include "svd/handle.h"
 
@@ -186,6 +190,173 @@ TEST_P(DirectoryChurnProperty, AllocFreeChurnKeepsCountsConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DirectoryChurnProperty,
                          ::testing::Values(1, 8, 27, 64, 200));
+
+// --- the flat table under the directory, against std::unordered_map -------
+
+// Sends 8 consecutive keys to one home slot: probe runs are long, wrap
+// around the end of the table, and most erases land inside a run, so the
+// backward shift has members to move.
+struct ClusteredHash {
+  std::size_t operator()(std::uint64_t k) const noexcept {
+    return static_cast<std::size_t>((k / 8) * 0x9e3779b97f4a7c15ull);
+  }
+};
+
+TEST(FlatMap, MatchesUnorderedMapAcrossGrowths) {
+  FlatMap<std::uint64_t, std::uint64_t, ClusteredHash> flat;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  sim::Rng rng(7);
+  const auto check_all = [&](const std::string& at) {
+    ASSERT_EQ(flat.size(), ref.size()) << at;
+    std::size_t seen = 0;
+    flat.for_each([&](std::uint64_t k, std::uint64_t v) {
+      ++seen;
+      const auto it = ref.find(k);
+      ASSERT_NE(it, ref.end()) << at << ": stray key " << k;
+      EXPECT_EQ(v, it->second) << at << ": key " << k;
+    });
+    EXPECT_EQ(seen, ref.size()) << at;
+    for (const auto& [k, v] : ref) {
+      const std::uint64_t* got = flat.find(k);
+      ASSERT_NE(got, nullptr) << at << ": lost key " << k;
+      EXPECT_EQ(*got, v) << at << ": key " << k;
+    }
+  };
+  // Grow to ~1500 keys (slot array 8 -> 4096) with erases mixed in, then
+  // erase most of them again.
+  for (int i = 0; i < 24000; ++i) {
+    const std::string at = "op " + std::to_string(i);
+    const std::uint64_t key = rng.below(3000);
+    const std::uint64_t op = rng.below(100);
+    const int insert_pct = i < 12000 ? 60 : 25;
+    if (op < static_cast<std::uint64_t>(insert_pct)) {
+      const std::uint64_t value = rng.next_u64();
+      const auto [v, inserted] = flat.try_emplace(key, value);
+      const auto [it, ref_inserted] = ref.try_emplace(key, value);
+      ASSERT_EQ(inserted, ref_inserted) << at;
+      EXPECT_EQ(*v, it->second) << at;  // a present key keeps its value
+    } else if (op < 85) {
+      ASSERT_EQ(flat.erase(key), ref.erase(key) == 1) << at;
+    } else {
+      const std::uint64_t* got = flat.find(key);
+      const auto it = ref.find(key);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << at;
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second) << at;
+      }
+    }
+    ASSERT_EQ(flat.size(), ref.size()) << at;
+    if (i % 1000 == 999) check_all(at);
+    if (HasFailure()) return;
+  }
+  check_all("end");
+}
+
+// The directory over std::unordered_map (control blocks, and next indices
+// per partition) with the same add/remove rules: the reference below.
+class ReferenceDirectory {
+ public:
+  Handle add_local(std::uint32_t partition, ControlBlock cb) {
+    const Handle h{partition, next_index_[partition]++};
+    entries_.emplace(h.pack(), cb);
+    return h;
+  }
+  void add_remote(Handle h, std::uint64_t total_bytes, ObjectKind kind) {
+    ControlBlock cb;
+    cb.kind = kind;
+    cb.total_bytes = total_bytes;
+    entries_.emplace(h.pack(), cb);
+    std::uint32_t& next = next_index_[h.partition];
+    if (h.index >= next) next = h.index + 1;
+  }
+  ControlBlock* find(Handle h) {
+    auto it = entries_.find(h.pack());
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  bool remove(Handle h) { return entries_.erase(h.pack()) > 0; }
+  std::size_t size() const { return entries_.size(); }
+  std::size_t partition_size(std::uint32_t partition) const {
+    std::size_t n = 0;
+    for (const auto& [bits, cb] : entries_) {
+      n += Handle::unpack(bits).partition == partition;
+    }
+    return n;
+  }
+
+ private:
+  std::unordered_map<std::uint64_t, ControlBlock> entries_;
+  std::unordered_map<std::uint32_t, std::uint32_t> next_index_;
+};
+
+TEST(Directory, MatchesUnorderedMapReference) {
+  constexpr std::uint32_t kThreads = 6;
+  const std::vector<std::uint32_t> partitions{0, 1, 2, 3, 4, 5, kAllPartition};
+  Directory dir(kThreads);
+  ReferenceDirectory ref;
+  sim::Rng rng(11);
+  const auto random_handle = [&] {
+    return Handle{partitions[rng.below(partitions.size())],
+                  static_cast<std::uint32_t>(rng.below(160))};
+  };
+  for (int i = 0; i < 12000; ++i) {
+    const std::string at = "op " + std::to_string(i);
+    const std::uint64_t op = rng.below(100);
+    const int add_pct = i < 6000 ? 50 : 20;  // grow, then mostly remove
+    if (op < static_cast<std::uint64_t>(add_pct) / 2) {
+      const std::uint32_t p = partitions[rng.below(partitions.size())];
+      ControlBlock cb;
+      cb.total_bytes = rng.below(1u << 16);
+      cb.local_base = 0x1000 + rng.below(1u << 20);
+      cb.local_bytes = rng.below(4096);
+      const ThreadId writer =
+          p == kAllPartition ? static_cast<ThreadId>(rng.below(kThreads)) : p;
+      ASSERT_EQ(dir.add_local(p, writer, cb), ref.add_local(p, cb)) << at;
+    } else if (op < static_cast<std::uint64_t>(add_pct)) {
+      const Handle h = random_handle();
+      const auto kind = static_cast<ObjectKind>(rng.below(4));
+      const std::uint64_t total = rng.below(1u << 16);
+      dir.add_remote(h, total, kind);  // keeps an existing entry as is
+      ref.add_remote(h, total, kind);
+    } else if (op < 80) {
+      const Handle h = random_handle();
+      ASSERT_EQ(dir.remove(h), ref.remove(h)) << at;
+    } else {
+      // Find, and write through the pointer as materialize_piece does.
+      const Handle h = random_handle();
+      ControlBlock* got = dir.find(h);
+      ControlBlock* want = ref.find(h);
+      ASSERT_EQ(got != nullptr, want != nullptr) << at;
+      if (got != nullptr) {
+        EXPECT_EQ(got->kind, want->kind) << at;
+        EXPECT_EQ(got->total_bytes, want->total_bytes) << at;
+        EXPECT_EQ(got->local_base, want->local_base) << at;
+        EXPECT_EQ(got->local_bytes, want->local_bytes) << at;
+        got->local_bytes = want->local_bytes = rng.below(4096);
+      }
+    }
+    ASSERT_EQ(dir.size(), ref.size()) << at;
+    if (i % 500 == 499) {
+      for (const std::uint32_t p : partitions) {
+        ASSERT_EQ(dir.partition_size(p), ref.partition_size(p))
+            << at << " partition " << p;
+      }
+    }
+  }
+  // Every handle either side could hold, with its full contents.
+  for (const std::uint32_t p : partitions) {
+    EXPECT_EQ(dir.partition_size(p), ref.partition_size(p)) << p;
+    for (std::uint32_t idx = 0; idx < 6200; ++idx) {
+      const ControlBlock* got = dir.find(Handle{p, idx});
+      const ControlBlock* want = ref.find(Handle{p, idx});
+      ASSERT_EQ(got != nullptr, want != nullptr) << p << "/" << idx;
+      if (got != nullptr) {
+        EXPECT_EQ(got->total_bytes, want->total_bytes) << p << "/" << idx;
+        EXPECT_EQ(got->local_base, want->local_base) << p << "/" << idx;
+        EXPECT_EQ(got->local_bytes, want->local_bytes) << p << "/" << idx;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace xlupc::svd
