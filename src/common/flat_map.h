@@ -9,10 +9,16 @@
 // Pointers returned by find() and try_emplace() stay valid only until the
 // next insert or erase: growth rehashes every slot, and an erase shifts
 // later members of its probe run back by one or more slots.
+//
+// StableMap, at the bottom, is the variant for values that must not move
+// and tables that must be visited in key order.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -133,6 +139,70 @@ class FlatMap {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
+};
+
+/// Insert-only map whose values never move: they are constructed in place
+/// in a deque, in insertion order, and a FlatMap indexes them by key. A
+/// pointer or reference to a value stays valid for the map's lifetime, so
+/// a coroutine may hold one across a suspension while other flows insert.
+/// for_each visits keys in ascending order, as std::map iteration does.
+template <class K, class V, class Hash = FlatHash<K>>
+class StableMap {
+ public:
+  StableMap() = default;
+  // The index points into values_, so a copy would point into the source.
+  StableMap(const StableMap&) = delete;
+  StableMap& operator=(const StableMap&) = delete;
+
+  std::size_t size() const noexcept { return values_.size(); }
+
+  /// The value under `key`, or nullptr; never inserts.
+  V* find(const K& key) noexcept {
+    Item* const* item = index_.find(key);
+    return item == nullptr ? nullptr : &(*item)->second;
+  }
+  const V* find(const K& key) const noexcept {
+    return const_cast<StableMap*>(this)->find(key);
+  }
+
+  /// The value under `key`, constructed from `args` if the key is absent.
+  template <class... Args>
+  V& try_emplace(const K& key, Args&&... args) {
+    if (V* value = find(key)) return *value;
+    Item& item = values_.emplace_back(
+        std::piecewise_construct, std::forward_as_tuple(key),
+        std::forward_as_tuple(std::forward<Args>(args)...));
+    index_.try_emplace(key, &item);
+    return item.second;
+  }
+
+  /// Visit every (key, value) pair in ascending key order.
+  template <class F>
+  void for_each(F&& fn) {
+    for (Item* item : by_key(values_)) fn(item->first, item->second);
+  }
+  template <class F>
+  void for_each(F&& fn) const {
+    for (const Item* item : by_key(values_)) fn(item->first, item->second);
+  }
+
+ private:
+  using Item = std::pair<const K, V>;
+
+  /// Pointers to the items of `values` (const or not), sorted by key.
+  template <class Values>
+  static auto by_key(Values& values) {
+    std::vector<decltype(&values.front())> order;
+    order.reserve(values.size());
+    for (auto& item : values) order.push_back(&item);
+    std::sort(order.begin(), order.end(), [](const Item* a, const Item* b) {
+      return a->first < b->first;
+    });
+    return order;
+  }
+
+  std::deque<Item> values_;
+  FlatMap<K, Item*, Hash> index_;
 };
 
 }  // namespace xlupc

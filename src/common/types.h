@@ -23,4 +23,10 @@ using RdmaKey = std::uint64_t;
 
 inline constexpr Addr kNullAddr = 0;
 
+/// Key of the ordered node pair (src, dst). Ascending keys order pairs
+/// as std::pair does: by src, then by dst.
+constexpr std::uint64_t link_key(NodeId src, NodeId dst) noexcept {
+  return (static_cast<std::uint64_t>(src) << 32) | dst;
+}
+
 }  // namespace xlupc

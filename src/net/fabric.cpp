@@ -44,7 +44,7 @@ std::uint32_t Fabric::route_count(NodeId src, NodeId dst) const {
 std::uint32_t Fabric::primary_route(NodeId src, NodeId dst) const {
   const std::uint32_t nroutes = route_count(src, dst);
   if (nroutes == 1) return 0;
-  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
+  const std::uint64_t key = link_key(src, dst);
   return static_cast<std::uint32_t>(mix(config_.route_seed ^ mix(key)) %
                                     nroutes);
 }
@@ -133,9 +133,9 @@ std::uint64_t Fabric::route_load(NodeId src, NodeId dst,
     // An untouched port is by definition idle; reading its load must
     // not materialize it (that would make *observing* routes perturb
     // the report's resource list).
-    const auto it = ports_.find(path.key[i]);
-    if (it == ports_.end()) continue;
-    load += it->second.buf.in_use() + it->second.buf.queue_length();
+    const Port* p = ports_.find(path.key[i]);
+    if (p == nullptr) continue;
+    load += p->buf.in_use() + p->buf.queue_length();
   }
   return load;
 }
@@ -164,25 +164,23 @@ std::string Fabric::port_name(std::uint64_t key) const {
 }
 
 Fabric::Port& Fabric::port(std::uint64_t key) {
-  auto it = ports_.find(key);
-  if (it != ports_.end()) return it->second;
-  return ports_.try_emplace(key, *sim_, config_.port_credits, port_name(key))
-      .first->second;
+  if (Port* p = ports_.find(key)) return *p;
+  return ports_.try_emplace(key, *sim_, config_.port_credits, port_name(key));
 }
 
 void Fabric::for_each_port(
     const std::function<void(const sim::Resource&)>& fn) const {
-  for (const auto& [key, p] : ports_) {
+  ports_.for_each([&fn](std::uint64_t, const Port& p) {
     fn(p.buf);
     fn(p.wire);
-  }
+  });
 }
 
 void Fabric::reset_port_usage() {
-  for (auto& [key, p] : ports_) {
+  ports_.for_each([](std::uint64_t, Port& p) {
     p.buf.reset_usage();
     p.wire.reset_usage();
-  }
+  });
 }
 
 Task<void> Fabric::transit(NodeId src, NodeId dst, std::uint64_t bytes) {

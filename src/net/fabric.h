@@ -37,9 +37,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "net/params.h"
 #include "sim/resource.h"
@@ -135,7 +135,7 @@ class Fabric {
   /// One switch egress port: `buf` holds the finite buffer slots (the
   /// credit window advertised to the upstream hop), `wire` is the
   /// single-lane egress link that serializes one message at a time. Held
-  /// in place in the ports map, whose nodes never move.
+  /// in place in the ports table, whose values never move.
   struct Port {
     Port(sim::Simulator& sim, std::uint64_t credits, const std::string& name)
         : buf(sim, credits, name + ".buf"), wire(sim, 1, name + ".wire") {}
@@ -196,7 +196,7 @@ class Fabric {
   const PlatformParams* params_;
   FabricParams config_;
   FabricStats stats_;
-  std::map<std::uint64_t, Port> ports_;
+  StableMap<std::uint64_t, Port> ports_;
 };
 
 }  // namespace xlupc::net

@@ -24,30 +24,27 @@ void ProtocolEngine::declare_peer_dead(NodeId node) {
 }
 
 void ProtocolEngine::resync_link(NodeId src, NodeId dst) {
-  const std::uint64_t link = (static_cast<std::uint64_t>(src) << 32) | dst;
-  auto it = link_seq_.find(link);
-  if (it == link_seq_.end()) return;
+  LinkSeq* ls = link_seq_.find(link_key(src, dst));
+  if (ls == nullptr) return;
   // Rebase the stamp counter onto the receiver's high-water mark: every
   // stamp issued after the reconnect is at or above what the receiver
   // has applied, so replayed traffic can never be applied twice and
   // fresh traffic is never mistaken for a late duplicate.
-  it->second.next_seq = it->second.delivered_hwm;
+  ls->next_seq = ls->delivered_hwm;
   ++stats_.link_resyncs;
 }
 
 void ProtocolEngine::seed_link_for_test(NodeId src, NodeId dst,
                                         std::uint16_t next_seq,
                                         std::uint16_t delivered_hwm) {
-  const std::uint64_t link = (static_cast<std::uint64_t>(src) << 32) | dst;
-  link_seq_[link] = LinkSeq{next_seq, delivered_hwm};
+  link_seq_.try_emplace(link_key(src, dst)) = LinkSeq{next_seq, delivered_hwm};
 }
 
 std::pair<std::uint16_t, std::uint16_t> ProtocolEngine::link_state_for_test(
     NodeId src, NodeId dst) const {
-  const std::uint64_t link = (static_cast<std::uint64_t>(src) << 32) | dst;
-  auto it = link_seq_.find(link);
-  if (it == link_seq_.end()) return {0, 0};
-  return {it->second.next_seq, it->second.delivered_hwm};
+  const LinkSeq* ls = link_seq_.find(link_key(src, dst));
+  if (ls == nullptr) return {0, 0};
+  return {ls->next_seq, ls->delivered_hwm};
 }
 
 Task<void> ProtocolEngine::deliver_faulty(NodeId src, NodeId dst,
@@ -58,8 +55,7 @@ Task<void> ProtocolEngine::deliver_faulty(NodeId src, NodeId dst,
   const Duration lat = machine_.latency(src, dst);
   sim::FaultPlan& plan = machine_.faults();
   const sim::FaultParams& fp = plan.params();
-  const std::uint64_t link = (static_cast<std::uint64_t>(src) << 32) | dst;
-  LinkSeq& ls = link_seq_[link];
+  LinkSeq& ls = link_seq_.try_emplace(link_key(src, dst));
   const std::uint16_t seq = ls.next_seq++;
   const bool fabric = plan.fabric_enabled();
   const bool congested = machine_.fabric().enabled();

@@ -18,10 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "net/machine.h"
 #include "sim/task.h"
@@ -176,8 +176,10 @@ class ProtocolEngine {
 
   Machine& machine_;
   ProtocolStats stats_;
-  std::map<std::uint64_t, LinkSeq> link_seq_;  // keyed (src << 32) | dst
-  std::vector<std::uint8_t> dead_;             // detector-declared peers
+  /// Keyed by link_key(src, dst). deliver_faulty holds its link's entry
+  /// across suspensions, so entries must not move.
+  StableMap<std::uint64_t, LinkSeq> link_seq_;
+  std::vector<std::uint8_t> dead_;  // detector-declared peers
 };
 
 }  // namespace xlupc::net

@@ -56,7 +56,7 @@ const TransportStats& Transport::stats() const noexcept {
 // ------------------------------------------------ IB queue pairs ---
 
 const std::shared_ptr<ib::QueuePair>& Transport::qp(NodeId src, NodeId dst) {
-  auto& q = qps_[std::make_pair(src, dst)];
+  auto& q = qps_.try_emplace(link_key(src, dst));
   if (!q) {
     q = std::make_shared<ib::QueuePair>(machine_.simulator(),
                                         machine_.params().sq_depth, cqs_[src]);
@@ -65,8 +65,8 @@ const std::shared_ptr<ib::QueuePair>& Transport::qp(NodeId src, NodeId dst) {
 }
 
 const ib::QueuePair* Transport::queue_pair(NodeId src, NodeId dst) const {
-  const auto it = qps_.find(std::make_pair(src, dst));
-  return it == qps_.end() ? nullptr : it->second.get();
+  const auto* q = qps_.find(link_key(src, dst));
+  return q == nullptr ? nullptr : q->get();
 }
 
 Task<ib::Wqe> Transport::post_wqe(NodeId src, NodeId dst) {
@@ -102,22 +102,23 @@ void Transport::peer_dead(NodeId node) {
   // In-flight legs to the dead peer fail fast inside the protocol
   // engine's delivery loop instead of burning the retransmit budget.
   protocol_.declare_peer_dead(node);
-  for (auto& [key, q] : qps_) {
-    if ((key.first == node || key.second == node) && !q->in_error()) {
+  qps_.for_each([&](std::uint64_t key, const auto& q) {
+    const bool touches = key >> 32 == node || (key & 0xffffffffu) == node;
+    if (touches && !q->in_error()) {
       q->to_error();
       ++stats_.qp_errors;
     }
-  }
+  });
 }
 
 void Transport::on_link_down(NodeId a, NodeId b) {
   // With a redundant path the protocol engine reroutes around the dark
   // link and the connection stays up; only a path-less pair fences.
   if (redundant_paths(machine_.params().topology, a, b) > 0) return;
-  for (const auto& key : {std::make_pair(a, b), std::make_pair(b, a)}) {
-    auto it = qps_.find(key);
-    if (it != qps_.end() && !it->second->in_error()) {
-      it->second->to_error();
+  for (const std::uint64_t key : {link_key(a, b), link_key(b, a)}) {
+    const auto* q = qps_.find(key);
+    if (q != nullptr && !(*q)->in_error()) {
+      (*q)->to_error();
       ++stats_.qp_errors;
     }
   }

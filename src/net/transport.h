@@ -26,12 +26,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "mem/registration_cache.h"
 #include "net/ib/verbs.h"
@@ -484,9 +484,9 @@ class Transport {
   /// every stats() call so callers keep the cheap const-reference API.
   mutable TransportStats merged_stats_;
   /// IB: one RC connection per ordered (initiator, target) node pair,
-  /// created on first use (std::map keeps iteration deterministic), and
-  /// one initiator-side completion queue per node.
-  std::map<std::pair<NodeId, NodeId>, std::shared_ptr<ib::QueuePair>> qps_;
+  /// keyed by link_key(src, dst) and created on first use (peer_dead fences
+  /// them in key order), and one initiator-side completion queue per node.
+  StableMap<std::uint64_t, std::shared_ptr<ib::QueuePair>> qps_;
   std::vector<ib::CompletionQueue> cqs_;
 };
 

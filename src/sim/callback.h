@@ -1,20 +1,24 @@
-// Small-buffer-optimized callables for the event queue and the transport.
+// Small callables for the event queue and the transport.
 //
-// The pre-refactor EventQueue stored `std::function<void()>`, which
-// heap-allocates for any capture larger than the libstdc++ 16-byte local
-// buffer and drags the full std::function machinery through every heap
-// sift. SmallFn keeps 48 bytes of inline storage — enough for every
-// callback the runtime schedules (a coroutine handle is 8 bytes; the
-// largest transport continuations fit with room to spare) — and spills
-// rarities to the pool, not malloc. It is move-only, so callables holding
-// move-only state (Task<> chains, unique_ptrs) schedule without the
-// copyability tax std::function imposes. The transport's completion
-// hooks (PUT acks, RDMA landings) use the same type with other
-// signatures.
+// sim::Callback is what an event runs: a move-only {fn, word} thunk that
+// the event queue files as is, next to the event's time. A callable that
+// is one trivially copyable word (a coroutine handle, a pointer capture:
+// every callback the runtime schedules) lives in the word itself; a
+// larger one, which only tests schedule, spills to the pool and the word
+// points at it. Running an event is one indirect call, fn(word, true),
+// which also releases a spilled callable; fn(word, false) releases it
+// without running it.
+//
+// sim::SmallFn keeps 48 bytes of inline storage and spills larger
+// callables to the pool, not malloc. It is move-only, so callables
+// holding move-only state (unique_ptrs) need no copyability. The
+// transport's completion hooks (PUT acks, RDMA landings) use it.
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -142,11 +146,118 @@ class SmallFn<R(Args...), N> {
   const Ops* ops_ = nullptr;
 };
 
-/// An event-queue payload.
-using Callback = SmallFn<void()>;
+/// An event-queue payload: a move-only {fn, word} thunk (see the top of
+/// this file). Construct it from any `void()` callable.
+class Callback {
+ public:
+  /// Runs (`run` true) and then releases, or only releases, the callable
+  /// that `word` holds.
+  using Fn = void (*)(std::uintptr_t word, bool run);
+  /// The filed form of a callback: what the event queue stores. It owns
+  /// a spilled callable until fn runs.
+  struct Thunk {
+    Fn fn;
+    std::uintptr_t word;
+  };
+
+  /// Callables up to this size live inline, in the word.
+  static constexpr std::size_t kInlineBytes = sizeof(std::uintptr_t);
+
+  Callback() noexcept = default;
+
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, Callback> &&
+             std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
+  Callback(F&& fn) {  // NOLINT(google-explicit-constructor): mirrors std::function
+    using D = std::remove_cvref_t<F>;
+    if constexpr (fits_inline<D>()) {
+      const D d(std::forward<F>(fn));
+      std::memcpy(&thunk_.word, &d, sizeof(D));
+      thunk_.fn = &run_inline<D>;
+    } else {
+      void* mem = pool_alloc(sizeof(D));
+      try {
+        ::new (mem) D(std::forward<F>(fn));
+      } catch (...) {
+        pool_free(mem, sizeof(D));
+        throw;
+      }
+      thunk_ = {&run_spilled<D>, reinterpret_cast<std::uintptr_t>(mem)};
+      spilled_ = true;
+    }
+  }
+
+  Callback(Callback&& other) noexcept
+      : thunk_(other.release()), spilled_(other.spilled_) {}
+  Callback& operator=(Callback&& other) noexcept {
+    if (this != &other) {
+      reset();
+      spilled_ = other.spilled_;
+      thunk_ = other.release();
+    }
+    return *this;
+  }
+  Callback(const Callback&) = delete;
+  Callback& operator=(const Callback&) = delete;
+  ~Callback() { reset(); }
+
+  explicit operator bool() const noexcept { return thunk_.fn != nullptr; }
+
+  /// Run the callable once and release it. Precondition: non-empty.
+  void operator()() && {
+    const Thunk t = release();
+    t.fn(t.word, true);
+  }
+
+  /// Hand the thunk, and with it the callable, to the caller; leaves
+  /// this callback empty.
+  Thunk release() noexcept { return std::exchange(thunk_, Thunk{}); }
+
+  /// True when the callable lives in the word (tests).
+  bool inline_stored() const noexcept {
+    return thunk_.fn != nullptr && !spilled_;
+  }
+
+ private:
+  template <class D>
+  static constexpr bool fits_inline() {
+    return sizeof(D) <= kInlineBytes &&
+           alignof(D) <= alignof(std::uintptr_t) &&
+           std::is_trivially_copyable_v<D>;
+  }
+
+  template <class D>
+  static void run_inline(std::uintptr_t word, bool run) {
+    if (!run) return;
+    alignas(D) unsigned char buf[sizeof(D)];
+    std::memcpy(buf, &word, sizeof(D));
+    (*std::launder(reinterpret_cast<D*>(buf)))();
+  }
+
+  template <class D>
+  static void run_spilled(std::uintptr_t word, bool run) {
+    // Released on every way out, including a throwing call.
+    struct Release {
+      D* p;
+      ~Release() {
+        p->~D();
+        pool_free(p, sizeof(D));
+      }
+    } held{reinterpret_cast<D*>(word)};
+    if (run) (*held.p)();
+  }
+
+  void reset() noexcept {
+    const Thunk t = release();
+    if (t.fn != nullptr) t.fn(t.word, false);
+  }
+
+  Thunk thunk_{};
+  bool spilled_ = false;
+};
 
 /// A callback that resumes `h` — the dominant event payload (delays,
-/// resource grants, synchronizer releases): 8 bytes inline, no allocation.
+/// resource grants, synchronizer releases): the handle is the word.
 inline Callback resume_callback(std::coroutine_handle<> h) noexcept {
   return [h] { h.resume(); };
 }

@@ -46,36 +46,28 @@ void EventQueue::respread(Time base) {
   for (const Entry& e : pending) push(e);
 }
 
-void EventQueue::schedule(Time t, Callback fn) {
-  std::uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-    slab_[slot] = std::move(fn);
+EventQueue::~EventQueue() {
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    const std::vector<Entry>& bucket = buckets_[b];
+    for (std::size_t i = b == 0 ? head_ : 0; i < bucket.size(); ++i) {
+      bucket[i].thunk.fn(bucket[i].thunk.word, false);
+    }
   }
-  if (t < base_) respread(t);
-  push({t, slot});
-  ++size_;
 }
 
 Time EventQueue::pop_and_run() {
   const Time t = next_time();
   std::vector<Entry>& ready = buckets_[0];
-  const std::uint32_t slot = ready[head_].slot;
+  // Take the thunk out *before* running it, so the callback can schedule
+  // freely (into this very bucket, too).
+  const Callback::Thunk run = ready[head_].thunk;
   if (++head_ == ready.size()) {
     ready.clear();
     head_ = 0;
   }
-  // Move the callback out and free its slot *before* running, so the
-  // callback can schedule freely (often straight back into that slot).
-  Callback fn = std::move(slab_[slot]);
-  free_.push_back(slot);
   --size_;
   ++executed_;
-  fn();
+  run.fn(run.word, true);
   return t;
 }
 

@@ -14,9 +14,10 @@
 // every move keeps their order, so ties stay FIFO without a sequence
 // number.
 //
-// Buckets hold 16-byte (time, slot) pairs. The callbacks live in a slab
-// indexed by slot; freed slots are reused LIFO, so steady state
-// allocates nothing.
+// Each bucket entry is the whole event: a 24-byte (time, fn, word)
+// record holding the callback's thunk (sim/callback.h), so filing,
+// moving and running an event touch no other memory. Bucket vectors keep
+// their capacity, so steady state allocates nothing.
 #pragma once
 
 #include <array>
@@ -32,10 +33,20 @@ namespace xlupc::sim {
 /// Min-queue of timed callbacks with stable FIFO ordering for ties.
 class EventQueue {
  public:
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  /// Releases the callables of events still pending.
+  ~EventQueue();
+
   /// Schedule `fn` to run at absolute time `t`. A time below the last
   /// popped or peeked one is allowed (the simulator does that only after
   /// run_until() stops at a deadline) but re-spreads every pending entry.
-  void schedule(Time t, Callback fn);
+  void schedule(Time t, Callback fn) {
+    if (t < base_) respread(t);
+    push({t, fn.release()});
+    if (++size_ > peak_) peak_ = size_;
+  }
 
   /// True when no events remain.
   bool empty() const noexcept { return size_ == 0; }
@@ -52,15 +63,14 @@ class EventQueue {
   /// Total number of events executed so far (for micro-benchmarks/tests).
   std::uint64_t executed() const noexcept { return executed_; }
 
-  /// Callback slab occupancy in slots (tests: reuse under churn). The
-  /// capacity is the peak number of pending events and never shrinks.
-  std::size_t arena_capacity() const noexcept { return slab_.size(); }
-  std::size_t arena_free() const noexcept { return free_.size(); }
+  /// Peak number of pending events so far, counting events scheduled
+  /// from inside a running callback (perfbench's sim.queue_hwm).
+  std::size_t arena_capacity() const noexcept { return peak_; }
 
  private:
   struct Entry {
     Time time;
-    std::uint32_t slot;
+    Callback::Thunk thunk;
   };
 
   // Bucket 0 (due at base_) has no occupancy bit; head_ tracks it.
@@ -76,9 +86,8 @@ class EventQueue {
   std::size_t head_ = 0;        // next entry of buckets_[0] to pop
   std::uint64_t occupied_ = 0;  // bit i-1 set: buckets_[i] non-empty
   std::array<std::vector<Entry>, 65> buckets_;
-  std::vector<Callback> slab_;
-  std::vector<std::uint32_t> free_;
   std::size_t size_ = 0;
+  std::size_t peak_ = 0;
   std::uint64_t executed_ = 0;
 };
 

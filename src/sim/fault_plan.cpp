@@ -18,24 +18,17 @@ std::uint64_t mix(std::uint64_t x) {
 }  // namespace
 
 Rng& FaultPlan::link_rng(std::uint32_t src, std::uint32_t dst) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(src) << 32) | dst;
-  auto it = links_.find(key);
-  if (it == links_.end()) {
-    it = links_.emplace(key, Rng(mix(params_.seed ^ mix(key)))).first;
-  }
-  return it->second;
+  const std::uint64_t key = link_key(src, dst);
+  if (Rng* rng = links_.find(key)) return *rng;
+  return links_.try_emplace(key, mix(params_.seed ^ mix(key)));
 }
 
 Rng& FaultPlan::node_rng(std::uint32_t node) {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) {
-    // Offset the key space so node streams never collide with the
-    // (src=0, dst=node) link streams.
-    const std::uint64_t key = 0xfff0000000000000ull | node;
-    it = nodes_.emplace(node, Rng(mix(params_.seed ^ mix(key)))).first;
-  }
-  return it->second;
+  if (Rng* rng = nodes_.find(node)) return *rng;
+  // Offset the key space so node streams never collide with the
+  // (src=0, dst=node) link streams.
+  const std::uint64_t key = 0xfff0000000000000ull | node;
+  return nodes_.try_emplace(node, mix(params_.seed ^ mix(key)));
 }
 
 FaultPlan::Verdict FaultPlan::transmit(std::uint32_t src, std::uint32_t dst) {
@@ -124,8 +117,7 @@ std::uint32_t FaultPlan::failover_route(std::uint32_t src, std::uint32_t dst,
   if (nroutes == 0) return 0;
   // Stateless: flows hash onto alternates without touching the per-link
   // verdict streams, so enabling failover never shifts message fates.
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(src) << 32) | dst;
+  const std::uint64_t key = link_key(src, dst);
   return static_cast<std::uint32_t>(mix(params_.seed ^ mix(~key)) % nroutes);
 }
 

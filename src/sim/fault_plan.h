@@ -18,9 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "common/flat_map.h"
+#include "common/types.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -193,8 +194,8 @@ class FaultPlan {
 
   FaultParams params_;
   bool enabled_ = false;
-  std::map<std::uint64_t, Rng> links_;   // keyed (src << 32) | dst
-  std::map<std::uint32_t, Rng> nodes_;
+  StableMap<std::uint64_t, Rng> links_;  // keyed by link_key(src, dst)
+  StableMap<std::uint32_t, Rng> nodes_;
 };
 
 }  // namespace xlupc::sim

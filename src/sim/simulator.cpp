@@ -13,11 +13,8 @@ Simulator::~Simulator() {
   while (!drivers_.empty()) drivers_.front().destroy();
 }
 
-void Simulator::schedule_at(Time t, Callback fn) {
-  if (t < now_) {
-    throw std::logic_error("Simulator::schedule_at: time in the past");
-  }
-  queue_.schedule(t, std::move(fn));
+void Simulator::throw_past() {
+  throw std::logic_error("Simulator::schedule_at: time in the past");
 }
 
 Simulator::Detached Simulator::drive(Task<> task) {

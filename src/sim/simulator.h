@@ -31,7 +31,10 @@ class Simulator {
   Time now() const noexcept { return now_; }
 
   /// Schedule a callback at absolute simulated time `t` (>= now).
-  void schedule_at(Time t, Callback fn);
+  void schedule_at(Time t, Callback fn) {
+    if (t < now_) throw_past();
+    queue_.schedule(t, std::move(fn));
+  }
 
   /// Schedule a callback `d` nanoseconds from now.
   void schedule_after(Duration d, Callback fn) {
@@ -89,7 +92,7 @@ class Simulator {
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// The event queue (slab occupancy for tests/benches).
+  /// The event queue (peak pending count for tests/benches).
   const EventQueue& queue() const noexcept { return queue_; }
 
  private:
@@ -119,6 +122,7 @@ class Simulator {
   };
   Detached drive(Task<> task);
 
+  [[noreturn]] static void throw_past();
   void rethrow_if_failed();
 
   EventQueue queue_;

@@ -1,15 +1,21 @@
 // Congestion-aware fabric (docs/FABRIC.md): finite switch buffers,
-// credit flow control, ECMP vs adaptive routing, and the byte-identity
-// and apply-once guarantees the subsystem must preserve.
+// credit flow control, ECMP vs adaptive routing, the port table's key
+// order, and the byte-identity and apply-once guarantees the subsystem
+// must preserve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "core/runtime.h"
 #include "net/fabric.h"
+#include "net/machine.h"
 #include "net/machine_registry.h"
 #include "net/topology.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace xlupc::net {
@@ -188,6 +194,106 @@ TEST(FabricRouting, AdaptiveDivertsOnlyUnderLoad) {
   EXPECT_GT(adaptive.adaptive_diverts, 0u);
   EXPECT_EQ(ecmp.adaptive_diverts, 0u);
   EXPECT_GT(ecmp.credit_wait_ns, adaptive.credit_wait_ns);
+}
+
+// --- the port table ------------------------------------------------------
+
+// A value that can be neither copied nor moved: StableMap must build it
+// in place and never relocate it.
+struct Pinned {
+  explicit Pinned(std::uint64_t v) : value(v) {}
+  Pinned(const Pinned&) = delete;
+  Pinned& operator=(const Pinned&) = delete;
+  std::uint64_t value;
+};
+
+// Seeded insert/find streams against std::map, across several growths
+// of the index (8 -> 8192 slots): every value keeps the address it got
+// at insert, a find of an absent key inserts nothing, a second insert
+// of a key keeps the first value, and the visit order is std::map's.
+TEST(StableMap, MatchesStdMapAcrossGrowths) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    StableMap<std::uint64_t, Pinned> table;
+    std::map<std::uint64_t, std::pair<std::uint64_t, const Pinned*>> ref;
+    sim::Rng rng(seed);
+    const auto check_all = [&](int op) {
+      std::vector<std::uint64_t> visited;
+      table.for_each([&](std::uint64_t k, const Pinned& v) {
+        visited.push_back(k);
+        const auto it = ref.find(k);
+        ASSERT_NE(it, ref.end()) << "seed " << seed << " op " << op;
+        EXPECT_EQ(&v, it->second.second) << "moved: key " << k;
+        EXPECT_EQ(v.value, it->second.first) << "key " << k;
+      });
+      std::vector<std::uint64_t> want;
+      for (const auto& [k, v] : ref) want.push_back(k);
+      EXPECT_EQ(visited, want) << "seed " << seed << " op " << op;
+    };
+    for (int op = 0; op < 6000; ++op) {
+      // Wide keys (the fabric packs a level into the top byte) and a
+      // dense low range, so ascending order is not insertion order.
+      std::uint64_t key = rng.below(3000);
+      if (rng.below(2) == 0) {
+        const std::uint64_t wide = rng.next_u64();
+        key = wide >> rng.below(64);
+      }
+      if (rng.below(100) < 60) {
+        const std::uint64_t value = rng.next_u64();
+        Pinned& got = table.try_emplace(key, value);
+        const auto it = ref.try_emplace(key, value, &got).first;
+        EXPECT_EQ(&got, it->second.second) << "seed " << seed << " op " << op;
+        EXPECT_EQ(got.value, it->second.first) << "key " << key;
+      } else {
+        const std::size_t before = table.size();
+        const Pinned* got = table.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << "key " << key;
+        if (got != nullptr) {
+          EXPECT_EQ(got, it->second.second);
+        }
+        EXPECT_EQ(table.size(), before) << "find inserted key " << key;
+      }
+      ASSERT_EQ(table.size(), ref.size()) << "seed " << seed << " op " << op;
+      if (op % 500 == 499) check_all(op);
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(ref.size(), 2048u);  // the index grew past 4096 slots
+    check_all(-1);
+  }
+}
+
+// The report lists fabric ports by key (stage, switch, port), whatever
+// order traffic materialized them in: here leaf 2's down-port comes first
+// and leaf 0's next, but the listing starts with leaf 0.
+TEST(FabricPorts, ListedInKeyOrderThroughMachine) {
+  const PlatformParams ib = infiniband_verbs();
+  sim::Simulator sim;
+  MachineConfig mc;
+  mc.nodes = 40;
+  mc.fabric = finite(4);
+  Machine m(sim, ib, mc);
+  sim.spawn([](Fabric& f) -> Task<> {
+    co_await f.transit(37, 36, 64);  // leaf 2 -> its node 0
+    co_await f.transit(1, 0, 64);    // leaf 0 -> its node 0
+    co_await f.transit(0, 19, 64);   // leaf 0 up, spine down, leaf 1 down
+  }(m.fabric()));
+  sim.run();
+
+  const std::string r = std::to_string(m.fabric().primary_route(0, 19));
+  std::vector<std::string> want;
+  const std::vector<std::string> ports = {
+      "fab.leaf0.dn0", "fab.leaf1.dn1", "fab.leaf2.dn0", "fab.leaf0.up" + r,
+      "fab.spine" + r + ".dn1"};
+  for (const std::string& port : ports) {
+    want.push_back(port + ".buf");
+    want.push_back(port + ".wire");
+  }
+  std::vector<std::string> got;
+  m.for_each_resource([&got](const sim::Resource& res) {
+    if (res.name().rfind("fab.", 0) == 0) got.push_back(res.name());
+  });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(m.fabric().port_count(), 5u);
 }
 
 // --- runtime integration -------------------------------------------------

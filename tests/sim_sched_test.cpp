@@ -1,16 +1,18 @@
 // Event-queue and allocator tests for the fast simulator core
 // (docs/PERFORMANCE.md): equal-time FIFO ordering on both insert paths
-// of the radix event queue, the queue against a sorted reference, slab
-// and pool reuse under churn, sized frees, and the
-// small-buffer-optimized callback types.
+// of the radix event queue, the queue against a sorted reference, its
+// peak pending count, pool reuse under churn, sized frees, and the
+// callback types.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <bitset>
+#include <coroutine>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -79,7 +81,7 @@ class ReferenceQueue {
         });
     Item item = std::move(*it);
     pending_.erase(it);
-    item.fn();
+    std::move(item.fn)();
     return item.time;
   }
 
@@ -264,23 +266,34 @@ TEST(EventQueue, DestroyReleasesPendingSpilledCallbacks) {
 }
 
 // ------------------------------------------------------------------
-// Slab / pool reuse under churn
+// Peak pending count; pool reuse under churn
 // ------------------------------------------------------------------
 
-TEST(EventQueue, SlabStopsGrowingUnderChurn) {
+TEST(EventQueue, ArenaCapacityIsPeakPendingCount) {
   EventQueue q;
-  // Prime the slab with one full round, then churn: capacity must not
-  // grow once the high-water mark of pending events is reached.
+  EXPECT_EQ(q.arena_capacity(), 0u);
+  // One full round reaches 64 pending events; churning more rounds of
+  // the same size, draining each, must not raise the peak.
   auto round = [&q](sim::Time base) {
     for (int i = 0; i < 64; ++i) q.schedule(base + i % 8, [] {});
     while (!q.empty()) q.pop_and_run();
   };
   round(0);
-  const std::size_t cap = q.arena_capacity();
-  EXPECT_EQ(cap, 64u);  // one slot per pending event at the peak
+  EXPECT_EQ(q.arena_capacity(), 64u);
   for (int r = 1; r < 50; ++r) round(r * 100);
-  EXPECT_EQ(q.arena_capacity(), cap);
-  EXPECT_EQ(q.arena_free(), cap);  // drained queue: every slot free
+  EXPECT_EQ(q.arena_capacity(), 64u);
+
+  // An event scheduled from inside a running callback counts too: the
+  // running event has left the queue, so refilling to 64 from inside it
+  // keeps the peak, and one more raises it to 65.
+  for (int extra : {0, 1}) {
+    for (int i = 0; i < 63; ++i) q.schedule(10000, [] {});
+    q.schedule(9999, [&q, extra] {
+      for (int i = 0; i < 1 + extra; ++i) q.schedule(10001, [] {});
+    });
+    while (!q.empty()) q.pop_and_run();
+    EXPECT_EQ(q.arena_capacity(), 64u + extra) << "extra " << extra;
+  }
 }
 
 TEST(PoolAllocator, ReusesFreedBlocksWithoutNewChunks) {
@@ -348,24 +361,61 @@ TEST(PoolAllocator, OversizeBlocksFallThrough) {
 // ------------------------------------------------------------------
 
 TEST(CallbackType, InlineCaptureSurvivesMove) {
-  std::array<char, 32> payload{};
-  payload[0] = 7;
   int hits = 0;
-  Callback a([payload, &hits] { hits += payload[0]; });
-  Callback b(std::move(a));  // relocate within the inline buffer
-  b();
+  Callback a([p = &hits] { *p += 7; });  // one pointer: the word itself
+  ASSERT_TRUE(a.inline_stored());
+  Callback b(std::move(a));
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+  std::move(b)();
   EXPECT_EQ(hits, 7);
+  EXPECT_FALSE(static_cast<bool>(b));  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(CallbackType, SpilledCaptureSurvivesMove) {
-  std::array<char, 200> payload{};  // larger than the inline buffer
+  std::array<char, 200> payload{};  // larger than the inline word
   payload[0] = 3;
   int hits = 0;
   Callback a([payload, &hits] { hits += payload[0]; });
+  ASSERT_FALSE(a.inline_stored());
   Callback b(std::move(a));
   Callback c(std::move(b));
-  c();
+  std::move(c)();
   EXPECT_EQ(hits, 3);
+}
+
+// What the runtime schedules fits in the word; a two-word capture spills.
+TEST(CallbackType, InlineStoredOnlyForOneWordCallables) {
+  EXPECT_TRUE(sim::resume_callback(std::noop_coroutine()).inline_stored());
+  int x = 0;
+  int* p = &x;
+  EXPECT_TRUE(Callback([p] { ++*p; }).inline_stored());
+  const std::uint64_t a = 1;
+  EXPECT_FALSE(Callback([a, p] { *p += static_cast<int>(a); }).inline_stored());
+  EXPECT_FALSE(Callback().inline_stored());
+}
+
+// A spilled callable is destroyed and its block freed when its call
+// throws, both run through the queue and directly; the sanitizer build's
+// leak check catches a leak here.
+TEST(CallbackType, ThrowingSpilledCallbackIsStillReleased) {
+  auto token = std::make_shared<int>(0);
+  auto thrower = [token] { throw std::runtime_error("boom"); };
+  ASSERT_FALSE(Callback(thrower).inline_stored());
+  {
+    EventQueue q;
+    q.schedule(1, thrower);
+    q.schedule(2, thrower);
+    EXPECT_EQ(token.use_count(), 1 + 1 + 2);  // token, `thrower`, pending
+    EXPECT_THROW(q.pop_and_run(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 1 + 1 + 1);
+    EXPECT_EQ(q.size(), 1u);
+  }
+  EXPECT_EQ(token.use_count(), 2);
+  Callback c(thrower);
+  EXPECT_EQ(token.use_count(), 3);
+  EXPECT_THROW(std::move(c)(), std::runtime_error);
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_FALSE(static_cast<bool>(c));  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(SmallFnType, InvokesWithArgumentsAndResult) {
