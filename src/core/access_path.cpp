@@ -411,7 +411,7 @@ net::RdmaBatchOp AccessPath::to_batch_op(const CommOp& op) {
 
 // ===================================================== completion ======
 
-OpHandle CompletionEngine::issue(CommOp op, bool deferred) {
+OpHandle CompletionEngine::issue(CommOp op) {
   std::uint32_t idx;
   if (!free_.empty()) {
     idx = free_.back();
@@ -423,36 +423,31 @@ OpHandle CompletionEngine::issue(CommOp op, bool deferred) {
   Slot& s = slots_[idx];
   s.gen = next_gen_++;
   s.active = true;
-  s.deferred = deferred;
   s.done = false;
   s.staged = false;
   s.op = std::move(op);
   s.waiter.reset();
   s.error = nullptr;
   ++stats_.issued;
-  if (!deferred) {
-    // Coalescing eligibility (docs/COALESCING.md): nonblocking, single
-    // run, bound for a remote node, payload at or below the threshold.
-    // Blocking (deferred) ops are never staged — their inline-execute
-    // timing stays byte-identical — and with the default threshold of 0
-    // nothing ever is.
-    // Atomics are never staged: a batched FAA would lose its
-    // read-modify-write indivisibility and its value-return path.
-    const CoalesceConfig& cc = rt_.cfg_.coalesce;
-    std::optional<NodeId> dest;
-    if (cc.enabled() && !s.op.multi && !is_amo(s.op.kind) &&
-        s.op.bytes <= cc.threshold) {
-      dest = AccessPath::remote_dest(th_, s.op);
-    }
-    ++outstanding_async_;
-    stats_.outstanding_hwm =
-        std::max(stats_.outstanding_hwm, outstanding_async_);
-    if (dest) {
-      s.staged = true;
-      coalescer_.stage(*dest, idx, AccessPath::to_batch_op(s.op));
-    } else {
-      rt_.sim_.spawn(run_async(idx));
-    }
+  // Coalescing eligibility (docs/COALESCING.md): single run, bound for a
+  // remote node, payload at or below the threshold; with the default
+  // threshold of 0 nothing ever is. Atomics are never staged: a batched
+  // FAA would lose its read-modify-write indivisibility and its
+  // value-return path.
+  const CoalesceConfig& cc = rt_.cfg_.coalesce;
+  std::optional<NodeId> dest;
+  if (cc.enabled() && !s.op.multi && !is_amo(s.op.kind) &&
+      s.op.bytes <= cc.threshold) {
+    dest = AccessPath::remote_dest(th_, s.op);
+  }
+  ++outstanding_async_;
+  stats_.outstanding_hwm =
+      std::max(stats_.outstanding_hwm, outstanding_async_);
+  if (dest) {
+    s.staged = true;
+    coalescer_.stage(*dest, idx, AccessPath::to_batch_op(s.op));
+  } else {
+    rt_.sim_.spawn(run_async(idx));
   }
   return OpHandle{idx, s.gen};
 }
@@ -491,14 +486,6 @@ Task<void> CompletionEngine::wait(OpHandle h) {
   if (!h.valid() || h.slot >= slots_.size()) co_return;
   if (!slots_[h.slot].active || slots_[h.slot].gen != h.gen) {
     co_return;  // spent handle: wait is idempotent
-  }
-  if (slots_[h.slot].deferred) {
-    // Blocking wrapper: execute inline through the exact co_await chain
-    // the pre-engine runtime used — same events, same timing.
-    CommOp op = std::move(slots_[h.slot].op);
-    retire(h.slot);
-    co_await rt_.path_.execute(th_, std::move(op));
-    co_return;
   }
   Slot& s = slots_[h.slot];
   if (s.staged && !s.done) {

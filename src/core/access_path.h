@@ -4,14 +4,13 @@
 //
 // Every data-movement call — blocking or nonblocking, 1-D or 2-D,
 // single-run or memget-style multi-run — is first captured as a CommOp
-// and issued to the thread's CompletionEngine. Blocking calls issue in
-// *deferred* mode: wait() then executes the op inline through the same
-// co_await chain the pre-engine runtime used, so blocking timing, event
-// counts and reports stay byte-identical. Nonblocking calls issue in
-// *async* mode: a runner coroutine is spawned at the current simulated
-// time and the caller keeps going, overlapping the op's network round
-// trip with its own work (the upc_memget_nb shape the paper's
-// pipelining argument rests on).
+// and handed to the thread's CompletionEngine. Blocking calls run it
+// inline (run_blocking): the caller's own coroutine awaits the tier
+// dispatch, with no slot or handle. Nonblocking calls issue it: a runner
+// coroutine is spawned at the current simulated time and the caller
+// keeps going, overlapping the op's network round trip with its own
+// work (the upc_memget_nb shape the paper's pipelining argument rests
+// on).
 #pragma once
 
 #include <cstdint>
@@ -101,13 +100,19 @@ struct OpHandle {
   bool valid() const noexcept { return slot != kInvalidSlot; }
 };
 
-/// Per-thread counters of the completion engine, folded into the
-/// MetricsRegistry as `comm.*` (summed across threads; the high-water
-/// mark takes the max).
+/// Per-thread counters of the completion engine.
 struct CommStats {
   std::uint64_t issued = 0;       ///< ops issued (blocking and nonblocking)
   std::uint64_t wait_stalls = 0;  ///< wait() calls that had to suspend
   std::uint64_t outstanding_hwm = 0;  ///< max simultaneous async ops
+};
+
+/// Report keys of CommStats, combined over threads.
+inline constexpr sim::MetricRow<CommStats> kCommRows[] = {
+    {"comm.issued", &CommStats::issued},
+    {"comm.outstanding_hwm", &CommStats::outstanding_hwm, 0,
+     sim::Combine::kMax},
+    {"comm.wait_stalls", &CommStats::wait_stalls},
 };
 
 /// Tier dispatch shared by every access: local / shm within the node,
@@ -172,16 +177,14 @@ class CompletionEngine {
   CompletionEngine(const CompletionEngine&) = delete;
   CompletionEngine& operator=(const CompletionEngine&) = delete;
 
-  /// Record `op` in a fresh slot. Deferred ops execute inside wait();
-  /// async ops start a runner coroutine at the current simulated time
-  /// and overlap with the caller.
-  OpHandle issue(CommOp op, bool deferred);
+  /// Record `op` in a fresh slot and start it: staged into a coalescing
+  /// buffer when eligible, else a runner coroutine at the current
+  /// simulated time that overlaps with the caller.
+  OpHandle issue(CommOp op);
 
-  /// Blocking-wrapper fast path: count the op and execute it inline,
-  /// with no slot, handle, or wait() frame. Equivalent to
-  /// wait(issue(op, /*deferred=*/true)) — the deferred flow performs no
-  /// simulated-time work before execute(), so events and reports are
-  /// byte-identical — but two coroutine frames cheaper per access.
+  /// The blocking wrappers' path: count the op and execute it inline on
+  /// the caller's coroutine, with no slot, handle, or wait() frame.
+  /// Blocking ops are never staged.
   sim::Task<void> run_blocking(CommOp op);
 
   /// run_blocking with the typed-status contract (docs/FAULTS.md):
@@ -191,9 +194,9 @@ class CompletionEngine {
   /// fault-free timings are unchanged.
   sim::Task<OpStatus> run_blocking_status(CommOp op);
 
-  /// Complete the op behind `h`: execute it inline if deferred, suspend
-  /// until the runner finishes if async (rethrowing any error it hit).
-  /// Retires the slot; waiting on a spent or invalid handle is a no-op.
+  /// Complete the op behind `h`: suspend until it finishes (rethrowing
+  /// any error it hit). Retires the slot; waiting on a spent or invalid
+  /// handle is a no-op.
   sim::Task<void> wait(OpHandle h);
 
   /// wait() every live handle of this thread, oldest slot first. Flushes
@@ -236,7 +239,6 @@ class CompletionEngine {
   struct Slot {
     std::uint64_t gen = 0;
     bool active = false;
-    bool deferred = false;
     bool done = false;
     bool staged = false;  ///< parked in a coalescing buffer / in a batch
     CommOp op;

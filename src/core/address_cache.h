@@ -32,6 +32,7 @@
 #include "common/flat_map.h"
 #include "common/types.h"
 #include "net/message.h"
+#include "sim/metrics.h"
 
 namespace xlupc::core {
 
@@ -64,6 +65,15 @@ struct AddressCacheStats {
     return total == 0 ? 0.0 : static_cast<double>(hits) /
                                   static_cast<double>(total);
   }
+};
+
+/// Report keys of AddressCacheStats, summed over nodes.
+inline constexpr sim::MetricRow<AddressCacheStats> kAddressCacheRows[] = {
+    {"cache.hits", &AddressCacheStats::hits},
+    {"cache.misses", &AddressCacheStats::misses},
+    {"cache.insertions", &AddressCacheStats::insertions},
+    {"cache.evictions", &AddressCacheStats::evictions},
+    {"cache.invalidations", &AddressCacheStats::invalidations},
 };
 
 class AddressCache {

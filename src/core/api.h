@@ -10,6 +10,7 @@
 #include "net/fabric.h"
 #include "net/params.h"
 #include "sim/fault_plan.h"
+#include "sim/metrics.h"
 #include "svd/handle.h"
 
 namespace xlupc::core {
@@ -101,9 +102,7 @@ struct OpCounters {
   std::uint64_t am_puts = 0;
   std::uint64_t rdma_puts = 0;
   std::uint64_t rdma_naks = 0;   ///< RDMA refused (unpinned), fell back
-  // Remote atomics (FAA/CAS). All zero unless the workload issues them;
-  // the comm.amo.* report keys are folded only then, so atomics-free
-  // reports stay byte-identical to pre-AMO builds.
+  // Remote atomics (FAA/CAS). All zero unless the workload issues them.
   std::uint64_t local_amos = 0;  ///< same-thread (affine) atomics
   std::uint64_t shm_amos = 0;    ///< same-node, cross-thread atomics
   std::uint64_t am_amos = 0;     ///< remote, AM-handler lowering
@@ -117,6 +116,29 @@ struct OpCounters {
   /// OpStatus::kPeerFailed because the failure detector had already
   /// declared the target dead. Nonzero only under fabric fault plans.
   std::uint64_t breaker_fast_fails = 0;
+};
+
+/// Report keys of OpCounters (docs/OBSERVABILITY.md).
+inline constexpr sim::MetricRow<OpCounters> kOpCounterRows[] = {
+    {"runtime.gets.local", &OpCounters::local_gets},
+    {"runtime.gets.shm", &OpCounters::shm_gets},
+    {"runtime.gets.am", &OpCounters::am_gets},
+    {"runtime.gets.rdma", &OpCounters::rdma_gets},
+    {"runtime.puts.local", &OpCounters::local_puts},
+    {"runtime.puts.shm", &OpCounters::shm_puts},
+    {"runtime.puts.am", &OpCounters::am_puts},
+    {"runtime.puts.rdma", &OpCounters::rdma_puts},
+    {"runtime.rdma_naks", &OpCounters::rdma_naks},
+    {"comm.amo.local", &OpCounters::local_amos, sim::family::kAmo},
+    {"comm.amo.shm", &OpCounters::shm_amos, sim::family::kAmo},
+    {"comm.amo.am", &OpCounters::am_amos, sim::family::kAmo},
+    {"comm.amo.offloaded", &OpCounters::rdma_amos, sim::family::kAmo},
+    {"comm.amo.cas_failures", &OpCounters::cas_failures, sim::family::kAmo},
+    {"fault.pin_failures", &OpCounters::pin_failures, sim::family::kFaults},
+    {"reliability.rdma_nak_fallbacks", &OpCounters::rdma_naks,
+     sim::family::kFaults},
+    {"fault.breaker.fast_fails", &OpCounters::breaker_fast_fails,
+     sim::family::kFabricFaults},
 };
 
 }  // namespace xlupc::core

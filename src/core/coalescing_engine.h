@@ -30,6 +30,7 @@
 
 #include "common/types.h"
 #include "net/message.h"
+#include "sim/metrics.h"
 #include "sim/task.h"
 
 namespace xlupc::sim {
@@ -51,10 +52,7 @@ enum class FlushReason : std::uint8_t {
   kExplicit,
 };
 
-/// Per-thread coalescing counters, folded into the registry as
-/// `comm.coalesce.*` (summed across threads; max_batch_ops takes the
-/// max) — only when coalescing is enabled, so default runs stay
-/// byte-identical.
+/// Per-thread coalescing counters.
 struct CoalesceStats {
   std::uint64_t staged_ops = 0;      ///< ops diverted into a buffer
   std::uint64_t batches = 0;         ///< aggregated messages shipped
@@ -64,6 +62,26 @@ struct CoalesceStats {
   std::uint64_t flush_wait = 0;      ///< flushes forced by wait(handle)
   std::uint64_t flush_explicit = 0;  ///< flushes requested by the user
   std::uint64_t max_batch_ops = 0;   ///< largest batch shipped
+};
+
+/// Report keys of CoalesceStats, combined over threads; present only
+/// when coalescing is enabled.
+inline constexpr sim::MetricRow<CoalesceStats> kCoalesceRows[] = {
+    {"comm.coalesce.staged_ops", &CoalesceStats::staged_ops,
+     sim::family::kCoalesce},
+    {"comm.coalesce.batches", &CoalesceStats::batches, sim::family::kCoalesce},
+    {"comm.coalesce.batched_bytes", &CoalesceStats::batched_bytes,
+     sim::family::kCoalesce},
+    {"comm.coalesce.flush.watermark", &CoalesceStats::flush_watermark,
+     sim::family::kCoalesce},
+    {"comm.coalesce.flush.fence", &CoalesceStats::flush_fence,
+     sim::family::kCoalesce},
+    {"comm.coalesce.flush.wait", &CoalesceStats::flush_wait,
+     sim::family::kCoalesce},
+    {"comm.coalesce.flush.explicit", &CoalesceStats::flush_explicit,
+     sim::family::kCoalesce},
+    {"comm.coalesce.max_batch_ops", &CoalesceStats::max_batch_ops,
+     sim::family::kCoalesce, sim::Combine::kMax},
 };
 
 /// The staging layer itself: one instance per UpcThread, owned by its

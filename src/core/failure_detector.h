@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "sim/metrics.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -38,13 +39,24 @@ namespace xlupc::core {
 
 class Runtime;
 
-/// Detector observability, folded into the registry as the gated
-/// `fault.detector.*` family (docs/OBSERVABILITY.md).
+/// Detector observability (docs/OBSERVABILITY.md).
 struct DetectorStats {
   std::uint64_t heartbeats = 0;  ///< heartbeats sent (live nodes x ticks)
   std::uint64_t suspicions = 0;  ///< (observer, peer) lease expiries seen
   std::uint64_t deaths = 0;      ///< peers declared dead (quorum reached)
   std::uint64_t epoch = 0;       ///< membership epoch (bumps per death)
+};
+
+/// Report keys of DetectorStats; present only under fabric fault plans.
+inline constexpr sim::MetricRow<DetectorStats> kDetectorRows[] = {
+    {"fault.detector.heartbeats", &DetectorStats::heartbeats,
+     sim::family::kFabricFaults},
+    {"fault.detector.suspicions", &DetectorStats::suspicions,
+     sim::family::kFabricFaults},
+    {"fault.detector.deaths", &DetectorStats::deaths,
+     sim::family::kFabricFaults},
+    {"fault.detector.epoch", &DetectorStats::epoch,
+     sim::family::kFabricFaults},
 };
 
 class FailureDetector {

@@ -724,7 +724,7 @@ CommOp UpcThread::checked_op_2d(OpKind kind, const ArrayDesc& a,
   return op;
 }
 
-// --- blocking wrappers: issue deferred + wait (executes inline) --------
+// --- blocking wrappers: execute inline on the caller's coroutine -----
 
 Task<void> UpcThread::get(const ArrayDesc& a, std::uint64_t elem,
                           std::span<std::byte> dst) {
@@ -760,31 +760,27 @@ Task<void> UpcThread::memput(const ArrayDesc& a, std::uint64_t elem_start,
 OpHandle UpcThread::get_nb(const ArrayDesc& a, std::uint64_t elem,
                            std::span<std::byte> dst) {
   return completion_.issue(
-      checked_op_1d(OpKind::kGet, a, elem, dst.data(), nullptr, dst.size()),
-      /*deferred=*/false);
+      checked_op_1d(OpKind::kGet, a, elem, dst.data(), nullptr, dst.size()));
 }
 
 OpHandle UpcThread::put_nb(const ArrayDesc& a, std::uint64_t elem,
                            std::span<const std::byte> src) {
   return completion_.issue(
-      checked_op_1d(OpKind::kPut, a, elem, nullptr, src.data(), src.size()),
-      /*deferred=*/false);
+      checked_op_1d(OpKind::kPut, a, elem, nullptr, src.data(), src.size()));
 }
 
 OpHandle UpcThread::memget_nb(const ArrayDesc& a, std::uint64_t elem_start,
                               std::span<std::byte> dst) {
   return completion_.issue(
       checked_op_multi(OpKind::kGet, a, elem_start, dst.data(), nullptr,
-                       dst.size()),
-      /*deferred=*/false);
+                       dst.size()));
 }
 
 OpHandle UpcThread::memput_nb(const ArrayDesc& a, std::uint64_t elem_start,
                               std::span<const std::byte> src) {
   return completion_.issue(
       checked_op_multi(OpKind::kPut, a, elem_start, nullptr, src.data(),
-                       src.size()),
-      /*deferred=*/false);
+                       src.size()));
 }
 
 Task<void> UpcThread::wait(OpHandle h) { return completion_.wait(h); }
@@ -923,16 +919,14 @@ Task<std::uint64_t> UpcThread::compare_swap(const ArrayDesc& a,
 OpHandle UpcThread::faa_nb(const ArrayDesc& a, std::uint64_t elem,
                            std::uint64_t delta, std::uint64_t* result) {
   return completion_.issue(
-      checked_op_amo(OpKind::kFaa, a, elem, delta, 0, result),
-      /*deferred=*/false);
+      checked_op_amo(OpKind::kFaa, a, elem, delta, 0, result));
 }
 
 OpHandle UpcThread::cas_nb(const ArrayDesc& a, std::uint64_t elem,
                            std::uint64_t expected, std::uint64_t desired,
                            std::uint64_t* result) {
   return completion_.issue(
-      checked_op_amo(OpKind::kCas, a, elem, desired, expected, result),
-      /*deferred=*/false);
+      checked_op_amo(OpKind::kCas, a, elem, desired, expected, result));
 }
 
 Task<LockDesc> UpcThread::lock_alloc() {

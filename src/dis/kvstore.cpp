@@ -35,20 +35,7 @@ const char* to_string(KvAccessPath p) {
 }
 
 void KvStoreStats::merge(const KvStoreStats& o) {
-  gets += o.gets;
-  puts += o.puts;
-  hits += o.hits;
-  misses += o.misses;
-  inserts += o.inserts;
-  updates += o.updates;
-  probes += o.probes;
-  cas_lost += o.cas_lost;
-  lock_fallbacks += o.lock_fallbacks;
-  peer_failed += o.peer_failed;
-  timeouts += o.timeouts;
-  tier_local += o.tier_local;
-  tier_shm += o.tier_shm;
-  tier_remote += o.tier_remote;
+  sim::merge(*this, o, kKvStoreRows);
 }
 
 Task<KvStore> KvStore::create(UpcThread& th, KvStoreConfig cfg) {
@@ -214,20 +201,7 @@ void fold_kv_metrics(sim::MetricsRegistry& reg, const KvStoreStats& stats,
                      const LatencyHistogram& get_latency,
                      const LatencyHistogram& put_latency,
                      double sustained_ops_per_s) {
-  reg.set("kv.gets", stats.gets);
-  reg.set("kv.puts", stats.puts);
-  reg.set("kv.hits", stats.hits);
-  reg.set("kv.misses", stats.misses);
-  reg.set("kv.inserts", stats.inserts);
-  reg.set("kv.updates", stats.updates);
-  reg.set("kv.probes", stats.probes);
-  reg.set("kv.cas_lost", stats.cas_lost);
-  reg.set("kv.lock_fallbacks", stats.lock_fallbacks);
-  reg.set("kv.errors.peer_failed", stats.peer_failed);
-  reg.set("kv.errors.timeout", stats.timeouts);
-  reg.set("kv.tier.local", stats.tier_local);
-  reg.set("kv.tier.shm", stats.tier_shm);
-  reg.set("kv.tier.remote", stats.tier_remote);
+  sim::fold(reg, stats, kKvStoreRows, /*live=*/0);
   reg.set("kv.lat.samples", get_latency.count() + put_latency.count());
   if (get_latency.count() > 0) {
     reg.set_gauge("kv.get.p50_us", get_latency.percentile_us(0.50));

@@ -38,6 +38,7 @@
 #include "core/run_report.h"
 #include "dis/latency_histogram.h"
 #include "dis/ticket_lock.h"
+#include "sim/metrics.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -68,8 +69,7 @@ struct KvStoreConfig {
   std::uint32_t block_buckets = 8;
 };
 
-/// Client-side counters of one thread's KvStore copy, folded into the
-/// gated kv.* report keys by run_kv_workload (docs/OBSERVABILITY.md).
+/// Client-side counters of one thread's KvStore copy.
 struct KvStoreStats {
   std::uint64_t gets = 0;
   std::uint64_t puts = 0;
@@ -89,6 +89,25 @@ struct KvStoreStats {
   std::uint64_t tier_remote = 0;  ///< remote node
 
   void merge(const KvStoreStats& o);
+};
+
+/// Report keys of KvStoreStats, summed over clients; folded by
+/// fold_kv_metrics.
+inline constexpr sim::MetricRow<KvStoreStats> kKvStoreRows[] = {
+    {"kv.gets", &KvStoreStats::gets},
+    {"kv.puts", &KvStoreStats::puts},
+    {"kv.hits", &KvStoreStats::hits},
+    {"kv.misses", &KvStoreStats::misses},
+    {"kv.inserts", &KvStoreStats::inserts},
+    {"kv.updates", &KvStoreStats::updates},
+    {"kv.probes", &KvStoreStats::probes},
+    {"kv.cas_lost", &KvStoreStats::cas_lost},
+    {"kv.lock_fallbacks", &KvStoreStats::lock_fallbacks},
+    {"kv.errors.peer_failed", &KvStoreStats::peer_failed},
+    {"kv.errors.timeout", &KvStoreStats::timeouts},
+    {"kv.tier.local", &KvStoreStats::tier_local},
+    {"kv.tier.shm", &KvStoreStats::tier_shm},
+    {"kv.tier.remote", &KvStoreStats::tier_remote},
 };
 
 /// Shared DHT handle. Construction is collective; each thread then

@@ -42,6 +42,7 @@
 #include "common/flat_map.h"
 #include "common/types.h"
 #include "net/params.h"
+#include "sim/metrics.h"
 #include "sim/resource.h"
 #include "sim/task.h"
 
@@ -72,9 +73,7 @@ struct FabricParams {
   bool enabled() const noexcept { return port_credits > 0; }
 };
 
-/// Work counters of the fabric, folded into the RunReport as the gated
-/// `fabric.*` keys (docs/OBSERVABILITY.md) — only when the fabric is
-/// enabled, so default-config reports stay byte-identical.
+/// Work counters of the fabric.
 struct FabricStats {
   std::uint64_t msgs = 0;            ///< messages carried hop-by-hop
   std::uint64_t hops = 0;            ///< switch ports traversed in total
@@ -82,6 +81,19 @@ struct FabricStats {
   std::uint64_t credit_wait_ns = 0;  ///< simulated ns blocked on credits
   std::uint64_t adaptive_diverts = 0;  ///< adaptive picks != ECMP primary
   std::uint64_t failover_transits = 0; ///< transits detoured by link-down
+};
+
+/// Report keys of FabricStats; present only when the fabric is enabled.
+inline constexpr sim::MetricRow<FabricStats> kFabricRows[] = {
+    {"fabric.msgs", &FabricStats::msgs, sim::family::kFabric},
+    {"fabric.hops", &FabricStats::hops, sim::family::kFabric},
+    {"fabric.credit_waits", &FabricStats::credit_waits, sim::family::kFabric},
+    {"fabric.credit_wait_ns", &FabricStats::credit_wait_ns,
+     sim::family::kFabric},
+    {"fabric.adaptive_diverts", &FabricStats::adaptive_diverts,
+     sim::family::kFabric},
+    {"fabric.failover_transits", &FabricStats::failover_transits,
+     sim::family::kFabric},
 };
 
 /// The switch fabric of one Machine. Ports are materialized lazily on

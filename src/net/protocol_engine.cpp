@@ -178,7 +178,7 @@ Task<void> ProtocolEngine::deliver_faulty(NodeId src, NodeId dst,
     if (retx_nic != nullptr && retx_cost != 0) {
       co_await retx_nic->use(retx_cost);
     }
-    stats_.retx_wire_bytes += retx_bytes;
+    stats_.wire_bytes += retx_bytes;
   }
 }
 

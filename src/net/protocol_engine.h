@@ -28,10 +28,13 @@
 
 namespace xlupc::net {
 
-/// Counters of the protocol core's recovery work. All zero under the null
-/// fault plan. Folded into TransportStats (and from there into the
-/// MetricsRegistry as the `fault.*` / `reliability.*` taxonomy).
+/// The counters the protocol core adds to: the base of TransportStats,
+/// whose instance the engine is handed. All but wire_bytes count recovery
+/// work and stay zero under the null fault plan.
 struct ProtocolStats {
+  /// Payload + header bytes on the wire; the engine adds the bytes it
+  /// re-serializes on retransmission.
+  std::uint64_t wire_bytes = 0;
   std::uint64_t retransmits = 0;      ///< legs re-sent after loss/corruption
   std::uint64_t timeouts = 0;         ///< retransmission budget exhausted
   std::uint64_t dropped_msgs = 0;     ///< legs silently lost in transit
@@ -39,7 +42,6 @@ struct ProtocolStats {
   std::uint64_t duplicate_msgs = 0;   ///< late copies suppressed by seqno
   std::uint64_t backoff_ns = 0;       ///< simulated time spent in RTO waits
   std::uint64_t nic_stall_waits = 0;  ///< injections delayed by a stall
-  std::uint64_t retx_wire_bytes = 0;  ///< bytes re-serialized on the wire
 
   // Whole-fabric failure recovery (docs/FAULTS.md); nonzero only when
   // the plan schedules link-down windows or node crashes.
@@ -51,10 +53,11 @@ struct ProtocolStats {
 
 /// The per-link protocol state machine shared by every machine model.
 /// One instance per Transport; links are keyed by the (src, dst) node
-/// pair.
+/// pair. It counts into `stats`, which must outlive it.
 class ProtocolEngine {
  public:
-  explicit ProtocolEngine(Machine& machine) : machine_(machine) {}
+  ProtocolEngine(Machine& machine, ProtocolStats& stats)
+      : machine_(machine), stats_(stats) {}
   ProtocolEngine(const ProtocolEngine&) = delete;
   ProtocolEngine& operator=(const ProtocolEngine&) = delete;
 
@@ -121,10 +124,6 @@ class ProtocolEngine {
 
   const ProtocolStats& stats() const noexcept { return stats_; }
 
-  /// Zero the recovery-work counters; live link sequence state is kept
-  /// (only the statistics window restarts).
-  void reset_stats() { stats_ = ProtocolStats{}; }
-
   /// Sequence stamps are 16-bit and wrap; comparisons use serial-number
   /// arithmetic (RFC 1982): `a` is at or after `b` when the modular
   /// distance b -> a is shorter than half the space. Correct as long as
@@ -175,7 +174,7 @@ class ProtocolEngine {
                                  std::uint64_t retx_bytes);
 
   Machine& machine_;
-  ProtocolStats stats_;
+  ProtocolStats& stats_;
   /// Keyed by link_key(src, dst). deliver_faulty holds its link's entry
   /// across suspensions, so entries must not move.
   StableMap<std::uint64_t, LinkSeq> link_seq_;

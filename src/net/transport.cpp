@@ -16,7 +16,7 @@ Transport::Transport(Machine& machine, AmTarget& target)
     : machine_(machine),
       target_(target),
       ib_(machine.params().kind == TransportKind::kIb),
-      protocol_(machine),
+      protocol_(machine, stats_),
       cqs_(ib_ ? machine.nodes() : 0) {
   reg_caches_.reserve(machine.nodes());
   for (std::uint32_t n = 0; n < machine.nodes(); ++n) {
@@ -26,31 +26,7 @@ Transport::Transport(Machine& machine, AmTarget& target)
 
 void Transport::reset_stats() {
   stats_ = TransportStats{};
-  protocol_.reset_stats();
   for (auto& rc : reg_caches_) rc.reset_counters();
-}
-
-// ------------------------------------------------- statistics views ---
-
-const TransportStats& Transport::stats() const noexcept {
-  // The reliability counters live in the shared ProtocolEngine (one
-  // state machine for GM and LAPI alike); merge them into the struct
-  // view on every read so the two can never drift.
-  merged_stats_ = stats_;
-  const ProtocolStats& ps = protocol_.stats();
-  merged_stats_.retransmits = ps.retransmits;
-  merged_stats_.timeouts = ps.timeouts;
-  merged_stats_.dropped_msgs = ps.dropped_msgs;
-  merged_stats_.corrupt_msgs = ps.corrupt_msgs;
-  merged_stats_.duplicate_msgs = ps.duplicate_msgs;
-  merged_stats_.backoff_ns = ps.backoff_ns;
-  merged_stats_.nic_stall_waits = ps.nic_stall_waits;
-  merged_stats_.wire_bytes += ps.retx_wire_bytes;
-  merged_stats_.link_down_drops = ps.link_down_drops;
-  merged_stats_.failover_routes = ps.failover_routes;
-  merged_stats_.peer_dead_drops = ps.peer_dead_drops;
-  merged_stats_.link_resyncs = ps.link_resyncs;
-  return merged_stats_;
 }
 
 // ------------------------------------------------ IB queue pairs ---
@@ -155,69 +131,6 @@ std::uint64_t AmTarget::serve_amo(NodeId /*target*/, const AmoRequest& /*req*/) 
   // Only targets that actually serve atomics (the runtime) override
   // this; reaching the default is a wiring bug, not a runtime event.
   throw std::logic_error("AmTarget::serve_amo: target does not serve atomics");
-}
-
-void TransportStats::fold_into(sim::MetricsRegistry& reg, bool faults_enabled,
-                               bool coalescing_enabled,
-                               bool ib_enabled,
-                               bool fabric_enabled,
-                               bool amo_enabled) const {
-  reg.set("transport.gets.eager", am_gets);
-  reg.set("transport.gets.rendezvous", rendezvous_gets);
-  reg.set("transport.puts.eager", am_puts);
-  reg.set("transport.puts.rendezvous", rendezvous_puts);
-  reg.set("transport.rdma.gets", rdma_gets);
-  reg.set("transport.rdma.puts", rdma_puts);
-  reg.set("transport.rdma.naks", rdma_naks);
-  reg.set("transport.control_msgs", control_msgs);
-  reg.set("transport.wire_bytes", wire_bytes);
-  // Folded only when the CoalescingEngine is enabled, so coalescing-off
-  // reports stay byte-identical to builds that predate the batch layer.
-  if (coalescing_enabled) {
-    reg.set("transport.batch_msgs", batch_msgs);
-    reg.set("transport.batched_gets", batched_gets);
-    reg.set("transport.batched_puts", batched_puts);
-  }
-  // Folded only when the run issued atomics, so atomics-free reports
-  // stay byte-identical to builds that predate the AMO verbs.
-  if (amo_enabled) {
-    reg.set("transport.amos", amo_msgs);
-    if (ib_enabled) reg.set("transport.ib.nic_atomics", nic_atomics);
-  }
-  // Folded only on IB, so GM/LAPI reports stay byte-identical to
-  // builds that predate the verbs model.
-  if (ib_enabled) {
-    reg.set("transport.ib.qp_posts", qp_posts);
-    reg.set("transport.ib.sq_stalls", sq_stalls);
-    reg.set("transport.ib.inline_sends", inline_sends);
-    reg.set("transport.ib.rnr_naks", rnr_naks);
-    reg.set("transport.ib.rnr_retries", rnr_retries);
-  }
-  // Folded only when a FaultPlan is enabled, so fault-free reports stay
-  // byte-identical to builds that predate the fault layer.
-  if (faults_enabled) {
-    reg.set("fault.dropped_msgs", dropped_msgs);
-    reg.set("fault.corrupt_msgs", corrupt_msgs);
-    reg.set("fault.duplicate_msgs", duplicate_msgs);
-    reg.set("fault.nic_stall_waits", nic_stall_waits);
-    reg.set("reliability.retransmits", retransmits);
-    reg.set("reliability.timeouts", timeouts);
-    reg.set("reliability.bounce_fallbacks", bounce_fallbacks);
-    reg.set_gauge("reliability.backoff_us", sim::to_us(backoff_ns));
-  }
-  // Folded only when the plan schedules link-down windows or crashes, so
-  // message-fault-only reports stay byte-identical to builds that
-  // predate the whole-fabric failure model (docs/FAULTS.md).
-  if (fabric_enabled) {
-    reg.set("fault.fabric.link_down_drops", link_down_drops);
-    reg.set("fault.fabric.failover_routes", failover_routes);
-    reg.set("fault.fabric.peer_dead_drops", peer_dead_drops);
-    reg.set("fault.fabric.link_resyncs", link_resyncs);
-    if (ib_enabled) {
-      reg.set("fault.fabric.qp_errors", qp_errors);
-      reg.set("fault.fabric.qp_reconnects", qp_reconnects);
-    }
-  }
 }
 
 Duration Transport::reg_cache_cost(NodeId node, Addr addr, std::size_t len,

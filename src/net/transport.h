@@ -189,11 +189,10 @@ class AmTarget {
                                  std::size_t len) = 0;
 };
 
-/// Aggregate operation counters (per transport instance). The transport
-/// itself owns only the operation/byte counters; the reliability fields
-/// are a read-time copy of the shared ProtocolEngine's ProtocolStats, so
-/// the two views cannot drift (Transport::stats() performs the merge).
-struct TransportStats {
+/// Aggregate operation counters (per transport instance). The
+/// ProtocolStats base is the part the shared ProtocolEngine counts into
+/// directly: wire bytes (retransmissions included) and recovery work.
+struct TransportStats : ProtocolStats {
   std::uint64_t am_gets = 0;
   std::uint64_t am_puts = 0;
   std::uint64_t rendezvous_gets = 0;
@@ -202,69 +201,88 @@ struct TransportStats {
   std::uint64_t rdma_puts = 0;
   std::uint64_t rdma_naks = 0;
   std::uint64_t control_msgs = 0;
-  std::uint64_t wire_bytes = 0;
 
   // Small-op coalescing (docs/COALESCING.md). All zero unless the
-  // CoalescingEngine is enabled; folded into the registry only then, so
-  // coalescing-off reports stay byte-identical to pre-batch builds.
+  // CoalescingEngine is enabled.
   std::uint64_t batch_msgs = 0;    ///< aggregated wire messages sent
   std::uint64_t batched_gets = 0;  ///< GET members carried in batches
   std::uint64_t batched_puts = 0;  ///< PUT members carried in batches
 
-  // Reliability layer (docs/FAULTS.md), mirrored from ProtocolStats. All
-  // zero unless a FaultPlan is enabled, except bounce_fallbacks, which
-  // also covers registration requests larger than the whole DMAable
-  // budget (and is owned by the transport, not the protocol engine).
-  std::uint64_t retransmits = 0;      ///< legs re-sent after loss/corruption
-  std::uint64_t timeouts = 0;         ///< retransmission budget exhausted
-  std::uint64_t dropped_msgs = 0;     ///< legs silently lost in transit
-  std::uint64_t corrupt_msgs = 0;     ///< legs discarded by checksum
-  std::uint64_t duplicate_msgs = 0;   ///< late copies suppressed by seqno
-  std::uint64_t backoff_ns = 0;       ///< simulated time spent in RTO waits
-  std::uint64_t nic_stall_waits = 0;  ///< injections delayed by a stall
-  std::uint64_t bounce_fallbacks = 0; ///< transfers staged via bounce bufs
+  /// Transfers staged via bounce buffers: registrations larger than the
+  /// whole DMAable budget (also fault-free), and IB rendezvous whose RNR
+  /// retry budget ran out.
+  std::uint64_t bounce_fallbacks = 0;
 
   // Remote atomics (docs/COMM_ENGINE.md). All zero unless the workload
-  // issues FAA/CAS; folded into the registry only then (`amo_enabled`),
-  // so atomics-free reports stay byte-identical to pre-AMO builds.
+  // issues FAA/CAS.
   std::uint64_t amo_msgs = 0;     ///< AMO requests sent on the wire
   std::uint64_t nic_atomics = 0;  ///< AMOs applied by the NIC DMA engine
 
-  // Verbs queue-pair layer (src/net/ib). All zero on GM/LAPI; folded
-  // into the registry only on IB, so GM/LAPI reports stay
-  // byte-identical to pre-IB builds.
+  // Verbs queue-pair layer (src/net/ib). All zero on GM/LAPI.
   std::uint64_t qp_posts = 0;      ///< WQEs posted to send queues
   std::uint64_t sq_stalls = 0;     ///< posts that waited for a SQ slot
   std::uint64_t inline_sends = 0;  ///< sends carried inline in the WQE
   std::uint64_t rnr_naks = 0;      ///< receiver-not-ready NAKs received
   std::uint64_t rnr_retries = 0;   ///< rendezvous re-sends after an RNR
 
-  // Whole-fabric failure recovery (docs/FAULTS.md). All zero unless the
-  // FaultPlan schedules link-down windows or crashes; folded into the
-  // registry only then (`fabric_enabled`), so message-fault-only reports
-  // stay byte-identical to builds without the fabric failure model.
-  std::uint64_t link_down_drops = 0;  ///< legs lost to a dark link
-  std::uint64_t failover_routes = 0;  ///< legs rerouted over an alternate path
-  std::uint64_t peer_dead_drops = 0;  ///< legs abandoned against a dead peer
-  std::uint64_t link_resyncs = 0;     ///< seqno resyncs after reconnection
+  // IB connection recovery under whole-fabric failures (docs/FAULTS.md).
   std::uint64_t qp_errors = 0;        ///< QPs transitioned to the error state
   std::uint64_t qp_reconnects = 0;    ///< QPs torn down and re-established
+};
 
-  /// Fold this struct into `reg` under the stable dotted names of the
-  /// observability taxonomy (`transport.*`; when `faults_enabled`, the
-  /// transport-owned subset of `fault.*` / `reliability.*`; when
-  /// `coalescing_enabled`, the `transport.batch_*` family; when
-  /// `ib_enabled`, the `transport.ib.*` queue-pair family; when
-  /// `fabric_enabled`, the `fault.fabric.*` recovery family). The single
-  /// fold point is what keeps the struct and the registry from drifting;
-  /// metrics_test additionally asserts field-by-field equality. When
-  /// `amo_enabled` (the run issued atomics), the `transport.amos` /
-  /// `transport.ib.nic_atomics` family joins them.
-  void fold_into(sim::MetricsRegistry& reg, bool faults_enabled,
-                 bool coalescing_enabled = false,
-                 bool ib_enabled = false,
-                 bool fabric_enabled = false,
-                 bool amo_enabled = false) const;
+/// Report keys of TransportStats. `reliability.backoff_us` (a gauge of
+/// backoff_ns) is derived, so it is set by Runtime::metrics().
+inline constexpr sim::MetricRow<TransportStats> kTransportRows[] = {
+    {"transport.gets.eager", &TransportStats::am_gets},
+    {"transport.gets.rendezvous", &TransportStats::rendezvous_gets},
+    {"transport.puts.eager", &TransportStats::am_puts},
+    {"transport.puts.rendezvous", &TransportStats::rendezvous_puts},
+    {"transport.rdma.gets", &TransportStats::rdma_gets},
+    {"transport.rdma.puts", &TransportStats::rdma_puts},
+    {"transport.rdma.naks", &TransportStats::rdma_naks},
+    {"transport.control_msgs", &TransportStats::control_msgs},
+    {"transport.wire_bytes", &TransportStats::wire_bytes},
+    {"transport.batch_msgs", &TransportStats::batch_msgs,
+     sim::family::kCoalesce},
+    {"transport.batched_gets", &TransportStats::batched_gets,
+     sim::family::kCoalesce},
+    {"transport.batched_puts", &TransportStats::batched_puts,
+     sim::family::kCoalesce},
+    {"transport.amos", &TransportStats::amo_msgs, sim::family::kAmo},
+    {"transport.ib.nic_atomics", &TransportStats::nic_atomics,
+     sim::family::kAmo | sim::family::kIb},
+    {"transport.ib.qp_posts", &TransportStats::qp_posts, sim::family::kIb},
+    {"transport.ib.sq_stalls", &TransportStats::sq_stalls, sim::family::kIb},
+    {"transport.ib.inline_sends", &TransportStats::inline_sends,
+     sim::family::kIb},
+    {"transport.ib.rnr_naks", &TransportStats::rnr_naks, sim::family::kIb},
+    {"transport.ib.rnr_retries", &TransportStats::rnr_retries,
+     sim::family::kIb},
+    {"fault.dropped_msgs", &TransportStats::dropped_msgs,
+     sim::family::kFaults},
+    {"fault.corrupt_msgs", &TransportStats::corrupt_msgs,
+     sim::family::kFaults},
+    {"fault.duplicate_msgs", &TransportStats::duplicate_msgs,
+     sim::family::kFaults},
+    {"fault.nic_stall_waits", &TransportStats::nic_stall_waits,
+     sim::family::kFaults},
+    {"reliability.retransmits", &TransportStats::retransmits,
+     sim::family::kFaults},
+    {"reliability.timeouts", &TransportStats::timeouts, sim::family::kFaults},
+    {"reliability.bounce_fallbacks", &TransportStats::bounce_fallbacks,
+     sim::family::kFaults},
+    {"fault.fabric.link_down_drops", &TransportStats::link_down_drops,
+     sim::family::kFabricFaults},
+    {"fault.fabric.failover_routes", &TransportStats::failover_routes,
+     sim::family::kFabricFaults},
+    {"fault.fabric.peer_dead_drops", &TransportStats::peer_dead_drops,
+     sim::family::kFabricFaults},
+    {"fault.fabric.link_resyncs", &TransportStats::link_resyncs,
+     sim::family::kFabricFaults},
+    {"fault.fabric.qp_errors", &TransportStats::qp_errors,
+     sim::family::kFabricFaults | sim::family::kIb},
+    {"fault.fabric.qp_reconnects", &TransportStats::qp_reconnects,
+     sim::family::kFabricFaults | sim::family::kIb},
 };
 
 /// Identifies the initiating UPC thread's seat in the machine.
@@ -337,11 +355,8 @@ class Transport {
   sim::Task<void> ensure_local_registered(Initiator from, Addr key,
                                           std::size_t len);
 
-  /// Aggregate statistics: the transport's operation/byte counters with
-  /// the ProtocolEngine's reliability counters merged in at read time.
-  const TransportStats& stats() const noexcept;
-  /// The shared per-link protocol core (seqno/ACK/retransmit/NAK).
-  const ProtocolEngine& protocol() const noexcept { return protocol_; }
+  /// Aggregate statistics, the ProtocolEngine's counters included.
+  const TransportStats& stats() const noexcept { return stats_; }
 
   /// Declare `node` dead, called by the runtime's failure detector once
   /// per declared death: in-flight legs against it fail fast with
@@ -355,9 +370,9 @@ class Transport {
   /// the topology offers no redundant path (the fat tree usually does;
   /// the protocol engine then reroutes and the QPs stay RTS).
   void on_link_down(NodeId a, NodeId b);
-  /// Zero the message/byte counters, the protocol engine's recovery
-  /// counters and every node's registration-cache counters (resident
-  /// registrations are kept — only the statistics window restarts).
+  /// Zero the message/byte and recovery counters and every node's
+  /// registration-cache counters (resident registrations are kept —
+  /// only the statistics window restarts).
   void reset_stats();
   const mem::RegistrationCache& reg_cache(NodeId node) const {
     return reg_caches_.at(node);
@@ -479,10 +494,7 @@ class Transport {
   const bool ib_;
   std::vector<mem::RegistrationCache> reg_caches_;
   TransportStats stats_;
-  ProtocolEngine protocol_;
-  /// Read-time merge target of stats_ + protocol_.stats(); refreshed on
-  /// every stats() call so callers keep the cheap const-reference API.
-  mutable TransportStats merged_stats_;
+  ProtocolEngine protocol_;  // counts into stats_
   /// IB: one RC connection per ordered (initiator, target) node pair,
   /// keyed by link_key(src, dst) and created on first use (peer_dead fences
   /// them in key order), and one initiator-side completion queue per node.

@@ -1,16 +1,21 @@
 // Tests for the observability layer: the MetricsRegistry, per-Resource
-// instrumentation, Runtime::metrics()/reset_metrics() and the JSON report
+// instrumentation, Runtime::metrics()/reset_metrics(), the metric schema
+// against the docs/OBSERVABILITY.md taxonomy, and the JSON report
 // serialization (byte-stability against a golden file).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "benchsupport/json.h"
 #include "benchsupport/report.h"
 #include "core/runtime.h"
+#include "dis/kvstore.h"
+#include "net/machine_registry.h"
 #include "net/transport.h"
 #include "sim/metrics.h"
 #include "sim/resource.h"
@@ -258,10 +263,9 @@ TEST(RuntimeMetrics, ResetClearsFaultReliabilityAndCommCounters) {
   EXPECT_DOUBLE_EQ(clean.gauge("reliability.backoff_us"), 0.0);
 }
 
-// Satellite of the ProtocolEngine extraction: TransportStats (the struct
-// benches read directly) and the registry counters (what reports carry)
-// must be two views of the same numbers, including the protocol-owned
-// fields now accumulated inside the ProtocolEngine and merged on read.
+// TransportStats (the struct benches read directly) and the registry
+// counters (what reports carry) must be two views of the same numbers,
+// including the fields the ProtocolEngine counts into directly.
 TEST(RuntimeMetrics, TransportStatsAndRegistryCountersAgree) {
   Runtime rt(faulty_config());
   rt.run(tiny_body);
@@ -360,6 +364,92 @@ TEST(RuntimeMetrics, TraceLinesPresentOnlyWhenTracing) {
       }
     }
     EXPECT_TRUE(saw_rdma_get);
+  }
+}
+
+// --- Metric schema and the documented taxonomy ---------------------------
+
+// Every name in the docs/OBSERVABILITY.md taxonomy tables. A cell lists
+// names as `a.b.c` / `.d`, where `.d` replaces the last component of the
+// name before it (`a.b.d`).
+std::set<std::string> documented_names() {
+  const std::string path =
+      std::string(XLUPC_SOURCE_DIR) + "/docs/OBSERVABILITY.md";
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "missing " << path;
+  std::set<std::string> names;
+  bool taxonomy = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("## ", 0) == 0) taxonomy = line == "## Metric taxonomy";
+    if (!taxonomy || line.rfind("| `", 0) != 0) continue;
+    const std::string cell = line.substr(0, line.find('|', 1));
+    std::string prev;
+    for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+      const std::size_t close = cell.find('`', open + 1);
+      if (close == std::string::npos) break;  // unpaired: not a name
+      std::string name = cell.substr(open + 1, close - open - 1);
+      if (name.starts_with('.')) {
+        name = prev.substr(0, prev.rfind('.')) + name;
+      }
+      names.insert(name);
+      prev = name;
+      open = cell.find('`', close + 1);
+    }
+  }
+  return names;
+}
+
+template <class S, std::size_t N>
+void expect_rows_reported(const core::RunReport& rep,
+                          const sim::MetricRow<S> (&rows)[N]) {
+  for (const sim::MetricRow<S>& r : rows) {
+    bool found = false;
+    for (const auto& [k, v] : rep.counters) found = found || k == r.name;
+    EXPECT_TRUE(found) << r.name << " missing from the report";
+  }
+}
+
+// One KV run turns every report family on: the IB machine (verbs, and
+// NIC atomics from the store's CAS inserts), a fault plan with drops and
+// a crash-stop (faults, fabric faults), coalescing, and finite port
+// credits (fabric). Its report must carry every schema row, and its
+// names must be exactly the documented taxonomy.
+TEST(MetricSchema, EveryFamilyLiveReportMatchesTheDocumentedTaxonomy) {
+  RuntimeConfig cfg;
+  cfg.platform = net::make_machine("ib");
+  cfg.nodes = 4;
+  cfg.faults.seed = 13;
+  cfg.faults.drop_prob = 0.01;
+  cfg.faults.crashes = {{3, sim::us(800.0)}};
+  cfg.coalesce.threshold = 64;
+  cfg.fabric.port_credits = 2;
+  dis::KvWorkloadParams p;
+  p.store.capacity = 256;
+  p.keyspace = 64;
+  p.put_fraction = 0.25;
+  p.ops_per_thread = 32;
+  p.interarrival = sim::us(60.0);
+  const core::RunReport rep = dis::run_kv_workload(cfg, p).report;
+
+  expect_rows_reported(rep, core::kOpCounterRows);
+  expect_rows_reported(rep, core::kAddressCacheRows);
+  expect_rows_reported(rep, core::kCommRows);
+  expect_rows_reported(rep, core::kCoalesceRows);
+  expect_rows_reported(rep, core::kDetectorRows);
+  expect_rows_reported(rep, net::kTransportRows);
+  expect_rows_reported(rep, net::kFabricRows);
+  expect_rows_reported(rep, dis::kKvStoreRows);
+
+  std::set<std::string> reported;
+  for (const auto& [k, v] : rep.counters) reported.insert(k);
+  for (const auto& [k, v] : rep.gauges) reported.insert(k);
+  const std::set<std::string> documented = documented_names();
+  for (const std::string& k : reported) {
+    EXPECT_TRUE(documented.count(k)) << k << " is not documented";
+  }
+  for (const std::string& k : documented) {
+    EXPECT_TRUE(reported.count(k)) << k << " is documented, not reported";
   }
 }
 

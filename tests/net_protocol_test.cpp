@@ -289,7 +289,8 @@ TEST(ProtocolSeqno, DeliveryAndDuplicateSuppressionAcrossWrap) {
   fp.drop_prob = 0.2;
   fp.dup_prob = 1.0;  // every recovered loss also arrives late
   Rig rig(mare_nostrum_gm(), 2, fp);
-  ProtocolEngine pe(rig.machine);
+  ProtocolStats stats;
+  ProtocolEngine pe(rig.machine, stats);
   constexpr std::uint16_t kStart = 65520;
   constexpr int kLegs = 64;
   pe.seed_link_for_test(0, 1, kStart, kStart);
@@ -315,7 +316,8 @@ TEST(ProtocolSeqno, DeliveryAndDuplicateSuppressionAcrossWrap) {
 
 TEST(ProtocolSeqno, ResyncRebasesOntoDeliveredHighWaterMark) {
   Rig rig(mare_nostrum_gm());
-  ProtocolEngine pe(rig.machine);
+  ProtocolStats stats;
+  ProtocolEngine pe(rig.machine, stats);
   // A reconnect forgets in-flight stamps [37, 100): the sender restarts
   // at the receiver's high-water mark so replay can't double-apply.
   pe.seed_link_for_test(0, 1, 100, 37);
@@ -338,7 +340,8 @@ TEST(ProtocolBudget, ExhaustionThrowsTransportTimeout) {
   fp.drop_prob = 1.0;  // the link never delivers
   fp.max_retransmits = 3;
   Rig rig(mare_nostrum_gm(), 2, fp);
-  ProtocolEngine pe(rig.machine);
+  ProtocolStats stats;
+  ProtocolEngine pe(rig.machine, stats);
   rig.sim.spawn([](ProtocolEngine& e) -> sim::Task<> {
     co_await e.deliver(0, 1, nullptr, 0, 0);
   }(pe));
