@@ -23,6 +23,15 @@ using RdmaKey = std::uint64_t;
 
 inline constexpr Addr kNullAddr = 0;
 
+/// Outcome of a transport leg or runtime operation, returned as a value
+/// from the protocol engine up to the API (docs/FAULTS.md). Ordered by
+/// severity: the worst of several outcomes is their std::max.
+enum class OpStatus : std::uint8_t {
+  kOk = 0,
+  kTimeout,     ///< retransmission budget exhausted (peer may be alive)
+  kPeerFailed,  ///< a leg's endpoint crash-stopped
+};
+
 /// Key of the ordered node pair (src, dst). Ascending keys order pairs
 /// as std::pair does: by src, then by dst.
 constexpr std::uint64_t link_key(NodeId src, NodeId dst) noexcept {

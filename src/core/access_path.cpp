@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "core/runtime.h"
@@ -15,8 +14,9 @@ using sim::Task;
 
 // ===================================================== tier dispatch ===
 
-Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
-                                std::span<std::byte> dst) {
+Task<OpStatus> AccessPath::get_span(UpcThread& th, ArrayDesc a,
+                                    Layout::Loc loc,
+                                    std::span<std::byte> dst) {
   const auto& p = rt_.cfg_.platform;
   const Layout& layout = *a.layout;
   const NodeId owner = layout.node_of(loc.thread);
@@ -24,8 +24,9 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
   const std::uint32_t len = static_cast<std::uint32_t>(dst.size());
   const sim::Time t_start = rt_.sim_.now();
   // Gated up front: with tracing off (the common case) no TraceEvent is
-  // even constructed on this per-access path.
-  auto trace = [&](TracePath path) {
+  // even constructed on this per-access path. Captures by value where
+  // it can: each reference capture is a pointer in this frame.
+  auto trace = [this, &th, owner, len, t_start](TracePath path) {
     if (!rt_.tracer_.enabled()) return;
     rt_.tracer_.record(
         TraceEvent{th.id(), TraceOp::kGet, path, owner, len, t_start,
@@ -48,17 +49,15 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
       ++rt_.counters_.shm_gets;
       trace(TracePath::kShm);
     }
-    co_return;
+    co_return OpStatus::kOk;
   }
 
   // Circuit breaker: once the failure detector has declared the owner
-  // dead, fail fast with the typed error instead of hammering the dead
-  // peer through a full retransmission budget per access.
+  // dead, fail fast with kPeerFailed instead of hammering the dead peer
+  // through a full retransmission budget per access.
   if (rt_.peer_failed(owner)) {
     ++rt_.counters_.breaker_fast_fails;
-    throw net::PeerDeadError(owner, "get: target node " +
-                                        std::to_string(owner) +
-                                        " was declared dead");
+    co_return OpStatus::kPeerFailed;
   }
 
   const net::Initiator from{th.node(), th.core()};
@@ -77,6 +76,7 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
             len);
       }
       auto res = co_await rt_.transport_.rdma_get(from, owner, raddr, len);
+      if (res.status != OpStatus::kOk) co_return res.status;
       if (res.ok()) {
         if (len <= p.rdma_bounce_limit) {
           // Landed in a preregistered bounce buffer; copy out on the CPU.
@@ -88,7 +88,7 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
         // Offload backends (IB) complete one-sided reads entirely on the
         // NIC DMA engine; mark them apart from handler-CPU completions.
         trace(p.rdma_offload ? TracePath::kRdmaOffload : TracePath::kRdma);
-        co_return;
+        co_return OpStatus::kOk;
       }
       // NAK: the target no longer pins that window. Invalidate and fall
       // back to the default path (which will re-populate the cache).
@@ -108,6 +108,7 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
   req.local_buf =
       static_cast<Addr>(reinterpret_cast<std::uintptr_t>(dst.data()));
   auto reply = co_await rt_.transport_.get(from, owner, std::move(req));
+  if (reply.status != OpStatus::kOk) co_return reply.status;
   if (reply.base && use_cache) {
     co_await rt_.machine_.core(th.node(), th.core()).use(p.cache_update);
     rt_.node(th.node()).cache.insert(key, *reply.base);
@@ -115,10 +116,12 @@ Task<void> AccessPath::get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
   std::memcpy(dst.data(), reply.data.data(), len);
   ++rt_.counters_.am_gets;
   trace(TracePath::kAm);
+  co_return OpStatus::kOk;
 }
 
-Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
-                                std::span<const std::byte> src) {
+Task<OpStatus> AccessPath::put_span(UpcThread& th, ArrayDesc a,
+                                    Layout::Loc loc,
+                                    std::span<const std::byte> src) {
   const auto& p = rt_.cfg_.platform;
   const Layout& layout = *a.layout;
   const NodeId owner = layout.node_of(loc.thread);
@@ -146,15 +149,13 @@ Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
       ++rt_.counters_.shm_puts;
       trace(TracePath::kShm);
     }
-    co_return;
+    co_return OpStatus::kOk;
   }
 
   // Circuit breaker (same contract as get_span).
   if (rt_.peer_failed(owner)) {
     ++rt_.counters_.breaker_fast_fails;
-    throw net::PeerDeadError(owner, "put: target node " +
-                                        std::to_string(owner) +
-                                        " was declared dead");
+    co_return OpStatus::kPeerFailed;
   }
 
   const net::Initiator from{th.node(), th.core()};
@@ -177,24 +178,19 @@ Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
       }
       rt_.note_put_issued(th);
       const ThreadId tid = th.id();
-      net::RdmaPutResult res;
-      try {
-        res = co_await rt_.transport_.rdma_put(
-            from, owner, raddr, {src.begin(), src.end()},
-            [rt, tid] { rt->note_put_completed(tid); });
-      } catch (...) {
-        // The awaited half (descriptor leg / NAK reply) threw after the
-        // PUT was counted outstanding: release it, or fence() waits for
-        // a completion that can never arrive.
-        rt_.note_put_completed(th.id());
-        throw;
-      }
-      if (res.ok()) {
+      const net::RdmaPutResult res = co_await rt_.transport_.rdma_put(
+          from, owner, raddr, {src.begin(), src.end()},
+          [rt, tid] { rt->note_put_completed(tid); });
+      if (res.status == OpStatus::kOk && res.ok()) {
         ++rt_.counters_.rdma_puts;
         trace(p.rdma_offload ? TracePath::kRdmaOffload : TracePath::kRdma);
-        co_return;
+        co_return OpStatus::kOk;
       }
-      rt_.note_put_completed(th.id());  // nothing was issued
+      // NAKed or failed: the completion hook never fires, so release the
+      // outstanding count here, or fence() waits for a completion that
+      // can never arrive.
+      rt_.note_put_completed(th.id());
+      if (res.status != OpStatus::kOk) co_return res.status;
       rt_.node(th.node()).cache.invalidate(key);
       ++rt_.counters_.rdma_naks;
     }
@@ -212,27 +208,27 @@ Task<void> AccessPath::put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
   const ThreadId tid = th.id();
   const CacheKey key = rt_.make_key(a, owner, node_off);
   const NodeId my_node = th.node();
-  try {
-    co_await rt_.transport_.put(
-        from, owner, std::move(req),
-        [rt, tid, key, my_node, cache_on](const net::PutAck& ack) {
-          if (ack.base && cache_on) {
-            rt->node(my_node).cache.insert(key, *ack.base);
-          }
-          rt->note_put_completed(tid);
-        });
-  } catch (...) {
-    // Same leak guard: an awaited leg (rendezvous RTS/CTS, or the QP
-    // post on IB) can throw after note_put_issued; the detached halves
-    // that normally fire on_ack never spawn then.
+  const OpStatus st = co_await rt_.transport_.put(
+      from, owner, std::move(req),
+      [rt, tid, key, my_node, cache_on](const net::PutAck& ack) {
+        if (ack.base && cache_on) {
+          rt->node(my_node).cache.insert(key, *ack.base);
+        }
+        rt->note_put_completed(tid);
+      });
+  if (st != OpStatus::kOk) {
+    // Same release: an awaited leg (rendezvous RTS/CTS, or the QP post
+    // on IB) failed, so the detached half that fires on_ack never ran.
     rt_.note_put_completed(th.id());
-    throw;
+    co_return st;
   }
   ++rt_.counters_.am_puts;
   trace(TracePath::kAm);
+  co_return OpStatus::kOk;
 }
 
-Task<void> AccessPath::amo_span(UpcThread& th, CommOp op, Layout::Loc loc) {
+Task<OpStatus> AccessPath::amo_span(UpcThread& th, CommOp op,
+                                    Layout::Loc loc) {
   const auto& p = rt_.cfg_.platform;
   const Layout& layout = *op.array.layout;
   const NodeId owner = layout.node_of(loc.thread);
@@ -268,17 +264,13 @@ Task<void> AccessPath::amo_span(UpcThread& th, CommOp op, Layout::Loc loc) {
     if (op.kind == OpKind::kCas && old != op.compare) {
       ++rt_.counters_.cas_failures;
     }
-    co_return;
+    co_return OpStatus::kOk;
   }
 
-  // Circuit breaker (same contract as get_span): an AMO against a peer
-  // already declared dead fails fast with the typed error, which
-  // wait_status maps to OpStatus::kPeerFailed.
+  // Circuit breaker (same contract as get_span).
   if (rt_.peer_failed(owner)) {
     ++rt_.counters_.breaker_fast_fails;
-    throw net::PeerDeadError(owner, "amo: target node " +
-                                        std::to_string(owner) +
-                                        " was declared dead");
+    co_return OpStatus::kPeerFailed;
   }
 
   const net::Initiator from{th.node(), th.core()};
@@ -305,7 +297,7 @@ Task<void> AccessPath::amo_span(UpcThread& th, CommOp op, Layout::Loc loc) {
   }
 
   net::AmoResult res = co_await rt_.transport_.amo(from, owner, req);
-  if (!res.ok()) {
+  if (res.status == OpStatus::kOk && !res.ok()) {
     // NAK: the cached window is no longer pinned. Invalidate and retry
     // through the AM lowering (which translates at the home node).
     rt_.node(th.node()).cache.invalidate(key);
@@ -313,6 +305,7 @@ Task<void> AccessPath::amo_span(UpcThread& th, CommOp op, Layout::Loc loc) {
     req.raddr = kNullAddr;
     res = co_await rt_.transport_.amo(from, owner, req);
   }
+  if (res.status != OpStatus::kOk) co_return res.status;
   if (op.result != nullptr) *op.result = res.value;
   if (res.offloaded) {
     ++rt_.counters_.rdma_amos;
@@ -324,9 +317,10 @@ Task<void> AccessPath::amo_span(UpcThread& th, CommOp op, Layout::Loc loc) {
   if (op.kind == OpKind::kCas && res.value != op.compare) {
     ++rt_.counters_.cas_failures;
   }
+  co_return OpStatus::kOk;
 }
 
-Task<void> AccessPath::execute(UpcThread& th, CommOp op) {
+Task<OpStatus> AccessPath::execute(UpcThread& th, CommOp op) {
   // Plain dispatcher: single-run ops forward to the span coroutine with
   // no execute() frame. Safe because get_span/put_span copy their
   // ArrayDesc / Loc / span arguments into their own frame — nothing
@@ -344,7 +338,7 @@ Task<void> AccessPath::execute(UpcThread& th, CommOp op) {
                   std::span<const std::byte>(op.src, op.bytes));
 }
 
-Task<void> AccessPath::execute_multi(UpcThread& th, CommOp op) {
+Task<OpStatus> AccessPath::execute_multi(UpcThread& th, CommOp op) {
   // memget/memput: split the range at ownership boundaries, exactly as
   // the blocking loops did (each piece is contiguous on its owner).
   const Layout& layout = *op.array.layout;
@@ -354,33 +348,26 @@ Task<void> AccessPath::execute_multi(UpcThread& th, CommOp op) {
   std::size_t off = 0;
   while (total > 0) {
     const std::uint64_t run = std::min(total, layout.run_length(elem));
+    OpStatus st;
     if (op.kind == OpKind::kGet) {
-      co_await get_span(th, op.array, layout.locate(elem),
-                        std::span<std::byte>(op.dst + off, run * es));
+      st = co_await get_span(th, op.array, layout.locate(elem),
+                             std::span<std::byte>(op.dst + off, run * es));
     } else {
-      co_await put_span(th, op.array, layout.locate(elem),
-                        std::span<const std::byte>(op.src + off, run * es));
+      st = co_await put_span(
+          th, op.array, layout.locate(elem),
+          std::span<const std::byte>(op.src + off, run * es));
     }
+    if (st != OpStatus::kOk) co_return st;
     elem += run;
     off += run * es;
     total -= run;
   }
+  co_return OpStatus::kOk;
 }
 
-Task<void> CompletionEngine::run_blocking(CommOp op) {
+Task<OpStatus> CompletionEngine::run_blocking(CommOp op) {
   ++stats_.issued;
   return rt_.path_.execute(th_, std::move(op));
-}
-
-Task<OpStatus> CompletionEngine::run_blocking_status(CommOp op) {
-  try {
-    co_await run_blocking(std::move(op));
-  } catch (const net::PeerDeadError&) {
-    co_return OpStatus::kPeerFailed;
-  } catch (const net::TransportTimeout&) {
-    co_return OpStatus::kTimeout;
-  }
-  co_return OpStatus::kOk;
 }
 
 // ========================================== coalescing eligibility ====
@@ -425,9 +412,9 @@ OpHandle CompletionEngine::issue(CommOp op) {
   s.active = true;
   s.done = false;
   s.staged = false;
+  s.status = OpStatus::kOk;
   s.op = std::move(op);
   s.waiter.reset();
-  s.error = nullptr;
   ++stats_.issued;
   // Coalescing eligibility (docs/COALESCING.md): single run, bound for a
   // remote node, payload at or below the threshold; with the default
@@ -453,21 +440,12 @@ OpHandle CompletionEngine::issue(CommOp op) {
 }
 
 Task<void> CompletionEngine::run_async(std::uint32_t idx) {
-  Slot& s = slots_[idx];
-  try {
-    co_await rt_.path_.execute(th_, s.op);
-  } catch (...) {
-    s.error = std::current_exception();
-  }
-  s.done = true;
-  --outstanding_async_;
-  if (s.waiter) s.waiter->fire();
+  complete(idx, co_await rt_.path_.execute(th_, slots_[idx].op));
 }
 
-void CompletionEngine::complete_staged(std::uint32_t idx,
-                                       std::exception_ptr err) {
+void CompletionEngine::complete(std::uint32_t idx, OpStatus status) {
   Slot& s = slots_[idx];
-  s.error = err;
+  s.status = status;
   s.done = true;
   s.staged = false;
   --outstanding_async_;
@@ -482,10 +460,10 @@ void CompletionEngine::retire(std::uint32_t idx) {
   free_.push_back(idx);
 }
 
-Task<void> CompletionEngine::wait(OpHandle h) {
-  if (!h.valid() || h.slot >= slots_.size()) co_return;
+Task<OpStatus> CompletionEngine::wait(OpHandle h) {
+  if (!h.valid() || h.slot >= slots_.size()) co_return OpStatus::kOk;
   if (!slots_[h.slot].active || slots_[h.slot].gen != h.gen) {
-    co_return;  // spent handle: wait is idempotent
+    co_return OpStatus::kOk;  // spent handle: wait is idempotent
   }
   Slot& s = slots_[h.slot];
   if (s.staged && !s.done) {
@@ -498,38 +476,19 @@ Task<void> CompletionEngine::wait(OpHandle h) {
     s.waiter.emplace(rt_.sim_);
     co_await s.waiter->wait();
   }
-  const std::exception_ptr err = s.error;
+  const OpStatus st = s.status;
   retire(h.slot);
-  if (err) std::rethrow_exception(err);
+  co_return st;
 }
 
-Task<void> CompletionEngine::wait_all() {
+Task<OpStatus> CompletionEngine::wait_all() {
   // Flush-on-fence: fence() and wait_all() ship every staging buffer
   // before retiring the outstanding handles.
-  coalescer_.flush_all(FlushReason::kFence);
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].active) continue;
-    co_await wait(OpHandle{i, slots_[i].gen});
-  }
-}
-
-Task<OpStatus> CompletionEngine::wait_status(OpHandle h) {
-  try {
-    co_await wait(h);
-  } catch (const net::PeerDeadError&) {
-    co_return OpStatus::kPeerFailed;
-  } catch (const net::TransportTimeout&) {
-    co_return OpStatus::kTimeout;
-  }
-  co_return OpStatus::kOk;
-}
-
-Task<OpStatus> CompletionEngine::wait_all_status() {
   coalescer_.flush_all(FlushReason::kFence);
   OpStatus worst = OpStatus::kOk;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (!slots_[i].active) continue;
-    const OpStatus st = co_await wait_status(OpHandle{i, slots_[i].gen});
+    const OpStatus st = co_await wait(OpHandle{i, slots_[i].gen});
     worst = std::max(worst, st);
   }
   co_return worst;

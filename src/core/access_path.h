@@ -76,17 +76,8 @@ struct CommOp {
   std::uint64_t* result = nullptr;
 };
 
-/// Typed outcome of a completed operation — the error-propagation
-/// contract of the blocking surface under whole-fabric faults
-/// (docs/FAULTS.md). wait()/fence() rethrow transport errors; the
-/// *_status variants absorb the two recoverable ones into this enum so
-/// applications can route around a dead peer without try/catch at every
-/// access. Any other exception still propagates.
-enum class OpStatus : std::uint8_t {
-  kOk = 0,
-  kTimeout,     ///< retransmission budget exhausted (peer may be alive)
-  kPeerFailed,  ///< a leg's endpoint crash-stopped (net::PeerDeadError)
-};
+/// Typed outcome of a completed operation (common/types.h).
+using xlupc::OpStatus;
 
 /// Ticket for an issued operation. Handles are single-use: wait()
 /// retires the slot, after which the handle is spent (waiting again is a
@@ -127,25 +118,28 @@ class AccessPath {
   AccessPath& operator=(const AccessPath&) = delete;
 
   /// Serve one CommOp to completion (local completion for PUTs; remote
-  /// completion is tracked by the thread's CompletionEngine for fence).
+  /// completion is tracked by the thread's CompletionEngine for fence)
+  /// and return its status; a multi-run op stops at its first failed run.
   /// A plain dispatcher, not a coroutine: single-run ops (the common
   /// case) forward straight to get_span/put_span with no frame of their
   /// own; only multi-run memget/memput ops pay for a splitting coroutine.
-  sim::Task<void> execute(UpcThread& th, CommOp op);
+  sim::Task<OpStatus> execute(UpcThread& th, CommOp op);
 
   /// The tier dispatch for one contiguous span (never crosses an
   /// ownership boundary). The descriptor is taken by value — copies of an
   /// unowned_view are refcount-free — so callers may pass a descriptor
-  /// that dies before the returned task is awaited.
-  sim::Task<void> get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
-                           std::span<std::byte> dst);
-  sim::Task<void> put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
-                           std::span<const std::byte> src);
+  /// that dies before the returned task is awaited. Returns the status of
+  /// the transport leg, or kPeerFailed up front against a declared-dead
+  /// owner (the circuit breaker).
+  sim::Task<OpStatus> get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
+                               std::span<std::byte> dst);
+  sim::Task<OpStatus> put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
+                               std::span<const std::byte> src);
   /// Atomic tier dispatch: local/shm apply on the calling node, remote
   /// elements go through Transport::amo() — NIC-offloaded verbs atomics
   /// on IB (address-cache hit), AM-handler lowering otherwise. Writes
-  /// the fetched old value through op.result.
-  sim::Task<void> amo_span(UpcThread& th, CommOp op, Layout::Loc loc);
+  /// the fetched old value through op.result (only on kOk).
+  sim::Task<OpStatus> amo_span(UpcThread& th, CommOp op, Layout::Loc loc);
 
   // --- coalescing routing helpers (docs/COALESCING.md) ---
   /// The remote node a single-run op is bound for, or nullopt when the
@@ -162,7 +156,7 @@ class AccessPath {
  private:
   /// memget/memput: split the range at ownership boundaries (coroutine —
   /// the loop needs a frame to live in across the per-piece awaits).
-  sim::Task<void> execute_multi(UpcThread& th, CommOp op);
+  sim::Task<OpStatus> execute_multi(UpcThread& th, CommOp op);
 
   Runtime& rt_;
 };
@@ -182,34 +176,20 @@ class CompletionEngine {
   /// simulated time that overlaps with the caller.
   OpHandle issue(CommOp op);
 
-  /// The blocking wrappers' path: count the op and execute it inline on
-  /// the caller's coroutine, with no slot, handle, or wait() frame.
-  /// Blocking ops are never staged.
-  sim::Task<void> run_blocking(CommOp op);
+  /// The blocking calls' path: count the op and execute it inline on
+  /// the caller's coroutine, with no slot, handle, or wait() frame, and
+  /// return its status. Blocking ops are never staged.
+  sim::Task<OpStatus> run_blocking(CommOp op);
 
-  /// run_blocking with the typed-status contract (docs/FAULTS.md):
-  /// PeerDeadError maps to OpStatus::kPeerFailed and TransportTimeout to
-  /// kTimeout instead of propagating; other exceptions still throw. The
-  /// error-free path is the same inline execution as run_blocking, so
-  /// fault-free timings are unchanged.
-  sim::Task<OpStatus> run_blocking_status(CommOp op);
+  /// Complete the op behind `h`: suspend until it finishes and return
+  /// the status it ended with. Retires the slot; waiting on a spent or
+  /// invalid handle is a no-op returning kOk.
+  sim::Task<OpStatus> wait(OpHandle h);
 
-  /// Complete the op behind `h`: suspend until it finishes (rethrowing
-  /// any error it hit). Retires the slot; waiting on a spent or invalid
-  /// handle is a no-op.
-  sim::Task<void> wait(OpHandle h);
-
-  /// wait() every live handle of this thread, oldest slot first. Flushes
-  /// every staging buffer first (flush-on-fence semantics).
-  sim::Task<void> wait_all();
-
-  /// wait(), but with the typed-status contract: PeerDeadError maps to
-  /// OpStatus::kPeerFailed and TransportTimeout to kTimeout instead of
-  /// rethrowing; other exceptions still propagate.
-  sim::Task<OpStatus> wait_status(OpHandle h);
-  /// wait_all() with the typed-status contract; returns the worst status
-  /// across the retired handles (kPeerFailed > kTimeout > kOk).
-  sim::Task<OpStatus> wait_all_status();
+  /// wait() every live handle of this thread, oldest slot first, and
+  /// return the worst status across them (kPeerFailed > kTimeout > kOk).
+  /// Flushes every staging buffer first (flush-on-fence semantics).
+  sim::Task<OpStatus> wait_all();
 
   // --- small-message coalescing surface (docs/COALESCING.md) ---
   /// Ship the staging buffer bound for `dest` now (explicit flush).
@@ -241,19 +221,18 @@ class CompletionEngine {
     bool active = false;
     bool done = false;
     bool staged = false;  ///< parked in a coalescing buffer / in a batch
+    OpStatus status = OpStatus::kOk;  ///< the op's outcome, once done
     CommOp op;
     // In-place (optional, not unique_ptr): a wait stall happens on every
     // contended access and must not cost a heap round trip.
     std::optional<sim::Trigger> waiter;
-    std::exception_ptr error;
   };
 
   sim::Task<void> run_async(std::uint32_t idx);
-  /// Batch completion callback: the CoalescingEngine retires the whole
-  /// aggregated message while each member's OpHandle stays valid — this
-  /// marks one member slot done (with the batch's error, if any) and
-  /// wakes its waiter.
-  void complete_staged(std::uint32_t idx, std::exception_ptr err);
+  /// Op completion: mark the slot done with the op's status and wake its
+  /// waiter. The CoalescingEngine calls it for each member of a batch
+  /// (with the batch's status) while each member's OpHandle stays valid.
+  void complete(std::uint32_t idx, OpStatus status);
   void retire(std::uint32_t idx);
 
   Runtime& rt_;

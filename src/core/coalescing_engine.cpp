@@ -77,33 +77,28 @@ Task<void> CoalescingEngine::run_batch(NodeId dest,
   for (Staged& s : staged) batch.ops.push_back(std::move(s.op));
 
   const sim::Time t_start = rt_.sim_.now();
-  std::exception_ptr err;
-  net::RdmaBatchResult res;
-  try {
-    res = co_await rt_.transport_.rdma_batch(
-        net::Initiator{th_.node(), th_.core()}, dest, std::move(batch));
-  } catch (...) {
-    // The whole aggregated message failed (retransmission budget
-    // exhausted); every member op reports the same error at wait().
-    err = std::current_exception();
-  }
+  const net::RdmaBatchResult res = co_await rt_.transport_.rdma_batch(
+      net::Initiator{th_.node(), th_.core()}, dest, std::move(batch));
+  // A failed aggregated message (retransmission budget exhausted) fails
+  // every member op with the same status at wait().
+  const bool ok = res.status == OpStatus::kOk;
 
   std::size_t g = 0;
   for (const Staged& s : staged) {
     if (s.op.is_get) {
-      if (!err && g < res.get_data.size()) {
+      if (ok && g < res.get_data.size()) {
         std::memcpy(ce_.slots_[s.slot].op.dst, res.get_data[g].data(),
                     s.op.len);
       }
       ++g;
-      if (!err) ++rt_.counters_.am_gets;
-    } else if (!err) {
+      if (ok) ++rt_.counters_.am_gets;
+    } else if (ok) {
       ++rt_.counters_.am_puts;
     }
     rt_.tracer_.record(TraceEvent{
         th_.id(), s.op.is_get ? TraceOp::kGet : TraceOp::kPut,
         TracePath::kBatch, dest, s.op.len, t_start, rt_.sim_.now()});
-    ce_.complete_staged(s.slot, err);
+    ce_.complete(s.slot, res.status);
   }
 }
 

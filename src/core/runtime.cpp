@@ -34,6 +34,13 @@ LayoutSpec from_wire(const net::WireLayout& w) {
   return s;
 }
 
+/// A throwing adapter's frame: await the status form, then raise a
+/// failure (net::raise_if_failed). Also wraps the runtime's own control
+/// sends, which have no status surface: a lost control leg aborts run().
+Task<void> raised(Task<OpStatus> status_form) {
+  net::raise_if_failed(co_await std::move(status_form));
+}
+
 }  // namespace
 
 // ===================================================== Runtime basics ===
@@ -194,7 +201,7 @@ namespace {
 Task<void> control_counted(net::Transport* tr, net::Initiator from,
                            NodeId dst, net::ControlMsg msg,
                            sim::CountdownLatch* latch) {
-  co_await tr->control(from, dst, msg);
+  net::raise_if_failed(co_await tr->control(from, dst, msg));
   latch->count_down();
 }
 }  // namespace
@@ -259,7 +266,7 @@ void Runtime::publish_bases(NodeId origin, svd::Handle h) {
     // O(nodes) messages per node per object: the "extensive
     // communication" cost the SVD design avoids (Sec. 2.1). Delivery is
     // asynchronous; accesses racing it simply miss and take the AM path.
-    sim_.spawn(transport_.control(net::Initiator{origin, 0}, n, msg));
+    sim_.spawn(raised(transport_.control(net::Initiator{origin, 0}, n, msg)));
   }
 }
 
@@ -467,8 +474,9 @@ void Runtime::grant_lock(NodeId home_node, std::uint64_t handle,
     waiter.lock_wait_->set(true);
     return;
   }
-  sim_.spawn(transport_.control(net::Initiator{home_node, 0}, req_node,
-                                 net::LockGrant{handle, requester, true}));
+  sim_.spawn(raised(transport_.control(
+      net::Initiator{home_node, 0}, req_node,
+      net::LockGrant{handle, requester, true})));
 }
 
 void Runtime::lock_request_at_home(NodeId home_node, std::uint64_t handle,
@@ -582,17 +590,11 @@ Task<void> UpcThread::compute(Duration d) {
   co_await rt_->machine_.core(node_, core_).use(d);
 }
 
-Task<void> UpcThread::fence() {
-  // Retire any nonblocking handles still in flight, then wait for the
-  // remote completion of every PUT this thread issued (the blocking-only
-  // path has no live handles, so the first step is a no-op there).
-  co_await completion_.wait_all();
-  co_await completion_.drain_puts();
-}
+Task<void> UpcThread::fence() { return raised(fence_status()); }
 
 Task<void> UpcThread::barrier() {
   const sim::Time t_start = rt_->sim_.now();
-  co_await fence();
+  net::raise_if_failed(co_await fence_status());
   co_await rt_->user_barrier_->arrive();
   co_await rt_->sim_.delay(rt_->barrier_cost());
   rt_->tracer_.record(TraceEvent{id_, TraceOp::kBarrier, TracePath::kNone, 0,
@@ -724,35 +726,35 @@ CommOp UpcThread::checked_op_2d(OpKind kind, const ArrayDesc& a,
   return op;
 }
 
-// --- blocking wrappers: execute inline on the caller's coroutine -----
+// --- blocking calls: execute inline on the caller's coroutine --------
+//
+// Plain functions, not coroutines: argument checks and op construction
+// have no simulated-time side effects, so each status form forwards the
+// execute task directly — no wrapper, wait() or execute() frame — and
+// its throwing twin adds only the one raised() frame. All call sites
+// co_await immediately, so the issue point is unchanged in simulated
+// time, and argument errors still throw at the call.
 
 Task<void> UpcThread::get(const ArrayDesc& a, std::uint64_t elem,
                           std::span<std::byte> dst) {
-  // Plain function, not a coroutine: argument checks and op construction
-  // have no simulated-time side effects, so the wrapper forwards the
-  // execute task directly — no wrapper, wait() or execute() frame. All
-  // call sites co_await immediately, so the issue point is unchanged in
-  // simulated time.
-  return completion_.run_blocking(
-      checked_op_1d(OpKind::kGet, a, elem, dst.data(), nullptr, dst.size()));
+  return raised(get_status(a, elem, dst));
 }
 
 Task<void> UpcThread::put(const ArrayDesc& a, std::uint64_t elem,
                           std::span<const std::byte> src) {
-  return completion_.run_blocking(
-      checked_op_1d(OpKind::kPut, a, elem, nullptr, src.data(), src.size()));
+  return raised(put_status(a, elem, src));
 }
 
 Task<void> UpcThread::memget(const ArrayDesc& a, std::uint64_t elem_start,
                              std::span<std::byte> dst) {
-  return completion_.run_blocking(checked_op_multi(
-      OpKind::kGet, a, elem_start, dst.data(), nullptr, dst.size()));
+  return raised(completion_.run_blocking(checked_op_multi(
+      OpKind::kGet, a, elem_start, dst.data(), nullptr, dst.size())));
 }
 
 Task<void> UpcThread::memput(const ArrayDesc& a, std::uint64_t elem_start,
                              std::span<const std::byte> src) {
-  return completion_.run_blocking(checked_op_multi(
-      OpKind::kPut, a, elem_start, nullptr, src.data(), src.size()));
+  return raised(completion_.run_blocking(checked_op_multi(
+      OpKind::kPut, a, elem_start, nullptr, src.data(), src.size())));
 }
 
 // --- nonblocking surface ----------------------------------------------
@@ -783,16 +785,19 @@ OpHandle UpcThread::memput_nb(const ArrayDesc& a, std::uint64_t elem_start,
                        src.size()));
 }
 
-Task<void> UpcThread::wait(OpHandle h) { return completion_.wait(h); }
+Task<void> UpcThread::wait(OpHandle h) { return raised(wait_status(h)); }
 
-Task<void> UpcThread::wait_all() { return completion_.wait_all(); }
+Task<void> UpcThread::wait_all() { return raised(completion_.wait_all()); }
 
 Task<OpStatus> UpcThread::wait_status(OpHandle h) {
-  return completion_.wait_status(h);
+  return completion_.wait(h);
 }
 
 Task<OpStatus> UpcThread::fence_status() {
-  const OpStatus st = co_await completion_.wait_all_status();
+  // Retire any nonblocking handles still in flight, then wait for the
+  // remote completion of every PUT this thread issued (the blocking-only
+  // path has no live handles, so the first step is a no-op there).
+  const OpStatus st = co_await completion_.wait_all();
   // PUT remote completions always arrive — legs lost to a dead peer
   // complete locally in the detached protocol halves — so the drain
   // cannot hang even when the status above is not kOk.
@@ -808,13 +813,13 @@ bool UpcThread::crashed() const {
 
 Task<OpStatus> UpcThread::get_status(const ArrayDesc& a, std::uint64_t elem,
                                      std::span<std::byte> dst) {
-  return completion_.run_blocking_status(
+  return completion_.run_blocking(
       checked_op_1d(OpKind::kGet, a, elem, dst.data(), nullptr, dst.size()));
 }
 
 Task<OpStatus> UpcThread::put_status(const ArrayDesc& a, std::uint64_t elem,
                                      std::span<const std::byte> src) {
-  return completion_.run_blocking_status(
+  return completion_.run_blocking(
       checked_op_1d(OpKind::kPut, a, elem, nullptr, src.data(), src.size()));
 }
 
@@ -822,7 +827,7 @@ Task<OpStatus> UpcThread::fetch_add_status(const ArrayDesc& a,
                                            std::uint64_t elem,
                                            std::uint64_t delta,
                                            std::uint64_t* result) {
-  return completion_.run_blocking_status(
+  return completion_.run_blocking(
       checked_op_amo(OpKind::kFaa, a, elem, delta, 0, result));
 }
 
@@ -831,7 +836,7 @@ Task<OpStatus> UpcThread::compare_swap_status(const ArrayDesc& a,
                                               std::uint64_t expected,
                                               std::uint64_t desired,
                                               std::uint64_t* result) {
-  return completion_.run_blocking_status(
+  return completion_.run_blocking(
       checked_op_amo(OpKind::kCas, a, elem, desired, expected, result));
 }
 
@@ -853,8 +858,8 @@ Task<void> UpcThread::memcpy_shared(const ArrayDesc& dst,
         std::min({count, src.layout->run_length(src_elem),
                   dst.layout->run_length(dst_elem)});
     staging.resize(run * es);
-    co_await get(src, src_elem, staging);
-    co_await put(dst, dst_elem, staging);
+    net::raise_if_failed(co_await get_status(src, src_elem, staging));
+    net::raise_if_failed(co_await put_status(dst, dst_elem, staging));
     src_elem += run;
     dst_elem += run;
     count -= run;
@@ -863,14 +868,14 @@ Task<void> UpcThread::memcpy_shared(const ArrayDesc& dst,
 
 Task<void> UpcThread::get2d(const ArrayDesc& a, std::uint64_t r,
                             std::uint64_t c, std::span<std::byte> dst) {
-  return completion_.run_blocking(
-      checked_op_2d(OpKind::kGet, a, r, c, dst.data(), nullptr, dst.size()));
+  return raised(completion_.run_blocking(
+      checked_op_2d(OpKind::kGet, a, r, c, dst.data(), nullptr, dst.size())));
 }
 
 Task<void> UpcThread::put2d(const ArrayDesc& a, std::uint64_t r,
                             std::uint64_t c, std::span<const std::byte> src) {
-  return completion_.run_blocking(
-      checked_op_2d(OpKind::kPut, a, r, c, nullptr, src.data(), src.size()));
+  return raised(completion_.run_blocking(
+      checked_op_2d(OpKind::kPut, a, r, c, nullptr, src.data(), src.size())));
 }
 
 // --- atomics: blocking wrappers + nonblocking surface ------------------
@@ -898,11 +903,10 @@ CommOp UpcThread::checked_op_amo(OpKind kind, const ArrayDesc& a,
 Task<std::uint64_t> UpcThread::fetch_add(const ArrayDesc& a,
                                          std::uint64_t elem,
                                          std::uint64_t delta) {
-  // Blocking wrapper = issue + inline execute, exactly like get/put; the
-  // old value lands in the frame-local slot before run_blocking returns.
+  // The status form runs inline, exactly like get/put; the old value
+  // lands in the frame-local slot before it returns.
   std::uint64_t old = 0;
-  co_await completion_.run_blocking(
-      checked_op_amo(OpKind::kFaa, a, elem, delta, 0, &old));
+  net::raise_if_failed(co_await fetch_add_status(a, elem, delta, &old));
   co_return old;
 }
 
@@ -911,8 +915,8 @@ Task<std::uint64_t> UpcThread::compare_swap(const ArrayDesc& a,
                                             std::uint64_t expected,
                                             std::uint64_t desired) {
   std::uint64_t old = 0;
-  co_await completion_.run_blocking(
-      checked_op_amo(OpKind::kCas, a, elem, desired, expected, &old));
+  net::raise_if_failed(
+      co_await compare_swap_status(a, elem, expected, desired, &old));
   co_return old;
 }
 
@@ -948,9 +952,9 @@ Task<void> UpcThread::lock(const LockDesc& lk) {
         rt_->cfg_.platform.local_access);
     rt_->lock_request_at_home(home_node, lk.handle.pack(), id_);
   } else {
-    co_await rt_->transport_.control(
+    net::raise_if_failed(co_await rt_->transport_.control(
         net::Initiator{node_, core_}, home_node,
-        net::LockRequest{lk.handle.pack(), id_, false});
+        net::LockRequest{lk.handle.pack(), id_, false}));
   }
   co_await lock_wait_->get();
   lock_wait_.reset();
@@ -963,8 +967,9 @@ Task<void> UpcThread::unlock(const LockDesc& lk) {
         rt_->cfg_.platform.local_access);
     rt_->lock_release_at_home(home_node, lk.handle.pack(), id_);
   } else {
-    co_await rt_->transport_.control(net::Initiator{node_, core_}, home_node,
-                                      net::LockRelease{lk.handle.pack(), id_});
+    net::raise_if_failed(co_await rt_->transport_.control(
+        net::Initiator{node_, core_}, home_node,
+        net::LockRelease{lk.handle.pack(), id_}));
   }
 }
 

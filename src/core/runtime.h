@@ -45,6 +45,8 @@ class Runtime;
 /// Execution context of one UPC thread. All operations are awaitable and
 /// advance simulated time; they must only be called from within the
 /// thread's own coroutine body.
+/// Each throwing call is its status form (get_status, wait_status, ...)
+/// plus net::raise_if_failed (docs/FAULTS.md).
 class UpcThread {
  public:
   UpcThread(Runtime& rt, ThreadId id, NodeId node, std::uint32_t core,
@@ -118,9 +120,10 @@ class UpcThread {
   OpHandle memput_nb(const ArrayDesc& a, std::uint64_t elem_start,
                      std::span<const std::byte> src);
   /// Suspend until the op behind `h` completes (no-op on a spent
-  /// handle); rethrows any error the op hit.
+  /// handle); raises the failure the op ended with.
   sim::Task<void> wait(OpHandle h);
-  /// Retire every outstanding handle of this thread.
+  /// Retire every outstanding handle of this thread, then raise the
+  /// worst failure among them.
   sim::Task<void> wait_all();
   /// wait() with the typed-status contract (docs/FAULTS.md): errors from
   /// a dead peer come back as OpStatus::kPeerFailed, an exhausted
@@ -135,12 +138,12 @@ class UpcThread {
   bool crashed() const;
 
   // --- typed-status blocking surface (docs/FAULTS.md) ---
-  // Blocking issue + inline execute like get/put/fetch_add, but errors
-  // from a dead peer come back as OpStatus::kPeerFailed and an exhausted
-  // retransmission budget as kTimeout instead of as exceptions — the
-  // contract serving workloads (dis::KvStore, dis::TicketLock) use to
-  // route around failures without try/catch at every access. Fault-free
-  // timings are identical to the throwing wrappers.
+  // Blocking issue + inline execute; errors from a dead peer come back
+  // as OpStatus::kPeerFailed and an exhausted retransmission budget as
+  // kTimeout — the contract serving workloads (dis::KvStore,
+  // dis::TicketLock) use to route around failures without an exception
+  // handler at every access. get/put/fetch_add/... are these plus the
+  // raise.
   sim::Task<OpStatus> get_status(const ArrayDesc& a, std::uint64_t elem,
                                  std::span<std::byte> dst);
   sim::Task<OpStatus> put_status(const ArrayDesc& a, std::uint64_t elem,
@@ -435,13 +438,14 @@ class Runtime final : public net::AmTarget {
 template <class T>
 sim::Task<T> UpcThread::read(const ArrayDesc& a, std::uint64_t i) {
   T v{};
-  co_await get(a, i, std::as_writable_bytes(std::span(&v, 1)));
+  net::raise_if_failed(co_await read_status(a, i, &v));
   co_return v;
 }
 
 template <class T>
 sim::Task<void> UpcThread::write(const ArrayDesc& a, std::uint64_t i, T v) {
-  co_await put(a, i, std::as_bytes(std::span(&v, 1)));
+  net::raise_if_failed(
+      co_await put_status(a, i, std::as_bytes(std::span(&v, 1))));
 }
 
 template <class T>

@@ -23,7 +23,9 @@ std::uint64_t DistCounter::stripe_of(const core::UpcThread& th) const {
 
 sim::Task<std::uint64_t> DistCounter::add(core::UpcThread& th,
                                           std::uint64_t delta) {
-  co_return co_await th.fetch_add(slots_, stripe_of(th), delta);
+  std::uint64_t old = 0;
+  net::raise_if_failed(co_await add_status(th, delta, &old));
+  co_return old;
 }
 
 core::OpHandle DistCounter::add_nb(core::UpcThread& th, std::uint64_t delta,
@@ -33,16 +35,14 @@ core::OpHandle DistCounter::add_nb(core::UpcThread& th, std::uint64_t delta,
 
 sim::Task<std::uint64_t> DistCounter::read(core::UpcThread& th) {
   std::uint64_t sum = 0;
-  for (std::uint32_t i = 0; i < stripes_; ++i) {
-    sum += co_await th.read<std::uint64_t>(slots_, i);
-  }
+  net::raise_if_failed(co_await read_status(th, &sum));
   co_return sum;
 }
 
 sim::Task<core::OpStatus> DistCounter::add_status(core::UpcThread& th,
                                                   std::uint64_t delta,
                                                   std::uint64_t* result) {
-  co_return co_await th.fetch_add_status(slots_, stripe_of(th), delta, result);
+  return th.fetch_add_status(slots_, stripe_of(th), delta, result);
 }
 
 sim::Task<core::OpStatus> DistCounter::read_status(core::UpcThread& th,

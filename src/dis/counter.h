@@ -38,7 +38,8 @@ class DistCounter {
                                        std::uint32_t stripes);
 
   /// Atomically add `delta` to this thread's stripe; returns the
-  /// stripe's value before the addition (blocking FAA).
+  /// stripe's value before the addition (blocking FAA): add_status()
+  /// plus net::raise_if_failed.
   sim::Task<std::uint64_t> add(core::UpcThread& th, std::uint64_t delta);
   /// Nonblocking add: the stripe's old value lands in `*result` when the
   /// handle is waited (same contract as UpcThread::faa_nb).
@@ -53,6 +54,8 @@ class DistCounter {
                                        std::uint64_t* result);
   /// Sum of every stripe. Not an atomic snapshot across stripes — exact
   /// only in quiescence (after a barrier), like any striped counter.
+  /// read_status() plus net::raise_if_failed: every stripe is read before
+  /// the worst failure is raised.
   sim::Task<std::uint64_t> read(core::UpcThread& th);
   /// read() with the typed-status contract: sums the stripes it can
   /// reach into `*sum` and returns the worst per-stripe status — a

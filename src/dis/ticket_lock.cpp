@@ -13,14 +13,7 @@ sim::Task<TicketLock> TicketLock::create(core::UpcThread& th) {
 }
 
 sim::Task<void> TicketLock::acquire(core::UpcThread& th) {
-  const std::uint64_t ticket = co_await th.fetch_add(words_, kNextTicket, 1);
-  wait_rounds_ = 0;
-  for (;;) {
-    const auto serving = co_await th.read<std::uint64_t>(words_, kNowServing);
-    if (serving == ticket) co_return;
-    ++wait_rounds_;
-    co_await th.compute(backoff_);
-  }
+  net::raise_if_failed(co_await acquire_status(th));
 }
 
 sim::Task<bool> TicketLock::try_acquire(core::UpcThread& th) {
@@ -34,7 +27,7 @@ sim::Task<bool> TicketLock::try_acquire(core::UpcThread& th) {
 }
 
 sim::Task<void> TicketLock::release(core::UpcThread& th) {
-  co_await th.fetch_add(words_, kNowServing, 1);
+  net::raise_if_failed(co_await release_status(th));
 }
 
 sim::Task<core::OpStatus> TicketLock::acquire_status(core::UpcThread& th) {

@@ -33,27 +33,27 @@ class TicketLock {
   /// in thread 0's block, starting at zero (lock free).
   static sim::Task<TicketLock> create(core::UpcThread& th);
 
-  /// FAA a ticket, then spin (GET + backoff) until now_serving reaches it.
+  /// FAA a ticket, then spin (GET + backoff) until now_serving reaches it:
+  /// acquire_status() plus net::raise_if_failed.
   sim::Task<void> acquire(core::UpcThread& th);
   /// One CAS on next_ticket: succeeds iff no thread holds or awaits the
   /// lock, i.e. the grabbed ticket would be served immediately.
   sim::Task<bool> try_acquire(core::UpcThread& th);
-  /// FAA now_serving forward, handing the lock to the next ticket.
+  /// FAA now_serving forward, handing the lock to the next ticket:
+  /// release_status() plus net::raise_if_failed.
   sim::Task<void> release(core::UpcThread& th);
 
   // --- typed-status surface (docs/FAULTS.md) ---
-  // acquire() wedges a serving client when the lock's home node
-  // crash-stops: the ticket FAA (or a now_serving poll) throws
-  // net::PeerDeadError out of the client coroutine, deadlocking every
-  // other thread still in a barrier — or, before the failure detector
-  // fires, burns the whole retransmission budget per poll. These
-  // variants surface core::OpStatus::kPeerFailed / kTimeout to the
-  // caller instead, so an open-loop generator can count the error and
-  // keep serving other shards (the dis::KvStore contract).
-  /// acquire() returning the typed status; kOk means the lock is held.
+  // The implementation. When the lock's home node crash-stops, the
+  // ticket FAA or a now_serving poll fails; the throwing acquire() then
+  // raises net::PeerDeadError out of the client coroutine, deadlocking
+  // every other thread still in a barrier. These forms return
+  // core::OpStatus::kPeerFailed / kTimeout to the caller instead, so an
+  // open-loop generator can count the error and keep serving other
+  // shards (the dis::KvStore contract).
+  /// Returns kOk when the lock is held; a failure forfeits the ticket.
   sim::Task<core::OpStatus> acquire_status(core::UpcThread& th);
-  /// release() returning the typed status (a failed release against a
-  /// dead home is reported, not thrown).
+  /// A failed release against a dead home is reported, not thrown.
   sim::Task<core::OpStatus> release_status(core::UpcThread& th);
 
   /// Tickets the polling loop of the last acquire() waited behind.

@@ -129,7 +129,7 @@ class QueuePair {
 
 /// One WQE posted on a QueuePair (empty once retired). It retires its
 /// send-queue slot exactly once: explicitly where the initiator polls the
-/// CQE, otherwise when the guard dies — so an operation whose leg throws
+/// CQE, otherwise when the guard dies — so an operation whose leg fails
 /// (a retransmission timeout) never leaks the slot. The queue pair is
 /// held weakly: a frame destroyed after its transport (simulator
 /// teardown of a process that never finished) retires nothing.

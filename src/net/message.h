@@ -44,10 +44,12 @@ struct GetRequest {
   Addr local_buf = kNullAddr;
 };
 
-/// AM GET reply: the data plus the optional piggybacked base address.
+/// AM GET reply: the data plus the optional piggybacked base address,
+/// or the failure that ended the GET (no data then).
 struct GetReply {
   Bytes data;
   std::optional<BaseInfo> base;
+  OpStatus status = OpStatus::kOk;
 };
 
 /// AM PUT request (eager): deliver `data` into the object at `offset`.
@@ -93,9 +95,11 @@ struct RdmaBatch {
   std::size_t size() const noexcept { return ops.size(); }
 };
 
-/// Reply to an RdmaBatch: the GET members' payloads, in batch order.
+/// Reply to an RdmaBatch: the GET members' payloads, in batch order, or
+/// the failure every member of the batch shares (no payloads then).
 struct RdmaBatchResult {
   std::vector<Bytes> get_data;
+  OpStatus status = OpStatus::kOk;
 };
 
 /// Wire size of one batch member's descriptor (handle + offset + length

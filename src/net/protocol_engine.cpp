@@ -1,9 +1,6 @@
 #include "net/protocol_engine.h"
 
-#include <string>
-
 #include "net/topology.h"
-#include "net/transport.h"
 
 namespace xlupc::net {
 
@@ -47,10 +44,10 @@ std::pair<std::uint16_t, std::uint16_t> ProtocolEngine::link_state_for_test(
   return {ls->next_seq, ls->delivered_hwm};
 }
 
-Task<void> ProtocolEngine::deliver_faulty(NodeId src, NodeId dst,
-                                          sim::Resource* retx_nic,
-                                          Duration retx_cost,
-                                          std::uint64_t retx_bytes) {
+Task<OpStatus> ProtocolEngine::deliver_faulty(NodeId src, NodeId dst,
+                                              sim::Resource* retx_nic,
+                                              Duration retx_cost,
+                                              std::uint64_t retx_bytes) {
   auto& sim = machine_.simulator();
   const Duration lat = machine_.latency(src, dst);
   sim::FaultPlan& plan = machine_.faults();
@@ -82,10 +79,7 @@ Task<void> ProtocolEngine::deliver_faulty(NodeId src, NodeId dst,
           // The failure detector already declared this peer: fail fast
           // instead of burning the whole retransmission budget.
           ++stats_.timeouts;
-          throw PeerDeadError(
-              corpse, "transport: peer " + std::to_string(corpse) +
-                          " is dead (declared); leg " + std::to_string(src) +
-                          "->" + std::to_string(dst) + " abandoned");
+          co_return OpStatus::kPeerFailed;
         }
         // Not yet declared: the leg is silently lost, exactly what a
         // crash-stop looks like from the wire. Fall through to the
@@ -114,7 +108,7 @@ Task<void> ProtocolEngine::deliver_faulty(NodeId src, NodeId dst,
           if (seq_at_or_after(seq, ls.delivered_hwm)) {
             ls.delivered_hwm = seq + 1;
           }
-          co_return;
+          co_return OpStatus::kOk;
         }
         // No redundant path (GM/LAPI, or a same-leaf fat-tree pair):
         // the leg is lost until the window closes or the budget runs out.
@@ -142,7 +136,7 @@ Task<void> ProtocolEngine::deliver_faulty(NodeId src, NodeId dst,
             ++stats_.duplicate_msgs;
             co_await sim.delay(machine_.params().recv_overhead);
           }
-          co_return;
+          co_return OpStatus::kOk;
         }
         case sim::FaultPlan::Verdict::kDrop:
           ++stats_.dropped_msgs;
@@ -154,20 +148,9 @@ Task<void> ProtocolEngine::deliver_faulty(NodeId src, NodeId dst,
     }
     if (attempt >= fp.max_retransmits) {
       ++stats_.timeouts;
-      if (fabric && (plan.node_crashed(src, sim.now()) ||
-                     plan.node_crashed(dst, sim.now()))) {
-        const NodeId corpse = plan.node_crashed(src, sim.now()) ? src : dst;
-        throw PeerDeadError(
-            corpse, "transport: seq " + std::to_string(seq) + " on link " +
-                        std::to_string(src) + "->" + std::to_string(dst) +
-                        " lost to crashed peer " + std::to_string(corpse) +
-                        " after " + std::to_string(fp.max_retransmits) +
-                        " retransmissions");
-      }
-      throw TransportTimeout(
-          "transport: seq " + std::to_string(seq) + " on link " +
-          std::to_string(src) + "->" + std::to_string(dst) + " lost after " +
-          std::to_string(fp.max_retransmits) + " retransmissions");
+      const bool crashed = fabric && (plan.node_crashed(src, sim.now()) ||
+                                      plan.node_crashed(dst, sim.now()));
+      co_return crashed ? OpStatus::kPeerFailed : OpStatus::kTimeout;
     }
     // No ACK within the (capped exponential) retransmission timeout:
     // re-inject the same message on the sender NIC.

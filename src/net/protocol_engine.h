@@ -66,55 +66,60 @@ class ProtocolEngine {
   /// link's next sequence number, draws a transmit verdict, and on loss
   /// or corruption waits the capped-exponential RTO and re-injects on
   /// `retx_nic` (re-charging `retx_cost` and counting `retx_bytes` on
-  /// the wire again) until delivery. Throws TransportTimeout after
-  /// FaultParams::max_retransmits. With the null plan this is exactly
-  /// one latency delay — no extra events, no extra cost.
+  /// the wire again) until delivery. Returns OpStatus::kTimeout once
+  /// FaultParams::max_retransmits re-sends are spent (kPeerFailed when
+  /// an endpoint has crash-stopped), kOk on delivery. With the null plan
+  /// this is exactly one latency delay — no extra events, no extra cost.
   ///
   /// Returned as a frameless awaitable: the null-plan case (every
   /// fault-free run — two traversals per AM operation) schedules the
   /// caller's resumption directly, with no coroutine frame at all. Only
-  /// fault-plan runs pay for the reliability coroutine.
+  /// fault-plan runs pay for the reliability coroutine, and only a
+  /// congested fabric for its transit.
   auto deliver(NodeId src, NodeId dst, sim::Resource* retx_nic,
                sim::Duration retx_cost, std::uint64_t retx_bytes) {
     struct Awaiter {
       sim::Simulator* sim;
-      sim::Duration lat;        ///< fast path: bare link latency
-      sim::Task<void> slow;     ///< engaged only under a fault plan
-      std::coroutine_handle<> slow_handle{};
+      sim::Duration lat;           ///< fast path: bare link latency
+      sim::Task<void> transit;     ///< congested fabric, no fault plan
+      sim::Task<OpStatus> faulty;  ///< engaged only under a fault plan
 
       bool await_ready() const noexcept {
-        return !slow.valid() && lat == 0;
+        return !transit.valid() && !faulty.valid() && lat == 0;
       }
       std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-        if (!slow.valid()) {
-          sim->schedule_resume_after(lat, h);
-          return std::noop_coroutine();
+        if (faulty.valid()) {
+          return std::move(faulty).operator co_await().await_suspend(h);
         }
-        auto aw = std::move(slow).operator co_await();
-        slow_handle = aw.handle;
-        return aw.await_suspend(h);
+        if (transit.valid()) {
+          return std::move(transit).operator co_await().await_suspend(h);
+        }
+        sim->schedule_resume_after(lat, h);
+        return std::noop_coroutine();
       }
-      void await_resume() {
-        if (slow_handle) {
-          auto& p = std::coroutine_handle<
-              sim::Task<void>::promise_type>::from_address(slow_handle.address())
-                        .promise();
-          if (p.error) std::rethrow_exception(p.error);
+      OpStatus await_resume() {
+        if (faulty.valid()) {
+          return std::move(faulty).operator co_await().await_resume();
         }
+        if (transit.valid()) {
+          std::move(transit).operator co_await().await_resume();
+        }
+        return OpStatus::kOk;
       }
     };
     if (!machine_.faults().enabled()) {
       if (!machine_.fabric().enabled()) {
-        return Awaiter{&machine_.simulator(), machine_.latency(src, dst), {}};
+        return Awaiter{&machine_.simulator(), machine_.latency(src, dst), {},
+                       {}};
       }
       // Congestion-aware fabric, no fault plan: the single point-to-point
       // delay becomes a hop-by-hop transit through finite switch buffers
       // (docs/FABRIC.md). `retx_bytes` is the message's wire size at
       // every call site, so it doubles as the per-hop serialization size.
       return Awaiter{&machine_.simulator(), 0,
-                     machine_.fabric().transit(src, dst, retx_bytes)};
+                     machine_.fabric().transit(src, dst, retx_bytes), {}};
     }
-    return Awaiter{&machine_.simulator(), 0,
+    return Awaiter{&machine_.simulator(), 0, {},
                    deliver_faulty(src, dst, retx_nic, retx_cost, retx_bytes)};
   }
 
@@ -135,7 +140,7 @@ class ProtocolEngine {
   }
 
   /// Membership input from the runtime's failure detector: once `node`
-  /// is declared dead, legs against it fail fast with PeerDeadError
+  /// is declared dead, legs against it fail fast with kPeerFailed
   /// instead of burning the full retransmission budget.
   void declare_peer_dead(NodeId node);
   bool peer_declared_dead(NodeId node) const noexcept {
@@ -168,10 +173,10 @@ class ProtocolEngine {
   };
 
   /// The full reliability state machine (fault-plan runs only).
-  sim::Task<void> deliver_faulty(NodeId src, NodeId dst,
-                                 sim::Resource* retx_nic,
-                                 sim::Duration retx_cost,
-                                 std::uint64_t retx_bytes);
+  sim::Task<OpStatus> deliver_faulty(NodeId src, NodeId dst,
+                                     sim::Resource* retx_nic,
+                                     sim::Duration retx_cost,
+                                     std::uint64_t retx_bytes);
 
   Machine& machine_;
   ProtocolStats& stats_;

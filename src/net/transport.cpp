@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string>
 #include <utility>
 
 #include "net/topology.h"
@@ -11,6 +10,15 @@ namespace xlupc::net {
 
 using sim::Duration;
 using sim::Task;
+
+void raise_if_failed(OpStatus st) {
+  if (st == OpStatus::kTimeout) {
+    throw TransportTimeout("transport: retransmission budget exhausted");
+  }
+  if (st == OpStatus::kPeerFailed) {
+    throw PeerDeadError("transport: the peer crash-stopped");
+  }
+}
 
 Transport::Transport(Machine& machine, AmTarget& target)
     : machine_(machine),
@@ -45,19 +53,15 @@ const ib::QueuePair* Transport::queue_pair(NodeId src, NodeId dst) const {
   return q == nullptr ? nullptr : q->get();
 }
 
-Task<ib::Wqe> Transport::post_wqe(NodeId src, NodeId dst) {
+Task<OpStatus> Transport::post_wqe(NodeId src, NodeId dst, ib::Wqe& wqe) {
   const std::shared_ptr<ib::QueuePair>& qp_ptr = qp(src, dst);
   ib::QueuePair& q = *qp_ptr;
   if (q.in_error()) {
     // The connection was error-fenced by a failure event. Posting against
-    // a peer the detector still considers dead is pointless — surface the
-    // typed error instead of re-establishing a connection that can only
-    // fail again.
-    if (protocol_.peer_declared_dead(dst)) {
-      throw PeerDeadError(dst, "ib: connection " + std::to_string(src) +
-                                   "->" + std::to_string(dst) +
-                                   " is error-fenced and the peer is dead");
-    }
+    // a peer the detector still considers dead is pointless — fail the
+    // leg instead of re-establishing a connection that can only fail
+    // again.
+    if (protocol_.peer_declared_dead(dst)) co_return OpStatus::kPeerFailed;
     // Tear down and re-establish: one connection-setup round trip, then
     // the QP comes back RTS as a fresh incarnation. Resyncing both
     // directions of the link rebases the sequence stamps onto what the
@@ -71,7 +75,8 @@ Task<ib::Wqe> Transport::post_wqe(NodeId src, NodeId dst) {
   ++stats_.qp_posts;
   if (q.would_stall()) ++stats_.sq_stalls;
   co_await q.post_send();
-  co_return ib::Wqe(qp_ptr);
+  wqe = ib::Wqe(qp_ptr);
+  co_return OpStatus::kOk;
 }
 
 void Transport::peer_dead(NodeId node) {
@@ -164,17 +169,18 @@ Task<void> Transport::ensure_local_registered(Initiator from, Addr key,
 }
 
 template <bool kIb>
-Task<bool> Transport::admit_rendezvous(Initiator from, NodeId dst,
-                                       sim::Resource& hcpu,
-                                       WqeFor<kIb>& wqe) {
+Task<OpStatus> Transport::admit_rendezvous(Initiator from, NodeId dst,
+                                           sim::Resource& hcpu,
+                                           WqeFor<kIb>& wqe,
+                                           bool& pin_failed) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
   for (std::uint32_t attempt = 0;; ++attempt) {
     co_await hcpu.acquire();
     co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
-    const bool pin_fail = kIb && machine_.faults().enabled() &&
-                          machine_.faults().pin_fails(dst);
-    if (!pin_fail || attempt >= p.rnr_retry_limit) co_return pin_fail;
+    pin_failed = kIb && machine_.faults().enabled() &&
+                 machine_.faults().pin_fails(dst);
+    if (!pin_failed || attempt >= p.rnr_retry_limit) co_return OpStatus::kOk;
     if constexpr (kIb) {
       // RNR NAK frame back to the initiator.
       ++stats_.rnr_naks;
@@ -182,9 +188,11 @@ Task<bool> Transport::admit_rendezvous(Initiator from, NodeId dst,
       co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
                                         machine_.serialize_with_header(0));
       stats_.wire_bytes += p.header_bytes;
-      co_await deliver(dst, from.node, &machine_.nic_tx(dst),
-                       p.nic_tx_overhead + machine_.serialize_with_header(0),
-                       p.header_bytes);
+      OpStatus st = co_await deliver(
+          dst, from.node, &machine_.nic_tx(dst),
+          p.nic_tx_overhead + machine_.serialize_with_header(0),
+          p.header_bytes);
+      if (st != OpStatus::kOk) co_return st;
       // Initiator: the NAKed WQE completes in error; wait out the RNR
       // timer, then re-post the request.
       co_await machine_.core(from.node, from.core).use(p.rdma_completion);
@@ -192,13 +200,16 @@ Task<bool> Transport::admit_rendezvous(Initiator from, NodeId dst,
       co_await sim.delay(p.rnr_backoff);
       ++stats_.rnr_retries;
       co_await machine_.core(from.node, from.core).use(p.send_overhead);
-      wqe = co_await post_wqe(from.node, dst);
+      st = co_await post_wqe(from.node, dst, wqe);
+      if (st != OpStatus::kOk) co_return st;
       co_await machine_.nic_tx(from.node)
           .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
       stats_.wire_bytes += p.header_bytes;
-      co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                       p.nic_tx_overhead + machine_.serialize_with_header(0),
-                       p.header_bytes);
+      st = co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
+                            p.nic_tx_overhead +
+                                machine_.serialize_with_header(0),
+                            p.header_bytes);
+      if (st != OpStatus::kOk) co_return st;
     }
   }
 }
@@ -226,13 +237,16 @@ Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
   // On IB the request is header-only, so its WQE carries it inline.
   co_await machine_.core(from.node, from.core).use(p.send_overhead);
   WqeFor<kIb> wqe;
-  if constexpr (kIb) wqe = co_await post_wqe(from.node, dst);
+  OpStatus st = OpStatus::kOk;
+  if constexpr (kIb) st = co_await post_wqe(from.node, dst, wqe);
+  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
   stats_.wire_bytes += p.header_bytes;
-  co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                   p.nic_tx_overhead + machine_.serialize_with_header(0),
-                   p.header_bytes);
+  st = co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
+                        p.nic_tx_overhead + machine_.serialize_with_header(0),
+                        p.header_bytes);
+  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
 
   // Target: header handler translates the SVD handle, optionally pins the
   // object, and copies the data into a bounce buffer.
@@ -251,9 +265,11 @@ Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
   co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
                                     machine_.serialize_with_header(req.len));
   stats_.wire_bytes += p.header_bytes + req.len;
-  co_await deliver(dst, from.node, &machine_.nic_tx(dst),
-                   p.nic_tx_overhead + machine_.serialize_with_header(req.len),
-                   p.header_bytes + req.len);
+  st = co_await deliver(dst, from.node, &machine_.nic_tx(dst),
+                        p.nic_tx_overhead +
+                            machine_.serialize_with_header(req.len),
+                        p.header_bytes + req.len);
+  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
 
   // Initiator: receive dispatch (IB: CQ poll); small replies land in a
   // preposted bounce buffer and are copied out, larger ones land in place.
@@ -279,17 +295,22 @@ Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
     co_await ensure_local_registered(from, req.local_buf, req.len);
   }
   WqeFor<kIb> wqe;
-  if constexpr (kIb) wqe = co_await post_wqe(from.node, dst);
+  OpStatus st = OpStatus::kOk;
+  if constexpr (kIb) st = co_await post_wqe(from.node, dst, wqe);
+  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
   stats_.wire_bytes += p.header_bytes;
-  co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                   p.nic_tx_overhead + machine_.serialize_with_header(0),
-                   p.header_bytes);
+  st = co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
+                        p.nic_tx_overhead + machine_.serialize_with_header(0),
+                        p.header_bytes);
+  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
 
   // Target: translate, register the source region, directed zero-copy send.
   auto& hcpu = handler_cpu(dst, req.target_core);
-  const bool pin_failed = co_await admit_rendezvous<kIb>(from, dst, hcpu, wqe);
+  bool pin_failed = false;
+  st = co_await admit_rendezvous<kIb>(from, dst, hcpu, wqe, pin_failed);
+  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
   auto serve = target_.serve_get(dst, req);
   co_await sim.delay(
       scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
@@ -301,9 +322,11 @@ Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
   co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
                                     machine_.serialize_with_header(req.len));
   stats_.wire_bytes += p.header_bytes + req.len;
-  co_await deliver(dst, from.node, &machine_.nic_tx(dst),
-                   p.nic_tx_overhead + machine_.serialize_with_header(req.len),
-                   p.header_bytes + req.len);
+  st = co_await deliver(dst, from.node, &machine_.nic_tx(dst),
+                        p.nic_tx_overhead +
+                            machine_.serialize_with_header(req.len),
+                        p.header_bytes + req.len);
+  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
 
   // Zero-copy landing: completion notification only (IB: a CQ poll).
   co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
@@ -313,8 +336,8 @@ Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
 
 // ---------------------------------------------------------------- PUT ---
 
-Task<void> Transport::put(Initiator from, NodeId dst, PutRequest req,
-                          PutAckHook on_ack) {
+Task<OpStatus> Transport::put(Initiator from, NodeId dst, PutRequest req,
+                              PutAckHook on_ack) {
   const std::size_t len = req.data.size();
   const auto& p = machine_.params();
   // IB carries the smallest payloads inline in the WQE.
@@ -334,8 +357,8 @@ Task<void> Transport::put(Initiator from, NodeId dst, PutRequest req,
 }
 
 template <bool kIb>
-Task<void> Transport::put_eager(Initiator from, NodeId dst, PutRequest req,
-                                PutAckHook on_ack) {
+Task<OpStatus> Transport::put_eager(Initiator from, NodeId dst, PutRequest req,
+                                    PutAckHook on_ack) {
   const auto& p = machine_.params();
   const std::size_t len = req.data.size();
 
@@ -347,7 +370,9 @@ Task<void> Transport::put_eager(Initiator from, NodeId dst, PutRequest req,
   if (!kIb || len > p.inline_limit) send_cost += p.copy_time(len);
   co_await machine_.core(from.node, from.core).use(send_cost);
   WqeFor<kIb> wqe;
-  if constexpr (kIb) wqe = co_await post_wqe(from.node, dst);
+  OpStatus st = OpStatus::kOk;
+  if constexpr (kIb) st = co_await post_wqe(from.node, dst, wqe);
+  if (st != OpStatus::kOk) co_return st;
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(len));
   stats_.wire_bytes += p.header_bytes + len;
@@ -355,6 +380,7 @@ Task<void> Transport::put_eager(Initiator from, NodeId dst, PutRequest req,
   // The remote half proceeds in the background; PUT is locally complete.
   machine_.simulator().spawn(put_remote<kIb>(
       from, dst, std::move(req), std::move(on_ack), std::move(wqe)));
+  co_return OpStatus::kOk;
 }
 
 template <bool kIb>
@@ -364,50 +390,43 @@ Task<void> Transport::put_remote(Initiator from, NodeId dst, PutRequest req,
   const auto& p = machine_.params();
   const std::size_t len = req.data.size();
 
-  try {
-    co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                     p.nic_tx_overhead + machine_.serialize_with_header(len),
-                     p.header_bytes + len);
-  } catch (const TransportTimeout&) {
-    // Detached half: the initiator already completed locally. Retire the
-    // WQE and complete the operation (without a piggybacked base) so
-    // fences cannot deadlock; the loss is visible in stats().timeouts.
-    wqe.retire();
-    if (on_ack) on_ack(PutAck{});
-    co_return;
-  }
+  // Detached half: the initiator already completed locally, so a lost leg
+  // still retires the WQE and completes the operation (without a
+  // piggybacked base) — fences cannot deadlock; the loss is visible in
+  // stats().timeouts.
+  if (co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
+                       p.nic_tx_overhead + machine_.serialize_with_header(len),
+                       p.header_bytes + len) == OpStatus::kOk) {
+    auto& hcpu = handler_cpu(dst, req.target_core);
+    co_await hcpu.acquire();
+    co_await sim.delay(
+        scaled(dst, p.recv_overhead + p.svd_lookup + p.copy_time(len)));
+    auto serve = target_.serve_put(dst, std::move(req));
+    co_await sim.delay(
+        scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
+                        p.dereg_base * serve.reg_evicted_handles));
+    hcpu.release();
 
-  auto& hcpu = handler_cpu(dst, req.target_core);
-  co_await hcpu.acquire();
-  co_await sim.delay(
-      scaled(dst, p.recv_overhead + p.svd_lookup + p.copy_time(len)));
-  auto serve = target_.serve_put(dst, std::move(req));
-  co_await sim.delay(
-      scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-                      p.dereg_base * serve.reg_evicted_handles));
-  hcpu.release();
-
-  // Acknowledgement (may carry the piggybacked base address).
-  co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
-                                    machine_.serialize_with_header(0));
-  stats_.wire_bytes += p.header_bytes;
-  try {
-    co_await deliver(dst, from.node, &machine_.nic_tx(dst),
-                     p.nic_tx_overhead + machine_.serialize_with_header(0),
-                     p.header_bytes);
-  } catch (const TransportTimeout&) {
-    wqe.retire();
-    if (on_ack) on_ack(PutAck{});
-    co_return;
+    // Acknowledgement (may carry the piggybacked base address).
+    co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
+                                      machine_.serialize_with_header(0));
+    stats_.wire_bytes += p.header_bytes;
+    if (co_await deliver(dst, from.node, &machine_.nic_tx(dst),
+                         p.nic_tx_overhead + machine_.serialize_with_header(0),
+                         p.header_bytes) == OpStatus::kOk) {
+      co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
+      wqe.retire();
+      if (on_ack) on_ack(PutAck{serve.base});
+      co_return;
+    }
   }
-  co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
   wqe.retire();
-  if (on_ack) on_ack(PutAck{serve.base});
+  if (on_ack) on_ack(PutAck{});
 }
 
 template <bool kIb>
-Task<void> Transport::put_rendezvous(Initiator from, NodeId dst,
-                                     PutRequest req, PutAckHook on_ack) {
+Task<OpStatus> Transport::put_rendezvous(Initiator from, NodeId dst,
+                                         PutRequest req, PutAckHook on_ack) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
   const std::size_t len = req.data.size();
@@ -415,17 +434,22 @@ Task<void> Transport::put_rendezvous(Initiator from, NodeId dst,
   // RTS (no data).
   co_await machine_.core(from.node, from.core).use(p.send_overhead);
   WqeFor<kIb> rts;
-  if constexpr (kIb) rts = co_await post_wqe(from.node, dst);
+  OpStatus st = OpStatus::kOk;
+  if constexpr (kIb) st = co_await post_wqe(from.node, dst, rts);
+  if (st != OpStatus::kOk) co_return st;
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
   stats_.wire_bytes += p.header_bytes;
-  co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                   p.nic_tx_overhead + machine_.serialize_with_header(0),
-                   p.header_bytes);
+  st = co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
+                        p.nic_tx_overhead + machine_.serialize_with_header(0),
+                        p.header_bytes);
+  if (st != OpStatus::kOk) co_return st;
 
   // Target: translate + register the destination region.
   auto& hcpu = handler_cpu(dst, req.target_core);
-  const bool pin_failed = co_await admit_rendezvous<kIb>(from, dst, hcpu, rts);
+  bool pin_failed = false;
+  st = co_await admit_rendezvous<kIb>(from, dst, hcpu, rts, pin_failed);
+  if (st != OpStatus::kOk) co_return st;
   auto serve = target_.serve_put_rendezvous(dst, req, len);
   co_await sim.delay(
       scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
@@ -437,9 +461,10 @@ Task<void> Transport::put_rendezvous(Initiator from, NodeId dst,
   co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
                                     machine_.serialize_with_header(0));
   stats_.wire_bytes += p.header_bytes;
-  co_await deliver(dst, from.node, &machine_.nic_tx(dst),
-                   p.nic_tx_overhead + machine_.serialize_with_header(0),
-                   p.header_bytes);
+  st = co_await deliver(dst, from.node, &machine_.nic_tx(dst),
+                        p.nic_tx_overhead + machine_.serialize_with_header(0),
+                        p.header_bytes);
+  if (st != OpStatus::kOk) co_return st;
   co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
   rts.retire();
 
@@ -449,7 +474,8 @@ Task<void> Transport::put_rendezvous(Initiator from, NodeId dst,
     co_await ensure_local_registered(from, req.local_buf, len);
   }
   WqeFor<kIb> payload;
-  if constexpr (kIb) payload = co_await post_wqe(from.node, dst);
+  if constexpr (kIb) st = co_await post_wqe(from.node, dst, payload);
+  if (st != OpStatus::kOk) co_return st;
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(len));
   stats_.wire_bytes += p.header_bytes + len;
@@ -457,6 +483,7 @@ Task<void> Transport::put_rendezvous(Initiator from, NodeId dst,
   PutAck ack{serve.base};
   machine_.simulator().spawn(put_payload_remote<kIb>(
       from, dst, std::move(req), ack, std::move(on_ack), std::move(payload)));
+  co_return OpStatus::kOk;
 }
 
 template <bool kIb>
@@ -465,20 +492,17 @@ Task<void> Transport::put_payload_remote(Initiator from, NodeId dst,
                                          PutAckHook on_ack,
                                          WqeFor<kIb> wqe) {
   const auto& p = machine_.params();
-  try {
-    co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                     p.nic_tx_overhead +
-                         machine_.serialize_with_header(req.data.size()),
-                     p.header_bytes + req.data.size());
-  } catch (const TransportTimeout&) {
-    wqe.retire();
-    if (on_ack) on_ack(PutAck{});
-    co_return;
+  if (co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
+                       p.nic_tx_overhead +
+                           machine_.serialize_with_header(req.data.size()),
+                       p.header_bytes + req.data.size()) == OpStatus::kOk) {
+    // Data lands via DMA into the registered destination — no target CPU.
+    target_.deliver_put_payload(dst, req.svd_handle, req.offset,
+                                std::move(req.data));
+    co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
+  } else {
+    ack = PutAck{};  // lost like put_remote's legs: no base
   }
-  // Data lands via DMA into the registered destination — no target CPU.
-  target_.deliver_put_payload(dst, req.svd_handle, req.offset,
-                              std::move(req.data));
-  co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
   wqe.retire();
   if (on_ack) on_ack(ack);
 }
@@ -497,7 +521,9 @@ Task<RdmaGetResult> Transport::rdma_get_leg(Initiator from, NodeId dst,
   // The read runs entirely on the NIC DMA engines (zero target-CPU
   // cycles); IB adds only the QP/CQ bookkeeping.
   WqeFor<kIb> wqe;
-  if constexpr (kIb) wqe = co_await post_wqe(from.node, dst);
+  OpStatus st = OpStatus::kOk;
+  if constexpr (kIb) st = co_await post_wqe(from.node, dst, wqe);
+  if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
   ++stats_.rdma_gets;
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
@@ -507,9 +533,11 @@ Task<RdmaGetResult> Transport::rdma_get_leg(Initiator from, NodeId dst,
   co_await machine_.nic_dma(from.node)
       .use(p.dma_engine_overhead + machine_.serialize_with_header(0));
   stats_.wire_bytes += p.header_bytes;
-  co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
-                   p.dma_engine_overhead + machine_.serialize_with_header(0),
-                   p.header_bytes);
+  st = co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
+                        p.dma_engine_overhead +
+                            machine_.serialize_with_header(0),
+                        p.header_bytes);
+  if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
 
   // Target NIC DMA engine reads pinned memory and streams it back — the
   // remote CPU is not involved at all.
@@ -521,25 +549,28 @@ Task<RdmaGetResult> Transport::rdma_get_leg(Initiator from, NodeId dst,
     co_await sim.delay(p.dma_engine_overhead);
     dma.release();
     ++stats_.rdma_naks;
-    co_await deliver(dst, from.node, &machine_.nic_dma(dst),
-                     p.dma_engine_overhead, 0);
+    st = co_await deliver(dst, from.node, &machine_.nic_dma(dst),
+                          p.dma_engine_overhead, 0);
+    if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
     co_await machine_.core(from.node, from.core).use(p.rdma_completion);
     wqe.retire();
-    co_return RdmaGetResult{win.nak, {}};
+    co_return RdmaGetResult{win.nak, OpStatus::kOk, {}};
   }
   Bytes out(win.memory, win.memory + len);
   co_await sim.delay(p.dma_engine_overhead +
                      machine_.serialize_with_header(len));
   dma.release();
   stats_.wire_bytes += p.header_bytes + len;
-  co_await deliver(dst, from.node, &machine_.nic_dma(dst),
-                   p.dma_engine_overhead + machine_.serialize_with_header(len),
-                   p.header_bytes + len);
+  st = co_await deliver(dst, from.node, &machine_.nic_dma(dst),
+                        p.dma_engine_overhead +
+                            machine_.serialize_with_header(len),
+                        p.header_bytes + len);
+  if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
 
   // Completion detection at the initiator.
   co_await machine_.core(from.node, from.core).use(p.rdma_completion);
   wqe.retire();
-  co_return RdmaGetResult{RdmaNak::kNone, std::move(out)};
+  co_return RdmaGetResult{RdmaNak::kNone, OpStatus::kOk, std::move(out)};
 }
 
 Task<RdmaPutResult> Transport::rdma_put(Initiator from, NodeId dst, Addr raddr,
@@ -557,7 +588,9 @@ Task<RdmaPutResult> Transport::rdma_put_leg(Initiator from, NodeId dst,
   // On IB the RDMA-write WQE retires at local completion (source buffer
   // drained); the landing half needs no QP slot.
   WqeFor<kIb> wqe;
-  if constexpr (kIb) wqe = co_await post_wqe(from.node, dst);
+  OpStatus st = OpStatus::kOk;
+  if constexpr (kIb) st = co_await post_wqe(from.node, dst, wqe);
+  if (st != OpStatus::kOk) co_return RdmaPutResult{RdmaNak::kNone, st};
   ++stats_.rdma_puts;
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
@@ -572,14 +605,16 @@ Task<RdmaPutResult> Transport::rdma_put_leg(Initiator from, NodeId dst,
       co_await sim.delay(machine_.latency(from.node, dst) +
                          machine_.latency(dst, from.node));
     } else {
-      co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
-                       p.dma_engine_overhead, 0);
-      co_await deliver(dst, from.node, &machine_.nic_dma(dst),
-                       p.dma_engine_overhead, 0);
+      st = co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
+                            p.dma_engine_overhead, 0);
+      if (st != OpStatus::kOk) co_return RdmaPutResult{RdmaNak::kNone, st};
+      st = co_await deliver(dst, from.node, &machine_.nic_dma(dst),
+                            p.dma_engine_overhead, 0);
+      if (st != OpStatus::kOk) co_return RdmaPutResult{RdmaNak::kNone, st};
     }
     co_await machine_.core(from.node, from.core).use(p.rdma_completion);
     wqe.retire();
-    co_return RdmaPutResult{win.nak};
+    co_return RdmaPutResult{win.nak, OpStatus::kOk};
   }
 
   co_await machine_.core(from.node, from.core).use(p.rdma_put_setup);
@@ -600,24 +635,21 @@ Task<void> Transport::rdma_put_landing(Initiator from, NodeId dst,
                                        Bytes data,
                                        DoneHook on_done) {
   const auto& p = machine_.params();
-  try {
-    co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
-                     p.dma_engine_overhead +
-                         machine_.serialize_with_header(data.size()),
-                     p.header_bytes + data.size());
-  } catch (const TransportTimeout&) {
-    // Data never landed; complete locally so fences cannot deadlock. The
-    // loss is visible in stats().timeouts.
-    if (on_done) on_done();
-    co_return;
+  // A failed leg never lands its data, but still completes locally so
+  // fences cannot deadlock; the loss is visible in stats().timeouts.
+  if (co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
+                       p.dma_engine_overhead +
+                           machine_.serialize_with_header(data.size()),
+                       p.header_bytes + data.size()) == OpStatus::kOk) {
+    std::copy(data.begin(), data.end(), dst_mem);
   }
-  std::copy(data.begin(), data.end(), dst_mem);
   if (on_done) on_done();
 }
 
 // ------------------------------------------------------------ control ---
 
-Task<void> Transport::control(Initiator from, NodeId dst, ControlMsg msg) {
+Task<OpStatus> Transport::control(Initiator from, NodeId dst,
+                                  ControlMsg msg) {
   ++stats_.control_msgs;
   const auto& p = machine_.params();
 
@@ -625,14 +657,16 @@ Task<void> Transport::control(Initiator from, NodeId dst, ControlMsg msg) {
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(kControlBytes));
   stats_.wire_bytes += p.header_bytes + kControlBytes;
-  co_await deliver(
+  const OpStatus st = co_await deliver(
       from.node, dst, &machine_.nic_tx(from.node),
       p.nic_tx_overhead + machine_.serialize_with_header(kControlBytes),
       p.header_bytes + kControlBytes);
+  if (st != OpStatus::kOk) co_return st;
 
   auto& hcpu = handler_cpu(dst, 0);
   co_await hcpu.use(scaled(dst, p.recv_overhead));
   target_.serve_control(dst, from.node, msg);
+  co_return OpStatus::kOk;
 }
 
 // ------------------------------------------------------------ atomics ---
@@ -663,10 +697,11 @@ Task<AmoResult> Transport::amo_am(Initiator from, NodeId dst,
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(kAmoBytes));
   stats_.wire_bytes += p.header_bytes + kAmoBytes;
-  co_await deliver(
+  OpStatus st = co_await deliver(
       from.node, dst, &machine_.nic_tx(from.node),
       p.nic_tx_overhead + machine_.serialize_with_header(kAmoBytes),
       p.header_bytes + kAmoBytes);
+  if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
 
   // Home node: translate the handle and apply the verb on the handler
   // CPU — serialized against every other AM, so concurrent atomics from
@@ -681,12 +716,13 @@ Task<AmoResult> Transport::amo_am(Initiator from, NodeId dst,
   co_await machine_.nic_tx(dst).use(
       p.nic_tx_overhead + machine_.serialize_with_header(sizeof(old)));
   stats_.wire_bytes += p.header_bytes + sizeof(old);
-  co_await deliver(
+  st = co_await deliver(
       dst, from.node, &machine_.nic_tx(dst),
       p.nic_tx_overhead + machine_.serialize_with_header(sizeof(old)),
       p.header_bytes + sizeof(old));
+  if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
   co_await machine_.core(from.node, from.core).use(p.recv_overhead);
-  co_return AmoResult{RdmaNak::kNone, old, /*offloaded=*/false};
+  co_return AmoResult{RdmaNak::kNone, OpStatus::kOk, old, /*offloaded=*/false};
 }
 
 Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
@@ -701,15 +737,18 @@ Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
 
-  ib::Wqe wqe = co_await post_wqe(from.node, dst);
+  ib::Wqe wqe;
+  OpStatus st = co_await post_wqe(from.node, dst, wqe);
+  if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
   co_await machine_.core(from.node, from.core).use(p.rdma_get_setup);
   co_await machine_.nic_dma(from.node)
       .use(p.dma_engine_overhead + machine_.serialize_with_header(kAmoBytes));
   stats_.wire_bytes += p.header_bytes + kAmoBytes;
-  co_await deliver(
+  st = co_await deliver(
       from.node, dst, &machine_.nic_dma(from.node),
       p.dma_engine_overhead + machine_.serialize_with_header(kAmoBytes),
       p.header_bytes + kAmoBytes);
+  if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
 
   auto& dma = machine_.nic_dma(dst);
   co_await dma.acquire();
@@ -721,11 +760,12 @@ Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
     co_await sim.delay(p.dma_engine_overhead);
     dma.release();
     ++stats_.rdma_naks;
-    co_await deliver(dst, from.node, &machine_.nic_dma(dst),
-                     p.dma_engine_overhead, 0);
+    st = co_await deliver(dst, from.node, &machine_.nic_dma(dst),
+                          p.dma_engine_overhead, 0);
+    if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
     co_await machine_.core(from.node, from.core).use(p.rdma_completion);
     wqe.retire();
-    co_return AmoResult{win.nak, 0, /*offloaded=*/false};
+    co_return AmoResult{win.nak, OpStatus::kOk, 0, /*offloaded=*/false};
   }
   std::uint64_t old = 0;
   std::memcpy(&old, win.memory, sizeof(old));
@@ -738,13 +778,14 @@ Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
                      machine_.serialize_with_header(sizeof(old)));
   dma.release();
   stats_.wire_bytes += p.header_bytes + sizeof(old);
-  co_await deliver(
+  st = co_await deliver(
       dst, from.node, &machine_.nic_dma(dst),
       p.dma_engine_overhead + machine_.serialize_with_header(sizeof(old)),
       p.header_bytes + sizeof(old));
+  if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
   co_await machine_.core(from.node, from.core).use(p.rdma_completion);
   wqe.retire();
-  co_return AmoResult{RdmaNak::kNone, old, /*offloaded=*/true};
+  co_return AmoResult{RdmaNak::kNone, OpStatus::kOk, old, /*offloaded=*/true};
 }
 
 // -------------------------------------------------- aggregated batches ---
@@ -779,10 +820,11 @@ Task<RdmaBatchResult> Transport::rdma_batch(Initiator from, NodeId dst,
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(fwd_bytes));
   stats_.wire_bytes += p.header_bytes + fwd_bytes;
-  co_await deliver(
+  OpStatus st = co_await deliver(
       from.node, dst, &machine_.nic_tx(from.node),
       p.nic_tx_overhead + machine_.serialize_with_header(fwd_bytes),
       p.header_bytes + fwd_bytes);
+  if (st != OpStatus::kOk) co_return RdmaBatchResult{{}, st};
 
   // Target: one dispatch, then each member is unpacked and applied on the
   // handler CPU in turn (svd_lookup + copy per leg). Because GM's handler
@@ -806,10 +848,11 @@ Task<RdmaBatchResult> Transport::rdma_batch(Initiator from, NodeId dst,
   co_await machine_.nic_tx(dst).use(
       p.nic_tx_overhead + machine_.serialize_with_header(get_bytes));
   stats_.wire_bytes += p.header_bytes + get_bytes;
-  co_await deliver(
+  st = co_await deliver(
       dst, from.node, &machine_.nic_tx(dst),
       p.nic_tx_overhead + machine_.serialize_with_header(get_bytes),
       p.header_bytes + get_bytes);
+  if (st != OpStatus::kOk) co_return RdmaBatchResult{{}, st};
 
   // Initiator: one receive dispatch, then scatter the GET payloads out of
   // the bounce buffer.
@@ -817,7 +860,7 @@ Task<RdmaBatchResult> Transport::rdma_batch(Initiator from, NodeId dst,
   if (get_bytes > 0) recv_cost += p.copy_time(get_bytes);
   co_await machine_.core(from.node, from.core).use(recv_cost);
 
-  co_return RdmaBatchResult{std::move(serve.get_data)};
+  co_return RdmaBatchResult{std::move(serve.get_data), OpStatus::kOk};
 }
 
 }  // namespace xlupc::net

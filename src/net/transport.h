@@ -53,32 +53,25 @@ class RdmaProtocolError : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
-/// Thrown when a message exceeds the reliability layer's retransmission
-/// budget (sim::FaultParams::max_retransmits) on a path the caller is
-/// awaiting. Detached protocol halves (PUT acks, RDMA landings) do not
-/// throw; they complete the operation locally and raise the
-/// TransportStats::timeouts counter instead, so fences cannot deadlock.
+/// Raised by raise_if_failed for OpStatus::kTimeout: a leg ran out of
+/// its retransmission budget (sim::FaultParams::max_retransmits).
 class TransportTimeout : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Thrown when the retransmission budget exhausts against a peer that has
-/// crash-stopped (sim::FaultParams::crashes): the message can never be
-/// delivered, so retrying is pointless. Derives from TransportTimeout so
-/// every existing catch site — the detached protocol halves that complete
-/// locally to keep fences from deadlocking — handles it unchanged; layers
-/// that care about the distinction (core::CompletionEngine mapping it to
-/// OpStatus::kPeerFailed) catch the derived type first.
+/// Raised by raise_if_failed for OpStatus::kPeerFailed: a leg's endpoint
+/// crash-stopped (sim::FaultParams::crashes). A timeout handler sees it
+/// too.
 class PeerDeadError : public TransportTimeout {
  public:
-  PeerDeadError(NodeId peer, const std::string& what)
-      : TransportTimeout(what), peer_(peer) {}
-  NodeId peer() const noexcept { return peer_; }
-
- private:
-  NodeId peer_;
+  using TransportTimeout::TransportTimeout;
 };
+
+/// The one raise of the error channel: TransportTimeout for kTimeout,
+/// PeerDeadError for kPeerFailed, nothing for kOk. Every throwing API
+/// call is its status form followed by this.
+void raise_if_failed(OpStatus st);
 
 /// Why a one-sided operation was refused by the target. Returned on the
 /// transport's RDMA result path so callers cannot confuse "not pinned"
@@ -97,17 +90,20 @@ struct RdmaWindow {
   bool ok() const noexcept { return nak == RdmaNak::kNone; }
 };
 
-/// Outcome of a one-sided read: either the data, or the NAK reason.
+/// Outcome of a one-sided read: the data, the NAK reason, or the failure
+/// (`status`) that ended the leg. ok() means the read was accepted.
 struct RdmaGetResult {
   RdmaNak nak = RdmaNak::kNone;
+  OpStatus status = OpStatus::kOk;
   Bytes data;
 
   bool ok() const noexcept { return nak == RdmaNak::kNone; }
 };
 
-/// Outcome of a one-sided write (local completion).
+/// Outcome of a one-sided write (local completion), same shape.
 struct RdmaPutResult {
   RdmaNak nak = RdmaNak::kNone;
+  OpStatus status = OpStatus::kOk;
 
   bool ok() const noexcept { return nak == RdmaNak::kNone; }
 };
@@ -115,9 +111,10 @@ struct RdmaPutResult {
 /// Outcome of a remote atomic (FAA/CAS): the fetched old value, or the
 /// NAK reason when the offloaded lowering found the window unpinned (the
 /// caller invalidates its cache entry and retries through the AM
-/// lowering, mirroring the rdma_get fallback).
+/// lowering, mirroring the rdma_get fallback), or the leg's failure.
 struct AmoResult {
   RdmaNak nak = RdmaNak::kNone;
+  OpStatus status = OpStatus::kOk;
   std::uint64_t value = 0;  ///< word value before the update
   /// True when the update was applied by the NIC DMA engine alone (IB
   /// verbs atomics) — zero target-CPU cycles, traced as kRdmaOffload.
@@ -305,14 +302,18 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
+  // A failed leg stops where it failed and returns only its OpStatus
+  // (in the result's `status`, or as put()'s and control()'s value).
+
   /// Two-sided GET via the default SVD path (Fig. 3a / Fig. 5).
   /// Completes when the data is available at the initiator.
   sim::Task<GetReply> get(Initiator from, NodeId dst, GetRequest req);
 
   /// Two-sided PUT. Completes at *local* completion (source buffer
-  /// reusable); `on_ack` fires later at remote completion.
-  sim::Task<void> put(Initiator from, NodeId dst, PutRequest req,
-                      PutAckHook on_ack);
+  /// reusable); `on_ack` fires later at remote completion — also when
+  /// that half fails (no base) — exactly when put() returned kOk.
+  sim::Task<OpStatus> put(Initiator from, NodeId dst, PutRequest req,
+                          PutAckHook on_ack);
 
   /// One-sided RDMA read of [raddr, raddr+len) at `dst` (Fig. 3b).
   /// Returns RdmaNak::kNotPinned when the target NAKs the window (memory
@@ -322,8 +323,9 @@ class Transport {
                                     std::uint32_t len);
 
   /// One-sided RDMA write; completes at local completion, `on_done` fires
-  /// when the data has landed in target memory. Returns a NAK when the
-  /// target window is not pinned; `on_done` does not fire then.
+  /// when the data has landed in target memory (or its landing leg
+  /// failed). Returns a NAK when the target window is not pinned;
+  /// `on_done` does not fire then, nor when the result's status fails.
   sim::Task<RdmaPutResult> rdma_put(Initiator from, NodeId dst, Addr raddr,
                                     Bytes data, DoneHook on_done);
 
@@ -348,7 +350,7 @@ class Transport {
 
   /// Small control AM (SVD maintenance, lock protocol). Completes when the
   /// message has been handled at the target.
-  sim::Task<void> control(Initiator from, NodeId dst, ControlMsg msg);
+  sim::Task<OpStatus> control(Initiator from, NodeId dst, ControlMsg msg);
 
   /// Ensure an initiator-side private buffer is registered for zero-copy
   /// (charged on the caller's core; cached with lazy deregistration).
@@ -360,7 +362,7 @@ class Transport {
 
   /// Declare `node` dead, called by the runtime's failure detector once
   /// per declared death: in-flight legs against it fail fast with
-  /// PeerDeadError, and every IB queue pair touching it moves to the
+  /// kPeerFailed, and every IB queue pair touching it moves to the
   /// error state (outstanding WQEs flush, stalled posters wake). A fenced
   /// connection is re-established by its next post unless the peer stays
   /// declared dead. GM/LAPI keep no per-peer connection state.
@@ -438,21 +440,24 @@ class Transport {
   }
 
   const std::shared_ptr<ib::QueuePair>& qp(NodeId src, NodeId dst);
-  /// Post one WQE on the src -> dst queue pair (counting stalls when the
-  /// send queue is full), re-establishing an error-fenced connection
-  /// first unless its peer is declared dead.
-  sim::Task<ib::Wqe> post_wqe(NodeId src, NodeId dst);
+  /// Post one WQE on the src -> dst queue pair into `wqe` (counting
+  /// stalls when the send queue is full), re-establishing an
+  /// error-fenced connection first; kPeerFailed, with nothing posted,
+  /// when its peer is declared dead.
+  sim::Task<OpStatus> post_wqe(NodeId src, NodeId dst, ib::Wqe& wqe);
   /// Target side of a rendezvous request up to its admission: acquire
   /// the handler CPU and dispatch the request. On IB a transient
   /// registration failure is a receiver-not-ready condition: the
   /// responder NAKs, the NAKed WQE completes in error, and the initiator
   /// re-posts the request after the RNR timer, up to the retry budget.
-  /// Returns holding `hcpu`, with whether the admitted round's pin still
-  /// failed (budget exhausted). The caller's handler then runs exactly
-  /// once, so a retried request is never duplicate-applied.
+  /// On kOk returns holding `hcpu`, with `pin_failed` telling whether the
+  /// admitted round's pin still failed (budget exhausted). The caller's
+  /// handler then runs exactly once, so a retried request is never
+  /// duplicate-applied. A failed RNR round returns without `hcpu`.
   template <bool kIb>
-  sim::Task<bool> admit_rendezvous(Initiator from, NodeId dst,
-                                   sim::Resource& hcpu, WqeFor<kIb>& wqe);
+  sim::Task<OpStatus> admit_rendezvous(Initiator from, NodeId dst,
+                                       sim::Resource& hcpu, WqeFor<kIb>& wqe,
+                                       bool& pin_failed);
 
   template <bool kIb>
   sim::Task<GetReply> get_eager(Initiator from, NodeId dst, GetRequest req);
@@ -460,11 +465,11 @@ class Transport {
   sim::Task<GetReply> get_rendezvous(Initiator from, NodeId dst,
                                      GetRequest req);
   template <bool kIb>
-  sim::Task<void> put_eager(Initiator from, NodeId dst, PutRequest req,
-                            PutAckHook on_ack);
+  sim::Task<OpStatus> put_eager(Initiator from, NodeId dst, PutRequest req,
+                                PutAckHook on_ack);
   template <bool kIb>
-  sim::Task<void> put_rendezvous(Initiator from, NodeId dst, PutRequest req,
-                                 PutAckHook on_ack);
+  sim::Task<OpStatus> put_rendezvous(Initiator from, NodeId dst,
+                                     PutRequest req, PutAckHook on_ack);
   // Remote half of an eager PUT, detached after local completion.
   template <bool kIb>
   sim::Task<void> put_remote(Initiator from, NodeId dst, PutRequest req,

@@ -87,7 +87,7 @@ struct FaultParams {
   Duration rto = us(40.0);        ///< base retransmission timeout
   double rto_backoff = 2.0;       ///< exponential backoff factor
   Duration rto_cap = us(640.0);   ///< backoff ceiling
-  std::uint32_t max_retransmits = 16;  ///< then TransportTimeout is thrown
+  std::uint32_t max_retransmits = 16;  ///< then the leg returns kTimeout
 
   // --- scheduled hardware degradation ---
   std::vector<NicStallWindow> nic_stalls;

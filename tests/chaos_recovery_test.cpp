@@ -3,14 +3,18 @@
 // failure detector, typed OpStatus errors instead of hangs, circuit
 // breaking and cache invalidation against dead nodes, link flaps with
 // path failover (ib) and retransmission recovery (gm), IB queue-pair
-// error/reconnect with sequence resync, and same-seed determinism of a
-// full chaos run.
+// error/reconnect with sequence resync, same-seed determinism of a full
+// chaos run, and the API edge: the throwing calls raise the typed
+// exception of the status their *_status twins return.
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/runtime.h"
+#include "dis/counter.h"
+#include "dis/ticket_lock.h"
 #include "net/machine_registry.h"
 
 namespace xlupc::core {
@@ -142,6 +146,44 @@ TEST(ChaosRecovery, BudgetExhaustionSurfacesTimeoutAndReleasesSlot) {
   EXPECT_GT(rt.metrics().counter("reliability.timeouts"), 0u);
 }
 
+TEST(ChaosRecovery, FailedRendezvousPutReleasesItsRemoteCompletion) {
+  // A 32 KB PUT is above GM's 16 KB eager limit, so its RTS leg is
+  // awaited by the initiator. Under total message loss that leg runs out
+  // of budget after note_put_issued: the op must surface kTimeout and
+  // give its PUT remote-completion count back, or the fence below waits
+  // forever. The plan drops messages only — a link-down plan would keep
+  // the failure detector ticking, so a leaked count would spin instead
+  // of ending in Runtime::run's deadlock error.
+  RuntimeConfig cfg;
+  cfg.platform = net::mare_nostrum_gm();
+  cfg.nodes = 2;
+  cfg.threads_per_node = 1;
+  cfg.faults.seed = 5;
+  cfg.faults.drop_prob = 1.0;
+  cfg.faults.max_retransmits = 2;
+  Runtime rt(std::move(cfg));
+
+  constexpr std::uint64_t kWords = 4096;  // 32 KB in thread 1's block
+  OpStatus put_status = OpStatus::kOk;
+  OpStatus fence_after = OpStatus::kPeerFailed;
+  std::uint64_t outstanding_after = 99;
+  rt.run([&](UpcThread& th) -> Task<void> {
+    auto a = co_await th.all_alloc(2 * kWords, 8, kWords);
+    co_await th.barrier();
+    if (th.id() == 0) {
+      std::vector<std::uint64_t> src(kWords, 7);
+      OpHandle h = th.put_nb(a, kWords, std::as_bytes(std::span(src)));
+      put_status = co_await th.wait_status(h);
+      fence_after = co_await th.fence_status();
+      outstanding_after = th.outstanding();
+    }
+  });
+  EXPECT_EQ(put_status, OpStatus::kTimeout);
+  EXPECT_EQ(fence_after, OpStatus::kOk);
+  EXPECT_EQ(outstanding_after, 0u);
+  EXPECT_EQ(rt.transport().stats().rendezvous_puts, 1u);
+}
+
 TEST(ChaosRecovery, IbLinkFlapFailsOverAcrossLeaves) {
   // 20 nodes span two fat-tree leaves; the (0, 19) pair climbs to the
   // pod-spine layer, so a flap on it reroutes instead of dropping and
@@ -206,6 +248,164 @@ TEST(ChaosRecovery, IbSameLeafFlapFencesAndReconnectsQp) {
   EXPECT_GT(rep.counter("fault.fabric.qp_reconnects"), 0u);
   EXPECT_GT(rep.counter("fault.fabric.link_resyncs"), 0u);
   EXPECT_EQ(rep.counter("fault.detector.deaths"), 0u);
+}
+
+// ------------------------------------------------------------ API edge ---
+// Inside the runtime failures are returned OpStatus values; only the
+// throwing calls turn them into exceptions. These runs pin that edge:
+// one thread of a 4-node GM run acts on another node's data. Under kCrash
+// node `corpse` crash-stops at 800us and the actor first waits until the
+// failure detector has declared it; under kLoss every message is dropped
+// and no node crashes.
+enum class Failure { kCrash, kLoss };
+
+RuntimeConfig edge_config(Failure f, NodeId corpse) {
+  RuntimeConfig cfg;
+  cfg.platform = net::mare_nostrum_gm();
+  cfg.nodes = 4;
+  cfg.threads_per_node = 1;
+  if (f == Failure::kCrash) {
+    cfg.faults.seed = 42;
+    cfg.faults.crashes = {{corpse, sim::us(800.0)}};
+  } else {
+    cfg.faults.seed = 5;
+    cfg.faults.drop_prob = 1.0;
+    cfg.faults.max_retransmits = 2;
+  }
+  return cfg;
+}
+
+// No-op without a detector (kLoss plans schedule no fabric faults).
+Task<void> await_declared(UpcThread& th, NodeId corpse) {
+  while (th.runtime().detector() != nullptr &&
+         !th.runtime().peer_failed(corpse)) {
+    co_await th.compute(sim::us(100.0));
+  }
+}
+
+// The typed failure that aborted Runtime::run: PeerDeadError is told
+// apart from its base class TransportTimeout.
+std::string raised_by(Runtime& rt, Runtime::ThreadBody body) {
+  try {
+    rt.run(std::move(body));
+  } catch (const net::PeerDeadError&) {
+    return "PeerDeadError";
+  } catch (const net::TransportTimeout&) {
+    return "TransportTimeout";
+  }
+  return "nothing";
+}
+
+// What net::raise_if_failed turns `st` into.
+std::string raise_of(OpStatus st) {
+  switch (st) {
+    case OpStatus::kOk: return "nothing";
+    case OpStatus::kTimeout: return "TransportTimeout";
+    case OpStatus::kPeerFailed: return "PeerDeadError";
+  }
+  return "?";
+}
+
+TEST(ApiEdge, CallsAgainstADeclaredCorpseRaisePeerDeadError) {
+  for (const bool faa : {false, true}) {
+    Runtime rt(edge_config(Failure::kCrash, 3));
+    EXPECT_EQ(raised_by(rt,
+                        [faa](UpcThread& th) -> Task<void> {
+                          auto a = co_await th.all_alloc(4 * 32, 8, 32);
+                          co_await th.barrier();
+                          if (th.id() != 0) co_return;
+                          co_await await_declared(th, 3);
+                          std::uint64_t v = 0;
+                          if (faa) {
+                            v = co_await th.fetch_add(a, 3 * 32, 1);
+                          } else {
+                            co_await th.get(
+                                a, 3 * 32,
+                                std::as_writable_bytes(std::span(&v, 1)));
+                          }
+                        }),
+              "PeerDeadError")
+        << (faa ? "fetch_add" : "get");
+    EXPECT_TRUE(rt.peer_failed(3));
+  }
+}
+
+TEST(ApiEdge, ExhaustedRetriesRaiseTransportTimeoutNotPeerDeadError) {
+  for (const bool fence : {false, true}) {
+    Runtime rt(edge_config(Failure::kLoss, 0));
+    EXPECT_EQ(raised_by(rt,
+                        [fence](UpcThread& th) -> Task<void> {
+                          auto a = co_await th.all_alloc(4 * 32, 8, 32);
+                          co_await th.barrier();
+                          if (th.id() != 0) co_return;
+                          std::uint64_t v = 0;
+                          const OpHandle h = th.get_nb(
+                              a, 32, std::as_writable_bytes(std::span(&v, 1)));
+                          if (fence) {
+                            co_await th.fence();
+                          } else {
+                            co_await th.wait(h);
+                          }
+                        }),
+              "TransportTimeout")
+        << (fence ? "fence" : "wait");
+    EXPECT_GT(rt.transport().stats().timeouts, 0u);
+  }
+}
+
+// The TicketLock homes at thread 0 (node 0); thread 1 is the client.
+Runtime::ThreadBody lock_client(bool throwing, OpStatus* status) {
+  return [throwing, status](UpcThread& th) -> Task<void> {
+    dis::TicketLock lk = co_await dis::TicketLock::create(th);
+    co_await th.barrier();
+    if (th.id() != 1) co_return;
+    co_await await_declared(th, 0);
+    if (throwing) {
+      co_await lk.acquire(th);
+    } else {
+      *status = co_await lk.acquire_status(th);
+    }
+  };
+}
+
+// Stripe i of the counter homes at thread i; thread 0 reads them all.
+Runtime::ThreadBody counter_reader(bool throwing, OpStatus* status) {
+  return [throwing, status](UpcThread& th) -> Task<void> {
+    dis::DistCounter c = co_await dis::DistCounter::create(th, 4);
+    co_await th.barrier();
+    if (th.id() != 0) co_return;
+    co_await await_declared(th, 3);
+    std::uint64_t sum = 0;
+    if (throwing) {
+      sum = co_await c.read(th);
+    } else {
+      *status = co_await c.read_status(th, &sum);
+    }
+  };
+}
+
+TEST(ApiEdge, LockAndCounterRaiseWhatTheirStatusFormsReturn) {
+  struct Case {
+    const char* name;
+    Runtime::ThreadBody (*body)(bool throwing, OpStatus* status);
+    NodeId corpse;
+  };
+  const Case cases[] = {{"TicketLock::acquire", lock_client, 0},
+                        {"DistCounter::read", counter_reader, 3}};
+  for (const Failure f : {Failure::kLoss, Failure::kCrash}) {
+    const OpStatus expected =
+        f == Failure::kLoss ? OpStatus::kTimeout : OpStatus::kPeerFailed;
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (f == Failure::kLoss ? " under loss" : " after a crash"));
+      OpStatus st = OpStatus::kOk;
+      Runtime status_rt(edge_config(f, c.corpse));
+      status_rt.run(c.body(false, &st));
+      EXPECT_EQ(st, expected);
+      Runtime throwing_rt(edge_config(f, c.corpse));
+      EXPECT_EQ(raised_by(throwing_rt, c.body(true, nullptr)), raise_of(st));
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "benchsupport/report.h"
 #include "core/runtime.h"
 #include "net/machine.h"
+#include "net/machine_registry.h"
 #include "net/transport.h"
 #include "sim/fault_plan.h"
 
@@ -119,6 +120,7 @@ class EchoTarget : public AmTarget {
   }
   PutServe serve_put_rendezvous(NodeId target, const PutRequest& req,
                                 std::size_t) override {
+    ++rendezvous_served;
     return PutServe{base(target) + req.offset, {}, 0, 0, 0};
   }
   void deliver_put_payload(NodeId target, std::uint64_t, std::uint64_t offset,
@@ -126,8 +128,19 @@ class EchoTarget : public AmTarget {
     std::memcpy(store_[target].data() + offset, data.data(), data.size());
     ++payloads_delivered;
   }
-  void serve_control(NodeId, NodeId, const ControlMsg&) override {}
+  void serve_control(NodeId, NodeId, const ControlMsg&) override {
+    ++controls_served;
+  }
+  std::uint64_t serve_amo(NodeId target, const AmoRequest& req) override {
+    ++amos_served;  // FAA only
+    std::uint64_t old = 0;
+    std::memcpy(&old, store_[target].data() + req.offset, sizeof(old));
+    const std::uint64_t next = old + req.operand;
+    std::memcpy(store_[target].data() + req.offset, &next, sizeof(next));
+    return old;
+  }
   RdmaWindow rdma_memory(NodeId target, Addr addr, std::size_t len) override {
+    ++windows_served;
     if (addr < base(target) || addr + len > base(target) + bytes_) {
       throw RdmaProtocolError("bad address");
     }
@@ -139,6 +152,10 @@ class EchoTarget : public AmTarget {
   int gets_served = 0;
   int puts_served = 0;
   int payloads_delivered = 0;
+  int rendezvous_served = 0;
+  int controls_served = 0;
+  int amos_served = 0;
+  int windows_served = 0;  ///< rdma_memory lookups (RDMA and NIC AMO)
 
  private:
   std::size_t bytes_;
@@ -235,20 +252,157 @@ TEST(FaultTransport, LateDuplicatesAreSuppressedAndCounted) {
 }
 
 TEST(FaultTransport, AwaitedGetThrowsTransportTimeoutAfterMaxRetries) {
+  // The awaited GET returns kTimeout once the budget is spent; the
+  // throwing surface raises it through raise_if_failed as TransportTimeout.
   FaultParams fp;
   fp.seed = 5;
   fp.drop_prob = 1.0;
   fp.max_retransmits = 2;
   Rig rig(mare_nostrum_gm(), fp);
-  rig.sim.spawn([](Rig& r) -> sim::Task<> {
+  OpStatus status = OpStatus::kOk;
+  rig.sim.spawn([](Rig& r, OpStatus& st) -> sim::Task<> {
     GetRequest req;
     req.len = 8;
-    (void)co_await r.transport.get({0, 0}, 1, req);
-  }(rig));
+    st = (co_await r.transport.get({0, 0}, 1, req)).status;
+    raise_if_failed(st);
+  }(rig, status));
   EXPECT_THROW(rig.sim.run(), TransportTimeout);
+  EXPECT_EQ(status, OpStatus::kTimeout);
   EXPECT_EQ(rig.transport.stats().timeouts, 1u);
   EXPECT_EQ(rig.transport.stats().retransmits, 2u);
   EXPECT_EQ(rig.target.gets_served, 0);
+}
+
+// One awaited transport leg under total loss. `hooks` counts the PUT
+// completion hook (on_ack / on_done) firings.
+struct AwaitedLeg {
+  const char* name;
+  bool ib_only;
+  OpStatus expected;  ///< what the awaited call returns
+  int hooks;          ///< completion hook firings expected
+  sim::Task<OpStatus> (*run)(Rig& r, int& hooks);
+};
+
+Bytes payload(std::size_t n) { return Bytes(n, std::byte{1}); }
+
+const AwaitedLeg kAwaitedLegs[] = {
+    {"eager GET", false, OpStatus::kTimeout, 0,
+     [](Rig& r, int&) -> sim::Task<OpStatus> {
+       GetRequest req;
+       req.len = 8;
+       co_return (co_await r.transport.get({0, 0}, 1, req)).status;
+     }},
+    {"rendezvous GET", false, OpStatus::kTimeout, 0,
+     [](Rig& r, int&) -> sim::Task<OpStatus> {
+       GetRequest req;
+       req.len = static_cast<std::uint32_t>(r.machine.params().eager_limit + 8);
+       co_return (co_await r.transport.get({0, 0}, 1, req)).status;
+     }},
+    // An eager PUT completes locally before its wire leg: the call
+    // succeeds and the failed detached half still fires the hook once.
+    {"eager PUT", false, OpStatus::kOk, 1,
+     [](Rig& r, int& hooks) -> sim::Task<OpStatus> {
+       PutRequest req;
+       req.data = payload(8);
+       co_return co_await r.transport.put(
+           {0, 0}, 1, std::move(req), [&hooks](const PutAck&) { ++hooks; });
+     }},
+    {"rendezvous PUT", false, OpStatus::kTimeout, 0,
+     [](Rig& r, int& hooks) -> sim::Task<OpStatus> {
+       PutRequest req;
+       req.data = payload(r.machine.params().eager_limit + 8);
+       co_return co_await r.transport.put(
+           {0, 0}, 1, std::move(req), [&hooks](const PutAck&) { ++hooks; });
+     }},
+    {"rdma_get", false, OpStatus::kTimeout, 0,
+     [](Rig& r, int&) -> sim::Task<OpStatus> {
+       co_return (co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1),
+                                                64))
+           .status;
+     }},
+    // Accepted one-sided write: local completion, like the eager PUT.
+    {"rdma_put", false, OpStatus::kOk, 1,
+     [](Rig& r, int& hooks) -> sim::Task<OpStatus> {
+       co_return (co_await r.transport.rdma_put({0, 0}, 1, r.target.base(1),
+                                                payload(64),
+                                                [&hooks] { ++hooks; }))
+           .status;
+     }},
+    // Unpinned window: the NAK's descriptor round trip is awaited.
+    {"rdma_put NAK", false, OpStatus::kTimeout, 0,
+     [](Rig& r, int& hooks) -> sim::Task<OpStatus> {
+       r.target.set_pinned(false);
+       co_return (co_await r.transport.rdma_put({0, 0}, 1, r.target.base(1),
+                                                payload(64),
+                                                [&hooks] { ++hooks; }))
+           .status;
+     }},
+    {"AM AMO", false, OpStatus::kTimeout, 0,
+     [](Rig& r, int&) -> sim::Task<OpStatus> {
+       AmoRequest req;
+       req.operand = 1;
+       co_return (co_await r.transport.amo({0, 0}, 1, req)).status;
+     }},
+    {"NIC AMO", true, OpStatus::kTimeout, 0,
+     [](Rig& r, int&) -> sim::Task<OpStatus> {
+       AmoRequest req;
+       req.operand = 1;
+       req.raddr = r.target.base(1);
+       co_return (co_await r.transport.amo({0, 0}, 1, req)).status;
+     }},
+    {"rdma_batch", false, OpStatus::kTimeout, 0,
+     [](Rig& r, int&) -> sim::Task<OpStatus> {
+       RdmaBatch batch;
+       batch.ops.push_back(RdmaBatchOp{true, 0, 0, 8, 0, {}});
+       batch.ops.push_back(RdmaBatchOp{false, 0, 8, 8, 0, payload(8)});
+       co_return (co_await r.transport.rdma_batch({0, 0}, 1, std::move(batch)))
+           .status;
+     }},
+    {"control", false, OpStatus::kTimeout, 0,
+     [](Rig& r, int&) -> sim::Task<OpStatus> {
+       co_return co_await r.transport.control({0, 0}, 1, SvdFreeNotice{7});
+     }},
+};
+
+TEST(FaultTransport, EveryAwaitedLegReturnsTimeoutAfterMaxRetries) {
+  // Total loss on every machine: each awaited leg must come back as
+  // kTimeout once the (shortened) budget is spent — the simulation drains
+  // instead of wedging on a lost completion — with the loss counted and
+  // no target handler run. A discarded status would let the op continue
+  // silently, so every call's result is checked.
+  FaultParams fp;
+  fp.seed = 5;
+  fp.drop_prob = 1.0;
+  fp.max_retransmits = 2;
+  for (const char* machine : {"gm", "lapi", "ib"}) {
+    const PlatformParams p = make_machine(machine);
+    for (const AwaitedLeg& leg : kAwaitedLegs) {
+      if (leg.ib_only && p.kind != TransportKind::kIb) continue;
+      SCOPED_TRACE(std::string(machine) + " " + leg.name);
+      Rig rig(p, fp, 2 * p.eager_limit + 64);
+      OpStatus status = OpStatus::kPeerFailed;
+      int hooks = 0;
+      rig.sim.spawn([](Rig& r, const AwaitedLeg& l, OpStatus& st,
+                       int& h) -> sim::Task<> {
+        st = co_await l.run(r, h);
+      }(rig, leg, status, hooks));
+      rig.sim.run();
+      EXPECT_EQ(status, leg.expected);
+      EXPECT_EQ(hooks, leg.hooks);
+      const auto& s = rig.transport.stats();
+      EXPECT_EQ(s.timeouts, 1u);
+      EXPECT_EQ(s.retransmits, 2u);
+      const EchoTarget& t = rig.target;
+      EXPECT_EQ(t.gets_served + t.puts_served + t.payloads_delivered +
+                    t.rendezvous_served + t.controls_served + t.amos_served,
+                0);
+      if (std::string(leg.name) != "rdma_put" &&
+          std::string(leg.name) != "rdma_put NAK") {
+        // The one-sided write validates its window before any wire leg.
+        EXPECT_EQ(t.windows_served, 0);
+      }
+    }
+  }
 }
 
 TEST(FaultTransport, DetachedPutStillAcksUnderTotalLoss) {

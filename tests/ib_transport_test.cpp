@@ -371,36 +371,38 @@ TEST(IbProtocol, TimedOutLegRetiresItsWqe) {
   fp.seed = 9;
   fp.drop_prob = 1.0;
   fp.max_retransmits = 0;
-  using Op = sim::Task<void> (*)(Rig&);
+  using Op = sim::Task<OpStatus> (*)(Rig&);
   const std::pair<const char*, Op> kinds[] = {
       {"eager GET",
-       [](Rig& r) -> sim::Task<void> {
+       [](Rig& r) -> sim::Task<OpStatus> {
          GetRequest req;
          req.len = 64;
-         (void)co_await r.transport.get({0, 0}, 1, req);
+         co_return (co_await r.transport.get({0, 0}, 1, req)).status;
        }},
       {"rendezvous GET",
-       [](Rig& r) -> sim::Task<void> {
+       [](Rig& r) -> sim::Task<OpStatus> {
          GetRequest req;
          req.len = 16384;
-         (void)co_await r.transport.get({0, 0}, 1, req);
+         co_return (co_await r.transport.get({0, 0}, 1, req)).status;
        }},
       {"rdma_get",
-       [](Rig& r) -> sim::Task<void> {
-         (void)co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 64);
+       [](Rig& r) -> sim::Task<OpStatus> {
+         co_return (co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1),
+                                                  64))
+             .status;
        }},
       {"NIC FAA",
-       [](Rig& r) -> sim::Task<void> {
+       [](Rig& r) -> sim::Task<OpStatus> {
          AmoRequest req;
          req.operand = 1;
          req.raddr = r.target.base(1);
-         (void)co_await r.transport.amo({0, 0}, 1, req);
+         co_return (co_await r.transport.amo({0, 0}, 1, req)).status;
        }},
       {"rendezvous PUT",
-       [](Rig& r) -> sim::Task<void> {
+       [](Rig& r) -> sim::Task<OpStatus> {
          PutRequest req;
          req.data.assign(16384, std::byte{1});
-         co_await r.transport.put({0, 0}, 1, std::move(req), {});
+         co_return co_await r.transport.put({0, 0}, 1, std::move(req), {});
        }},
   };
   for (const auto& [name, op] : kinds) {
@@ -408,11 +410,7 @@ TEST(IbProtocol, TimedOutLegRetiresItsWqe) {
     int timeouts = 0;
     for (int i = 0; i < 2; ++i) {
       rig.sim.spawn([](Rig& r, Op o, int& n) -> sim::Task<> {
-        try {
-          co_await o(r);
-        } catch (const TransportTimeout&) {
-          ++n;
-        }
+        if (co_await o(r) == OpStatus::kTimeout) ++n;
       }(rig, op, timeouts));
       rig.sim.run();
     }

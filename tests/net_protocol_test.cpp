@@ -332,9 +332,11 @@ TEST(ProtocolSeqno, ResyncRebasesOntoDeliveredHighWaterMark) {
 }
 
 // ---------------------------------------------------------------------
-// Retransmission-budget exhaustion: a hard typed error, never a hang.
+// Retransmission-budget exhaustion: a returned typed status, never a
+// hang. Every awaited transport leg is checked the same way in
+// FaultTransport.EveryAwaitedLegReturnsTimeoutAfterMaxRetries.
 
-TEST(ProtocolBudget, ExhaustionThrowsTransportTimeout) {
+TEST(ProtocolBudget, ExhaustionReturnsTimeout) {
   sim::FaultParams fp;
   fp.seed = 3;
   fp.drop_prob = 1.0;  // the link never delivers
@@ -342,10 +344,12 @@ TEST(ProtocolBudget, ExhaustionThrowsTransportTimeout) {
   Rig rig(mare_nostrum_gm(), 2, fp);
   ProtocolStats stats;
   ProtocolEngine pe(rig.machine, stats);
-  rig.sim.spawn([](ProtocolEngine& e) -> sim::Task<> {
-    co_await e.deliver(0, 1, nullptr, 0, 0);
-  }(pe));
-  EXPECT_THROW(rig.sim.run(), TransportTimeout);
+  OpStatus status = OpStatus::kOk;
+  rig.sim.spawn([](ProtocolEngine& e, OpStatus& st) -> sim::Task<> {
+    st = co_await e.deliver(0, 1, nullptr, 0, 0);
+  }(pe, status));
+  rig.sim.run();
+  EXPECT_EQ(status, OpStatus::kTimeout);
   EXPECT_EQ(pe.stats().timeouts, 1u);
   EXPECT_EQ(pe.stats().retransmits, 3u);
   EXPECT_EQ(pe.stats().dropped_msgs, 4u);  // initial send + 3 retries
@@ -353,19 +357,21 @@ TEST(ProtocolBudget, ExhaustionThrowsTransportTimeout) {
 
 TEST(ProtocolBudget, TransportGetSurfacesTimeoutNotHang) {
   // End-to-end through a real transport: with a fully dark link the GET
-  // must come back as TransportTimeout once the budget is spent — the
-  // simulation drains instead of wedging on a lost completion.
+  // must come back as kTimeout once the budget is spent — the simulation
+  // drains instead of wedging on a lost completion.
   sim::FaultParams fp;
   fp.seed = 3;
   fp.drop_prob = 1.0;
   fp.max_retransmits = 2;
   Rig rig(mare_nostrum_gm(), 2, fp);
-  rig.sim.spawn([](Rig& r) -> sim::Task<> {
+  OpStatus status = OpStatus::kOk;
+  rig.sim.spawn([](Rig& r, OpStatus& st) -> sim::Task<> {
     GetRequest req;
     req.len = 8;
-    (void)co_await r.transport.get({0, 0}, 1, req);
-  }(rig));
-  EXPECT_THROW(rig.sim.run(), TransportTimeout);
+    st = (co_await r.transport.get({0, 0}, 1, req)).status;
+  }(rig, status));
+  rig.sim.run();
+  EXPECT_EQ(status, OpStatus::kTimeout);
   EXPECT_GE(rig.transport.stats().timeouts, 1u);
 }
 
