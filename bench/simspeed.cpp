@@ -15,7 +15,10 @@
 //
 // Simulations are deterministic, so every workload executes an exact
 // event count for a seed; tools/perfcheck.sh gates CI on the committed
-// BENCH_simspeed.json event counts staying exact.
+// BENCH_simspeed.json event counts staying exact. The --json report's
+// metrics hold the host memory of the whole process: its peak resident
+// set (perfcheck's memory gate) and the sim pool's fresh chunk bytes and
+// live peak, whose difference is size-class waste.
 //
 // Usage: simspeed [--machine gm|lapi|ib] [--seed N] [--json <file>]
 //                 [--scale-probe]
@@ -52,6 +55,22 @@ struct WorkloadResult {
     return wall_ms > 0.0 ? events / (wall_ms / 1000.0) : 0.0;
   }
 };
+
+/// Peak resident set of this process, in MB: VmHWM, since getrusage's
+/// ru_maxrss also carries the high-water mark of the parent process.
+double peak_rss_mb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0.0;
+  char line[256];
+  double kb = 0.0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      kb = std::strtod(line + 6, nullptr);
+    }
+  }
+  std::fclose(f);
+  return kb / 1024.0;
+}
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   const auto dt = std::chrono::steady_clock::now() - t0;
@@ -305,6 +324,15 @@ int main(int argc, char** argv) {
                bench::fmt(r.events_per_sec() / 1e6, 2)});
   }
   table.print();
+  const sim::PoolStats& pool = sim::pool_stats();
+  const double rss_mb = peak_rss_mb();
+  std::printf("\npeak RSS %.1f MB; sim pool chunks %.1f MB, live peak %.1f MB\n",
+              rss_mb, static_cast<double>(pool.chunk_bytes) / (1 << 20),
+              static_cast<double>(pool.peak_live_bytes) / (1 << 20));
+  rep.metric("peak_rss_mb", bench::Json::number(rss_mb));
+  rep.metric("pool.chunk_bytes", bench::Json::number(pool.chunk_bytes));
+  rep.metric("pool.peak_live_bytes",
+             bench::Json::number(pool.peak_live_bytes));
   rep.results(table);
   return rep.finish();
 }

@@ -161,6 +161,10 @@ void Reporter::metrics(const core::RunReport& report) {
   metrics_ = to_json(report);
 }
 
+void Reporter::metric(const std::string& key, Json value) {
+  metrics_.set(key, std::move(value));
+}
+
 void Reporter::results(const Table& table, const std::string& series) {
   for (const auto& row : table.rows()) {
     Json obj = Json::object();

@@ -55,6 +55,9 @@ class Reporter {
 
   /// Attach the metrics of a representative run (last call wins).
   void metrics(const core::RunReport& report);
+  /// Add one free-form metric, for benches that report host figures
+  /// rather than a RunReport (a later metrics() call replaces it).
+  void metric(const std::string& key, Json value);
 
   /// Append every row of `table` to the results array, one object per
   /// row keyed by the table headers. A non-empty `series` label is added

@@ -1,10 +1,15 @@
-// Open-addressing hash map for small, trivially copyable keys and values.
+// Open-addressing hash tables for small, trivially copyable keys.
 //
-// One power-of-two slot array with linear probing, kept at most half
-// full, and backward-shift deletion, so no tombstones accumulate and a
-// probe touches a few adjacent slots instead of chasing heap nodes. The
-// slot array is allocated on the first insert and doubles when an insert
+// FlatMap and FlatIndex share one slot discipline (flat_detail::Table): a
+// power-of-two slot array with linear probing, kept at most half full,
+// and backward-shift deletion, so no tombstones accumulate and a probe
+// touches a few adjacent slots instead of chasing heap nodes. The slot
+// array is allocated on the first insert and doubles when an insert
 // would pass half full; it never shrinks.
+//
+// FlatMap keeps each key and value in its slot. FlatIndex keeps only a
+// 4-byte entry number per slot and reads keys from the owner's entries,
+// for owners that hold every key in an entry array anyway.
 //
 // Pointers returned by find() and try_emplace() stay valid only until the
 // next insert or erase: growth rehashes every slot, and an erase shifts
@@ -15,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -43,18 +49,81 @@ struct FlatHash {
   }
 };
 
+namespace flat_detail {
+
+/// The slot array and the loops FlatMap and FlatIndex share. A `Slot` is
+/// empty when value-initialized and answers `used()`; the loops that move
+/// members take `hash_of(slot)`, the full hash of a used slot's key.
+template <class Slot>
+struct Table {
+  static constexpr std::size_t kMinSlots = 8;
+
+  std::vector<Slot> slots;
+  std::size_t mask = 0;
+  std::size_t size = 0;
+
+  /// The first slot of the probe run from `hash` that is empty or for
+  /// which `hit(slot)` holds. The table must have slots.
+  template <class Hit>
+  std::size_t probe(std::size_t hash, const Hit& hit) const noexcept {
+    std::size_t i = hash & mask;
+    while (slots[i].used() && !hit(slots[i])) i = (i + 1) & mask;
+    return i;
+  }
+
+  /// The first empty slot of the probe run from `hash`.
+  std::size_t free_slot(std::size_t hash) const noexcept {
+    return probe(hash, [](const Slot&) { return false; });
+  }
+
+  /// Make room for one more member: allocate the first slots, or double
+  /// when the insert would pass half full. True if the members moved.
+  template <class HashOf>
+  bool grow_for_one(const HashOf& hash_of) {
+    if ((size + 1) * 2 <= slots.size()) return false;
+    resize(slots.empty() ? kMinSlots : slots.size() * 2, hash_of);
+    return true;
+  }
+
+  /// Reallocate as `n` slots (a power of two) and re-insert every member.
+  template <class HashOf>
+  void resize(std::size_t n, const HashOf& hash_of) {
+    std::vector<Slot> old = std::move(slots);
+    slots.assign(n, Slot{});
+    mask = n - 1;
+    for (const Slot& s : old) {
+      if (s.used()) slots[free_slot(hash_of(s))] = s;
+    }
+  }
+
+  /// Empty the used slot `i` by backward shift: walk the rest of its
+  /// probe run and pull back every member whose probe from its home slot
+  /// passes the hole.
+  template <class HashOf>
+  void erase_at(std::size_t i, const HashOf& hash_of) noexcept {
+    for (std::size_t j = (i + 1) & mask; slots[j].used(); j = (j + 1) & mask) {
+      const std::size_t from_home = (j - hash_of(slots[j])) & mask;
+      if (from_home >= ((j - i) & mask)) {
+        slots[i] = slots[j];
+        i = j;
+      }
+    }
+    slots[i] = Slot{};
+    --size;
+  }
+};
+
+}  // namespace flat_detail
+
 template <class K, class V, class Hash = FlatHash<K>>
 class FlatMap {
  public:
-  std::size_t size() const noexcept { return size_; }
+  std::size_t size() const noexcept { return t_.size; }
 
   V* find(const K& key) noexcept {
-    if (size_ == 0) return nullptr;
-    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
-      Slot& s = slots_[i];
-      if (!s.used) return nullptr;
-      if (s.key == key) return &s.value;
-    }
+    if (t_.size == 0) return nullptr;
+    Slot& s = t_.slots[slot_of(key, Hash{}(key))];
+    return s.used() ? &s.value : nullptr;
   }
   const V* find(const K& key) const noexcept {
     return const_cast<FlatMap*>(this)->find(key);
@@ -63,50 +132,33 @@ class FlatMap {
   /// Insert `value` under `key` unless the key is present. Returns the
   /// stored value and whether it was inserted.
   std::pair<V*, bool> try_emplace(const K& key, const V& value = V{}) {
+    const std::size_t hash = Hash{}(key);
     std::size_t i = 0;
-    if (!slots_.empty()) {
-      for (i = home(key); slots_[i].used; i = (i + 1) & mask_) {
-        if (slots_[i].key == key) return {&slots_[i].value, false};
-      }
+    if (!t_.slots.empty()) {
+      i = slot_of(key, hash);
+      if (t_.slots[i].used()) return {&t_.slots[i].value, false};
     }
-    if ((size_ + 1) * 2 > slots_.size()) {
-      grow();
-      i = free_slot(key);
-    }
-    Slot& s = slots_[i];
+    if (t_.grow_for_one(hash_of)) i = t_.free_slot(hash);
+    Slot& s = t_.slots[i];
     s = Slot{key, value, true};
-    ++size_;
+    ++t_.size;
     return {&s.value, true};
   }
 
   /// Remove `key`; returns true if it was present.
   bool erase(const K& key) noexcept {
-    if (size_ == 0) return false;
-    std::size_t i = home(key);
-    for (;; i = (i + 1) & mask_) {
-      if (!slots_[i].used) return false;
-      if (slots_[i].key == key) break;
-    }
-    // Backward shift: walk the rest of the probe run and pull back every
-    // member whose probe from its home slot passes the hole at `i`.
-    for (std::size_t j = (i + 1) & mask_; slots_[j].used;
-         j = (j + 1) & mask_) {
-      const std::size_t from_home = (j - home(slots_[j].key)) & mask_;
-      if (from_home >= ((j - i) & mask_)) {
-        slots_[i] = slots_[j];
-        i = j;
-      }
-    }
-    slots_[i].used = false;
-    --size_;
+    if (t_.size == 0) return false;
+    const std::size_t i = slot_of(key, Hash{}(key));
+    if (!t_.slots[i].used()) return false;
+    t_.erase_at(i, hash_of);
     return true;
   }
 
   /// Visit every (key, value) pair, in slot order.
   template <class F>
   void for_each(F&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.used) fn(s.key, s.value);
+    for (const Slot& s : t_.slots) {
+      if (s.used()) fn(s.key, s.value);
     }
   }
 
@@ -114,31 +166,86 @@ class FlatMap {
   struct Slot {
     K key{};
     V value{};
-    bool used = false;
+    bool filled = false;
+
+    bool used() const noexcept { return filled; }
   };
-  static constexpr std::size_t kMinSlots = 8;
 
-  std::size_t home(const K& key) const noexcept {
-    return Hash{}(key) & mask_;
-  }
-  /// First empty slot of `key`'s probe run (the key must be absent).
-  std::size_t free_slot(const K& key) const noexcept {
-    std::size_t i = home(key);
-    while (slots_[i].used) i = (i + 1) & mask_;
-    return i;
-  }
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? kMinSlots : old.size() * 2, Slot{});
-    mask_ = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.used) slots_[free_slot(s.key)] = s;
-    }
+  static std::size_t hash_of(const Slot& s) noexcept { return Hash{}(s.key); }
+  /// The slot holding `key`, else the empty slot that ends its run.
+  std::size_t slot_of(const K& key, std::size_t hash) const noexcept {
+    return t_.probe(hash, [&key](const Slot& x) { return x.key == key; });
   }
 
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::size_t size_ = 0;
+  flat_detail::Table<Slot> t_;
+};
+
+/// Index of entries that live in the owner's own array, numbered from 0:
+/// each 4-byte slot holds an entry number plus one (0 = empty), and every
+/// key comparison and rehash reads the entry's key through the owner's
+/// `key_of(n)`, so a key is stored once, in its entry. An owner with a
+/// fixed entry limit reserve()s for it once and never rehashes after.
+template <class K, class Hash = FlatHash<K>>
+class FlatIndex {
+ public:
+  /// What find() returns for an absent key.
+  static constexpr std::uint32_t npos = 0xffffffffu;
+
+  std::size_t size() const noexcept { return t_.size; }
+  /// Bytes of the slot array.
+  std::size_t slot_bytes() const noexcept {
+    return t_.slots.size() * sizeof(Slot);
+  }
+
+  /// Grow, if needed, so that `n` members fit at most half full: the
+  /// smallest power of two of at least 2n slots.
+  template <class KeyOf>
+  void reserve(std::size_t n, const KeyOf& key_of) {
+    const std::size_t want =
+        std::bit_ceil(std::max(2 * n, flat_detail::Table<Slot>::kMinSlots));
+    if (want > t_.slots.size()) t_.resize(want, hash_of(key_of));
+  }
+
+  /// The number of the entry whose key is `key`, or npos.
+  template <class KeyOf>
+  std::uint32_t find(const K& key, const KeyOf& key_of) const noexcept {
+    if (t_.size == 0) return npos;
+    const Slot& s = t_.slots[t_.probe(Hash{}(key), [&](const Slot& x) {
+      return key_of(x.n - 1) == key;
+    })];
+    return s.n - 1;  // an empty slot's 0 wraps to npos
+  }
+
+  /// Index entry `n`, whose key must not be indexed yet.
+  template <class KeyOf>
+  void insert(std::uint32_t n, const KeyOf& key_of) {
+    t_.grow_for_one(hash_of(key_of));
+    t_.slots[t_.free_slot(Hash{}(key_of(n)))] = Slot{n + 1};
+    ++t_.size;
+  }
+
+  /// Remove entry `n`, which must be indexed under its current key
+  /// `key_of(n)`. The probe matches entry numbers, not keys.
+  template <class KeyOf>
+  void erase(std::uint32_t n, const KeyOf& key_of) noexcept {
+    const std::size_t i = t_.probe(
+        Hash{}(key_of(n)), [n](const Slot& x) { return x.n == n + 1; });
+    t_.erase_at(i, hash_of(key_of));
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t n = 0;  ///< entry number + 1; 0 = empty
+
+    bool used() const noexcept { return n != 0; }
+  };
+
+  template <class KeyOf>
+  static auto hash_of(const KeyOf& key_of) noexcept {
+    return [f = &key_of](const Slot& s) { return Hash{}((*f)(s.n - 1)); };
+  }
+
+  flat_detail::Table<Slot> t_;
 };
 
 /// Insert-only map whose values never move: they are constructed in place

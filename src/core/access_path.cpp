@@ -404,10 +404,11 @@ OpHandle CompletionEngine::issue(CommOp op) {
     idx = free_.back();
     free_.pop_back();
   } else {
-    idx = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    if (!slots_) slots_ = std::make_unique<std::deque<Slot>>();
+    idx = static_cast<std::uint32_t>(slots_->size());
+    slots_->emplace_back();
   }
-  Slot& s = slots_[idx];
+  Slot& s = slot(idx);
   s.gen = next_gen_++;
   s.active = true;
   s.done = false;
@@ -440,11 +441,11 @@ OpHandle CompletionEngine::issue(CommOp op) {
 }
 
 Task<void> CompletionEngine::run_async(std::uint32_t idx) {
-  complete(idx, co_await rt_.path_.execute(th_, slots_[idx].op));
+  complete(idx, co_await rt_.path_.execute(th_, slot(idx).op));
 }
 
 void CompletionEngine::complete(std::uint32_t idx, OpStatus status) {
-  Slot& s = slots_[idx];
+  Slot& s = slot(idx);
   s.status = status;
   s.done = true;
   s.staged = false;
@@ -453,7 +454,7 @@ void CompletionEngine::complete(std::uint32_t idx, OpStatus status) {
 }
 
 void CompletionEngine::retire(std::uint32_t idx) {
-  Slot& s = slots_[idx];
+  Slot& s = slot(idx);
   s.active = false;
   s.waiter.reset();
   s.op = CommOp{};
@@ -461,11 +462,11 @@ void CompletionEngine::retire(std::uint32_t idx) {
 }
 
 Task<OpStatus> CompletionEngine::wait(OpHandle h) {
-  if (!h.valid() || h.slot >= slots_.size()) co_return OpStatus::kOk;
-  if (!slots_[h.slot].active || slots_[h.slot].gen != h.gen) {
+  if (!h.valid() || h.slot >= slot_count()) co_return OpStatus::kOk;
+  Slot& s = slot(h.slot);
+  if (!s.active || s.gen != h.gen) {
     co_return OpStatus::kOk;  // spent handle: wait is idempotent
   }
-  Slot& s = slots_[h.slot];
   if (s.staged && !s.done) {
     // Flush-on-wait: the handle is parked in a staging buffer — ship the
     // whole buffer now and then wait for the batch like any async op.
@@ -486,9 +487,9 @@ Task<OpStatus> CompletionEngine::wait_all() {
   // before retiring the outstanding handles.
   coalescer_.flush_all(FlushReason::kFence);
   OpStatus worst = OpStatus::kOk;
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].active) continue;
-    const OpStatus st = co_await wait(OpHandle{i, slots_[i].gen});
+  for (std::uint32_t i = 0; i < slot_count(); ++i) {
+    if (!slot(i).active) continue;
+    const OpStatus st = co_await wait(OpHandle{i, slot(i).gen});
     worst = std::max(worst, st);
   }
   co_return worst;

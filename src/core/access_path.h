@@ -228,6 +228,10 @@ class CompletionEngine {
     std::optional<sim::Trigger> waiter;
   };
 
+  Slot& slot(std::uint32_t idx) { return (*slots_)[idx]; }
+  std::size_t slot_count() const noexcept {
+    return slots_ ? slots_->size() : 0;
+  }
   sim::Task<void> run_async(std::uint32_t idx);
   /// Op completion: mark the slot done with the op's status and wake its
   /// waiter. The CoalescingEngine calls it for each member of a batch
@@ -238,8 +242,11 @@ class CompletionEngine {
   Runtime& rt_;
   UpcThread& th_;
   // deque: Slot references stay stable across the co_awaits in
-  // run_async/wait while new slots are issued.
-  std::deque<Slot> slots_;
+  // run_async/wait while new slots are issued. Allocated by the first
+  // issue(), as an empty deque already allocates and a thread that only
+  // makes blocking calls never needs a slot; until then only the pointer
+  // is paid for.
+  std::unique_ptr<std::deque<Slot>> slots_;
   std::vector<std::uint32_t> free_;
   std::uint64_t next_gen_ = 1;
   std::uint64_t outstanding_async_ = 0;

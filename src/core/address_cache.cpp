@@ -38,21 +38,21 @@ void AddressCache::touch(std::uint32_t e) noexcept {
 }
 
 std::optional<net::BaseInfo> AddressCache::lookup(const CacheKey& key) {
-  const std::uint32_t* e = index_.find(key);
-  if (e == nullptr) {
+  const std::uint32_t e = index_.find(key, key_of());
+  if (e == Index::npos) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  touch(*e);
-  return entries_[*e].info;
+  touch(e);
+  return entries_[e].info;
 }
 
 std::uint32_t AddressCache::take_entry() {
   if (max_entries_ != 0 && index_.size() >= max_entries_) {
     const std::uint32_t victim = lru_;
     unlink(victim);
-    index_.erase(entries_[victim].key);
+    index_.erase(victim, key_of());
     ++stats_.evictions;
     return victim;
   }
@@ -71,22 +71,24 @@ std::uint32_t AddressCache::take_entry() {
 }
 
 void AddressCache::insert(const CacheKey& key, net::BaseInfo info) {
-  if (const std::uint32_t* e = index_.find(key)) {
-    entries_[*e].info = info;
-    touch(*e);
+  if (const std::uint32_t e = index_.find(key, key_of()); e != Index::npos) {
+    entries_[e].info = info;
+    touch(e);
     return;
   }
   const std::uint32_t e = take_entry();
   entries_[e].key = key;
   entries_[e].info = info;
   push_front(e);
-  index_.try_emplace(key, e);
+  // Sized for the whole limit at the first insert, then never again.
+  if (max_entries_ != 0) index_.reserve(max_entries_, key_of());
+  index_.insert(e, key_of());
   ++stats_.insertions;
 }
 
 void AddressCache::drop(std::uint32_t e) {
   unlink(e);
-  index_.erase(entries_[e].key);
+  index_.erase(e, key_of());
   entries_[e].older = free_;
   free_ = e;
   ++stats_.invalidations;
@@ -110,7 +112,9 @@ void AddressCache::invalidate_node(NodeId node) {
 }
 
 void AddressCache::invalidate(const CacheKey& key) {
-  if (const std::uint32_t* e = index_.find(key)) drop(*e);
+  if (const std::uint32_t e = index_.find(key, key_of()); e != Index::npos) {
+    drop(e);
+  }
 }
 
 }  // namespace xlupc::core

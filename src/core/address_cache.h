@@ -18,11 +18,14 @@
 // target; under the paper's greedy strategy chunk is always 0 and "the
 // cache tags can simply be the SVD handles".
 //
-// Layout: an open-addressing index (common/flat_map.h) maps each key to a
-// slot of an entry array, and the LRU list runs through the entries by
-// 32-bit indices. Both grow on demand, the entry array only up to the
-// limit: a full cache allocates nothing to insert or evict, and one that
-// is never used (cache off) costs nothing.
+// Layout: each key is stored once, in an entry array whose LRU list runs
+// through the entries by 32-bit indices; an open-addressing index of
+// 4-byte entry numbers (FlatIndex, common/flat_map.h) finds them. The
+// entry array grows on demand up to the limit. A bounded cache sizes its
+// index once, at the first insert, for the whole limit (256 slots, 1 KiB,
+// at the paper's 100 entries), so it never rehashes; an unbounded one
+// doubles its index on demand. A full cache allocates nothing to insert
+// or evict, and one that is never used (cache off) costs nothing.
 #pragma once
 
 #include <cstdint>
@@ -103,6 +106,8 @@ class AddressCache {
 
   std::size_t size() const noexcept { return index_.size(); }
   std::size_t max_entries() const noexcept { return max_entries_; }
+  /// Bytes of the index's slot array (0 before the first insert).
+  std::size_t index_bytes() const noexcept { return index_.slot_bytes(); }
   const AddressCacheStats& stats() const noexcept { return stats_; }
   void reset_stats() { stats_ = {}; }
 
@@ -128,9 +133,17 @@ class AddressCache {
   std::uint32_t take_entry();
   template <class Pred>
   void drop_if(Pred pred);
+  /// The index's view of the entries: entry number -> its key.
+  auto key_of() const noexcept {
+    return [this](std::uint32_t e) -> const CacheKey& {
+      return entries_[e].key;
+    };
+  }
+
+  using Index = FlatIndex<CacheKey, CacheKeyHash>;
 
   std::size_t max_entries_;
-  FlatMap<CacheKey, std::uint32_t, CacheKeyHash> index_;
+  Index index_;
   std::vector<Entry> entries_;
   std::uint32_t mru_ = kNil;
   std::uint32_t lru_ = kNil;

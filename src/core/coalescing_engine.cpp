@@ -87,7 +87,7 @@ Task<void> CoalescingEngine::run_batch(NodeId dest,
   for (const Staged& s : staged) {
     if (s.op.is_get) {
       if (ok && g < res.get_data.size()) {
-        std::memcpy(ce_.slots_[s.slot].op.dst, res.get_data[g].data(),
+        std::memcpy(ce_.slot(s.slot).op.dst, res.get_data[g].data(),
                     s.op.len);
       }
       ++g;

@@ -59,6 +59,10 @@ RunReport Runtime::metrics() {
   if (machine_.faults().enabled()) live |= fam::kFaults;
   if (machine_.faults().fabric_enabled()) live |= fam::kFabricFaults;
   if (machine_.fabric().enabled()) live |= fam::kFabric;
+  const net::TransportStats& ts = transport_.stats();
+  if (machine_.faults().enabled() || ts.bounce_fallbacks > 0) {
+    live |= fam::kBounce;
+  }
 
   // --- struct counters: runtime, cache, comm, transport, detector,
   // fabric (per-node and per-thread copies combined through their rows) ---
@@ -76,7 +80,6 @@ RunReport Runtime::metrics() {
   }
   sim::fold(reg, comm, kCommRows, live);
   sim::fold(reg, co, kCoalesceRows, live);
-  const net::TransportStats& ts = transport_.stats();
   sim::fold(reg, ts, net::kTransportRows, live);
   sim::fold(reg, detector_ != nullptr ? detector_->stats() : DetectorStats{},
             kDetectorRows, live);

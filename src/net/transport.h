@@ -267,7 +267,7 @@ inline constexpr sim::MetricRow<TransportStats> kTransportRows[] = {
      sim::family::kFaults},
     {"reliability.timeouts", &TransportStats::timeouts, sim::family::kFaults},
     {"reliability.bounce_fallbacks", &TransportStats::bounce_fallbacks,
-     sim::family::kFaults},
+     sim::family::kBounce},
     {"fault.fabric.link_down_drops", &TransportStats::link_down_drops,
      sim::family::kFabricFaults},
     {"fault.fabric.failover_routes", &TransportStats::failover_routes,

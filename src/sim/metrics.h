@@ -94,6 +94,10 @@ inline constexpr Families kFaults = 1u << 3;    ///< a FaultPlan is enabled
 /// The plan schedules link-down windows or crash-stops.
 inline constexpr Families kFabricFaults = 1u << 4;
 inline constexpr Families kFabric = 1u << 5;  ///< finite-buffer switch fabric
+/// A FaultPlan is enabled, or the transport staged a transfer through
+/// bounce buffers (which a registration larger than the whole DMAable
+/// budget does fault-free).
+inline constexpr Families kBounce = 1u << 6;
 }  // namespace family
 
 /// How per-node or per-thread copies of a counter combine into one.

@@ -1,5 +1,6 @@
 #include "sim/pool.h"
 
+#include <algorithm>
 #include <new>
 
 namespace xlupc::sim {
@@ -27,12 +28,27 @@ struct FreeBlock {
   FreeBlock* next;
 };
 
+// The first granule of every chunk links it into its class's chunk list
+// or into the spare list; the blocks follow it.
+struct Chunk {
+  Chunk* next;
+};
+
+// A class's live count sits beside its freelist head, in one 16-byte
+// record, so counting costs the hot path no extra cache line.
+struct SizeClass {
+  FreeBlock* head;
+  std::uint64_t live;  ///< blocks handed out and not yet freed
+};
+
 // Constant-initialized and trivially destructible, so it needs no init
 // guard and stays valid for frames freed by static destructors after
 // main() returns.
 struct Pool {
-  FreeBlock* freelist[kClasses];
+  SizeClass classes[kClasses];
   PoolStats stats;
+  Chunk* chunks[kClasses];  ///< the chunks carved into each class
+  Chunk* spare;             ///< chunks no class holds
 };
 constinit Pool g_pool{};
 
@@ -40,14 +56,26 @@ std::size_t class_of(std::size_t bytes) {
   return bytes == 0 ? 0 : (bytes - 1) / kGranularity;
 }
 
-// Carve one 64 KiB chunk wholesale into the (empty) freelist of `cls`.
+std::size_t block_bytes(std::size_t cls) { return (cls + 1) * kGranularity; }
+
+// Carve one chunk, a spare one if there is any, wholesale into the
+// (empty) freelist of `cls`.
 FreeBlock* carve(std::size_t cls) {
-  const std::size_t block = (cls + 1) * kGranularity;
-  char* base = static_cast<char*>(::operator new(kChunkBytes));
-  ++g_pool.stats.chunks;
-  g_pool.stats.chunk_bytes += kChunkBytes;
+  Chunk* chunk = g_pool.spare;
+  if (chunk != nullptr) {
+    g_pool.spare = chunk->next;
+  } else {
+    chunk = ::new (::operator new(kChunkBytes)) Chunk{};
+    ++g_pool.stats.chunks;
+    g_pool.stats.chunk_bytes += kChunkBytes;
+  }
+  chunk->next = g_pool.chunks[cls];
+  g_pool.chunks[cls] = chunk;
+  char* const base = reinterpret_cast<char*>(chunk);
+  const std::size_t block = block_bytes(cls);
   FreeBlock* head = nullptr;
-  for (std::size_t off = 0; off + block <= kChunkBytes; off += block) {
+  for (std::size_t off = kGranularity; off + block <= kChunkBytes;
+       off += block) {
     head = ::new (base + off) FreeBlock{head};
   }
   return head;
@@ -59,13 +87,18 @@ void* pool_alloc(std::size_t bytes) {
   if (bytes > kMaxBlock) ++g_pool.stats.oversize;
   if (!kFreelists || bytes > kMaxBlock) return ::operator new(bytes);
   const std::size_t cls = class_of(bytes);
-  FreeBlock* head = g_pool.freelist[cls];
+  SizeClass& c = g_pool.classes[cls];
+  FreeBlock* head = c.head;
   if (head != nullptr) {
     ++g_pool.stats.reuses;
   } else {
     head = carve(cls);
   }
-  g_pool.freelist[cls] = head->next;
+  c.head = head->next;
+  ++c.live;
+  PoolStats& st = g_pool.stats;
+  st.live_bytes += block_bytes(cls);
+  st.peak_live_bytes = std::max(st.peak_live_bytes, st.live_bytes);
   return head;
 }
 
@@ -75,8 +108,27 @@ void pool_free(void* p, std::size_t bytes) noexcept {
     ::operator delete(p, bytes);
     return;
   }
-  FreeBlock*& head = g_pool.freelist[class_of(bytes)];
-  head = ::new (p) FreeBlock{head};
+  const std::size_t cls = class_of(bytes);
+  SizeClass& c = g_pool.classes[cls];
+  c.head = ::new (p) FreeBlock{c.head};
+  --c.live;
+  g_pool.stats.live_bytes -= block_bytes(cls);
+}
+
+void pool_trim() noexcept {
+  if (!kFreelists) return;
+  for (std::size_t cls = 0; cls < kClasses; ++cls) {
+    Chunk*& chunks = g_pool.chunks[cls];
+    if (chunks == nullptr || g_pool.classes[cls].live != 0) continue;
+    // With no block out, the freelist holds every block of these chunks:
+    // drop it and splice the whole chunk list onto the spare list.
+    Chunk* last = chunks;
+    while (last->next != nullptr) last = last->next;
+    last->next = g_pool.spare;
+    g_pool.spare = chunks;
+    chunks = nullptr;
+    g_pool.classes[cls].head = nullptr;
+  }
 }
 
 const PoolStats& pool_stats() noexcept { return g_pool.stats; }

@@ -18,6 +18,13 @@
 //  * backing chunks of 64 KiB are carved whole into a class's freelist
 //    and are never returned to the OS: steady-state simulation reaches a
 //    high-water mark once and allocates nothing afterwards.
+//  * each class counts its live blocks beside its freelist head and
+//    links its chunks through a small header. pool_trim(), which the
+//    Simulator calls when run() returns and when it is destroyed, gives
+//    every chunk of a class with no live block to a spare list, and a
+//    class that needs a chunk takes a spare one before it calls operator
+//    new. So the classes one phase of a program uses (allocation frames,
+//    say) hand their memory to the classes the next phase uses.
 //  * single-threaded by design, like the simulator itself. There is one
 //    process-global pool (coroutine frames outlive any one Simulator).
 //  * AddressSanitizer builds compile the freelists out: every block is
@@ -42,12 +49,21 @@ void* pool_alloc(std::size_t bytes);
 /// allocated with.
 void pool_free(void* p, std::size_t bytes) noexcept;
 
+/// Give the chunks of every size class that has no live block to the
+/// spare list, from which any class carves before it calls operator new.
+/// A no-op when the freelists are compiled out.
+void pool_trim() noexcept;
+
 /// Allocation statistics, for tests and docs/PERFORMANCE.md numbers.
 struct PoolStats {
-  std::uint64_t reuses = 0;       ///< served from a freelist (cache-hot)
-  std::uint64_t oversize = 0;     ///< larger than the largest class
-  std::uint64_t chunks = 0;       ///< 64 KiB backing chunks carved
-  std::uint64_t chunk_bytes = 0;  ///< total backing bytes reserved
+  std::uint64_t reuses = 0;    ///< served from a freelist (cache-hot)
+  std::uint64_t oversize = 0;  ///< larger than the largest class
+  /// 64 KiB backing chunks taken from operator new (a spare chunk a
+  /// class re-carves is not counted again).
+  std::uint64_t chunks = 0;
+  std::uint64_t chunk_bytes = 0;      ///< total backing bytes reserved
+  std::uint64_t live_bytes = 0;       ///< class blocks handed out, in bytes
+  std::uint64_t peak_live_bytes = 0;  ///< high-water mark of live_bytes
 };
 const PoolStats& pool_stats() noexcept;
 

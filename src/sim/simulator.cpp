@@ -9,8 +9,13 @@ Simulator::~Simulator() {
   // Processes still suspended (an exception aborted run() before the
   // queue drained) would otherwise leak their coroutine frames; queued
   // callbacks and synchronizer waiter lists hold the handles non-owning,
-  // so destroying each driver frame here releases its whole chain.
-  while (!drivers_.empty()) drivers_.front().destroy();
+  // so destroying each driver frame here releases its whole chain. Each
+  // frame unlinks itself, oldest first.
+  while (first_driver_ != nullptr) {
+    std::coroutine_handle<Detached::promise_type>::from_promise(*first_driver_)
+        .destroy();
+  }
+  pool_trim();
 }
 
 void Simulator::throw_past() {
@@ -46,6 +51,9 @@ Time Simulator::run() {
     now_ = queue_.next_time();
     queue_.pop_and_run();
   }
+  // The frames of this run are back on their freelists: size classes the
+  // next phase does not use give their chunks to the ones it does.
+  pool_trim();
   rethrow_if_failed();
   return now_;
 }

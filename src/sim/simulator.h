@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <list>
 
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
@@ -98,18 +97,22 @@ class Simulator {
  private:
   struct Detached {
     struct promise_type : PooledFrame {
-      // The driver registers itself with its simulator so frames still
-      // suspended when the simulator dies (an aborted run leaves them
-      // parked in the queue/synchronizers) can be destroyed instead of
-      // leaked; each frame owns its awaited Task chain.
-      promise_type(Simulator& sim, Task<>&) noexcept : sim_(&sim) {}
-      ~promise_type() { sim_->drivers_.erase(pos_); }
-      Detached get_return_object() {
-        pos_ = sim_->drivers_.insert(
-            sim_->drivers_.end(),
-            std::coroutine_handle<promise_type>::from_promise(*this));
-        return {};
+      // The driver links itself at the tail of its simulator's driver
+      // list so frames still suspended when the simulator dies (an
+      // aborted run leaves them parked in the queue/synchronizers) can be
+      // destroyed, in spawn order, instead of leaked; each frame owns its
+      // awaited Task chain. The links live in the frame, so a spawn
+      // allocates nothing besides it.
+      promise_type(Simulator& sim, Task<>&) noexcept
+          : sim_(&sim), prev_(sim.last_driver_) {
+        (prev_ != nullptr ? prev_->next_ : sim.first_driver_) = this;
+        sim.last_driver_ = this;
       }
+      ~promise_type() {
+        (prev_ != nullptr ? prev_->next_ : sim_->first_driver_) = next_;
+        (next_ != nullptr ? next_->prev_ : sim_->last_driver_) = prev_;
+      }
+      Detached get_return_object() const noexcept { return {}; }
       std::suspend_never initial_suspend() const noexcept { return {}; }
       std::suspend_never final_suspend() const noexcept { return {}; }
       void return_void() const noexcept {}
@@ -117,7 +120,8 @@ class Simulator {
 
      private:
       Simulator* sim_;
-      std::list<std::coroutine_handle<>>::iterator pos_;
+      promise_type* prev_;
+      promise_type* next_ = nullptr;
     };
   };
   Detached drive(Task<> task);
@@ -129,7 +133,8 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t live_ = 0;
   std::exception_ptr failure_;
-  std::list<std::coroutine_handle<>> drivers_;
+  Detached::promise_type* first_driver_ = nullptr;  ///< oldest unfinished
+  Detached::promise_type* last_driver_ = nullptr;
   MetricsRegistry metrics_;
 };
 

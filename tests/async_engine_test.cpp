@@ -324,6 +324,84 @@ TEST(CompletionEngine, FenceRetiresNonblockingPuts) {
   });
 }
 
+// A thread's completion slots are allocated by its first issue(). Thread
+// 0 makes blocking calls first and thread 1 none before both issue one
+// get_nb and one put_nb at the other's piece: the handles must be the
+// first slots, and the statuses the same on both threads.
+struct NbAfterBlocking {
+  OpStatus blocking_get = OpStatus::kOk;
+  OpStatus blocking_put = OpStatus::kOk;
+  OpStatus nb_get[2] = {};
+  OpStatus nb_put[2] = {};
+};
+
+NbAfterBlocking run_nb_after_blocking(core::RuntimeConfig cfg) {
+  core::Runtime rt(std::move(cfg));
+  NbAfterBlocking r;
+  rt.run([&](UpcThread& th) -> sim::Task<void> {
+    ArrayDesc a = co_await th.all_alloc(32, 8, 16);
+    co_await th.barrier();
+    const std::uint64_t remote = th.id() == 0 ? 16 : 0;
+    if (th.id() == 0) {
+      // Nothing issued yet: wait_all retires nothing and returns at once.
+      const sim::Time t0 = th.now();
+      const std::uint64_t events = rt.simulator().events_executed();
+      co_await th.wait_all();
+      EXPECT_EQ(th.now(), t0);
+      EXPECT_EQ(rt.simulator().events_executed(), events);
+      std::uint64_t v = 0;
+      r.blocking_get = co_await th.read_status<std::uint64_t>(a, remote, &v);
+      r.blocking_put =
+          co_await th.write_status<std::uint64_t>(a, remote + 1, 9);
+    }
+    std::uint64_t got = 0;
+    const std::uint64_t put = 5;
+    const OpHandle g =
+        th.get_nb(a, remote + 2, std::as_writable_bytes(std::span(&got, 1)));
+    const OpHandle p =
+        th.put_nb(a, remote + 3, std::as_bytes(std::span(&put, 1)));
+    EXPECT_TRUE(g.valid());
+    EXPECT_TRUE(p.valid());
+    EXPECT_EQ(g.slot, 0u);
+    EXPECT_EQ(p.slot, 1u);
+    EXPECT_NE(g.gen, p.gen);
+    EXPECT_EQ(th.outstanding(), 2u);
+    r.nb_get[th.id()] = co_await th.wait_status(g);
+    r.nb_put[th.id()] = co_await th.wait_status(p);
+    EXPECT_EQ(co_await th.fence_status(), OpStatus::kOk);
+    EXPECT_EQ(th.outstanding(), 0u);
+  });
+  return r;
+}
+
+TEST(CompletionEngine, NonblockingOpsAfterBlockingOnesGetFreshSlots) {
+  const NbAfterBlocking r =
+      run_nb_after_blocking(config(net::TransportKind::kGm, 2, 1));
+  EXPECT_EQ(r.blocking_get, OpStatus::kOk);
+  EXPECT_EQ(r.blocking_put, OpStatus::kOk);
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_EQ(r.nb_get[t], OpStatus::kOk) << "thread " << t;
+    EXPECT_EQ(r.nb_put[t], OpStatus::kOk) << "thread " << t;
+  }
+}
+
+TEST(CompletionEngine, NonblockingStatusesAfterBlockingOnesUnderTotalLoss) {
+  // Every leg is lost: GETs time out at their handles, PUTs complete
+  // locally by the one-sided contract, with or without earlier blocking
+  // calls on the thread.
+  core::RuntimeConfig cfg = config(net::TransportKind::kGm, 2, 1);
+  cfg.faults.seed = 5;
+  cfg.faults.drop_prob = 1.0;
+  cfg.faults.max_retransmits = 2;
+  const NbAfterBlocking r = run_nb_after_blocking(std::move(cfg));
+  EXPECT_EQ(r.blocking_get, OpStatus::kTimeout);
+  EXPECT_EQ(r.blocking_put, OpStatus::kOk);
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_EQ(r.nb_get[t], OpStatus::kTimeout) << "thread " << t;
+    EXPECT_EQ(r.nb_put[t], OpStatus::kOk) << "thread " << t;
+  }
+}
+
 TEST(CompletionEngine, ArgumentsAreValidatedAtIssueTime) {
   core::Runtime rt(config(net::TransportKind::kGm, 2, 1));
   rt.run([&](UpcThread& th) -> sim::Task<void> {

@@ -101,6 +101,19 @@ TEST(AddressCache, UnlimitedWhenMaxEntriesIsZero) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
+TEST(AddressCache, PaperSizedIndexIsOneKiB) {
+  // The index of a 100-entry cache is 256 four-byte slots: allocated at
+  // the first insert, at most half full at the limit, never regrown.
+  AddressCache cache(100);
+  EXPECT_EQ(cache.index_bytes(), 0u);
+  for (std::uint64_t h = 0; h < 300; ++h) {
+    cache.insert(CacheKey{h, 0, 0}, info(h));
+    ASSERT_EQ(cache.index_bytes(), 1024u) << "after " << h + 1 << " inserts";
+  }
+  EXPECT_EQ(cache.size(), 100u);
+  EXPECT_EQ(cache.stats().evictions, 200u);
+}
+
 TEST(AddressCache, ResetStatsKeepsEntries) {
   AddressCache cache(10);
   cache.insert(CacheKey{1, 0, 0}, info(1));
@@ -216,14 +229,15 @@ struct CachePair {
   ReferenceCache ref;
 };
 
-// Run `ops` seeded random operations on both caches, comparing every
-// result, size() and every statistic after each one.
-void run_stream(CachePair& p, std::uint64_t seed, int ops) {
+// Run `ops` seeded random operations over `keys` on both caches,
+// comparing every result, size() and every statistic after each one.
+void run_stream(CachePair& p, std::uint64_t seed, int ops,
+                const std::vector<CacheKey>& keys) {
   sim::Rng rng(seed);
   for (int i = 0; i < ops; ++i) {
     const std::string at = "seed " + std::to_string(seed) + " op " +
                            std::to_string(i);
-    const CacheKey key = key_at(static_cast<std::uint32_t>(rng.below(kKeys)));
+    const CacheKey key = keys[rng.below(keys.size())];
     const std::uint64_t op = rng.below(100);
     if (op < 45) {
       const auto got = p.cache.lookup(key);
@@ -250,6 +264,27 @@ void run_stream(CachePair& p, std::uint64_t seed, int ops) {
     ASSERT_EQ(p.cache.size(), p.ref.size()) << at;
     expect_same_stats(p.cache.stats(), p.ref.stats(), at);
     if (::testing::Test::HasFailure()) return;
+  }
+}
+
+/// run_stream over the whole key universe.
+void run_stream(CachePair& p, std::uint64_t seed, int ops) {
+  std::vector<CacheKey> keys;
+  for (std::uint32_t i = 0; i < kKeys; ++i) keys.push_back(key_at(i));
+  run_stream(p, seed, ops, keys);
+}
+
+/// Expect both caches to agree on the presence of every key in `keys`.
+void expect_same_members(CachePair& p, const std::vector<CacheKey>& keys) {
+  for (const CacheKey& k : keys) {
+    const auto got = p.cache.lookup(k);
+    const auto want = p.ref.lookup(k);
+    ASSERT_EQ(got.has_value(), want.has_value())
+        << "handle " << k.handle << " node " << k.node << " chunk "
+        << k.chunk;
+    if (want) {
+      EXPECT_EQ(got->base, want->base);
+    }
   }
 }
 
@@ -288,6 +323,74 @@ TEST(AddressCacheDifferential, MatchesListAndMapReference) {
         expect_same_stats(p.cache.stats(), p.ref.stats(),
                           "after " + std::to_string(m) + " fresh keys");
       }
+    }
+  }
+}
+
+// Full-table resolution (max_entries 0) over 6,000 distinct keys: the
+// index doubles from 8 to 16,384 slots while lookups, refreshes and all
+// three invalidation forms run against the reference.
+TEST(AddressCacheDifferential, UnboundedIndexGrowsThroughManyDoublings) {
+  CachePair p{AddressCache(0), ReferenceCache(0)};
+  sim::Rng rng(17);
+  std::vector<CacheKey> keys;
+  for (std::uint32_t i = 0; i < 6000; ++i) {
+    const std::string at = "key " + std::to_string(i);
+    keys.push_back(CacheKey{(0x5eedull << 32) + i / 16, i % 16, 0});
+    p.cache.insert(keys.back(), info(i));
+    p.ref.insert(keys.back(), info(i));
+    const CacheKey& old = keys[rng.below(keys.size())];
+    const std::uint64_t op = rng.below(1000);
+    if (op < 500) {
+      ASSERT_EQ(p.cache.lookup(old).has_value(), p.ref.lookup(old).has_value())
+          << at;
+    } else if (op < 650) {
+      p.cache.insert(old, info(op));
+      p.ref.insert(old, info(op));
+    } else if (op < 700) {
+      p.cache.invalidate(old);
+      p.ref.invalidate(old);
+    } else if (op < 701) {
+      p.cache.invalidate_node(old.node);
+      p.ref.invalidate_node(old.node);
+    } else if (op < 703) {
+      p.cache.invalidate_handle(old.handle);
+      p.ref.invalidate_handle(old.handle);
+    }
+    ASSERT_EQ(p.cache.size(), p.ref.size()) << at;
+    expect_same_stats(p.cache.stats(), p.ref.stats(), at);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(p.cache.size(), 4096u);
+  EXPECT_EQ(p.cache.index_bytes(), 16384 * sizeof(std::uint32_t));
+  expect_same_members(p, keys);
+}
+
+// Keys whose hash sends them to the last two or first two slots of a
+// 256-slot index (a 100-entry cache's) or of a 128-slot one (a 64-entry
+// cache's): their probe runs are long and wrap around the table's end.
+std::vector<CacheKey> colliding_keys(std::size_t n) {
+  std::vector<CacheKey> keys;
+  for (std::uint32_t i = 0; keys.size() < n; ++i) {
+    const CacheKey k{key_at(i % 4).handle, (i / 4) % 64, i / 256};
+    if (((CacheKeyHash{}(k) + 2) & 255) < 4) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(AddressCacheDifferential, InvalidationInsideLongProbeRuns) {
+  // 80 keys share four home slots, so the index holds them in one run;
+  // every invalidation (and, at 64 entries, every eviction) opens a hole
+  // inside it that the backward shift must close, across the wrap.
+  const std::vector<CacheKey> keys = colliding_keys(80);
+  for (const std::size_t capacity : {100u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
+                   std::to_string(seed));
+      CachePair p{AddressCache(capacity), ReferenceCache(capacity)};
+      run_stream(p, seed * 7919 + capacity, 6000, keys);
+      if (HasFailure()) return;
+      expect_same_members(p, keys);
     }
   }
 }

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "benchsupport/report.h"
@@ -500,6 +502,50 @@ core::RunReport run_workload(core::RuntimeConfig cfg) {
 
 std::string report_json(const core::RunReport& r) {
   return bench::to_json(r).dump_string();
+}
+
+// One 24 KB memget (a rendezvous GET on GM) under a DMAable budget of
+// `max_dmaable_bytes`, with no fault plan. Returns the report and the
+// transport's bounce counter.
+std::pair<core::RunReport, std::uint64_t> run_fault_free_memget(
+    std::size_t max_dmaable_bytes) {
+  core::RuntimeConfig cfg = faulty_config({});
+  cfg.platform.max_dmaable_bytes = max_dmaable_bytes;
+  core::Runtime rt(std::move(cfg));
+  rt.run([&](core::UpcThread& th) -> sim::Task<void> {
+    auto a = co_await th.all_alloc(8192, 8, 4096);
+    co_await th.barrier();
+    if (th.id() == 0) {
+      std::vector<std::byte> buf(3072 * 8);
+      co_await th.memget(a, 4096, buf);
+    }
+    co_await th.barrier();
+  });
+  return {rt.metrics(), rt.transport().stats().bounce_fallbacks};
+}
+
+bool reports_key(const core::RunReport& r, std::string_view name) {
+  for (const auto& [k, v] : r.counters) {
+    if (k == name) return true;
+  }
+  return false;
+}
+
+TEST(BounceReport, FaultFreeRunThatBouncesReportsIt) {
+  // A budget below one memget's size: the registration can never fit, so
+  // the transfer stages through bounce buffers with no fault plan, and
+  // the report says so.
+  const auto [r, bounces] = run_fault_free_memget(16 * 1024);
+  EXPECT_GT(bounces, 0u);
+  ASSERT_TRUE(reports_key(r, "reliability.bounce_fallbacks"));
+  EXPECT_EQ(r.counter("reliability.bounce_fallbacks"), bounces);
+  EXPECT_FALSE(reports_key(r, "reliability.retransmits"));  // still no plan
+}
+
+TEST(BounceReport, FaultFreeRunThatNeverBouncesHasNoKey) {
+  const auto [r, bounces] = run_fault_free_memget(0);  // unlimited budget
+  EXPECT_EQ(bounces, 0u);
+  EXPECT_FALSE(reports_key(r, "reliability.bounce_fallbacks"));
 }
 
 TEST(FaultRuntime, SameSeedYieldsByteIdenticalReports) {

@@ -349,6 +349,91 @@ TEST(PoolAllocator, SizedFreeReturnsBlockToItsClass) {
   sim::pool_free(next_class, 33);
 }
 
+TEST(PoolAllocator, LiveBytesCountHandedOutBlocksByClassSize) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // 100 bytes take a 128-byte block; the peak keeps the high-water mark
+  // after the blocks come back.
+  const sim::PoolStats before = sim::pool_stats();
+  void* a = sim::pool_alloc(100);
+  void* b = sim::pool_alloc(100);
+  EXPECT_EQ(sim::pool_stats().live_bytes, before.live_bytes + 256);
+  EXPECT_GE(sim::pool_stats().peak_live_bytes, before.live_bytes + 256);
+  sim::pool_free(a, 100);
+  sim::pool_free(b, 100);
+  EXPECT_EQ(sim::pool_stats().live_bytes, before.live_bytes);
+  EXPECT_GE(sim::pool_stats().peak_live_bytes, before.live_bytes + 256);
+}
+
+// Hold blocks of `bytes` until the pool has to take a chunk from
+// operator new: the spare list is empty afterwards.
+std::vector<void*> exhaust_spare_chunks(std::size_t bytes) {
+  std::vector<void*> held;
+  const std::uint64_t chunks = sim::pool_stats().chunks;
+  while (sim::pool_stats().chunks == chunks) {
+    held.push_back(sim::pool_alloc(bytes));
+  }
+  return held;
+}
+
+TEST(PoolAllocator, TrimGivesDrainedClassChunksToOtherClasses) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // With no spare chunk left, the 2 KiB class takes fresh chunks for 128
+  // blocks and gets them all back. After the trim the 1 KiB class fills
+  // the same 256 KiB from those chunks, without operator new.
+  const std::vector<void*> held = exhaust_spare_chunks(1024);
+  std::vector<void*> big;
+  for (int i = 0; i < 128; ++i) big.push_back(sim::pool_alloc(2048));
+  for (void* p : big) sim::pool_free(p, 2048);
+  sim::pool_trim();
+  const sim::PoolStats before = sim::pool_stats();
+  std::vector<void*> small;
+  for (int i = 0; i < 256; ++i) small.push_back(sim::pool_alloc(1024));
+  EXPECT_EQ(sim::pool_stats().chunks, before.chunks);
+  EXPECT_EQ(sim::pool_stats().chunk_bytes, before.chunk_bytes);
+  for (void* p : small) sim::pool_free(p, 1024);
+  for (void* p : held) sim::pool_free(p, 1024);
+}
+
+TEST(PoolAllocator, TrimKeepsClassesWithLiveBlocks) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // One live block keeps its class's chunks and freelist: after the
+  // trim the freed blocks are reused in place, and no other class is
+  // handed memory under the live block.
+  constexpr std::size_t kSize = 1984;
+  std::vector<void*> blocks;
+  for (int i = 0; i < 64; ++i) blocks.push_back(sim::pool_alloc(kSize));
+  auto* const keeper = static_cast<unsigned char*>(blocks.back());
+  blocks.pop_back();
+  std::fill(keeper, keeper + kSize, static_cast<unsigned char>(0x5a));
+  for (void* p : blocks) sim::pool_free(p, kSize);
+  sim::pool_trim();
+
+  const sim::PoolStats before = sim::pool_stats();
+  for (void*& p : blocks) p = sim::pool_alloc(kSize);
+  EXPECT_EQ(sim::pool_stats().chunks, before.chunks);
+  EXPECT_EQ(sim::pool_stats().reuses, before.reuses + blocks.size());
+
+  std::vector<void*> other;
+  for (int i = 0; i < 512; ++i) {
+    auto* p = static_cast<unsigned char*>(sim::pool_alloc(512));
+    EXPECT_FALSE(p + 512 > keeper && p < keeper + kSize)
+        << "a 512-byte block overlaps the live " << kSize << "-byte block";
+    std::fill(p, p + 512, static_cast<unsigned char>(0));
+    other.push_back(p);
+  }
+  EXPECT_EQ(std::count(keeper, keeper + kSize, 0x5a),
+            static_cast<std::ptrdiff_t>(kSize));
+  for (void* p : other) sim::pool_free(p, 512);
+  for (void* p : blocks) sim::pool_free(p, kSize);
+  sim::pool_free(keeper, kSize);
+}
+
 TEST(PoolAllocator, OversizeBlocksFallThrough) {
   const sim::PoolStats before = sim::pool_stats();
   void* big = sim::pool_alloc(1 << 20);

@@ -114,6 +114,43 @@ TEST(Simulator, ExceptionInProcessPropagatesFromRun) {
   EXPECT_THROW(sim.run(), std::runtime_error);
 }
 
+// Records its id when its coroutine frame is destroyed.
+struct FrameGuard {
+  std::vector<int>* destroyed;
+  int id;
+  ~FrameGuard() { destroyed->push_back(id); }
+};
+
+Task<> park(Simulator& sim, std::vector<int>& destroyed, int id,
+            Duration d) {
+  FrameGuard guard{&destroyed, id};
+  co_await sim.delay(d);
+}
+
+TEST(Simulator, AbortedRunDestroysSuspendedProcessesInSpawnOrder) {
+  // Processes 0, 2, 3 and 5 are still parked in the queue when process 4
+  // throws; process 1 finished before. Destroying the simulator must free
+  // the parked frames oldest first, and each exactly once.
+  std::vector<int> destroyed;
+  {
+    Simulator sim;
+    sim.spawn(park(sim, destroyed, 0, us(50)));
+    sim.spawn(park(sim, destroyed, 1, us(1)));
+    sim.spawn(park(sim, destroyed, 2, us(60)));
+    sim.spawn(park(sim, destroyed, 3, us(40)));
+    sim.spawn([](Simulator& s, std::vector<int>& d) -> Task<> {
+      FrameGuard guard{&d, 4};
+      co_await s.delay(us(2));
+      throw std::runtime_error("boom");
+    }(sim, destroyed));
+    sim.spawn(park(sim, destroyed, 5, us(70)));
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(destroyed, (std::vector<int>{1, 4}));
+    EXPECT_EQ(sim.live_processes(), 4u);
+  }
+  EXPECT_EQ(destroyed, (std::vector<int>{1, 4, 0, 2, 3, 5}));
+}
+
 TEST(Simulator, LiveProcessCountTracksCompletion) {
   Simulator sim;
   sim.spawn([](Simulator& s) -> Task<> { co_await s.delay(us(1)); }(sim));

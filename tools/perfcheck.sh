@@ -15,6 +15,10 @@
 #      regressions (an accidental O(n^2), a debug build, the pool
 #      disabled); tighter tracking is done by updating the committed
 #      report deliberately and reviewing the diff.
+#   3. The process's peak RSS (metrics.peak_rss_mb, VmHWM) must stay
+#      below a ceiling that is just as generous, 1.5x the committed
+#      figure: it catches per-node or per-thread state that grows by a
+#      structure, not allocator noise.
 #
 # Usage: tools/perfcheck.sh <build-dir> [min-ratio]
 set -eu
@@ -49,15 +53,28 @@ import json
 import sys
 
 committed_path, fresh_path, min_ratio = sys.argv[1], sys.argv[2], float(sys.argv[3])
+max_rss_ratio = 1.5
 
-def rows(path):
+def load(path):
     with open(path) as f:
-        doc = json.load(f)
-    return {row["workload"]: row for row in doc["results"]}
+        return json.load(f)
 
-committed = rows(committed_path)
-fresh = rows(fresh_path)
+committed_doc = load(committed_path)
+fresh_doc = load(fresh_path)
+committed = {row["workload"]: row for row in committed_doc["results"]}
+fresh = {row["workload"]: row for row in fresh_doc["results"]}
 status = 0
+
+want_rss = committed_doc["metrics"].get("peak_rss_mb")
+got_rss = fresh_doc["metrics"].get("peak_rss_mb")
+if want_rss is None or got_rss is None:
+    print("perfcheck: peak_rss_mb missing from the committed or the fresh "
+          "report", file=sys.stderr)
+    status = 1
+elif float(got_rss) > float(want_rss) * max_rss_ratio:
+    print(f"perfcheck: peak RSS {got_rss} MB, above {max_rss_ratio}x the "
+          f"committed {want_rss} MB", file=sys.stderr)
+    status = 1
 
 for workload, row in sorted(committed.items()):
     if workload not in fresh:
@@ -79,6 +96,7 @@ for workload, row in sorted(committed.items()):
         status = 1
 
 if status == 0:
-    print("perfcheck: event counts exact, throughput within bounds")
+    print("perfcheck: event counts exact, throughput and peak RSS within "
+          "bounds")
 sys.exit(status)
 EOF
