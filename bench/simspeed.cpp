@@ -17,8 +17,9 @@
 // event count for a seed; tools/perfcheck.sh gates CI on the committed
 // BENCH_simspeed.json event counts staying exact. The --json report's
 // metrics hold the host memory of the whole process: its peak resident
-// set (perfcheck's memory gate) and the sim pool's fresh chunk bytes and
-// live peak, whose difference is size-class waste.
+// set (perfcheck's memory gate), the sim pool's fresh chunk bytes and
+// live peak, whose difference is size-class waste, and queue.far_frac,
+// the share of schedules that went to the event queue's far heap.
 //
 // Usage: simspeed [--machine gm|lapi|ib] [--seed N] [--json <file>]
 //                 [--scale-probe]
@@ -50,6 +51,15 @@ struct WorkloadResult {
   std::uint64_t events = 0;  ///< simulator events executed (deterministic)
   std::uint64_t sim_ns = 0;  ///< simulated time covered (deterministic)
   double wall_ms = 0.0;      ///< wall-clock of the run loop (measured)
+  std::uint64_t schedules = 0;      ///< events scheduled
+  std::uint64_t far_schedules = 0;  ///< ... of them into the far heap
+
+  /// Take the event counts of the run's simulator.
+  void count(const sim::Simulator& sim) {
+    events = sim.events_executed();
+    schedules = sim.queue().executed() + sim.queue().size();
+    far_schedules = sim.queue().far_schedules();
+  }
 
   double events_per_sec() const {
     return wall_ms > 0.0 ? events / (wall_ms / 1000.0) : 0.0;
@@ -145,7 +155,7 @@ WorkloadResult run_fig9_mix(const std::string& machine, std::uint64_t seed) {
 
   WorkloadResult r;
   r.wall_ms = ms_since(t0);
-  r.events = rt.simulator().events_executed();
+  r.count(rt.simulator());
   r.sim_ns = rt.elapsed();
   return r;
 }
@@ -199,7 +209,7 @@ WorkloadResult run_churn(std::uint64_t seed) {
   sim.run();
   WorkloadResult r;
   r.wall_ms = ms_since(t0);
-  r.events = sim.events_executed();
+  r.count(sim);
   r.sim_ns = sim.now();
   return r;
 }
@@ -241,7 +251,7 @@ WorkloadResult run_scale_probe(std::uint64_t seed) {
 
   WorkloadResult r;
   r.wall_ms = ms_since(t0);
-  r.events = rt.simulator().events_executed();
+  r.count(rt.simulator());
   r.sim_ns = rt.elapsed();
   return r;
 }
@@ -317,8 +327,12 @@ int main(int argc, char** argv) {
   std::printf("simspeed: machine=%s seed=%llu\n\n", opt.machine.c_str(),
               static_cast<unsigned long long>(opt.seed));
   bench::Table table({"workload", "events", "sim_ms", "wall_ms", "Mev/s"});
+  std::uint64_t schedules = 0;
+  std::uint64_t far_schedules = 0;
   for (const Workload& w : workloads) {
     const WorkloadResult r = w.run(opt);
+    schedules += r.schedules;
+    far_schedules += r.far_schedules;
     table.row({w.name, std::to_string(r.events), bench::fmt(r.sim_ns / 1e6, 2),
                bench::fmt(r.wall_ms, 1),
                bench::fmt(r.events_per_sec() / 1e6, 2)});
@@ -333,6 +347,11 @@ int main(int argc, char** argv) {
   rep.metric("pool.chunk_bytes", bench::Json::number(pool.chunk_bytes));
   rep.metric("pool.peak_live_bytes",
              bench::Json::number(pool.peak_live_bytes));
+  rep.metric("queue.far_frac",
+             bench::Json::number(schedules == 0
+                                     ? 0.0
+                                     : static_cast<double>(far_schedules) /
+                                           static_cast<double>(schedules)));
   rep.results(table);
   return rep.finish();
 }

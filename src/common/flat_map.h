@@ -8,8 +8,9 @@
 // would pass half full; it never shrinks.
 //
 // FlatMap keeps each key and value in its slot. FlatIndex keeps only a
-// 4-byte entry number per slot and reads keys from the owner's entries,
-// for owners that hold every key in an entry array anyway.
+// 4-byte slot of hash tag and entry number and reads keys from the
+// owner's entries, for owners that hold every key in an entry array
+// anyway.
 //
 // Pointers returned by find() and try_emplace() stay valid only until the
 // next insert or erase: growth rehashes every slot, and an erase shifts
@@ -24,6 +25,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -180,16 +183,20 @@ class FlatMap {
   flat_detail::Table<Slot> t_;
 };
 
-/// Index of entries that live in the owner's own array, numbered from 0:
-/// each 4-byte slot holds an entry number plus one (0 = empty), and every
-/// key comparison and rehash reads the entry's key through the owner's
-/// `key_of(n)`, so a key is stored once, in its entry. An owner with a
-/// fixed entry limit reserve()s for it once and never rehashes after.
+/// Index of entries that live in the owner's own array, numbered from 0.
+/// Each 4-byte slot holds an 8-bit tag, the top byte of the key's hash,
+/// above a 24-bit entry number plus one (0 = empty). A probe reads a
+/// slot's key, through the owner's `key_of(n)`, only when the tags
+/// match; a rehash and an erase's backward shift read the keys they
+/// move. So a key is stored once, in its entry. An owner with a fixed
+/// entry limit reserve()s for it once and never rehashes after.
 template <class K, class Hash = FlatHash<K>>
 class FlatIndex {
  public:
   /// What find() returns for an absent key.
   static constexpr std::uint32_t npos = 0xffffffffu;
+  /// Entry numbers run from 0 to kMaxEntries - 1 (2^24 - 2).
+  static constexpr std::uint32_t kMaxEntries = (1u << 24) - 1;
 
   std::size_t size() const noexcept { return t_.size; }
   /// Bytes of the slot array.
@@ -210,17 +217,24 @@ class FlatIndex {
   template <class KeyOf>
   std::uint32_t find(const K& key, const KeyOf& key_of) const noexcept {
     if (t_.size == 0) return npos;
-    const Slot& s = t_.slots[t_.probe(Hash{}(key), [&](const Slot& x) {
-      return key_of(x.n - 1) == key;
+    const std::size_t hash = Hash{}(key);
+    const std::uint32_t tag = tag_of(hash);
+    const Slot& s = t_.slots[t_.probe(hash, [&](const Slot& x) {
+      return x.tag() == tag && key_of(x.entry()) == key;
     })];
-    return s.n - 1;  // an empty slot's 0 wraps to npos
+    return s.entry();  // an empty slot's 0 wraps to npos
   }
 
-  /// Index entry `n`, whose key must not be indexed yet.
+  /// Index entry `n`, whose key must not be indexed yet. Throws
+  /// std::length_error when `n` is kMaxEntries or more.
   template <class KeyOf>
   void insert(std::uint32_t n, const KeyOf& key_of) {
+    if (n >= kMaxEntries) {
+      throw std::length_error("FlatIndex: entry number past 2^24 - 2");
+    }
     t_.grow_for_one(hash_of(key_of));
-    t_.slots[t_.free_slot(Hash{}(key_of(n)))] = Slot{n + 1};
+    const std::size_t hash = Hash{}(key_of(n));
+    t_.slots[t_.free_slot(hash)] = Slot{tag_of(hash) << 24 | (n + 1)};
     ++t_.size;
   }
 
@@ -229,20 +243,27 @@ class FlatIndex {
   template <class KeyOf>
   void erase(std::uint32_t n, const KeyOf& key_of) noexcept {
     const std::size_t i = t_.probe(
-        Hash{}(key_of(n)), [n](const Slot& x) { return x.n == n + 1; });
+        Hash{}(key_of(n)), [n](const Slot& x) { return x.entry() == n; });
     t_.erase_at(i, hash_of(key_of));
   }
 
  private:
   struct Slot {
-    std::uint32_t n = 0;  ///< entry number + 1; 0 = empty
+    std::uint32_t bits = 0;  ///< tag << 24 | (entry number + 1); 0 = empty
 
-    bool used() const noexcept { return n != 0; }
+    bool used() const noexcept { return (bits & 0xffffffu) != 0; }
+    std::uint32_t entry() const noexcept { return (bits & 0xffffffu) - 1; }
+    std::uint32_t tag() const noexcept { return bits >> 24; }
   };
+
+  static std::uint32_t tag_of(std::size_t hash) noexcept {
+    return static_cast<std::uint32_t>(
+        hash >> (std::numeric_limits<std::size_t>::digits - 8));
+  }
 
   template <class KeyOf>
   static auto hash_of(const KeyOf& key_of) noexcept {
-    return [f = &key_of](const Slot& s) { return Hash{}((*f)(s.n - 1)); };
+    return [f = &key_of](const Slot& s) { return Hash{}((*f)(s.entry())); };
   }
 
   flat_detail::Table<Slot> t_;

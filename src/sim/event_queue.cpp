@@ -1,70 +1,144 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <cstddef>
+#include <bit>
 #include <utility>
 
 namespace xlupc::sim {
 
-// Bucket 0 is drained: move base_ to the smallest pending time and
-// spread its bucket over the (empty) lower ones, in order.
-Time EventQueue::refill() {
-  const int b = std::countr_zero(occupied_) + 1;
-  occupied_ &= occupied_ - 1;
-  std::vector<Entry>& src = buckets_[b];
-  Time lo = src[0].time;
-  Time hi = lo;
-  for (const Entry& e : src) {
-    lo = std::min(lo, e.time);
-    hi = std::max(hi, e.time);
+namespace {
+
+// Heap order: true when `a` pops after `b`.
+template <class Far>
+bool later(const Far& a, const Far& b) noexcept {
+  return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+}
+
+}  // namespace
+
+// The free list is empty: append a node to the arena.
+std::uint32_t EventQueue::grow() {
+  nodes_.emplace_back();
+  return static_cast<std::uint32_t>(nodes_.size());
+}
+
+void EventQueue::push_far(Time t, std::uint32_t n) {
+  far_.push_back({t, far_seq_++, n});
+  std::push_heap(far_.begin(), far_.end(), later<Far>);
+}
+
+// The first occupied slot at or after `from`, or kSlots.
+std::size_t EventQueue::next_occupied(std::size_t from) const noexcept {
+  std::size_t w = from / 64;
+  if (const std::uint64_t m = bits_[w] & (~std::uint64_t{0} << (from % 64))) {
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(m));
   }
-  base_ = lo;
-  if (lo == hi) {
-    buckets_[0].swap(src);  // all due at once: no entry needs re-filing
-  } else {
-    for (const Entry& e : src) push(e);
-    src.clear();
+  ++w;  // the words after w, through the summary
+  for (std::size_t sw = w / 64; sw < summary_.size(); ++sw) {
+    const std::uint64_t m =
+        summary_[sw] & (sw == w / 64 ? ~std::uint64_t{0} << (w % 64)
+                                     : ~std::uint64_t{0});
+    if (m != 0) {
+      const std::size_t word = sw * 64 + static_cast<std::size_t>(
+                                             std::countr_zero(m));
+      return word * 64 +
+             static_cast<std::size_t>(std::countr_zero(bits_[word]));
+    }
+  }
+  return kSlots;
+}
+
+// The slot at base_ is empty: move base_ to the earliest pending time,
+// the next occupied slot's (wrapping around the wheel) or, with the
+// wheel empty, the far heap's top. Then move the far events the window
+// now covers into their slots, earliest first.
+Time EventQueue::advance() {
+  const std::size_t from = base_ & kMask;
+  std::size_t s = next_occupied(from);
+  if (s == kSlots) s = next_occupied(0);
+  base_ = s != kSlots ? base_ + ((s - from) & kMask) : far_.front().time;
+  while (!far_.empty() && far_.front().time - base_ < kSlots) {
+    std::pop_heap(far_.begin(), far_.end(), later<Far>);
+    link(far_.back().time, far_.back().node);
+    far_.pop_back();
   }
   return base_;
 }
 
-// Slow path for an insert below base_: re-file every pending entry
-// relative to `base`. Equal times come from one bucket, in order, so
-// concatenating the buckets keeps ties FIFO.
-void EventQueue::respread(Time base) {
-  std::vector<Entry> pending;
-  for (std::vector<Entry>& bucket : buckets_) {
-    pending.insert(pending.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  // Bucket 0 came first; drop its already-popped prefix.
-  pending.erase(pending.begin(),
-                pending.begin() + static_cast<std::ptrdiff_t>(head_));
-  base_ = base;
-  head_ = 0;
-  occupied_ = 0;
-  for (const Entry& e : pending) push(e);
+template <class F>
+void EventQueue::for_each_in_slot(std::size_t s, F fn) const {
+  const std::uint32_t tail = tails_[s];
+  std::uint32_t n = tail;
+  do {
+    n = nodes_[n - 1].next;
+    fn(n);
+  } while (n != tail);
 }
 
-EventQueue::~EventQueue() {
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const std::vector<Entry>& bucket = buckets_[b];
-    for (std::size_t i = b == 0 ? head_ : 0; i < bucket.size(); ++i) {
-      bucket[i].thunk.fn(bucket[i].thunk.word, false);
+// Slow path for an insert below base_: take every pending event out in
+// pop order (the wheel from base_ on, then the far heap sorted) and file
+// its node again relative to `base`. Equal times leave and return in
+// FIFO order, so ties stay FIFO.
+void EventQueue::respread(Time base) {
+  std::vector<std::pair<Time, std::uint32_t>> pending;
+  pending.reserve(size_);
+  const std::size_t from = base_ & kMask;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    const std::size_t s = (from + i) & kMask;
+    if (tails_[s] == 0) continue;
+    for_each_in_slot(s, [&pending, t = base_ + i](std::uint32_t n) {
+      pending.emplace_back(t, n);
+    });
+  }
+  std::sort(far_.begin(), far_.end(),
+            [](const Far& a, const Far& b) { return later(b, a); });
+  for (const Far& f : far_) pending.emplace_back(f.time, f.node);
+  far_.clear();
+  tails_.fill(0);
+  bits_.fill(0);
+  summary_.fill(0);
+  base_ = base;
+  for (const auto& [t, n] : pending) {
+    if (t - base_ < kSlots) {
+      link(t, n);
+    } else {
+      push_far(t, n);
     }
   }
 }
 
+EventQueue::~EventQueue() {
+  auto release = [this](std::uint32_t n) {
+    const Callback::Thunk& t = nodes_[n - 1].thunk;
+    t.fn(t.word, false);
+  };
+  for (std::size_t s = 0; s < kSlots; ++s) {
+    if (tails_[s] != 0) for_each_in_slot(s, release);
+  }
+  for (const Far& f : far_) release(f.node);
+}
+
 Time EventQueue::pop_and_run() {
   const Time t = next_time();
-  std::vector<Entry>& ready = buckets_[0];
+  const std::size_t s = t & kMask;
+  std::uint32_t& tail = tails_[s];
+  Node& last = nodes_[tail - 1];
+  const std::uint32_t head = last.next;
+  Node& first = nodes_[head - 1];
   // Take the thunk out *before* running it, so the callback can schedule
-  // freely (into this very bucket, too).
-  const Callback::Thunk run = ready[head_].thunk;
-  if (++head_ == ready.size()) {
-    ready.clear();
-    head_ = 0;
+  // freely (into this very slot, too).
+  const Callback::Thunk run = first.thunk;
+  if (head == tail) {
+    tail = 0;
+    bits_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+    if (bits_[s / 64] == 0) {
+      summary_[s / 4096] &= ~(std::uint64_t{1} << (s / 64 % 64));
+    }
+  } else {
+    last.next = first.next;
   }
+  first.next = free_;
+  free_ = head;
   --size_;
   ++executed_;
   run.fn(run.word, true);

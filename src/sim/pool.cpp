@@ -14,6 +14,7 @@ constexpr std::size_t kGranularity = 32;
 constexpr std::size_t kMaxBlock = 2048;
 constexpr std::size_t kClasses = kMaxBlock / kGranularity;
 constexpr std::size_t kChunkBytes = 64 * 1024;
+constexpr std::size_t kSlabBytes = 2 * 1024 * 1024;
 
 // ASan cannot see a use-after-free inside a recycled block, so its
 // builds give every block to operator new instead (see pool.h).
@@ -23,22 +24,27 @@ constexpr bool kFreelists = false;
 constexpr bool kFreelists = true;
 #endif
 
-// A free block's first word links it to the next free block of its class.
+// A free block's first word links it to the next free block of its chunk.
 struct FreeBlock {
   FreeBlock* next;
 };
 
-// The first granule of every chunk links it into its class's chunk list
-// or into the spare list; the blocks follow it.
+// The first granule of every chunk; the blocks follow it.
 struct Chunk {
-  Chunk* next;
+  FreeBlock* free;     ///< this chunk's free blocks, LIFO
+  Chunk* next;         ///< in its class's partial list or the spare list
+  Chunk* prev;         ///< in its class's partial list
+  std::uint32_t live;  ///< blocks handed out and not yet freed
+  std::uint32_t cls;
 };
+static_assert(sizeof(Chunk) <= kGranularity);
 
-// A class's live count sits beside its freelist head, in one 16-byte
-// record, so counting costs the hot path no extra cache line.
+// A class allocates from its current chunk. Its other chunks either
+// have every block out, and are on no list, or sit on its partial list:
+// some blocks out, some free.
 struct SizeClass {
-  FreeBlock* head;
-  std::uint64_t live;  ///< blocks handed out and not yet freed
+  Chunk* current;
+  Chunk* partial;
 };
 
 // Constant-initialized and trivially destructible, so it needs no init
@@ -47,8 +53,9 @@ struct SizeClass {
 struct Pool {
   SizeClass classes[kClasses];
   PoolStats stats;
-  Chunk* chunks[kClasses];  ///< the chunks carved into each class
-  Chunk* spare;             ///< chunks no class holds
+  Chunk* spare;     ///< chunks no class holds, every block free
+  char* slab_next;  ///< the next uncarved chunk of the current slab
+  char* slab_end;
 };
 constinit Pool g_pool{};
 
@@ -58,19 +65,29 @@ std::size_t class_of(std::size_t bytes) {
 
 std::size_t block_bytes(std::size_t cls) { return (cls + 1) * kGranularity; }
 
-// Carve one chunk, a spare one if there is any, wholesale into the
-// (empty) freelist of `cls`.
-FreeBlock* carve(std::size_t cls) {
-  Chunk* chunk = g_pool.spare;
-  if (chunk != nullptr) {
-    g_pool.spare = chunk->next;
-  } else {
-    chunk = ::new (::operator new(kChunkBytes)) Chunk{};
-    ++g_pool.stats.chunks;
-    g_pool.stats.chunk_bytes += kChunkBytes;
+Chunk* chunk_of(void* p) {
+  return reinterpret_cast<Chunk*>(reinterpret_cast<std::uintptr_t>(p) &
+                                  ~std::uintptr_t{kChunkBytes - 1});
+}
+
+// A chunk never handed out before, the next one of the current 2 MiB
+// slab. A slab is 64 KiB-aligned, and its uncarved chunks are never
+// touched, so they cost no resident memory.
+Chunk* fresh_chunk() {
+  if (g_pool.slab_next == g_pool.slab_end) {
+    g_pool.slab_next = static_cast<char*>(
+        ::operator new(kSlabBytes, std::align_val_t{kChunkBytes}));
+    g_pool.slab_end = g_pool.slab_next + kSlabBytes;
   }
-  chunk->next = g_pool.chunks[cls];
-  g_pool.chunks[cls] = chunk;
+  char* const at = g_pool.slab_next;
+  g_pool.slab_next += kChunkBytes;
+  ++g_pool.stats.chunks;
+  g_pool.stats.chunk_bytes += kChunkBytes;
+  return reinterpret_cast<Chunk*>(at);
+}
+
+// Give `chunk`, whose blocks are all free, wholesale to class `cls`.
+void carve(Chunk* chunk, std::size_t cls) {
   char* const base = reinterpret_cast<char*>(chunk);
   const std::size_t block = block_bytes(cls);
   FreeBlock* head = nullptr;
@@ -78,7 +95,54 @@ FreeBlock* carve(std::size_t cls) {
        off += block) {
     head = ::new (base + off) FreeBlock{head};
   }
-  return head;
+  ::new (chunk)
+      Chunk{head, nullptr, nullptr, 0, static_cast<std::uint32_t>(cls)};
+}
+
+void unlink_partial(SizeClass& c, Chunk* chunk) {
+  (chunk->prev != nullptr ? chunk->prev->next : c.partial) = chunk->next;
+  if (chunk->next != nullptr) chunk->next->prev = chunk->prev;
+}
+
+// The current chunk of `cls` has no free block: the first partial chunk
+// takes its place, else a spare chunk, else a fresh one. Only a fresh
+// chunk's first block is not counted as a reuse.
+Chunk* next_chunk(std::size_t cls) {
+  SizeClass& c = g_pool.classes[cls];
+  Chunk* chunk = c.partial;
+  if (chunk != nullptr) {
+    unlink_partial(c, chunk);
+    ++g_pool.stats.reuses;
+  } else if (g_pool.spare != nullptr) {
+    chunk = g_pool.spare;
+    g_pool.spare = chunk->next;
+    carve(chunk, cls);
+    ++g_pool.stats.reuses;
+  } else {
+    chunk = fresh_chunk();
+    carve(chunk, cls);
+  }
+  // The old current chunk has every block out: it joins no list until
+  // one comes back.
+  c.current = chunk;
+  return chunk;
+}
+
+// A block came back to `chunk`, which is not its class's current one.
+// A chunk that was full joins the partial list; one with no block out
+// leaves its class for the spare list.
+void settle(Chunk* chunk, bool was_full) {
+  SizeClass& c = g_pool.classes[chunk->cls];
+  if (chunk->live == 0) {
+    if (!was_full) unlink_partial(c, chunk);
+    chunk->next = g_pool.spare;
+    g_pool.spare = chunk;
+  } else {
+    chunk->prev = nullptr;
+    chunk->next = c.partial;
+    if (c.partial != nullptr) c.partial->prev = chunk;
+    c.partial = chunk;
+  }
 }
 
 }  // namespace
@@ -87,19 +151,19 @@ void* pool_alloc(std::size_t bytes) {
   if (bytes > kMaxBlock) ++g_pool.stats.oversize;
   if (!kFreelists || bytes > kMaxBlock) return ::operator new(bytes);
   const std::size_t cls = class_of(bytes);
-  SizeClass& c = g_pool.classes[cls];
-  FreeBlock* head = c.head;
-  if (head != nullptr) {
+  Chunk* chunk = g_pool.classes[cls].current;
+  if (chunk != nullptr && chunk->free != nullptr) {
     ++g_pool.stats.reuses;
   } else {
-    head = carve(cls);
+    chunk = next_chunk(cls);
   }
-  c.head = head->next;
-  ++c.live;
+  FreeBlock* const block = chunk->free;
+  chunk->free = block->next;
+  ++chunk->live;
   PoolStats& st = g_pool.stats;
   st.live_bytes += block_bytes(cls);
   st.peak_live_bytes = std::max(st.peak_live_bytes, st.live_bytes);
-  return head;
+  return block;
 }
 
 void pool_free(void* p, std::size_t bytes) noexcept {
@@ -108,26 +172,25 @@ void pool_free(void* p, std::size_t bytes) noexcept {
     ::operator delete(p, bytes);
     return;
   }
-  const std::size_t cls = class_of(bytes);
-  SizeClass& c = g_pool.classes[cls];
-  c.head = ::new (p) FreeBlock{c.head};
-  --c.live;
-  g_pool.stats.live_bytes -= block_bytes(cls);
+  Chunk* const chunk = chunk_of(p);
+  const bool was_full = chunk->free == nullptr;
+  chunk->free = ::new (p) FreeBlock{chunk->free};
+  --chunk->live;
+  g_pool.stats.live_bytes -= block_bytes(chunk->cls);
+  if ((was_full || chunk->live == 0) &&
+      chunk != g_pool.classes[chunk->cls].current) {
+    settle(chunk, was_full);
+  }
 }
 
 void pool_trim() noexcept {
   if (!kFreelists) return;
-  for (std::size_t cls = 0; cls < kClasses; ++cls) {
-    Chunk*& chunks = g_pool.chunks[cls];
-    if (chunks == nullptr || g_pool.classes[cls].live != 0) continue;
-    // With no block out, the freelist holds every block of these chunks:
-    // drop it and splice the whole chunk list onto the spare list.
-    Chunk* last = chunks;
-    while (last->next != nullptr) last = last->next;
-    last->next = g_pool.spare;
-    g_pool.spare = chunks;
-    chunks = nullptr;
-    g_pool.classes[cls].head = nullptr;
+  for (SizeClass& c : g_pool.classes) {
+    Chunk* const chunk = c.current;
+    if (chunk == nullptr || chunk->live != 0) continue;
+    chunk->next = g_pool.spare;
+    g_pool.spare = chunk;
+    c.current = nullptr;
   }
 }
 

@@ -12,19 +12,26 @@
 // Design (docs/PERFORMANCE.md):
 //  * classes of 32-byte granularity up to 2 KiB; larger blocks fall
 //    through to operator new. Blocks carry no header: every caller hands
-//    the block's size back to pool_free, which picks the class from it
-//    (coroutine frames through the sized PooledFrame::operator delete,
-//    containers through PoolAllocator, callback spills with sizeof).
-//  * backing chunks of 64 KiB are carved whole into a class's freelist
-//    and are never returned to the OS: steady-state simulation reaches a
-//    high-water mark once and allocates nothing afterwards.
-//  * each class counts its live blocks beside its freelist head and
-//    links its chunks through a small header. pool_trim(), which the
-//    Simulator calls when run() returns and when it is destroyed, gives
-//    every chunk of a class with no live block to a spare list, and a
-//    class that needs a chunk takes a spare one before it calls operator
-//    new. So the classes one phase of a program uses (allocation frames,
-//    say) hand their memory to the classes the next phase uses.
+//    the block's size back to pool_free, which takes oversize blocks
+//    back to operator delete (coroutine frames through the sized
+//    PooledFrame::operator delete, containers through PoolAllocator,
+//    callback spills with sizeof).
+//  * backing chunks of 64 KiB, aligned to 64 KiB, are carved one at a
+//    time from 2 MiB slabs taken from operator new; a slab's uncarved
+//    chunks are never touched, so they cost no resident memory. Slabs
+//    are never returned to the OS.
+//  * a chunk's first 32-byte granule is its header: its own LIFO
+//    freelist, its live count, its class and its partial-list links.
+//    pool_free finds it by masking the block's address. A class
+//    allocates from its current chunk, then from its partial chunks
+//    (not current, some blocks free), then from a spare chunk, then
+//    from a fresh one, carving a spare or fresh chunk wholesale into
+//    its freelist.
+//  * a non-current chunk whose last block comes back goes to the spare
+//    list at once, so any class can take it mid-run. pool_trim(), which
+//    the Simulator calls when run() returns and when it is destroyed,
+//    also gives away current chunks with no live block. Chunk memory
+//    thus follows the live blocks, not each class's past peak.
 //  * single-threaded by design, like the simulator itself. There is one
 //    process-global pool (coroutine frames outlive any one Simulator).
 //  * AddressSanitizer builds compile the freelists out: every block is
@@ -49,17 +56,19 @@ void* pool_alloc(std::size_t bytes);
 /// allocated with.
 void pool_free(void* p, std::size_t bytes) noexcept;
 
-/// Give the chunks of every size class that has no live block to the
-/// spare list, from which any class carves before it calls operator new.
-/// A no-op when the freelists are compiled out.
+/// Give each class's current chunk, when it has no live block, to the
+/// spare list, from which any class carves before it takes a fresh chunk
+/// (other chunks go there as soon as their last block is freed). A no-op
+/// when the freelists are compiled out.
 void pool_trim() noexcept;
 
 /// Allocation statistics, for tests and docs/PERFORMANCE.md numbers.
 struct PoolStats {
-  std::uint64_t reuses = 0;    ///< served from a freelist (cache-hot)
+  /// Blocks handed out without taking a fresh chunk.
+  std::uint64_t reuses = 0;
   std::uint64_t oversize = 0;  ///< larger than the largest class
-  /// 64 KiB backing chunks taken from operator new (a spare chunk a
-  /// class re-carves is not counted again).
+  /// Fresh 64 KiB chunks carved from a slab (a spare chunk a class
+  /// re-carves is not counted again).
   std::uint64_t chunks = 0;
   std::uint64_t chunk_bytes = 0;      ///< total backing bytes reserved
   std::uint64_t live_bytes = 0;       ///< class blocks handed out, in bytes

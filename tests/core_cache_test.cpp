@@ -3,10 +3,12 @@
 
 #include <list>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "core/address_cache.h"
 #include "sim/rng.h"
 #include "svd/handle.h"
@@ -112,6 +114,60 @@ TEST(AddressCache, PaperSizedIndexIsOneKiB) {
   }
   EXPECT_EQ(cache.size(), 100u);
   EXPECT_EQ(cache.stats().evictions, 200u);
+}
+
+// FlatIndex keeps a 24-bit entry number in each slot: entry number
+// 2^24 - 2 is the last that fits, and insert refuses the next one
+// instead of wrapping into the tag.
+TEST(FlatIndex, EntryNumbersPastTwentyFourBitsThrow) {
+  using Index = FlatIndex<std::uint64_t>;
+  auto key_of = [](std::uint32_t n) { return std::uint64_t{n} * 7; };
+  constexpr std::uint32_t kLast = (1u << 24) - 2;
+  Index index;
+  index.insert(kLast, key_of);
+  EXPECT_EQ(index.find(std::uint64_t{kLast} * 7, key_of), kLast);
+  EXPECT_THROW(index.insert(kLast + 1, key_of), std::length_error);
+  EXPECT_THROW(index.insert(Index::npos - 1, key_of), std::length_error);
+  EXPECT_EQ(index.size(), 1u);
+  index.erase(kLast, key_of);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.find(std::uint64_t{kLast} * 7, key_of), Index::npos);
+}
+
+// The identity hash: a key's low bits pick its home slot and its top
+// byte is its tag.
+struct IdentityHash {
+  std::size_t operator()(std::uint64_t k) const noexcept { return k; }
+};
+
+TEST(FlatIndex, MissInALongProbeRunReadsOnlyTagMatchingKeys) {
+  // Twelve keys share home slot 5 of a 64-slot index, with tags 1 to 12,
+  // so they form one probe run. A miss whose tag no member has reads no
+  // key; a miss that shares member 7's tag reads that key alone; a hit
+  // on the run's last member reads only its own key.
+  using Index = FlatIndex<std::uint64_t, IdentityHash>;
+  std::vector<std::uint64_t> keys;
+  std::size_t reads = 0;
+  auto key_of = [&keys, &reads](std::uint32_t n) {
+    ++reads;
+    return keys[n];
+  };
+  Index index;
+  index.reserve(32, key_of);
+  for (std::uint64_t tag = 1; tag <= 12; ++tag) {
+    keys.push_back(tag << 56 | 5);
+    index.insert(static_cast<std::uint32_t>(keys.size() - 1), key_of);
+  }
+  auto reads_to_find = [&](std::uint64_t key) {
+    reads = 0;
+    const std::uint32_t n = index.find(key, key_of);
+    return std::pair(n, reads);
+  };
+  EXPECT_EQ(reads_to_find(std::uint64_t{200} << 56 | 5),
+            std::pair(Index::npos, std::size_t{0}));
+  EXPECT_EQ(reads_to_find(std::uint64_t{7} << 56 | 1 << 20 | 5),
+            std::pair(Index::npos, std::size_t{1}));
+  EXPECT_EQ(reads_to_find(keys.back()), std::pair(11u, std::size_t{1}));
 }
 
 TEST(AddressCache, ResetStatsKeepsEntries) {

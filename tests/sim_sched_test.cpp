@@ -1,7 +1,8 @@
 // Event-queue and allocator tests for the fast simulator core
 // (docs/PERFORMANCE.md): equal-time FIFO ordering on both insert paths
-// of the radix event queue, the queue against a sorted reference, its
-// peak pending count, pool reuse under churn, sized frees, and the
+// of the event queue, the queue against a sorted reference, the timing
+// wheel's window edges and far heap, its peak pending count, pool reuse
+// under churn, sized frees, chunks that follow the live blocks, and the
 // callback types.
 #include <gtest/gtest.h>
 
@@ -10,7 +11,9 @@
 #include <bit>
 #include <bitset>
 #include <coroutine>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -265,6 +268,166 @@ TEST(EventQueue, DestroyReleasesPendingSpilledCallbacks) {
   EXPECT_EQ(token.use_count(), 2);
 }
 
+// A spilled callable pending in the far heap is released too.
+TEST(EventQueue, DestroyReleasesPendingSpilledCallbacksInTheFarHeap) {
+  auto token = std::make_shared<int>(0);
+  const std::array<char, Callback::kInlineBytes> pad{};
+  auto spilled = [token, pad] { (void)pad; };
+  ASSERT_FALSE(Callback(spilled).inline_stored());
+  {
+    EventQueue q;
+    for (sim::Time t = 0; t < 12; ++t) q.schedule(t * 5000, spilled);
+    q.pop_and_run();
+    EXPECT_EQ(q.far_schedules(), 10u);  // 10,000 ns and later
+    EXPECT_EQ(token.use_count(), 1 + 1 + 11);  // token, `spilled`, pending
+  }
+  EXPECT_EQ(token.use_count(), 2);
+}
+
+// ------------------------------------------------------------------
+// The timing wheel: window edges, far events, wraps
+// ------------------------------------------------------------------
+
+// Runs `fill` on a queue and drains it; returns the (time, id) pairs in
+// pop order. `fill` schedules through `add(t, id)`.
+template <class Queue, class Fill>
+std::vector<std::pair<sim::Time, int>> drain(Fill fill) {
+  Queue q;
+  std::vector<std::pair<sim::Time, int>> seen;
+  auto add = [&q, &seen](sim::Time t, int id) {
+    q.schedule(t, [&seen, t, id] { seen.emplace_back(t, id); });
+  };
+  fill(q, add);
+  while (!q.empty()) q.pop_and_run();
+  return seen;
+}
+
+TEST(EventQueue, WindowEdgeDelaysPopInOrder) {
+  // From base 100: 8191 ns is the wheel's last slot, 8192 and 8193 ns
+  // and 2^40 ns go to the far heap. Two events at +8192 keep their order.
+  constexpr sim::Time kBase = 100;
+  constexpr sim::Time kFar = sim::Time{1} << 40;
+  EventQueue q;
+  std::vector<int> order;
+  auto at = [&q, &order](sim::Time t, int id) {
+    q.schedule(t, [&order, id] { order.push_back(id); });
+  };
+  at(kBase, 0);
+  ASSERT_EQ(q.pop_and_run(), kBase);
+  at(kBase + kFar, 1);
+  at(kBase + 8193, 2);
+  at(kBase + 8192, 3);
+  at(kBase + 8191, 4);
+  at(kBase + 8192, 5);
+  at(kBase, 6);
+  EXPECT_EQ(q.far_schedules(), 4u);
+  std::vector<sim::Time> times;
+  while (!q.empty()) times.push_back(q.pop_and_run());
+  EXPECT_EQ(order, (std::vector<int>{0, 6, 4, 3, 5, 2, 1}));
+  EXPECT_EQ(times, (std::vector<sim::Time>{kBase, kBase + 8191, kBase + 8192,
+                                           kBase + 8192, kBase + 8193,
+                                           kBase + kFar}));
+}
+
+TEST(EventQueue, FarEventPopsBeforeLaterNearEventAtItsTime) {
+  // A is filed far (10,000 ns ahead of base 0). Once base reaches 5,000,
+  // 10,000 is inside the window, and B, scheduled there at that time,
+  // lands in the wheel directly: A must already be in its slot, ahead.
+  for (const bool from_callback : {true, false}) {
+    EventQueue q;
+    std::vector<char> order;
+    q.schedule(10000, [&order] { order.push_back('A'); });
+    ASSERT_EQ(q.far_schedules(), 1u);
+    auto schedule_b = [&q, &order] {
+      q.schedule(10000, [&order] { order.push_back('B'); });
+    };
+    if (from_callback) {
+      q.schedule(5000, schedule_b);
+      EXPECT_EQ(q.pop_and_run(), 5000u);
+    } else {
+      q.schedule(5000, [] {});
+      EXPECT_EQ(q.pop_and_run(), 5000u);
+      schedule_b();
+    }
+    EXPECT_EQ(q.far_schedules(), 1u) << "B went to the far heap";
+    while (!q.empty()) q.pop_and_run();
+    EXPECT_EQ(order, (std::vector<char>{'A', 'B'}))
+        << (from_callback ? "from a callback" : "after the pop");
+  }
+}
+
+// Each event at t schedules a child a whole wheel later (slot t again,
+// through the far heap) and, for some ids, one at t + 8191 (the slot
+// before, in the wheel) and one at t + 4096, until t passes eight wraps.
+// Returns the (time, id) pairs in pop order.
+template <class Queue>
+std::vector<std::pair<sim::Time, int>> wrap_sequence(Queue& q) {
+  std::vector<std::pair<sim::Time, int>> log;
+  std::function<void(sim::Time, int)> step = [&](sim::Time t, int id) {
+    log.emplace_back(t, id);
+    if (t >= 8 * 8192) return;
+    const std::array<std::pair<sim::Duration, bool>, 3> children{{
+        {8192, true}, {8191, id % 2 == 0}, {4096, id % 5 == 0}}};
+    for (int k = 0; k < 3; ++k) {
+      const auto [d, on] = children[k];
+      if (!on) continue;
+      const int child = id * 3 + k + 1;
+      q.schedule(t + d, [&step, t, d, child] { step(t + d, child); });
+    }
+  };
+  for (int i = 0; i < 4; ++i) {
+    q.schedule(static_cast<sim::Time>(i), [&step, i] {
+      step(static_cast<sim::Time>(i), i);
+    });
+  }
+  while (!q.empty()) q.pop_and_run();
+  return log;
+}
+
+TEST(EventQueue, SlotsAreReusedAcrossWrapsOfTheWheel) {
+  EventQueue wheel;
+  ReferenceQueue reference;
+  const auto got = wrap_sequence(wheel);
+  ASSERT_GT(got.size(), 100u);
+  EXPECT_GE(got.back().first, 8u * 8192);
+  EXPECT_EQ(got, wrap_sequence(reference));
+  EXPECT_GT(wheel.far_schedules(), 50u);
+}
+
+TEST(EventQueue, InsertBelowPeekWithFarEventsPending) {
+  // Two far events are pending when the wheel drains; peeking moves the
+  // base up to the first of them and pulls both into the wheel. Inserts
+  // below the peeked time then re-file everything, including a far
+  // event and an equal-time event that must queue behind the old ones.
+  const auto got = drain<EventQueue>([](EventQueue& q, auto add) {
+    add(1, 0);
+    add(50000, 1);
+    add(50000, 2);
+    add(90000, 3);
+    ASSERT_EQ(q.pop_and_run(), 1u);
+    ASSERT_EQ(q.next_time(), 50000u);
+    add(20000, 4);
+    add(50000, 5);
+    add(20000 + 8192, 6);
+    add(30000, 7);
+  });
+  const auto want = drain<ReferenceQueue>([](ReferenceQueue& q, auto add) {
+    add(1, 0);
+    add(50000, 1);
+    add(50000, 2);
+    add(90000, 3);
+    ASSERT_EQ(q.pop_and_run(), 1u);
+    add(20000, 4);
+    add(50000, 5);
+    add(20000 + 8192, 6);
+    add(30000, 7);
+  });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got, (std::vector<std::pair<sim::Time, int>>{
+                     {1, 0}, {20000, 4}, {28192, 6}, {30000, 7},
+                     {50000, 1}, {50000, 2}, {50000, 5}, {90000, 3}}));
+}
+
 // ------------------------------------------------------------------
 // Peak pending count; pool reuse under churn
 // ------------------------------------------------------------------
@@ -432,6 +595,158 @@ TEST(PoolAllocator, TrimKeepsClassesWithLiveBlocks) {
   for (void* p : other) sim::pool_free(p, 512);
   for (void* p : blocks) sim::pool_free(p, kSize);
   sim::pool_free(keeper, kSize);
+}
+
+constexpr std::uintptr_t kChunkBytes = 64 * 1024;
+
+std::uintptr_t chunk_of(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) & ~(kChunkBytes - 1);
+}
+
+// Allocates `per_chunk` * 3 blocks of `bytes` and returns them with a
+// chunk that holds `per_chunk` of them and is not the class's current
+// one (that of the last block), so it is full of blocks held here.
+std::pair<std::vector<void*>, std::uintptr_t> fill_a_chunk(
+    std::size_t bytes, std::size_t per_chunk) {
+  std::vector<void*> blocks;
+  for (std::size_t i = 0; i < 3 * per_chunk; ++i) {
+    blocks.push_back(sim::pool_alloc(bytes));
+  }
+  for (void* p : blocks) {
+    const std::uintptr_t c = chunk_of(p);
+    const auto in_c = std::count_if(blocks.begin(), blocks.end(),
+                                    [c](void* q) { return chunk_of(q) == c; });
+    if (static_cast<std::size_t>(in_c) == per_chunk &&
+        c != chunk_of(blocks.back())) {
+      return {blocks, c};
+    }
+  }
+  ADD_FAILURE() << "no chunk of " << bytes << "-byte blocks filled";
+  return {blocks, 0};
+}
+
+TEST(PoolAllocator, EmptiedChunkServesAnotherClassWithoutTrim) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // Free every block of a full 2 KiB chunk in mid-run: the chunk goes to
+  // the spare list at once, so the 1 KiB class reaches it before it
+  // takes a fresh chunk, with no pool_trim() in between.
+  const std::vector<void*> held = exhaust_spare_chunks(1024);
+  auto [big, drained] = fill_a_chunk(2048, 31);
+  ASSERT_NE(drained, 0u);
+  std::erase_if(big, [drained](void* p) {
+    if (chunk_of(p) != drained) return false;
+    sim::pool_free(p, 2048);
+    return true;
+  });
+  const std::uint64_t chunks = sim::pool_stats().chunks;
+  std::vector<void*> small;
+  while (small.empty() || chunk_of(small.back()) != drained) {
+    small.push_back(sim::pool_alloc(1024));
+    ASSERT_EQ(sim::pool_stats().chunks, chunks)
+        << "took a fresh chunk after " << small.size() << " blocks";
+  }
+  for (void* p : small) sim::pool_free(p, 1024);
+  for (void* p : big) sim::pool_free(p, 2048);
+  for (void* p : held) sim::pool_free(p, 1024);
+}
+
+TEST(PoolAllocator, ChunkWithOneLiveBlockKeepsItsOtherBlocks) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // A full chunk of 1984-byte blocks gets all but one back. Until the
+  // 1 KiB class has taken a fresh chunk, none of its blocks may come
+  // from that chunk; the 1984-byte class then reuses the chunk's free
+  // blocks before any fresh chunk, and the live block is untouched.
+  constexpr std::size_t kSize = 1984;
+  const std::vector<void*> held = exhaust_spare_chunks(1024);
+  auto [blocks, kept] = fill_a_chunk(kSize, 33);
+  ASSERT_NE(kept, 0u);
+  unsigned char* keeper = nullptr;
+  std::erase_if(blocks, [kept, &keeper](void* p) {
+    if (chunk_of(p) != kept) return false;
+    if (keeper == nullptr) {
+      keeper = static_cast<unsigned char*>(p);
+      return false;
+    }
+    sim::pool_free(p, kSize);
+    return true;
+  });
+  std::fill(keeper, keeper + kSize, static_cast<unsigned char>(0x5a));
+
+  const std::uint64_t chunks = sim::pool_stats().chunks;
+  std::vector<void*> small;
+  while (sim::pool_stats().chunks == chunks) {
+    small.push_back(sim::pool_alloc(1024));
+    ASSERT_NE(chunk_of(small.back()), kept)
+        << "a 1 KiB block came from a chunk with a live " << kSize
+        << "-byte block";
+  }
+  const std::uint64_t before = sim::pool_stats().chunks;
+  std::vector<void*> more;
+  while (more.empty() || chunk_of(more.back()) != kept) {
+    more.push_back(sim::pool_alloc(kSize));
+    ASSERT_EQ(sim::pool_stats().chunks, before)
+        << "took a fresh chunk after " << more.size() << " blocks";
+  }
+  EXPECT_EQ(std::count(keeper, keeper + kSize, 0x5a),
+            static_cast<std::ptrdiff_t>(kSize));
+  for (void* p : more) sim::pool_free(p, kSize);
+  for (void* p : blocks) sim::pool_free(p, kSize);
+  for (void* p : small) sim::pool_free(p, 1024);
+  for (void* p : held) sim::pool_free(p, 1024);
+}
+
+TEST(PoolAllocator, BlocksFreedInRandomOrderAllReturn) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // Blocks of four classes over several chunks each: every block sits at
+  // a block boundary of its class inside a 64 KiB-aligned chunk of that
+  // class, past the header, and no two overlap. Freed in a seeded random
+  // order, they all come back: the live bytes return to where they were,
+  // and the same blocks again take no fresh chunk.
+  constexpr std::array<std::size_t, 4> kSizes{40, 200, 600, 2000};
+  const sim::PoolStats before = sim::pool_stats();
+  std::uint64_t first_round_chunks = 0;
+  for (int round = 0; round < 2; ++round) {
+    sim::Rng rng(7);
+    std::vector<std::pair<void*, std::size_t>> blocks;
+    for (int i = 0; i < 2000; ++i) {
+      const std::size_t bytes = kSizes[rng.below(kSizes.size())];
+      blocks.emplace_back(sim::pool_alloc(bytes), bytes);
+    }
+    if (round == 1) {
+      EXPECT_EQ(sim::pool_stats().chunks, first_round_chunks)
+          << "the same blocks again took a fresh chunk";
+    }
+    std::vector<std::pair<std::uintptr_t, std::size_t>> spans;
+    std::map<std::uintptr_t, std::size_t> chunk_class;
+    for (const auto& [p, bytes] : blocks) {
+      const std::size_t block = (bytes + 31) / 32 * 32;
+      EXPECT_EQ(chunk_class.try_emplace(chunk_of(p), block).first->second,
+                block)
+          << "one chunk holds blocks of two classes";
+      const std::uintptr_t off =
+          reinterpret_cast<std::uintptr_t>(p) - chunk_of(p);
+      ASSERT_GE(off, 32u) << bytes << "-byte block in the chunk header";
+      EXPECT_EQ((off - 32) % block, 0u) << bytes << "-byte block at " << off;
+      EXPECT_LE(off + block, kChunkBytes) << bytes << "-byte block";
+      spans.emplace_back(reinterpret_cast<std::uintptr_t>(p), block);
+    }
+    std::sort(spans.begin(), spans.end());
+    for (std::size_t i = 1; i < spans.size(); ++i) {
+      ASSERT_LE(spans[i - 1].first + spans[i - 1].second, spans[i].first);
+    }
+    for (std::size_t i = blocks.size(); i > 1; --i) {
+      std::swap(blocks[i - 1], blocks[rng.below(i)]);
+    }
+    for (const auto& [p, bytes] : blocks) sim::pool_free(p, bytes);
+    EXPECT_EQ(sim::pool_stats().live_bytes, before.live_bytes);
+    first_round_chunks = sim::pool_stats().chunks;
+  }
 }
 
 TEST(PoolAllocator, OversizeBlocksFallThrough) {

@@ -9,13 +9,20 @@
 #   inclusive  each sample goes once to every function on the PC's inline
 #              chain and on the inline chains of up to 6 return addresses
 #              found through the frame-pointer chain.
+# With -m it reports heap instead of time: the library replaces operator
+# new and delete, and the tables weigh each allocation site by its live
+# bytes at the operator-new heap's peak (MB per process):
+#   site       the first function on the site's chain that is not
+#              allocator machinery (std::, __gnu_cxx::, operator new);
+#   inclusive  every function on the chain, once.
 # Build the profiled binary with -g -fno-omit-frame-pointer; without frame
 # pointers the inclusive table sees little more than the PC. Code in a
 # stripped library (libc's string and malloc internals) is named after
 # the nearest exported symbol before it, e.g. __nss_database_lookup.
 #
-# Usage: tools/hotspots.sh [-n TOP] [-s SEEDS] [-g REGEX]... [-k FILE]
+# Usage: tools/hotspots.sh [-m] [-n TOP] [-s SEEDS] [-g REGEX]... [-k FILE]
 #                          -- CMD [ARG...]
+#   -m        live heap bytes per allocation site at the peak, not time
 #   -n TOP    rows per table (default 25)
 #   -s SEEDS  comma-separated seeds: runs CMD once per seed with every
 #             "{seed}" in its arguments replaced, and pools the samples
@@ -30,6 +37,9 @@
 #   cmake --build build-prof -j4
 #   tools/hotspots.sh -s 1,3,4 -g AddressCache -- \
 #       build-prof/xlupc_perfbench --workload scale --seed {seed}
+# and its heap at the peak, with the event queue's share:
+#   tools/hotspots.sh -m -g EventQueue -- \
+#       build-prof/xlupc_perfbench --workload scale --seed 1
 #
 # Samples differ from run to run, so this is a diagnostic, not a ctest.
 set -eu
@@ -38,8 +48,10 @@ top=25
 seeds=
 groups=
 keep=
-while getopts n:s:g:k: opt; do
+memory=
+while getopts mn:s:g:k: opt; do
   case $opt in
+    m) memory=-DHOTSPOTS_MEMORY ;;
     n) top=$OPTARG ;;
     s) seeds=$OPTARG ;;
     g) groups="$groups$OPTARG
@@ -76,8 +88,8 @@ run_once() {
 }
 
 if [ $# -gt 0 ]; then
-  ${CC:-cc} -O2 -shared -fPIC -o "$lib" "$here/hotspots_sampler.c" \
-    -ldl -pthread
+  ${CC:-cc} -O2 -fno-omit-frame-pointer -shared -fPIC $memory -o "$lib" \
+    "$here/hotspots_sampler.c" -ldl -pthread
   : > "$samples"
   for seed in $(printf '%s\n' "${seeds:-none}" | tr ',' ' '); do
     run_once "$seed" "$@"
@@ -93,7 +105,10 @@ import sys
 
 samples_path, top, groups = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 
-samples = []  # [(object path, offset), ...] per sample, PC first
+# One record per CPU sample (weight 1, PC first) or per heap site (weight
+# its live bytes at the peak, the call into operator new first).
+records = []  # [(weight, [(object path, offset), ...])]
+peaks = []  # (peak, snapshot) live bytes per process, in -m mode
 processes = 0
 objects = {}
 with open(samples_path) as f:
@@ -106,20 +121,25 @@ with open(samples_path) as f:
             objects = {}
         elif parts[0] == "O":
             objects[parts[1]] = line.split(None, 2)[2].rstrip("\n")
-        elif parts[0] == "S":
+        elif parts[0] == "P":
+            peaks.append((int(parts[1]), int(parts[2])))
+        elif parts[0] in ("S", "M"):
+            weight, tokens = (1, parts[1:]) if parts[0] == "S" else (
+                int(parts[1]), parts[3:])
             frames = []
-            for tok in parts[1:]:
+            for tok in tokens:
                 obj, off = tok.split(":")
                 frames.append((objects.get(obj, "?"), int(off, 16)))
-            samples.append(frames)
-if not samples:
+            records.append((weight, frames))
+if not records:
     sys.exit("hotspots: no samples recorded")
+memory = bool(peaks)
 
 # Symbolize: one addr2line per object, addresses on stdin. With -a each
 # address is echoed first; -i then lists the inline chain innermost first.
 chains = {}
 wanted = collections.defaultdict(set)
-for frames in samples:
+for _, frames in records:
     for where in frames:
         wanted[where[0]].add(where[1])
 for path, offsets in wanted.items():
@@ -143,34 +163,55 @@ for path, offsets in wanted.items():
             i += 2  # function line, then its file:line
         chains[(path, off)] = chain or [fallback]
 
+machinery = re.compile(r"^(\S+ )?(std::|__gnu_cxx::|operator new)")
+
+def own_name(frames):
+    """The function a record is charged to in the first table."""
+    names = [name for where in frames for name in chains[where]]
+    if memory:
+        return next((n for n in names if not machinery.match(n)), names[0])
+    return names[0]
+
 self_counts = collections.Counter()
 incl_counts = collections.Counter()
-for frames in samples:
-    self_counts[chains[frames[0]][0]] += 1
+for weight, frames in records:
+    self_counts[own_name(frames)] += weight
     names = set()
     for where in frames:
         names.update(chains[where])
-    incl_counts.update(names)
+    for name in names:
+        incl_counts[name] += weight
 
-total = len(samples)
-print("%d samples from %d process(es)" % (total, processes))
+total = sum(weight for weight, _ in records)
+if memory:
+    mb = float(1 << 20) * processes
+    print("peak live operator-new heap %.2f MB per process (snapshot %.2f MB),"
+          " %d sites, %d process(es)" % (
+              sum(p for p, _ in peaks) / mb, sum(s for _, s in peaks) / mb,
+              len(records), processes))
+    unit, fmt = "MB", "%8.1f%% %9.2f  %s"
+    scale = lambda n: n / mb
+else:
+    print("%d samples from %d process(es)" % (total, processes))
+    unit, fmt = "samples", "%8.1f%% %7d  %s"
+    scale = lambda n: n
 
 def table(title, counts):
-    print("\n%-9s %7s  function" % (title, "samples"))
+    print("\n%-9s %7s  function" % (title, unit))
     for name, n in counts.most_common(top):
         short = name if len(name) <= 110 else name[:107] + "..."
-        print("%8.1f%% %7d  %s" % (100.0 * n / total, n, short))
+        print(fmt % (100.0 * n / total, scale(n), short))
 
-table("self", self_counts)
+table("site" if memory else "self", self_counts)
 table("inclusive", incl_counts)
 
 regexes = [g for g in groups.split("\n") if g]
 if regexes:
-    print("\n%-9s %-9s  group" % ("self", "inclusive"))
+    print("\n%-9s %-9s  group" % ("site" if memory else "self", "inclusive"))
 for regex in regexes:
     pat = re.compile(regex)
     own = sum(n for name, n in self_counts.items() if pat.search(name))
-    incl = sum(1 for frames in samples
+    incl = sum(weight for weight, frames in records
                if any(pat.search(name) for where in frames
                       for name in chains[where]))
     print("%8.1f%% %8.1f%%  %s" % (100.0 * own / total, 100.0 * incl / total,
