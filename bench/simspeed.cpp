@@ -200,7 +200,7 @@ WorkloadResult run_churn(std::uint64_t seed) {
   sim::Simulator sim;
   std::vector<std::unique_ptr<sim::Resource>> res;
   for (int i = 0; i < 32; ++i) {
-    res.push_back(std::make_unique<sim::Resource>(sim, 2, "churn"));
+    res.push_back(std::make_unique<sim::Resource>(sim, 2));
   }
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t a = 0; a < 256; ++a) {

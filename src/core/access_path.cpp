@@ -14,40 +14,57 @@ using sim::Task;
 
 // ===================================================== tier dispatch ===
 
+constexpr std::uint32_t kAmoLen = sizeof(std::uint64_t);  ///< traced size
+
+// The span coroutines are the frames a UPC thread keeps while its op is
+// in flight, so they hold little: GCC 12 keeps every local and every
+// co_await temporary of a coroutine in its frame, each in a slot of its
+// own. The CPU charges share one awaiter (sim::Resource::Waiter), the
+// trace record is a member call rather than a capturing lambda, and no
+// request or descriptor is copied only to be passed on.
+
+void AccessPath::trace(const UpcThread& th, TraceOp op, TracePath path,
+                       NodeId owner, std::uint32_t len,
+                       sim::Time t_start) const {
+  // With tracing off (the common case) no TraceEvent is even
+  // constructed on the per-access path.
+  if (!rt_.tracer_.enabled()) return;
+  rt_.tracer_.record(
+      TraceEvent{th.id(), op, path, owner, len, t_start, rt_.sim_.now()});
+}
+
+Addr AccessPath::cached_addr(const UpcThread& th, const CacheKey& key,
+                             std::uint64_t node_off) {
+  const auto info = rt_.node(th.node()).cache.lookup(key);
+  return info ? info->base + node_off : kNullAddr;
+}
+
 Task<OpStatus> AccessPath::get_span(UpcThread& th, ArrayDesc a,
                                     Layout::Loc loc,
                                     std::span<std::byte> dst) {
   const auto& p = rt_.cfg_.platform;
   const Layout& layout = *a.layout;
   const NodeId owner = layout.node_of(loc.thread);
-  const std::uint64_t node_off = layout.node_offset(loc);
   const std::uint32_t len = static_cast<std::uint32_t>(dst.size());
+  const std::uint64_t node_off = layout.node_offset(loc);
   const sim::Time t_start = rt_.sim_.now();
-  // Gated up front: with tracing off (the common case) no TraceEvent is
-  // even constructed on this per-access path. Captures by value where
-  // it can: each reference capture is a pointer in this frame.
-  auto trace = [this, &th, owner, len, t_start](TracePath path) {
-    if (!rt_.tracer_.enabled()) return;
-    rt_.tracer_.record(
-        TraceEvent{th.id(), TraceOp::kGet, path, owner, len, t_start,
-                   rt_.sim_.now()});
-  };
+  sim::Resource::Waiter cpu;  // each charge on this thread's core
 
   if (owner == th.node()) {
     // Shared-local access: SVD translation is a local lookup; data moves
     // over the node's memory system, no network involved.
-    const bool same_thread = loc.thread == th.id();
-    Duration cost = same_thread ? p.local_access : p.shm_latency;
-    cost += sim::transfer_time(len, p.shm_copy_bw);
-    co_await rt_.machine_.core(th.node(), th.core()).use(cost);
-    const Addr addr = rt_.local_translate(owner, a.handle, node_off, len);
-    rt_.node(owner).space.read(addr, dst);
-    if (same_thread) {
+    cpu.use(rt_.machine_.core(th.node(), th.core()),
+            (loc.thread == th.id() ? p.local_access : p.shm_latency) +
+                sim::transfer_time(len, p.shm_copy_bw));
+    co_await cpu;
+    rt_.node(owner).space.read(
+        rt_.local_translate(owner, a.handle, node_off, len), dst);
+    if (loc.thread == th.id()) {
       ++rt_.counters_.local_gets;
-      trace(TracePath::kLocal);
+      trace(th, TraceOp::kGet, TracePath::kLocal, owner, len, t_start);
     } else {
       ++rt_.counters_.shm_gets;
-      trace(TracePath::kShm);
+      trace(th, TraceOp::kGet, TracePath::kShm, owner, len, t_start);
     }
     co_return OpStatus::kOk;
   }
@@ -60,34 +77,36 @@ Task<OpStatus> AccessPath::get_span(UpcThread& th, ArrayDesc a,
     co_return OpStatus::kPeerFailed;
   }
 
-  const net::Initiator from{th.node(), th.core()};
   const bool use_cache = rt_.cfg_.cache.enabled;
   const CacheKey key = rt_.make_key(a, owner, node_off);
 
   if (use_cache) {
-    co_await rt_.machine_.core(th.node(), th.core()).use(p.cache_lookup);
-    if (auto info = rt_.node(th.node()).cache.lookup(key)) {
-      const Addr raddr = info->base + node_off;
+    cpu.use(rt_.machine_.core(th.node(), th.core()), p.cache_lookup);
+    co_await cpu;
+    if (const Addr raddr = cached_addr(th, key, node_off)) {
       if (len > p.rdma_bounce_limit) {
         // Zero-copy into the user buffer: it must be registered locally.
         co_await rt_.transport_.ensure_local_registered(
-            from, static_cast<Addr>(reinterpret_cast<std::uintptr_t>(
-                      dst.data())),
+            {th.node(), th.core()},
+            static_cast<Addr>(reinterpret_cast<std::uintptr_t>(dst.data())),
             len);
       }
-      auto res = co_await rt_.transport_.rdma_get(from, owner, raddr, len);
+      auto res = co_await rt_.transport_.rdma_get({th.node(), th.core()},
+                                                  owner, raddr, len);
       if (res.status != OpStatus::kOk) co_return res.status;
       if (res.ok()) {
         if (len <= p.rdma_bounce_limit) {
           // Landed in a preregistered bounce buffer; copy out on the CPU.
-          co_await rt_.machine_.core(th.node(), th.core())
-              .use(p.copy_time(len));
+          cpu.use(rt_.machine_.core(th.node(), th.core()), p.copy_time(len));
+          co_await cpu;
         }
         std::memcpy(dst.data(), res.data.data(), len);
         ++rt_.counters_.rdma_gets;
         // Offload backends (IB) complete one-sided reads entirely on the
         // NIC DMA engine; mark them apart from handler-CPU completions.
-        trace(p.rdma_offload ? TracePath::kRdmaOffload : TracePath::kRdma);
+        trace(th, TraceOp::kGet,
+              p.rdma_offload ? TracePath::kRdmaOffload : TracePath::kRdma,
+              owner, len, t_start);
         co_return OpStatus::kOk;
       }
       // NAK: the target no longer pins that window. Invalidate and fall
@@ -99,23 +118,25 @@ Task<OpStatus> AccessPath::get_span(UpcThread& th, ArrayDesc a,
 
   // Default SVD path (Fig. 3a): AM request, target-side translation, the
   // reply piggybacks the base address when caching is on.
-  net::GetRequest req;
-  req.svd_handle = a.handle.pack();
-  req.offset = node_off;
-  req.len = len;
-  req.want_base = use_cache;
-  req.target_core = layout.core_of(loc.thread);
-  req.local_buf =
-      static_cast<Addr>(reinterpret_cast<std::uintptr_t>(dst.data()));
-  auto reply = co_await rt_.transport_.get(from, owner, std::move(req));
+  auto reply = co_await rt_.transport_.get(
+      {th.node(), th.core()}, owner,
+      net::GetRequest{
+          .svd_handle = a.handle.pack(),
+          .offset = node_off,
+          .len = len,
+          .want_base = use_cache,
+          .target_core = layout.core_of(loc.thread),
+          .local_buf = static_cast<Addr>(
+              reinterpret_cast<std::uintptr_t>(dst.data()))});
   if (reply.status != OpStatus::kOk) co_return reply.status;
   if (reply.base && use_cache) {
-    co_await rt_.machine_.core(th.node(), th.core()).use(p.cache_update);
+    cpu.use(rt_.machine_.core(th.node(), th.core()), p.cache_update);
+    co_await cpu;
     rt_.node(th.node()).cache.insert(key, *reply.base);
   }
   std::memcpy(dst.data(), reply.data.data(), len);
   ++rt_.counters_.am_gets;
-  trace(TracePath::kAm);
+  trace(th, TraceOp::kGet, TracePath::kAm, owner, len, t_start);
   co_return OpStatus::kOk;
 }
 
@@ -128,12 +149,6 @@ Task<OpStatus> AccessPath::put_span(UpcThread& th, ArrayDesc a,
   const std::uint64_t node_off = layout.node_offset(loc);
   const std::uint32_t len = static_cast<std::uint32_t>(src.size());
   const sim::Time t_start = rt_.sim_.now();
-  auto trace = [&](TracePath path) {
-    if (!rt_.tracer_.enabled()) return;
-    rt_.tracer_.record(
-        TraceEvent{th.id(), TraceOp::kPut, path, owner, len, t_start,
-                   rt_.sim_.now()});
-  };
 
   if (owner == th.node()) {
     const bool same_thread = loc.thread == th.id();
@@ -144,10 +159,10 @@ Task<OpStatus> AccessPath::put_span(UpcThread& th, ArrayDesc a,
     rt_.node(owner).space.write(addr, src);
     if (same_thread) {
       ++rt_.counters_.local_puts;
-      trace(TracePath::kLocal);
+      trace(th, TraceOp::kPut, TracePath::kLocal, owner, len, t_start);
     } else {
       ++rt_.counters_.shm_puts;
-      trace(TracePath::kShm);
+      trace(th, TraceOp::kPut, TracePath::kShm, owner, len, t_start);
     }
     co_return OpStatus::kOk;
   }
@@ -183,7 +198,9 @@ Task<OpStatus> AccessPath::put_span(UpcThread& th, ArrayDesc a,
           [rt, tid] { rt->note_put_completed(tid); });
       if (res.status == OpStatus::kOk && res.ok()) {
         ++rt_.counters_.rdma_puts;
-        trace(p.rdma_offload ? TracePath::kRdmaOffload : TracePath::kRdma);
+        trace(th, TraceOp::kPut,
+              p.rdma_offload ? TracePath::kRdmaOffload : TracePath::kRdma,
+              owner, len, t_start);
         co_return OpStatus::kOk;
       }
       // NAKed or failed: the completion hook never fires, so release the
@@ -223,23 +240,20 @@ Task<OpStatus> AccessPath::put_span(UpcThread& th, ArrayDesc a,
     co_return st;
   }
   ++rt_.counters_.am_puts;
-  trace(TracePath::kAm);
+  trace(th, TraceOp::kPut, TracePath::kAm, owner, len, t_start);
   co_return OpStatus::kOk;
 }
 
-Task<OpStatus> AccessPath::amo_span(UpcThread& th, CommOp op,
-                                    Layout::Loc loc) {
+Task<OpStatus> AccessPath::amo_span(UpcThread& th, OpKind kind, ArrayDesc a,
+                                    Layout::Loc loc, std::uint64_t operand,
+                                    std::uint64_t compare,
+                                    std::uint64_t* result) {
   const auto& p = rt_.cfg_.platform;
-  const Layout& layout = *op.array.layout;
+  const Layout& layout = *a.layout;
   const NodeId owner = layout.node_of(loc.thread);
   const std::uint64_t node_off = layout.node_offset(loc);
   const sim::Time t_start = rt_.sim_.now();
-  auto trace = [&](TracePath path) {
-    if (!rt_.tracer_.enabled()) return;
-    rt_.tracer_.record(TraceEvent{th.id(), TraceOp::kAmo, path, owner,
-                                  sizeof(std::uint64_t), t_start,
-                                  rt_.sim_.now()});
-  };
+  sim::Resource::Waiter cpu;  // each charge on this thread's core
 
   if (owner == th.node()) {
     // Shared-local atomic: translation is a local lookup and the word is
@@ -247,21 +261,21 @@ Task<OpStatus> AccessPath::amo_span(UpcThread& th, CommOp op,
     // threads are cooperatively scheduled on the DES, so the plain
     // read-modify-write is already indivisible.
     const bool same_thread = loc.thread == th.id();
-    co_await rt_.machine_.core(th.node(), th.core())
-        .use(same_thread ? p.local_access : p.shm_latency);
+    cpu.use(rt_.machine_.core(th.node(), th.core()),
+            same_thread ? p.local_access : p.shm_latency);
+    co_await cpu;
     const std::uint64_t old = rt_.apply_amo(
-        owner, rt_.local_translate(owner, op.array.handle, node_off,
-                                   sizeof(std::uint64_t)),
-        op.kind, op.operand, op.compare);
-    if (op.result != nullptr) *op.result = old;
+        owner, rt_.local_translate(owner, a.handle, node_off, kAmoLen), kind,
+        operand, compare);
+    if (result != nullptr) *result = old;
     if (same_thread) {
       ++rt_.counters_.local_amos;
-      trace(TracePath::kLocal);
+      trace(th, TraceOp::kAmo, TracePath::kLocal, owner, kAmoLen, t_start);
     } else {
       ++rt_.counters_.shm_amos;
-      trace(TracePath::kShm);
+      trace(th, TraceOp::kAmo, TracePath::kShm, owner, kAmoLen, t_start);
     }
-    if (op.kind == OpKind::kCas && old != op.compare) {
+    if (kind == OpKind::kCas && old != compare) {
       ++rt_.counters_.cas_failures;
     }
     co_return OpStatus::kOk;
@@ -273,13 +287,12 @@ Task<OpStatus> AccessPath::amo_span(UpcThread& th, CommOp op,
     co_return OpStatus::kPeerFailed;
   }
 
-  const net::Initiator from{th.node(), th.core()};
   net::AmoRequest req;
-  req.verb = op.kind == OpKind::kFaa ? net::AmoVerb::kFaa : net::AmoVerb::kCas;
-  req.svd_handle = op.array.handle.pack();
+  req.verb = kind == OpKind::kFaa ? net::AmoVerb::kFaa : net::AmoVerb::kCas;
+  req.svd_handle = a.handle.pack();
   req.offset = node_off;
-  req.operand = op.operand;
-  req.compare = op.compare;
+  req.operand = operand;
+  req.compare = compare;
   req.target_core = layout.core_of(loc.thread);
 
   // Address-cache probe, meaningful only on offload backends (IB): a hit
@@ -288,33 +301,33 @@ Task<OpStatus> AccessPath::amo_span(UpcThread& th, CommOp op,
   // cache_lookup charge) is skipped entirely — their AMO timing does not
   // depend on cache state.
   const bool use_cache = rt_.cfg_.cache.enabled && p.rdma_offload;
-  const CacheKey key = rt_.make_key(op.array, owner, node_off);
+  const CacheKey key = rt_.make_key(a, owner, node_off);
   if (use_cache) {
-    co_await rt_.machine_.core(th.node(), th.core()).use(p.cache_lookup);
-    if (auto info = rt_.node(th.node()).cache.lookup(key)) {
-      req.raddr = info->base + node_off;
-    }
+    cpu.use(rt_.machine_.core(th.node(), th.core()), p.cache_lookup);
+    co_await cpu;
+    req.raddr = cached_addr(th, key, node_off);
   }
 
-  net::AmoResult res = co_await rt_.transport_.amo(from, owner, req);
+  net::AmoResult res =
+      co_await rt_.transport_.amo({th.node(), th.core()}, owner, req);
   if (res.status == OpStatus::kOk && !res.ok()) {
     // NAK: the cached window is no longer pinned. Invalidate and retry
     // through the AM lowering (which translates at the home node).
     rt_.node(th.node()).cache.invalidate(key);
     ++rt_.counters_.rdma_naks;
     req.raddr = kNullAddr;
-    res = co_await rt_.transport_.amo(from, owner, req);
+    res = co_await rt_.transport_.amo({th.node(), th.core()}, owner, req);
   }
   if (res.status != OpStatus::kOk) co_return res.status;
-  if (op.result != nullptr) *op.result = res.value;
+  if (result != nullptr) *result = res.value;
   if (res.offloaded) {
     ++rt_.counters_.rdma_amos;
-    trace(TracePath::kRdmaOffload);
+    trace(th, TraceOp::kAmo, TracePath::kRdmaOffload, owner, kAmoLen, t_start);
   } else {
     ++rt_.counters_.am_amos;
-    trace(TracePath::kAm);
+    trace(th, TraceOp::kAmo, TracePath::kAm, owner, kAmoLen, t_start);
   }
-  if (op.kind == OpKind::kCas && res.value != op.compare) {
+  if (kind == OpKind::kCas && res.value != compare) {
     ++rt_.counters_.cas_failures;
   }
   co_return OpStatus::kOk;
@@ -325,42 +338,47 @@ Task<OpStatus> AccessPath::execute(UpcThread& th, CommOp op) {
   // no execute() frame. Safe because get_span/put_span copy their
   // ArrayDesc / Loc / span arguments into their own frame — nothing
   // references the local `op` after this returns.
-  if (op.multi) return execute_multi(th, std::move(op));
+  if (op.multi) {
+    return execute_multi(th, op.kind, std::move(op.array), op.elem, op.dst,
+                         op.src, op.bytes);
+  }
   const Layout& layout = *op.array.layout;
   const Layout::Loc loc =
       op.two_d ? layout.locate2d(op.row, op.col) : layout.locate(op.elem);
-  if (is_amo(op.kind)) return amo_span(th, std::move(op), loc);
-  if (op.kind == OpKind::kGet) {
-    return get_span(th, std::move(op.array), loc,
-                    std::span<std::byte>(op.dst, op.bytes));
+  if (is_amo(op.kind)) {
+    return amo_span(th, op.kind, std::move(op.array), loc, op.operand,
+                    op.compare, op.result);
   }
-  return put_span(th, std::move(op.array), loc,
-                  std::span<const std::byte>(op.src, op.bytes));
+  return span(th, op.kind, op.array, loc, op.dst, op.src, op.bytes);
 }
 
-Task<OpStatus> AccessPath::execute_multi(UpcThread& th, CommOp op) {
+Task<OpStatus> AccessPath::span(UpcThread& th, OpKind kind,
+                                const ArrayDesc& a, Layout::Loc loc,
+                                std::byte* dst, const std::byte* src,
+                                std::size_t bytes) {
+  if (kind == OpKind::kGet) {
+    return get_span(th, a, loc, std::span<std::byte>(dst, bytes));
+  }
+  return put_span(th, a, loc, std::span<const std::byte>(src, bytes));
+}
+
+Task<OpStatus> AccessPath::execute_multi(UpcThread& th, OpKind kind,
+                                         ArrayDesc a, std::uint64_t elem,
+                                         std::byte* dst, const std::byte* src,
+                                         std::size_t bytes) {
   // memget/memput: split the range at ownership boundaries, exactly as
   // the blocking loops did (each piece is contiguous on its owner).
-  const Layout& layout = *op.array.layout;
+  const Layout& layout = *a.layout;
   const std::uint64_t es = layout.elem_size();
-  std::uint64_t total = op.bytes / es;
-  std::uint64_t elem = op.elem;
-  std::size_t off = 0;
-  while (total > 0) {
-    const std::uint64_t run = std::min(total, layout.run_length(elem));
-    OpStatus st;
-    if (op.kind == OpKind::kGet) {
-      st = co_await get_span(th, op.array, layout.locate(elem),
-                             std::span<std::byte>(op.dst + off, run * es));
-    } else {
-      st = co_await put_span(
-          th, op.array, layout.locate(elem),
-          std::span<const std::byte>(op.src + off, run * es));
-    }
+  for (std::size_t off = 0; off < bytes;) {
+    const std::size_t len = std::min(bytes - off, layout.run_length(elem) * es);
+    const OpStatus st =
+        co_await span(th, kind, a, layout.locate(elem),
+                      dst == nullptr ? nullptr : dst + off,
+                      src == nullptr ? nullptr : src + off, len);
     if (st != OpStatus::kOk) co_return st;
-    elem += run;
-    off += run * es;
-    total -= run;
+    elem += len / es;
+    off += len;
   }
   co_return OpStatus::kOk;
 }
@@ -433,7 +451,10 @@ OpHandle CompletionEngine::issue(CommOp op) {
       std::max(stats_.outstanding_hwm, outstanding_async_);
   if (dest) {
     s.staged = true;
-    coalescer_.stage(*dest, idx, AccessPath::to_batch_op(s.op));
+    if (!coalescer_) {
+      coalescer_ = std::make_unique<CoalescingEngine>(rt_, th_, *this);
+    }
+    coalescer_->stage(*dest, idx, AccessPath::to_batch_op(s.op));
   } else {
     rt_.sim_.spawn(run_async(idx));
   }
@@ -470,7 +491,7 @@ Task<OpStatus> CompletionEngine::wait(OpHandle h) {
   if (s.staged && !s.done) {
     // Flush-on-wait: the handle is parked in a staging buffer — ship the
     // whole buffer now and then wait for the batch like any async op.
-    coalescer_.flush_containing(h.slot, FlushReason::kWait);
+    coalescer_->flush_containing(h.slot, FlushReason::kWait);
   }
   if (!s.done) {
     ++stats_.wait_stalls;
@@ -485,7 +506,7 @@ Task<OpStatus> CompletionEngine::wait(OpHandle h) {
 Task<OpStatus> CompletionEngine::wait_all() {
   // Flush-on-fence: fence() and wait_all() ship every staging buffer
   // before retiring the outstanding handles.
-  coalescer_.flush_all(FlushReason::kFence);
+  if (coalescer_) coalescer_->flush_all(FlushReason::kFence);
   OpStatus worst = OpStatus::kOk;
   for (std::uint32_t i = 0; i < slot_count(); ++i) {
     if (!slot(i).active) continue;

@@ -21,8 +21,10 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/address_cache.h"
 #include "core/api.h"
 #include "core/coalescing_engine.h"
+#include "core/trace.h"
 #include "net/message.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -138,8 +140,11 @@ class AccessPath {
   /// Atomic tier dispatch: local/shm apply on the calling node, remote
   /// elements go through Transport::amo() — NIC-offloaded verbs atomics
   /// on IB (address-cache hit), AM-handler lowering otherwise. Writes
-  /// the fetched old value through op.result (only on kOk).
-  sim::Task<OpStatus> amo_span(UpcThread& th, CommOp op, Layout::Loc loc);
+  /// the fetched old value through `result` (only on kOk). Takes the
+  /// CommOp fields it uses, not the whole descriptor.
+  sim::Task<OpStatus> amo_span(UpcThread& th, OpKind kind, ArrayDesc a,
+                               Layout::Loc loc, std::uint64_t operand,
+                               std::uint64_t compare, std::uint64_t* result);
 
   // --- coalescing routing helpers (docs/COALESCING.md) ---
   /// The remote node a single-run op is bound for, or nullopt when the
@@ -154,9 +159,26 @@ class AccessPath {
   static net::RdmaBatchOp to_batch_op(const CommOp& op);
 
  private:
+  /// Record one trace event (no-op with tracing off).
+  void trace(const UpcThread& th, TraceOp op, TracePath path, NodeId owner,
+             std::uint32_t len, sim::Time t_start) const;
+  /// The remote address of `node_off` on an address-cache hit for `key`,
+  /// kNullAddr on a miss (a plain function: its optional stays out of
+  /// the caller's coroutine frame).
+  Addr cached_addr(const UpcThread& th, const CacheKey& key,
+                   std::uint64_t node_off);
+  /// get_span for a kGet, put_span otherwise: a plain function, so a
+  /// caller that serves either kind awaits one task temporary.
+  sim::Task<OpStatus> span(UpcThread& th, OpKind kind, const ArrayDesc& a,
+                           Layout::Loc loc, std::byte* dst,
+                           const std::byte* src, std::size_t bytes);
   /// memget/memput: split the range at ownership boundaries (coroutine —
-  /// the loop needs a frame to live in across the per-piece awaits).
-  sim::Task<OpStatus> execute_multi(UpcThread& th, CommOp op);
+  /// the loop needs a frame to live in across the per-piece awaits). It
+  /// keeps only what it loops over, not the whole CommOp: in a memget
+  /// scan every UPC thread is suspended in one of these frames.
+  sim::Task<OpStatus> execute_multi(UpcThread& th, OpKind kind, ArrayDesc a,
+                                    std::uint64_t elem, std::byte* dst,
+                                    const std::byte* src, std::size_t bytes);
 
   Runtime& rt_;
 };
@@ -192,13 +214,20 @@ class CompletionEngine {
   sim::Task<OpStatus> wait_all();
 
   // --- small-message coalescing surface (docs/COALESCING.md) ---
+  // The staging buffers are made by the first staged op; until then
+  // flushes are no-ops and the statistics read zero.
   /// Ship the staging buffer bound for `dest` now (explicit flush).
-  void flush(NodeId dest) { coalescer_.flush(dest, FlushReason::kExplicit); }
+  void flush(NodeId dest) {
+    if (coalescer_) coalescer_->flush(dest, FlushReason::kExplicit);
+  }
   /// Ship every staging buffer of this thread (explicit flush; also the
   /// end-of-run safety net for unwaited staged ops).
-  void flush_all() { coalescer_.flush_all(FlushReason::kExplicit); }
+  void flush_all() {
+    if (coalescer_) coalescer_->flush_all(FlushReason::kExplicit);
+  }
   const CoalesceStats& coalesce_stats() const noexcept {
-    return coalescer_.stats();
+    static constexpr CoalesceStats kNone{};
+    return coalescer_ ? coalescer_->stats() : kNone;
   }
 
   /// PUT remote-completion tracking (fence checkpoint semantics).
@@ -210,7 +239,7 @@ class CompletionEngine {
   const CommStats& stats() const noexcept { return stats_; }
   void reset_stats() {
     stats_ = CommStats{};
-    coalescer_.reset_stats();
+    if (coalescer_) coalescer_->reset_stats();
   }
 
  private:
@@ -256,8 +285,9 @@ class CompletionEngine {
   std::uint64_t outstanding_puts_ = 0;
   std::optional<sim::Trigger> fence_trigger_;
 
-  // Small-message staging buffers (inert unless cfg.coalesce is on).
-  CoalescingEngine coalescer_{rt_, th_, *this};
+  // Small-message staging buffers, made by the first staged op (so
+  // never when cfg.coalesce is off).
+  std::unique_ptr<CoalescingEngine> coalescer_;
 };
 
 }  // namespace xlupc::core

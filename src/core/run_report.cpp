@@ -2,6 +2,8 @@
 // into the Simulator's MetricsRegistry and snapshotting the RunReport.
 #include "core/run_report.h"
 
+#include <algorithm>
+#include <initializer_list>
 #include <string>
 
 #include "core/runtime.h"
@@ -24,21 +26,20 @@ double RunReport::gauge(std::string_view name) const {
 
 namespace {
 
-/// Mean utilization (percent) of the resources selected by `pick`.
-template <class Pick>
-double mean_utilization_pct(const net::Machine& machine, Pick pick) {
+/// Mean utilization (percent) of the resources of the kinds selected.
+double mean_utilization_pct(const net::Machine& machine,
+                            std::initializer_list<net::ResourceKind> kinds) {
   double sum = 0.0;
   std::uint64_t n = 0;
-  machine.for_each_resource([&](const sim::Resource& r) {
-    if (!pick(r.name())) return;
-    sum += r.utilization();
-    ++n;
-  });
+  machine.for_each_resource(
+      [&](const sim::Resource& r, const net::ResourceId& id) {
+        if (std::find(kinds.begin(), kinds.end(), id.kind) == kinds.end()) {
+          return;
+        }
+        sum += r.utilization();
+        ++n;
+      });
   return n == 0 ? 0.0 : 100.0 * sum / static_cast<double>(n);
-}
-
-bool name_has(const std::string& name, std::string_view part) {
-  return name.find(part) != std::string::npos;
 }
 
 }  // namespace
@@ -126,9 +127,10 @@ RunReport Runtime::metrics() {
 
   // --- resource utilization (per resource + aggregate gauges) ---
   RunReport report;
-  machine_.for_each_resource([&](const sim::Resource& r) {
+  machine_.for_each_resource([&](const sim::Resource& r,
+                                 const net::ResourceId& id) {
     ResourceUsage u;
-    u.name = r.name();
+    u.name = machine_.resource_name(id);
     u.capacity = r.capacity();
     u.acquisitions = r.acquisitions();
     u.busy_us = sim::to_us(r.busy_time());
@@ -136,28 +138,20 @@ RunReport Runtime::metrics() {
     u.utilization_pct = 100.0 * r.utilization();
     report.resources.push_back(std::move(u));
   });
-  reg.set_gauge("util.cpu_pct", mean_utilization_pct(machine_, [](auto& n) {
-                  return name_has(n, ".core");
-                }));
+  using Kind = net::ResourceKind;
+  reg.set_gauge("util.cpu_pct", mean_utilization_pct(machine_, {Kind::kCore}));
   reg.set_gauge("util.comm_cpu_pct",
-                mean_utilization_pct(machine_, [](auto& n) {
-                  return name_has(n, ".comm");
-                }));
-  reg.set_gauge("util.nic_tx_pct", mean_utilization_pct(machine_, [](auto& n) {
-                  return name_has(n, ".nic_tx");
-                }));
-  reg.set_gauge("util.nic_dma_pct", mean_utilization_pct(machine_, [](auto& n) {
-                  return name_has(n, ".nic_dma");
-                }));
-  reg.set_gauge("util.nic_pct", mean_utilization_pct(machine_, [](auto& n) {
-                  return name_has(n, ".nic_");
-                }));
+                mean_utilization_pct(machine_, {Kind::kComm}));
+  reg.set_gauge("util.nic_tx_pct",
+                mean_utilization_pct(machine_, {Kind::kNicTx}));
+  reg.set_gauge("util.nic_dma_pct",
+                mean_utilization_pct(machine_, {Kind::kNicDma}));
+  reg.set_gauge("util.nic_pct",
+                mean_utilization_pct(machine_, {Kind::kNicTx, Kind::kNicDma}));
   if (live & fam::kFabric) {
     reg.set("fabric.ports", machine_.fabric().port_count());
     reg.set_gauge("util.fabric_pct",
-                  mean_utilization_pct(machine_, [](auto& n) {
-                    return name_has(n, "fab.") && name_has(n, ".wire");
-                  }));
+                  mean_utilization_pct(machine_, {Kind::kPortWire}));
   }
 
   // --- snapshot ---

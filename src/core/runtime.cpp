@@ -92,8 +92,9 @@ Runtime::Runtime(RuntimeConfig cfg)
 Runtime::~Runtime() = default;
 
 namespace {
-Task<void> thread_main(Runtime::ThreadBody body, UpcThread* th,
-                       sim::CountdownLatch* latch,
+// One frame per UPC thread, suspended for the whole run: it keeps only
+// pointers. `body` is run()'s parameter, which outlives sim_.run().
+Task<void> thread_main(const Runtime::ThreadBody& body, UpcThread* th,
                        std::uint32_t* live_threads) {
   co_await body(*th);
   // End-of-run safety for coalescing: ops still parked in staging
@@ -102,16 +103,16 @@ Task<void> thread_main(Runtime::ThreadBody body, UpcThread* th,
   // have been (sim_.run() drains the spawned batches). No-op by
   // construction when coalescing is off.
   th->flush_all();
-  --*live_threads;  // lets the failure detector's tick loop terminate
-  latch->count_down();
+  // Lets the failure detector's tick loop terminate; what is left when
+  // the queue drains is the deadlocked threads.
+  --*live_threads;
 }
 }  // namespace
 
 void Runtime::run(ThreadBody body) {
-  sim::CountdownLatch latch(sim_, threads());
   live_threads_ = threads();
   for (auto& th : threads_) {
-    sim_.spawn(thread_main(body, th.get(), &latch, &live_threads_));
+    sim_.spawn(thread_main(body, th.get(), &live_threads_));
   }
   // The failure detector runs only under fabric fault plans, so every
   // other configuration executes the exact event sequence it always did.
@@ -120,9 +121,9 @@ void Runtime::run(ThreadBody body) {
     sim_.spawn(detector_->run_loop());
   }
   sim_.run();
-  if (latch.remaining() != 0) {
+  if (live_threads_ != 0) {
     throw std::runtime_error(
-        "Runtime::run: deadlock — " + std::to_string(latch.remaining()) +
+        "Runtime::run: deadlock — " + std::to_string(live_threads_) +
         " UPC thread(s) blocked with no pending events");
   }
 }

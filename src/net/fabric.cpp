@@ -144,8 +144,6 @@ std::string Fabric::port_name(std::uint64_t key) const {
   const auto level = static_cast<Level>(key >> 56);
   const auto sw = static_cast<std::uint32_t>((key >> 24) & 0xffffffffu);
   const auto port = static_cast<std::uint32_t>(key & 0xffffffu);
-  // Prefixes deliberately avoid the ".core"/".comm"/".nic_" substrings
-  // the utilization gauges filter node resources by (core/run_report.cpp).
   const char* stage = "?";
   const char* dir = "dn";
   switch (level) {
@@ -165,15 +163,14 @@ std::string Fabric::port_name(std::uint64_t key) const {
 
 Fabric::Port& Fabric::port(std::uint64_t key) {
   if (Port* p = ports_.find(key)) return *p;
-  return ports_.try_emplace(key, *sim_, config_.port_credits, port_name(key));
+  return ports_.try_emplace(key, *sim_, config_.port_credits);
 }
 
 void Fabric::for_each_port(
-    const std::function<void(const sim::Resource&)>& fn) const {
-  ports_.for_each([&fn](std::uint64_t, const Port& p) {
-    fn(p.buf);
-    fn(p.wire);
-  });
+    const std::function<void(std::uint64_t, const sim::Resource&,
+                             const sim::Resource&)>& fn) const {
+  ports_.for_each(
+      [&fn](std::uint64_t key, const Port& p) { fn(key, p.buf, p.wire); });
 }
 
 void Fabric::reset_port_usage() {

@@ -135,10 +135,15 @@ class Fabric {
   /// Ports materialized so far (switch egress ports touched by traffic).
   std::size_t port_count() const noexcept { return ports_.size(); }
 
-  /// Visit the buffer and wire resources of every materialized port in
-  /// deterministic key order ("fab.leaf0.dn3.buf", ".wire", ...).
+  /// Visit every materialized port, its key with its buffer and wire
+  /// resources, in deterministic key order.
   void for_each_port(
-      const std::function<void(const sim::Resource&)>& fn) const;
+      const std::function<void(std::uint64_t key, const sim::Resource& buf,
+                               const sim::Resource& wire)>& fn) const;
+
+  /// The report name of port `key`, e.g. "fab.leaf0.dn3" (Machine adds
+  /// ".buf" or ".wire" for its two resources).
+  std::string port_name(std::uint64_t key) const;
 
   /// Zero the usage statistics of every port (new metrics window).
   void reset_port_usage();
@@ -149,8 +154,8 @@ class Fabric {
   /// single-lane egress link that serializes one message at a time. Held
   /// in place in the ports table, whose values never move.
   struct Port {
-    Port(sim::Simulator& sim, std::uint64_t credits, const std::string& name)
-        : buf(sim, credits, name + ".buf"), wire(sim, 1, name + ".wire") {}
+    Port(sim::Simulator& sim, std::uint64_t credits)
+        : buf(sim, credits), wire(sim, 1) {}
     sim::Resource buf;
     sim::Resource wire;
   };
@@ -198,7 +203,6 @@ class Fabric {
                            std::uint32_t route) const;
 
   Port& port(std::uint64_t key);
-  std::string port_name(std::uint64_t key) const;
 
   /// The hop-by-hop walk shared by transit and transit_failover.
   sim::Task<void> transit_on(NodeId src, NodeId dst, std::uint64_t bytes,

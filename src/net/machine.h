@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -33,6 +34,25 @@ struct MachineConfig {
   FabricParams fabric;
 };
 
+/// What a hardware resource models. The utilization gauges select
+/// resources by it.
+enum class ResourceKind : std::uint8_t {
+  kCore,
+  kComm,
+  kNicTx,
+  kNicDma,
+  kPortBuf,   ///< a fabric port's buffer slots
+  kPortWire,  ///< a fabric port's egress link
+};
+
+/// Where a visited resource sits: enough for Machine::resource_name to
+/// format its report name.
+struct ResourceId {
+  ResourceKind kind = ResourceKind::kCore;
+  std::uint32_t core = 0;   ///< kCore: the core's number in its node
+  std::uint64_t where = 0;  ///< the node, or the fabric port's key
+};
+
 class Machine {
  public:
   Machine(sim::Simulator& sim, PlatformParams params, MachineConfig config);
@@ -54,10 +74,16 @@ class Machine {
   sim::Resource& nic_dma(NodeId node);
 
   /// Visit every hardware resource in a stable order (node-major:
-  /// cores, comm CPU, NIC tx, NIC dma). Resources carry their own names
-  /// ("n3.core1", "n3.nic_tx", ...); used to build run reports.
+  /// cores, comm CPU, NIC tx, NIC dma; then the fabric ports in key
+  /// order), with where it sits; used to build run reports.
   void for_each_resource(
-      const std::function<void(const sim::Resource&)>& fn) const;
+      const std::function<void(const sim::Resource&, const ResourceId&)>&
+          fn) const;
+
+  /// The name a report gives a resource: "n3.core1", "n3.comm",
+  /// "n3.nic_tx", "n3.nic_dma", or a fabric port's name plus ".buf" or
+  /// ".wire". Formatted on each call; a Resource carries no name.
+  std::string resource_name(const ResourceId& id) const;
 
   /// Zero the usage statistics of every resource (new metrics window).
   void reset_resource_usage();

@@ -216,15 +216,16 @@ Task<OpStatus> Transport::admit_rendezvous(Initiator from, NodeId dst,
 
 // ---------------------------------------------------------------- GET ---
 
-Task<GetReply> Transport::get(Initiator from, NodeId dst, GetRequest req) {
+Task<GetReply> Transport::get(Initiator from, NodeId dst,
+                              const GetRequest& req) {
   if (req.len <= machine_.params().eager_limit) {
     ++stats_.am_gets;
-    return ib_ ? get_eager<true>(from, dst, std::move(req))
-               : get_eager<false>(from, dst, std::move(req));
+    return ib_ ? get_eager<true>(from, dst, req)
+               : get_eager<false>(from, dst, req);
   }
   ++stats_.rendezvous_gets;
-  return ib_ ? get_rendezvous<true>(from, dst, std::move(req))
-             : get_rendezvous<false>(from, dst, std::move(req));
+  return ib_ ? get_rendezvous<true>(from, dst, req)
+             : get_rendezvous<false>(from, dst, req);
 }
 
 template <bool kIb>
@@ -232,16 +233,19 @@ Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
                                     GetRequest req) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
+  sim::Resource::Waiter w;  // every resource wait below (sim/resource.h)
 
   // Initiator: build and post the AM request (Fig. 5: "send Active Msg").
   // On IB the request is header-only, so its WQE carries it inline.
-  co_await machine_.core(from.node, from.core).use(p.send_overhead);
+  w.use(machine_.core(from.node, from.core), p.send_overhead);
+  co_await w;
   WqeFor<kIb> wqe;
   OpStatus st = OpStatus::kOk;
   if constexpr (kIb) st = co_await post_wqe(from.node, dst, wqe);
   if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
-  co_await machine_.nic_tx(from.node)
-      .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
+  w.use(machine_.nic_tx(from.node),
+        p.nic_tx_overhead + machine_.serialize_with_header(0));
+  co_await w;
   stats_.wire_bytes += p.header_bytes;
   st = co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
                         p.nic_tx_overhead + machine_.serialize_with_header(0),
@@ -251,19 +255,22 @@ Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
   // Target: header handler translates the SVD handle, optionally pins the
   // object, and copies the data into a bounce buffer.
   auto& hcpu = handler_cpu(dst, req.target_core);
-  co_await hcpu.acquire();
+  w.acquire(hcpu);
+  co_await w;
   co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
   auto serve = target_.serve_get(dst, req);
-  Duration extra = p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-                   p.dereg_base * serve.reg_evicted_handles;
-  extra += p.copy_time(req.len);  // copy into the send bounce buffer
-  co_await sim.delay(scaled(dst, extra));
+  co_await sim.delay(
+      scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
+                      p.dereg_base * serve.reg_evicted_handles +
+                      // copy into the send bounce buffer
+                      p.copy_time(req.len)));
   hcpu.release();
 
   // Reply carrying the data (plus the piggybacked base address); on IB an
   // RDMA write into the initiator's preposted eager buffer.
-  co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
-                                    machine_.serialize_with_header(req.len));
+  w.use(machine_.nic_tx(dst),
+        p.nic_tx_overhead + machine_.serialize_with_header(req.len));
+  co_await w;
   stats_.wire_bytes += p.header_bytes + req.len;
   st = co_await deliver(dst, from.node, &machine_.nic_tx(dst),
                         p.nic_tx_overhead +
@@ -273,9 +280,10 @@ Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
 
   // Initiator: receive dispatch (IB: CQ poll); small replies land in a
   // preposted bounce buffer and are copied out, larger ones land in place.
-  Duration recv_cost = reply_overhead<kIb>();
-  if (req.len <= p.both_copy_limit) recv_cost += p.copy_time(req.len);
-  co_await machine_.core(from.node, from.core).use(recv_cost);
+  w.use(machine_.core(from.node, from.core),
+        reply_overhead<kIb>() +
+            (req.len <= p.both_copy_limit ? p.copy_time(req.len) : Duration{0}));
+  co_await w;
   wqe.retire();
 
   co_return GetReply{std::move(serve.data), serve.base};
@@ -525,13 +533,15 @@ Task<RdmaGetResult> Transport::rdma_get_leg(Initiator from, NodeId dst,
   if constexpr (kIb) st = co_await post_wqe(from.node, dst, wqe);
   if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
   ++stats_.rdma_gets;
-  auto& sim = machine_.simulator();
   const auto& p = machine_.params();
+  sim::Resource::Waiter w;  // every resource wait below (sim/resource.h)
 
   // Post the read descriptor; the initiator NIC sends it to the target NIC.
-  co_await machine_.core(from.node, from.core).use(p.rdma_get_setup);
-  co_await machine_.nic_dma(from.node)
-      .use(p.dma_engine_overhead + machine_.serialize_with_header(0));
+  w.use(machine_.core(from.node, from.core), p.rdma_get_setup);
+  co_await w;
+  w.use(machine_.nic_dma(from.node),
+        p.dma_engine_overhead + machine_.serialize_with_header(0));
+  co_await w;
   stats_.wire_bytes += p.header_bytes;
   st = co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
                         p.dma_engine_overhead +
@@ -541,25 +551,26 @@ Task<RdmaGetResult> Transport::rdma_get_leg(Initiator from, NodeId dst,
 
   // Target NIC DMA engine reads pinned memory and streams it back — the
   // remote CPU is not involved at all.
-  auto& dma = machine_.nic_dma(dst);
-  co_await dma.acquire();
+  w.acquire(machine_.nic_dma(dst));
+  co_await w;
   const RdmaWindow win = target_.rdma_memory(dst, raddr, len);
   if (!win.ok()) {
     // NAK: window not pinned. Small control frame back.
-    co_await sim.delay(p.dma_engine_overhead);
-    dma.release();
+    co_await machine_.simulator().delay(p.dma_engine_overhead);
+    machine_.nic_dma(dst).release();
     ++stats_.rdma_naks;
     st = co_await deliver(dst, from.node, &machine_.nic_dma(dst),
                           p.dma_engine_overhead, 0);
     if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
-    co_await machine_.core(from.node, from.core).use(p.rdma_completion);
+    w.use(machine_.core(from.node, from.core), p.rdma_completion);
+    co_await w;
     wqe.retire();
     co_return RdmaGetResult{win.nak, OpStatus::kOk, {}};
   }
   Bytes out(win.memory, win.memory + len);
-  co_await sim.delay(p.dma_engine_overhead +
-                     machine_.serialize_with_header(len));
-  dma.release();
+  co_await machine_.simulator().delay(p.dma_engine_overhead +
+                                     machine_.serialize_with_header(len));
+  machine_.nic_dma(dst).release();
   stats_.wire_bytes += p.header_bytes + len;
   st = co_await deliver(dst, from.node, &machine_.nic_dma(dst),
                         p.dma_engine_overhead +
@@ -568,7 +579,8 @@ Task<RdmaGetResult> Transport::rdma_get_leg(Initiator from, NodeId dst,
   if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
 
   // Completion detection at the initiator.
-  co_await machine_.core(from.node, from.core).use(p.rdma_completion);
+  w.use(machine_.core(from.node, from.core), p.rdma_completion);
+  co_await w;
   wqe.retire();
   co_return RdmaGetResult{RdmaNak::kNone, OpStatus::kOk, std::move(out)};
 }
@@ -671,13 +683,12 @@ Task<OpStatus> Transport::control(Initiator from, NodeId dst,
 
 // ------------------------------------------------------------ atomics ---
 
-Task<AmoResult> Transport::amo(Initiator from, NodeId dst, AmoRequest req) {
+Task<AmoResult> Transport::amo(Initiator from, NodeId dst,
+                               const AmoRequest& req) {
   // A plain dispatcher, like get(): folding the NIC lowering into the AM
   // coroutine would grow every AM AMO frame by the NIC path's locals.
-  if (ib_ && req.raddr != kNullAddr) {
-    return amo_nic(from, dst, std::move(req));
-  }
-  return amo_am(from, dst, std::move(req));
+  if (ib_ && req.raddr != kNullAddr) return amo_nic(from, dst, req);
+  return amo_am(from, dst, req);
 }
 
 Task<AmoResult> Transport::amo_am(Initiator from, NodeId dst,
@@ -692,10 +703,13 @@ Task<AmoResult> Transport::amo_am(Initiator from, NodeId dst,
   ++stats_.amo_msgs;
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
+  sim::Resource::Waiter w;  // every resource wait below (sim/resource.h)
 
-  co_await machine_.core(from.node, from.core).use(p.send_overhead);
-  co_await machine_.nic_tx(from.node)
-      .use(p.nic_tx_overhead + machine_.serialize_with_header(kAmoBytes));
+  w.use(machine_.core(from.node, from.core), p.send_overhead);
+  co_await w;
+  w.use(machine_.nic_tx(from.node),
+        p.nic_tx_overhead + machine_.serialize_with_header(kAmoBytes));
+  co_await w;
   stats_.wire_bytes += p.header_bytes + kAmoBytes;
   OpStatus st = co_await deliver(
       from.node, dst, &machine_.nic_tx(from.node),
@@ -707,21 +721,24 @@ Task<AmoResult> Transport::amo_am(Initiator from, NodeId dst,
   // CPU — serialized against every other AM, so concurrent atomics from
   // any number of initiators linearize here.
   auto& hcpu = handler_cpu(dst, req.target_core);
-  co_await hcpu.acquire();
+  w.acquire(hcpu);
+  co_await w;
   co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
   const std::uint64_t old = target_.serve_amo(dst, req);
   hcpu.release();
 
   // Reply carrying the old value.
-  co_await machine_.nic_tx(dst).use(
-      p.nic_tx_overhead + machine_.serialize_with_header(sizeof(old)));
+  w.use(machine_.nic_tx(dst),
+        p.nic_tx_overhead + machine_.serialize_with_header(sizeof(old)));
+  co_await w;
   stats_.wire_bytes += p.header_bytes + sizeof(old);
   st = co_await deliver(
       dst, from.node, &machine_.nic_tx(dst),
       p.nic_tx_overhead + machine_.serialize_with_header(sizeof(old)),
       p.header_bytes + sizeof(old));
   if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
-  co_await machine_.core(from.node, from.core).use(p.recv_overhead);
+  w.use(machine_.core(from.node, from.core), p.recv_overhead);
+  co_await w;
   co_return AmoResult{RdmaNak::kNone, OpStatus::kOk, old, /*offloaded=*/false};
 }
 

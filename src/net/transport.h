@@ -307,7 +307,9 @@ class Transport {
 
   /// Two-sided GET via the default SVD path (Fig. 3a / Fig. 5).
   /// Completes when the data is available at the initiator.
-  sim::Task<GetReply> get(Initiator from, NodeId dst, GetRequest req);
+  /// A plain dispatcher: the leg coroutine copies `req` into its frame,
+  /// so the caller's request may die before the task is awaited.
+  sim::Task<GetReply> get(Initiator from, NodeId dst, const GetRequest& req);
 
   /// Two-sided PUT. Completes at *local* completion (source buffer
   /// reusable); `on_ack` fires later at remote completion — also when
@@ -337,8 +339,8 @@ class Transport {
   /// remote address (`req.raddr`) lowers instead to a NIC-offloaded verbs
   /// atomic: the target's DMA engine applies it, zero target-CPU cycles,
   /// counted in `transport.ib.nic_atomics`. Completes when the old value
-  /// is available at the initiator.
-  sim::Task<AmoResult> amo(Initiator from, NodeId dst, AmoRequest req);
+  /// is available at the initiator. A plain dispatcher, like get().
+  sim::Task<AmoResult> amo(Initiator from, NodeId dst, const AmoRequest& req);
 
   /// Aggregated small-op batch (docs/COALESCING.md): one framed wire
   /// message carrying every member, unpacked per leg on the handler CPU

@@ -16,8 +16,10 @@ bool later(const Far& a, const Far& b) noexcept {
 
 }  // namespace
 
-// The free list is empty: append a node to the arena.
+// The free list is empty: append a node to the arena. The first one
+// comes with the wheel.
 std::uint32_t EventQueue::grow() {
+  if (nodes_.empty()) wheel_ = std::make_unique<Wheel>();
   nodes_.emplace_back();
   return static_cast<std::uint32_t>(nodes_.size());
 }
@@ -29,8 +31,9 @@ void EventQueue::push_far(Time t, std::uint32_t n) {
 
 // The first occupied slot at or after `from`, or kSlots.
 std::size_t EventQueue::next_occupied(std::size_t from) const noexcept {
+  const auto& bits = wheel_->bits;
   std::size_t w = from / 64;
-  if (const std::uint64_t m = bits_[w] & (~std::uint64_t{0} << (from % 64))) {
+  if (const std::uint64_t m = bits[w] & (~std::uint64_t{0} << (from % 64))) {
     return w * 64 + static_cast<std::size_t>(std::countr_zero(m));
   }
   ++w;  // the words after w, through the summary
@@ -42,7 +45,7 @@ std::size_t EventQueue::next_occupied(std::size_t from) const noexcept {
       const std::size_t word = sw * 64 + static_cast<std::size_t>(
                                              std::countr_zero(m));
       return word * 64 +
-             static_cast<std::size_t>(std::countr_zero(bits_[word]));
+             static_cast<std::size_t>(std::countr_zero(bits[word]));
     }
   }
   return kSlots;
@@ -67,7 +70,7 @@ Time EventQueue::advance() {
 
 template <class F>
 void EventQueue::for_each_in_slot(std::size_t s, F fn) const {
-  const std::uint32_t tail = tails_[s];
+  const std::uint32_t tail = wheel_->tails[s];
   std::uint32_t n = tail;
   do {
     n = nodes_[n - 1].next;
@@ -85,7 +88,7 @@ void EventQueue::respread(Time base) {
   const std::size_t from = base_ & kMask;
   for (std::size_t i = 0; i < kSlots; ++i) {
     const std::size_t s = (from + i) & kMask;
-    if (tails_[s] == 0) continue;
+    if (wheel_->tails[s] == 0) continue;
     for_each_in_slot(s, [&pending, t = base_ + i](std::uint32_t n) {
       pending.emplace_back(t, n);
     });
@@ -94,8 +97,8 @@ void EventQueue::respread(Time base) {
             [](const Far& a, const Far& b) { return later(b, a); });
   for (const Far& f : far_) pending.emplace_back(f.time, f.node);
   far_.clear();
-  tails_.fill(0);
-  bits_.fill(0);
+  wheel_->tails.fill(0);
+  wheel_->bits.fill(0);
   summary_.fill(0);
   base_ = base;
   for (const auto& [t, n] : pending) {
@@ -108,12 +111,13 @@ void EventQueue::respread(Time base) {
 }
 
 EventQueue::~EventQueue() {
+  if (!wheel_) return;  // nothing was ever scheduled
   auto release = [this](std::uint32_t n) {
     const Callback::Thunk& t = nodes_[n - 1].thunk;
     t.fn(t.word, false);
   };
   for (std::size_t s = 0; s < kSlots; ++s) {
-    if (tails_[s] != 0) for_each_in_slot(s, release);
+    if (wheel_->tails[s] != 0) for_each_in_slot(s, release);
   }
   for (const Far& f : far_) release(f.node);
 }
@@ -121,7 +125,8 @@ EventQueue::~EventQueue() {
 Time EventQueue::pop_and_run() {
   const Time t = next_time();
   const std::size_t s = t & kMask;
-  std::uint32_t& tail = tails_[s];
+  Wheel& wheel = *wheel_;
+  std::uint32_t& tail = wheel.tails[s];
   Node& last = nodes_[tail - 1];
   const std::uint32_t head = last.next;
   Node& first = nodes_[head - 1];
@@ -130,8 +135,8 @@ Time EventQueue::pop_and_run() {
   const Callback::Thunk run = first.thunk;
   if (head == tail) {
     tail = 0;
-    bits_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
-    if (bits_[s / 64] == 0) {
+    wheel.bits[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+    if (wheel.bits[s / 64] == 0) {
       summary_[s / 4096] &= ~(std::uint64_t{1} << (s / 64 % 64));
     }
   } else {

@@ -20,6 +20,9 @@
 // any schedule at T can land there, since a schedule lands in the wheel
 // only once the window covers T, and covering T is what moved it.
 //
+// The slot array and the bitmap (33 KiB) are allocated by the first
+// schedule, so a simulator that never runs costs under 1 KiB.
+//
 // Every pending event is a 24-byte node {thunk, next} in one vector,
 // the arena, numbered from 1 so that 0 means none; a far heap entry
 // names its node, and moving it into the wheel only links the node into
@@ -32,6 +35,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/callback.h"
@@ -70,7 +74,9 @@ class EventQueue {
   std::size_t size() const noexcept { return size_; }
 
   /// Timestamp of the earliest pending event. Precondition: !empty().
-  Time next_time() { return tails_[base_ & kMask] != 0 ? base_ : advance(); }
+  Time next_time() {
+    return wheel_->tails[base_ & kMask] != 0 ? base_ : advance();
+  }
 
   /// Remove and run the earliest event; returns its timestamp.
   Time pop_and_run();
@@ -105,6 +111,11 @@ class EventQueue {
     std::uint32_t node;
   };
 
+  struct Wheel {
+    std::array<std::uint32_t, kSlots> tails;  ///< last node of each slot
+    std::array<std::uint64_t, kWords> bits;   ///< bit s: slot s occupied
+  };
+
   std::uint32_t new_node(Callback::Thunk thunk) {
     std::uint32_t n = free_;
     if (n != 0) {
@@ -118,10 +129,10 @@ class EventQueue {
   // Append node `n`, due at `t` (inside the window), to its slot.
   void link(Time t, std::uint32_t n) {
     const std::size_t s = t & kMask;
-    std::uint32_t& tail = tails_[s];
+    std::uint32_t& tail = wheel_->tails[s];
     if (tail == 0) {
       nodes_[n - 1].next = n;
-      bits_[s / 64] |= std::uint64_t{1} << (s % 64);
+      wheel_->bits[s / 64] |= std::uint64_t{1} << (s % 64);
       summary_[s / 4096] |= std::uint64_t{1} << (s / 64 % 64);
     } else {
       Node& last = nodes_[tail - 1];
@@ -140,9 +151,8 @@ class EventQueue {
   void for_each_in_slot(std::size_t s, F fn) const;
 
   Time base_ = 0;
-  std::array<std::uint32_t, kSlots> tails_{};  ///< last node of each slot
-  std::array<std::uint64_t, kWords> bits_{};   ///< bit s: slot s occupied
-  std::array<std::uint64_t, 2> summary_{};     ///< bit w: bits_[w] != 0
+  std::unique_ptr<Wheel> wheel_;            ///< made by the first grow()
+  std::array<std::uint64_t, 2> summary_{};  ///< bit w: bits[w] != 0
   std::vector<Node> nodes_;                    ///< node n is nodes_[n - 1]
   std::uint32_t free_ = 0;                     ///< first free node
   std::vector<Far> far_;                       ///< binary heap, earliest on top

@@ -1,6 +1,7 @@
 #include "sim/pool.h"
 
 #include <algorithm>
+#include <functional>
 #include <new>
 
 namespace xlupc::sim {
@@ -104,9 +105,9 @@ void unlink_partial(SizeClass& c, Chunk* chunk) {
   if (chunk->next != nullptr) chunk->next->prev = chunk->prev;
 }
 
-// The current chunk of `cls` has no free block: the first partial chunk
-// takes its place, else a spare chunk, else a fresh one. Only a fresh
-// chunk's first block is not counted as a reuse.
+// The current chunk of `cls` has no free block: the lowest partial
+// chunk takes its place, else a spare chunk, else a fresh one. Only a
+// fresh chunk's first block is not counted as a reuse.
 Chunk* next_chunk(std::size_t cls) {
   SizeClass& c = g_pool.classes[cls];
   Chunk* chunk = c.partial;
@@ -129,8 +130,10 @@ Chunk* next_chunk(std::size_t cls) {
 }
 
 // A block came back to `chunk`, which is not its class's current one.
-// A chunk that was full joins the partial list; one with no block out
-// leaves its class for the spare list.
+// A chunk that was full joins the partial list, in address order; one
+// with no block out leaves its class for the spare list. Refilling from
+// the lowest partial chunk packs a class's long-lived blocks low, so
+// the higher chunks, holding the last blocks of a burst, drain.
 void settle(Chunk* chunk, bool was_full) {
   SizeClass& c = g_pool.classes[chunk->cls];
   if (chunk->live == 0) {
@@ -138,10 +141,16 @@ void settle(Chunk* chunk, bool was_full) {
     chunk->next = g_pool.spare;
     g_pool.spare = chunk;
   } else {
-    chunk->prev = nullptr;
-    chunk->next = c.partial;
-    if (c.partial != nullptr) c.partial->prev = chunk;
-    c.partial = chunk;
+    Chunk* prev = nullptr;
+    Chunk* next = c.partial;
+    while (next != nullptr && std::less<Chunk*>()(next, chunk)) {
+      prev = next;
+      next = next->next;
+    }
+    chunk->prev = prev;
+    chunk->next = next;
+    (prev != nullptr ? prev->next : c.partial) = chunk;
+    if (next != nullptr) next->prev = chunk;
   }
 }
 

@@ -24,9 +24,9 @@
 //    freelist, its live count, its class and its partial-list links.
 //    pool_free finds it by masking the block's address. A class
 //    allocates from its current chunk, then from its partial chunks
-//    (not current, some blocks free), then from a spare chunk, then
-//    from a fresh one, carving a spare or fresh chunk wholesale into
-//    its freelist.
+//    (not current, some blocks free; lowest address first), then from a
+//    spare chunk, then from a fresh one, carving a spare or fresh chunk
+//    wholesale into its freelist.
 //  * a non-current chunk whose last block comes back goes to the spare
 //    list at once, so any class can take it mid-run. pool_trim(), which
 //    the Simulator calls when run() returns and when it is destroyed,

@@ -15,6 +15,7 @@ void Resource::grant_one() {
 }
 
 void Resource::enqueue(Waiter* w) noexcept {
+  w->next = nullptr;  // a re-armed waiter may still link its last FIFO
   w->enqueued = sim_->now();
   if (tail_ == nullptr) {
     head_ = w;

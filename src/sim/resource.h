@@ -5,12 +5,12 @@
 // which models the in-order service of NIC send queues and the run queue
 // behaviour the paper's Field analysis depends on. Busy time, queue-wait
 // time and acquisition counts are tracked so experiments can report
-// utilization and contention (docs/OBSERVABILITY.md).
+// utilization and contention (docs/OBSERVABILITY.md). A Resource carries
+// no name: its owner (net::Machine) formats one at report time.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <string>
 
 #include "sim/simulator.h"
 #include "sim/task.h"
@@ -19,8 +19,8 @@ namespace xlupc::sim {
 
 class Resource {
  public:
-  Resource(Simulator& sim, std::uint64_t capacity, std::string name = {})
-      : sim_(&sim), capacity_(capacity), name_(std::move(name)) {}
+  Resource(Simulator& sim, std::uint64_t capacity)
+      : sim_(&sim), capacity_(capacity) {}
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
   /// Only for building a container of idle resources: queued awaiters and
@@ -31,16 +31,32 @@ class Resource {
  private:
   static constexpr Duration kNoRelease = ~Duration{0};
 
+ public:
   /// The awaiter of acquire() and use(). While its coroutine waits for a
   /// unit it is linked into the resource's FIFO through `next`, so a
   /// queued waiter costs no allocation; it lives in the suspended
   /// coroutine's frame, which does not move.
+  ///
+  /// GCC 12 gives every co_await operand that is not a plain variable
+  /// its own slot in the coroutine frame (it copies even a returned
+  /// reference), so each `co_await r.use(d)` site costs the frame 40
+  /// bytes. A coroutine that waits at several sites keeps one Waiter
+  /// instead, re-arms it and awaits the variable: `w.use(r, d);
+  /// co_await w;`.
   struct Waiter {
-    Resource* r;
-    Duration hold;  ///< use(): hold time; acquire(): kNoRelease
+    Resource* r = nullptr;
+    Duration hold = 0;  ///< use(): hold time; acquire(): kNoRelease
     std::coroutine_handle<> cont{};
     Waiter* next = nullptr;
     Time enqueued = 0;
+
+    /// Re-arm as `res.use(d)`; then co_await this waiter.
+    void use(Resource& res, Duration d) noexcept {
+      r = &res;
+      hold = d;
+    }
+    /// Re-arm as `res.acquire()`; then co_await this waiter.
+    void acquire(Resource& res) noexcept { use(res, kNoRelease); }
 
     bool await_ready() {
       // Fully synchronous when the unit is free and no hold follows
@@ -84,7 +100,6 @@ class Resource {
     }
   };
 
- public:
   /// Awaitable acquisition of one capacity unit (FIFO). When a unit is
   /// released to a queued waiter it stays reserved until that waiter runs,
   /// so later arrivals can never overtake the queue.
@@ -100,7 +115,6 @@ class Resource {
   /// acquire/delay/release coroutine.
   Waiter use(Duration d) { return Waiter{this, d}; }
 
-  const std::string& name() const noexcept { return name_; }
   std::uint64_t capacity() const noexcept { return capacity_; }
   std::uint64_t in_use() const noexcept { return in_use_; }
   std::uint64_t queue_length() const noexcept { return queued_; }
@@ -159,7 +173,6 @@ class Resource {
   std::uint64_t queued_ = 0;
   Duration queue_wait_accum_ = 0;
   Time usage_epoch_ = 0;
-  std::string name_;
 };
 
 }  // namespace xlupc::sim

@@ -386,6 +386,50 @@ TEST(CoalescingOff, ThresholdZeroIsByteIdenticalAndUnreported) {
   EXPECT_FALSE(has_key(plain.report, "comm.coalesce."));
 }
 
+// --- a thread that never stages -------------------------------------------
+
+TEST(CoalescingLazy, ThreadThatNeverStagesHasNoStagingState) {
+  // The staging buffers are made by a thread's first staged op. Thread 1
+  // only makes blocking calls, which are never staged: its statistics
+  // read zero, and its flushes schedule nothing, before and after thread
+  // 0's batches and a metrics reset.
+  EXPECT_LE(sizeof(UpcThread), 224u);
+  auto cfg = config(net::TransportKind::kGm, 2, 1);
+  cfg.coalesce = batching();
+  core::Runtime rt(std::move(cfg));
+  std::size_t pending_before = 0;
+  std::size_t pending_after = 0;
+  rt.run([&](UpcThread& th) -> sim::Task<void> {
+    ArrayDesc a = co_await th.all_alloc(kPer * rt.threads(), 8, kPer);
+    co_await th.barrier();
+    std::uint64_t v = th.id() + 1;
+    if (th.id() == 0) {
+      th.put_nb(a, kPer, std::as_bytes(std::span(&v, 1)));
+      co_await th.wait_all();
+    } else {
+      co_await th.put(a, 0, std::as_bytes(std::span(&v, 1)));
+      pending_before = rt.simulator().queue().size();
+      th.flush(0);
+      th.flush_all();
+      pending_after = rt.simulator().queue().size();
+    }
+    co_await th.barrier();
+  });
+  EXPECT_EQ(pending_after, pending_before);
+  EXPECT_GT(rt.thread(0).coalesce_stats().staged_ops, 0u);
+  const CoalesceStats& idle = rt.thread(1).coalesce_stats();
+  EXPECT_EQ(idle.staged_ops, 0u);
+  EXPECT_EQ(idle.batches, 0u);
+  EXPECT_EQ(idle.flush_explicit, 0u);
+  EXPECT_EQ(idle.max_batch_ops, 0u);
+  EXPECT_EQ(rt.metrics().counter("comm.coalesce.staged_ops"),
+            rt.thread(0).coalesce_stats().staged_ops);
+  rt.reset_metrics();
+  EXPECT_EQ(rt.thread(0).coalesce_stats().staged_ops, 0u);
+  EXPECT_EQ(rt.thread(1).coalesce_stats().staged_ops, 0u);
+  EXPECT_EQ(rt.thread(1).coalesce_stats().flush_explicit, 0u);
+}
+
 // --- stats plumbing ------------------------------------------------------
 
 TEST(CoalescingStats, RegistryAgreesWithEngineAndTransport) {

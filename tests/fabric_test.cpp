@@ -289,8 +289,10 @@ TEST(FabricPorts, ListedInKeyOrderThroughMachine) {
     want.push_back(port + ".wire");
   }
   std::vector<std::string> got;
-  m.for_each_resource([&got](const sim::Resource& res) {
-    if (res.name().rfind("fab.", 0) == 0) got.push_back(res.name());
+  m.for_each_resource([&got, &m](const sim::Resource&,
+                                  const net::ResourceId& id) {
+    const std::string name = m.resource_name(id);
+    if (name.rfind("fab.", 0) == 0) got.push_back(name);
   });
   EXPECT_EQ(got, want);
   EXPECT_EQ(m.fabric().port_count(), 5u);

@@ -70,13 +70,12 @@ TEST(MetricsRegistry, GaugesAndReset) {
 
 TEST(ResourceMetrics, CountsAcquisitionsAndBusyTime) {
   sim::Simulator sim;
-  sim::Resource res(sim, 1, "dev");
+  sim::Resource res(sim, 1);
   sim.spawn([](sim::Simulator&, sim::Resource& r) -> Task<> {
     co_await r.use(sim::us(10));
     co_await r.use(sim::us(5));
   }(sim, res));
   sim.run();
-  EXPECT_EQ(res.name(), "dev");
   EXPECT_EQ(res.acquisitions(), 2u);
   EXPECT_EQ(res.busy_time(), sim::us(15));
   EXPECT_EQ(res.queue_wait_time(), 0u);  // never contended

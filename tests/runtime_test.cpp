@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/runtime.h"
@@ -375,6 +376,23 @@ TEST(Runtime, DeadlockIsDetected) {
                  if (th.id() == 0) co_await th.barrier();  // thread 1 skips
                }),
                std::runtime_error);
+}
+
+TEST(Runtime, DeadlockErrorCountsTheBlockedThreads) {
+  // Threads 0 and 2 wait at a barrier that threads 1 and 3 never reach:
+  // the queue drains with two thread bodies unfinished.
+  Runtime rt(gm_config(2, 2));
+  try {
+    rt.run([&](UpcThread& th) -> Task<void> {
+      if (th.id() % 2 == 0) co_await th.barrier();
+    });
+    FAIL() << "run() returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("2 UPC thread(s) blocked"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(rt.live_threads(), 2u);
 }
 
 TEST(Runtime, LocksProvideMutualExclusionAcrossNodes) {

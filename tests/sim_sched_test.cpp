@@ -15,6 +15,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -696,6 +697,74 @@ TEST(PoolAllocator, ChunkWithOneLiveBlockKeepsItsOtherBlocks) {
   for (void* p : more) sim::pool_free(p, kSize);
   for (void* p : blocks) sim::pool_free(p, kSize);
   for (void* p : small) sim::pool_free(p, 1024);
+  for (void* p : held) sim::pool_free(p, 1024);
+}
+
+TEST(PoolAllocator, RefillTakesTheLowestPartialChunkSoHigherOnesDrain) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // A burst of 1952-byte blocks fills several chunks, then frees down to
+  // one straggler per chunk, lowest chunk first, so the highest chunk is
+  // the last one a block came back to. Refills fill the lowest partial
+  // chunk, then the next; once the stragglers of the chunks no refill
+  // reached are freed, those chunks go to the spare list, where the
+  // 1 KiB class finds them before it takes a fresh chunk.
+  constexpr std::size_t kSize = 1952;
+  constexpr std::size_t kPerChunk = (kChunkBytes - 32) / kSize;
+  const std::vector<void*> held = exhaust_spare_chunks(1024);
+  std::vector<void*> burst;
+  for (std::size_t i = 0; i < 8 * kPerChunk; ++i) {
+    burst.push_back(sim::pool_alloc(kSize));
+  }
+  std::map<std::uintptr_t, std::vector<void*>> by_chunk;
+  for (void* p : burst) by_chunk[chunk_of(p)].push_back(p);
+  const std::uintptr_t current = chunk_of(burst.back());
+  std::vector<std::uintptr_t> full;  // ascending addresses
+  std::vector<void*> kept;           // every burst block not freed
+  for (const auto& [c, blocks] : by_chunk) {
+    if (blocks.size() != kPerChunk || c == current) {
+      kept.insert(kept.end(), blocks.begin(), blocks.end());
+      continue;
+    }
+    full.push_back(c);
+    kept.push_back(blocks.front());  // the straggler
+    for (std::size_t i = 1; i < blocks.size(); ++i) {
+      sim::pool_free(blocks[i], kSize);
+    }
+  }
+  ASSERT_GE(full.size(), 4u);
+
+  std::vector<void*> refill;
+  std::vector<std::uintptr_t> got;  // chunks of the refills past `current`
+  while (got.size() < 2 * (kPerChunk - 1)) {
+    refill.push_back(sim::pool_alloc(kSize));
+    const std::uintptr_t c = chunk_of(refill.back());
+    if (c != current || !got.empty()) got.push_back(c);
+  }
+  std::vector<std::uintptr_t> want(kPerChunk - 1, full[0]);
+  want.insert(want.end(), kPerChunk - 1, full[1]);
+  EXPECT_EQ(got, want);
+
+  std::set<std::uintptr_t> drained(full.begin() + 2, full.end());
+  std::erase_if(kept, [&drained](void* p) {
+    if (drained.count(chunk_of(p)) == 0) return false;
+    sim::pool_free(p, kSize);
+    return true;
+  });
+  const std::uint64_t chunks = sim::pool_stats().chunks;
+  std::vector<void*> small;
+  std::set<std::uintptr_t> reached;
+  while (sim::pool_stats().chunks == chunks) {
+    small.push_back(sim::pool_alloc(1024));
+    reached.insert(chunk_of(small.back()));
+  }
+  for (std::uintptr_t c : drained) {
+    EXPECT_EQ(reached.count(c), 1u) << "a drained chunk stayed with its class";
+  }
+  for (void* p : small) sim::pool_free(p, 1024);
+  for (void* p : refill) sim::pool_free(p, kSize);
+  for (void* p : kept) sim::pool_free(p, kSize);
   for (void* p : held) sim::pool_free(p, 1024);
 }
 

@@ -2,6 +2,7 @@
 // CountdownLatch, CyclicBarrier and the FIFO Resource.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/resource.h"
@@ -214,6 +215,44 @@ TEST(Resource, LateArrivalCannotOvertakeQueuedWaiter) {
   }(sim, r, order));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Resource, ReArmedWaiterQueuesAgainBehindNobodyElse) {
+  // W keeps one Waiter for two queued waits. It queues on `a` between
+  // A (holding [0,10)) and C, so while queued it links C; re-armed, it
+  // queues alone behind B on `b`. Its second grant must hand `b` to
+  // nobody but W: C, long done with `a`, never enters `b`'s FIFO.
+  Simulator sim;
+  Resource a(sim, 1);
+  Resource b(sim, 1);
+  std::vector<std::pair<int, Time>> done;
+  auto hold = [](Simulator& s, Resource& res, Time at, Duration d,
+                 std::vector<std::pair<int, Time>>& out, int id) -> Task<> {
+    co_await s.delay(at);
+    co_await res.use(d);
+    out.emplace_back(id, s.now());
+  };
+  sim.spawn(hold(sim, a, 0, us(10), done, 0));
+  sim.spawn(hold(sim, b, 0, us(30), done, 1));
+  sim.spawn([](Simulator& s, Resource& ra, Resource& rb,
+               std::vector<std::pair<int, Time>>& out) -> Task<> {
+    co_await s.delay(us(1));
+    Resource::Waiter w;
+    w.use(ra, us(5));
+    co_await w;
+    out.emplace_back(2, s.now());
+    w.use(rb, us(5));
+    co_await w;
+    out.emplace_back(3, s.now());
+  }(sim, a, b, done));
+  sim.spawn(hold(sim, a, us(2), us(5), done, 4));
+  sim.run();
+  const std::vector<std::pair<int, Time>> want = {
+      {0, us(10)}, {2, us(15)}, {4, us(20)}, {1, us(30)}, {3, us(35)}};
+  EXPECT_EQ(done, want);
+  EXPECT_EQ(a.acquisitions(), 3u);
+  EXPECT_EQ(b.acquisitions(), 2u);
+  EXPECT_EQ(b.in_use(), 0u);
 }
 
 TEST(Resource, ReleaseWithoutAcquireThrows) {

@@ -45,6 +45,21 @@ TEST(EventQueue, EventsMayRescheduleDuringExecution) {
   EXPECT_EQ(q.executed(), 5u);
 }
 
+TEST(Simulator, UnusedSimulatorIsUnderOneKiB) {
+  // The event wheel's slot array and bitmap come with the first
+  // schedule: a simulator built and never run (the tests build many)
+  // stays small, and runs and tears down like any other.
+  EXPECT_LT(sizeof(Simulator), 1024u);
+  { Simulator idle; }
+  Simulator sim;
+  EXPECT_TRUE(sim.queue().empty());
+  EXPECT_EQ(sim.run(), 0u);
+  int ran = 0;
+  sim.schedule_after(us(1), [&ran] { ++ran; });
+  EXPECT_EQ(sim.run(), us(1));
+  EXPECT_EQ(ran, 1);
+}
+
 TEST(Simulator, DelayAdvancesTime) {
   Simulator sim;
   Time seen = 0;

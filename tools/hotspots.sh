@@ -2,8 +2,11 @@
 # Host hot spots of a command, by SIGPROF sampling (docs/PERFORMANCE.md).
 #
 # Builds tools/hotspots_sampler.c into a preloadable library, runs the
-# command under it (one sample per millisecond of CPU time), symbolizes
-# the samples with addr2line and prints two tables:
+# command under it, symbolizes the samples with addr2line and prints two
+# tables. The sampler asks for one sample per millisecond of CPU time,
+# but the kernel delivers them at its timer tick (often every 4 ms): the
+# first line gives the measured interval, the profiled processes' CPU
+# seconds divided by their samples. The tables are:
 #   self       each sample goes to the innermost function at the sampled
 #              PC (an inlined callee counts as itself);
 #   inclusive  each sample goes once to every function on the PC's inline
@@ -109,6 +112,7 @@ samples_path, top, groups = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 # its live bytes at the peak, the call into operator new first).
 records = []  # [(weight, [(object path, offset), ...])]
 peaks = []  # (peak, snapshot) live bytes per process, in -m mode
+cpu_seconds = []  # CPU time per process, in time mode
 processes = 0
 objects = {}
 with open(samples_path) as f:
@@ -123,6 +127,8 @@ with open(samples_path) as f:
             objects[parts[1]] = line.split(None, 2)[2].rstrip("\n")
         elif parts[0] == "P":
             peaks.append((int(parts[1]), int(parts[2])))
+        elif parts[0] == "C":
+            cpu_seconds.append(float(parts[1]))
         elif parts[0] in ("S", "M"):
             weight, tokens = (1, parts[1:]) if parts[0] == "S" else (
                 int(parts[1]), parts[3:])
@@ -192,7 +198,11 @@ if memory:
     unit, fmt = "MB", "%8.1f%% %9.2f  %s"
     scale = lambda n: n / mb
 else:
-    print("%d samples from %d process(es)" % (total, processes))
+    interval = ""
+    if cpu_seconds and len(cpu_seconds) == processes:
+        interval = ", %.2f s of CPU: one sample per %.2f ms" % (
+            sum(cpu_seconds), 1000.0 * sum(cpu_seconds) / total)
+    print("%d samples from %d process(es)%s" % (total, processes, interval))
     unit, fmt = "samples", "%8.1f%% %7d  %s"
     scale = lambda n: n
 

@@ -1,6 +1,10 @@
 /* SIGPROF sampler preloaded by tools/hotspots.sh.
  *
- * Every millisecond of process CPU time (ITIMER_PROF) the handler
+ * It asks ITIMER_PROF for a signal every millisecond of process CPU
+ * time, but the kernel delivers at its timer tick (often every 4 ms), so
+ * sample counts are not milliseconds: at exit the process also writes
+ * the CPU time it used, and hotspots.sh prints the measured interval.
+ * On each signal the handler
  * records the interrupted PC and, on the main thread, up to 6 return
  * addresses found by walking the frame-pointer chain (x86-64). The walk
  * stays inside the main thread's stack (pthread_getattr_np at load time)
@@ -14,6 +18,7 @@
  *   O <index> <path>     an object file, before its first use
  *   S <obj>:<hex> ...    one sample, PC first; return addresses are
  *                        stored minus 1, inside their call instruction
+ *   C <seconds>          the process's CPU time (user + system)
  *
  * Built with -DHOTSPOTS_MEMORY (hotspots.sh -m) it samples nothing and
  * replaces operator new and delete instead. Each allocation is charged
@@ -41,6 +46,7 @@
 #include <string.h>
 #include <sys/mman.h>
 #include <sys/time.h>
+#include <time.h>
 #include <ucontext.h>
 #include <unistd.h>
 
@@ -184,6 +190,10 @@ __attribute__((destructor)) static void hotspots_finish(void) {
   FILE *f = open_out();
   if (f == NULL) return;
   for (size_t i = 0; i < g_count; ++i) write_row(f, "S", g_buf + i * DEPTH);
+  struct timespec cpu;
+  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu) == 0) {
+    fprintf(f, "C %.6f\n", (double)cpu.tv_sec + cpu.tv_nsec * 1e-9);
+  }
   fclose(f);
 }
 
