@@ -17,7 +17,8 @@ namespace {
 using namespace xlupc;
 
 void BM_AddressCacheHit(benchmark::State& state) {
-  core::AddressCache cache(100);
+  core::RemoteBases bases;
+  core::AddressCache cache(bases, 100);
   for (std::uint64_t n = 0; n < 64; ++n) {
     cache.insert(core::CacheKey{1, static_cast<NodeId>(n), 0},
                  net::BaseInfo{0x1000 + n, n});
@@ -31,7 +32,8 @@ void BM_AddressCacheHit(benchmark::State& state) {
 BENCHMARK(BM_AddressCacheHit);
 
 void BM_AddressCacheMissAndInsert(benchmark::State& state) {
-  core::AddressCache cache(100);
+  core::RemoteBases bases;
+  core::AddressCache cache(bases, 100);
   std::uint64_t h = 0;
   for (auto _ : state) {
     const core::CacheKey key{++h, 0, 0};

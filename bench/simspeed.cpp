@@ -18,8 +18,10 @@
 // BENCH_simspeed.json event counts staying exact. The --json report's
 // metrics hold the host memory of the whole process: its peak resident
 // set (perfcheck's memory gate), the sim pool's fresh chunk bytes and
-// live peak, whose difference is size-class waste, and queue.far_frac,
-// the share of schedules that went to the event queue's far heap.
+// live peak, whose difference is size-class waste, its chunk switches
+// (a class's current chunk ran dry) and partial-list steps, and
+// queue.far_frac, the share of schedules that went to the event queue's
+// far heap.
 //
 // Usage: simspeed [--machine gm|lapi|ib] [--seed N] [--json <file>]
 //                 [--scale-probe]
@@ -347,6 +349,8 @@ int main(int argc, char** argv) {
   rep.metric("pool.chunk_bytes", bench::Json::number(pool.chunk_bytes));
   rep.metric("pool.peak_live_bytes",
              bench::Json::number(pool.peak_live_bytes));
+  rep.metric("pool.chunk_switches", bench::Json::number(pool.chunk_switches));
+  rep.metric("pool.partial_steps", bench::Json::number(pool.partial_steps));
   rep.metric("queue.far_frac",
              bench::Json::number(schedules == 0
                                      ? 0.0

@@ -72,7 +72,8 @@ Runtime::Runtime(RuntimeConfig cfg)
     nodes_.push_back(Node{
         mem::AddressSpace(n), svd::Directory(threads()),
         mem::PinnedAddressTable(cfg_.pin_strategy, limits),
-        AddressCache(cfg_.cache.full_table ? 0 : cfg_.cache.max_entries),
+        AddressCache(bases_,
+                     cfg_.cache.full_table ? 0 : cfg_.cache.max_entries),
         {}, {}});
   }
 
@@ -126,6 +127,37 @@ void Runtime::run(ThreadBody body) {
         "Runtime::run: deadlock — " + std::to_string(live_threads_) +
         " UPC thread(s) blocked with no pending events");
   }
+  check_invariants();
+}
+
+void Runtime::check_invariants() const {
+  const auto broken = [](const std::string& law) {
+    throw std::logic_error("Runtime::run: end-of-run invariant broken: " +
+                           law);
+  };
+  // (a) Every cache entry holds one reference to its remote base, and
+  // every value the table holds is named by some entry.
+  std::uint64_t entries = 0;
+  for (const Node& nd : nodes_) entries += nd.cache.size();
+  if (entries != bases_.references()) {
+    broken("(a) the address caches hold " + std::to_string(entries) +
+           " entries but the remote-base table counts " +
+           std::to_string(bases_.references()) + " references");
+  }
+  if (const RemoteBase* v = bases_.unreferenced()) {
+    broken("(a) the remote base of handle " + std::to_string(v->key.handle) +
+           " on node " + std::to_string(v->key.node) + " chunk " +
+           std::to_string(v->key.chunk) + " is held with no reference");
+  }
+  // (b) No process holds or waits for a hardware resource.
+  machine_.for_each_resource(
+      [&](const sim::Resource& r, const net::ResourceId& id) {
+        if (r.in_use() != 0 || r.queue_length() != 0) {
+          broken("(b) resource " + machine_.resource_name(id) + " has " +
+                 std::to_string(r.in_use()) + " unit(s) in use and " +
+                 std::to_string(r.queue_length()) + " waiter(s)");
+        }
+      });
 }
 
 void Runtime::on_peer_dead(NodeId corpse) {
@@ -535,8 +567,10 @@ void Runtime::warm_address_cache(const ArrayDesc& a) {
     NodeId node;
     std::uint32_t chunks;
     net::BaseInfo info;
+    std::size_t first_key;  ///< its chunk 0's place in `ids`
   };
   std::vector<Home> homes;
+  std::size_t keys = 0;
   for (NodeId target = 0; target < cfg_.nodes; ++target) {
     Node& tn = node(target);
     const svd::ControlBlock* cb = tn.dir.find(a.handle);
@@ -551,8 +585,23 @@ void Runtime::warm_address_cache(const ArrayDesc& a) {
                   (cb->local_bytes + mem::kPinChunkBytes - 1) /
                   mem::kPinChunkBytes)
             : 1;
-    homes.push_back({target, chunks, net::BaseInfo{cb->local_base, pr.key}});
+    homes.push_back(
+        {target, chunks, net::BaseInfo{cb->local_base, pr.key}, keys});
+    keys += chunks;
   }
+  // Each (home, chunk) value is interned once, by its first insert, and
+  // every later initiator takes a reference to that id; the warm-up
+  // holds its own reference until the end, so no eviction frees an id
+  // it hands out.
+  constexpr RemoteBases::Id kUnset = 0xffffffffu;
+  std::vector<RemoteBases::Id> ids(keys, kUnset);
+  const auto id_of = [&](const Home& h, std::uint32_t c) {
+    RemoteBases::Id& id = ids[h.first_key + c];
+    if (id == kUnset) {
+      id = bases_.acquire({CacheKey{handle, h.node, c}, h.info});
+    }
+    return id;
+  };
   // Each initiator learns the keys (home, chunk) of every other home in
   // this order. The keys are distinct, so an LRU cache of capacity K ends
   // up holding exactly the last K of them, in order, whatever it held
@@ -576,9 +625,12 @@ void Runtime::warm_address_cache(const ArrayDesc& a) {
       const Home& h = homes[i];
       if (h.node == init) continue;
       for (std::uint32_t c = i == first ? skip : 0; c < h.chunks; ++c) {
-        cache.insert(CacheKey{handle, h.node, c}, h.info);
+        cache.insert(id_of(h, c));
       }
     }
+  }
+  for (const RemoteBases::Id id : ids) {
+    if (id != kUnset) bases_.release(id);
   }
   for (NodeId n = 0; n < cfg_.nodes; ++n) node(n).cache.reset_stats();
 }

@@ -269,7 +269,11 @@ class Runtime final : public net::AmTarget {
   using ThreadBody = std::function<sim::Task<void>(UpcThread&)>;
 
   /// Spawn one coroutine per UPC thread and run the simulation until all
-  /// complete. Throws on deadlock (threads left suspended with no events).
+  /// complete. Throws on deadlock (threads left suspended with no events),
+  /// then checks the end-of-run invariants and throws std::logic_error
+  /// naming the first one broken: (a) the address caches' entries equal
+  /// the remote-base table's references, and no value is held without
+  /// one; (b) every machine resource is idle with no waiter.
   void run(ThreadBody body);
 
   // --- introspection ---
@@ -285,6 +289,8 @@ class Runtime final : public net::AmTarget {
   sim::Time elapsed() const noexcept { return sim_.now(); }
 
   AddressCache& cache(NodeId n) { return node(n).cache; }
+  /// The values every node's address cache holds, each stored once.
+  RemoteBases& remote_bases() noexcept { return bases_; }
   mem::PinnedAddressTable& pinned(NodeId n) { return node(n).pinned; }
   mem::AddressSpace& memory(NodeId n) { return node(n).space; }
   svd::Directory& directory(NodeId n) { return node(n).dir; }
@@ -412,11 +418,16 @@ class Runtime final : public net::AmTarget {
   // exchange rounds of wire latency.
   sim::Duration barrier_cost() const;
 
+  // The end-of-run invariants run() checks; O(nodes + resources +
+  // cached values).
+  void check_invariants() const;
+
   RuntimeConfig cfg_;
   sim::Simulator sim_;
   net::Machine machine_;
   net::Transport transport_{machine_, *this};
   AccessPath path_{*this};  ///< the tier dispatch every CommOp runs through
+  RemoteBases bases_;  ///< before nodes_: it outlives every address cache
   std::vector<Node> nodes_;
   std::vector<std::unique_ptr<UpcThread>> threads_;
   std::unique_ptr<sim::CyclicBarrier> user_barrier_;

@@ -10,14 +10,15 @@
 //
 // Sampling is inversion on a precomputed CDF (binary search), driven by
 // a private sim::Rng stream — same seed, same key sequence, bit-for-bit,
-// on every platform. The CDF costs O(N) doubles once per generator,
-// which is fine for the simulated keyspaces (thousands of keys), and
-// keeps the draw itself allocation-free.
+// on every platform. The CDF costs O(N) doubles and is built once per
+// (keyspace, skew): every generator with those parameters shares one
+// immutable table, which a mutex-guarded memo holds weakly, so the last
+// generator to go frees it. The draw itself stays allocation-free.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
+#include <memory>
 #include <vector>
 
 #include "sim/rng.h"
@@ -28,33 +29,19 @@ class ZipfGenerator {
  public:
   /// Distribution over ranks [0, n) with exponent `skew` >= 0, sampled
   /// from a stream seeded with `seed`.
-  ZipfGenerator(std::uint64_t n, double skew, std::uint64_t seed)
-      : n_(n), skew_(skew), rng_(seed) {
-    if (n == 0) throw std::invalid_argument("ZipfGenerator: empty keyspace");
-    if (skew < 0.0) {
-      throw std::invalid_argument("ZipfGenerator: negative skew");
-    }
-    cdf_.reserve(n);
-    double h = 0.0;
-    for (std::uint64_t k = 1; k <= n; ++k) {
-      h += std::pow(static_cast<double>(k), -skew);
-      cdf_.push_back(h);
-    }
-    harmonic_ = h;
-    for (double& c : cdf_) c /= harmonic_;
-    cdf_.back() = 1.0;  // guard against rounding at the tail
-  }
+  ZipfGenerator(std::uint64_t n, double skew, std::uint64_t seed);
 
   /// Draw the next rank in [0, n): inversion of the CDF at a uniform
   /// deviate. Rank 0 is the most popular key.
   std::uint64_t next() {
     const double u = rng_.uniform();
+    const std::vector<double>& cdf = table_->cdf;
     // First index whose CDF value exceeds u.
     std::uint64_t lo = 0;
     std::uint64_t hi = n_ - 1;
     while (lo < hi) {
       const std::uint64_t mid = lo + (hi - lo) / 2;
-      if (cdf_[mid] <= u) {
+      if (cdf[mid] <= u) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -66,17 +53,28 @@ class ZipfGenerator {
   /// Analytic probability mass of `rank` (for rank-frequency tests).
   double probability(std::uint64_t rank) const {
     if (rank >= n_) return 0.0;
-    return std::pow(static_cast<double>(rank + 1), -skew_) / harmonic_;
+    return std::pow(static_cast<double>(rank + 1), -skew_) /
+           table_->harmonic;
   }
 
   std::uint64_t keyspace() const noexcept { return n_; }
   double skew() const noexcept { return skew_; }
+  /// The CDF this generator samples, shared with every generator of the
+  /// same keyspace and skew.
+  const std::vector<double>& cdf() const noexcept { return table_->cdf; }
 
  private:
+  struct Table {
+    std::vector<double> cdf;
+    double harmonic = 1.0;
+  };
+  /// The table of (n, skew), built on first use.
+  static std::shared_ptr<const Table> table_for(std::uint64_t n,
+                                                double skew);
+
   std::uint64_t n_;
   double skew_;
-  double harmonic_ = 1.0;
-  std::vector<double> cdf_;
+  std::shared_ptr<const Table> table_;
   sim::Rng rng_;
 };
 

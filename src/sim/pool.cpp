@@ -109,6 +109,7 @@ void unlink_partial(SizeClass& c, Chunk* chunk) {
 // chunk takes its place, else a spare chunk, else a fresh one. Only a
 // fresh chunk's first block is not counted as a reuse.
 Chunk* next_chunk(std::size_t cls) {
+  ++g_pool.stats.chunk_switches;
   SizeClass& c = g_pool.classes[cls];
   Chunk* chunk = c.partial;
   if (chunk != nullptr) {
@@ -143,10 +144,13 @@ void settle(Chunk* chunk, bool was_full) {
   } else {
     Chunk* prev = nullptr;
     Chunk* next = c.partial;
+    std::uint64_t steps = 0;
     while (next != nullptr && std::less<Chunk*>()(next, chunk)) {
       prev = next;
       next = next->next;
+      ++steps;
     }
+    g_pool.stats.partial_steps += steps;
     chunk->prev = prev;
     chunk->next = next;
     (prev != nullptr ? prev->next : c.partial) = chunk;

@@ -73,6 +73,12 @@ struct PoolStats {
   std::uint64_t chunk_bytes = 0;      ///< total backing bytes reserved
   std::uint64_t live_bytes = 0;       ///< class blocks handed out, in bytes
   std::uint64_t peak_live_bytes = 0;  ///< high-water mark of live_bytes
+  /// Times a class's current chunk ran out of free blocks and the class
+  /// switched to a partial, spare or fresh chunk.
+  std::uint64_t chunk_switches = 0;
+  /// Partial-list entries stepped over to insert a chunk that turned
+  /// partial (the list is kept in address order).
+  std::uint64_t partial_steps = 0;
 };
 const PoolStats& pool_stats() noexcept;
 

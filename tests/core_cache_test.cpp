@@ -19,7 +19,8 @@ namespace {
 net::BaseInfo info(Addr base) { return net::BaseInfo{base, base ^ 0xabc}; }
 
 TEST(AddressCache, MissThenInsertThenHit) {
-  AddressCache cache(100);
+  RemoteBases bases;
+  AddressCache cache(bases, 100);
   const CacheKey key{42, 3, 0};
   EXPECT_FALSE(cache.lookup(key).has_value());
   cache.insert(key, info(0x1000));
@@ -32,7 +33,8 @@ TEST(AddressCache, MissThenInsertThenHit) {
 }
 
 TEST(AddressCache, KeysDistinguishHandleNodeAndChunk) {
-  AddressCache cache(100);
+  RemoteBases bases;
+  AddressCache cache(bases, 100);
   cache.insert(CacheKey{1, 1, 0}, info(0x10));
   cache.insert(CacheKey{1, 2, 0}, info(0x20));
   cache.insert(CacheKey{2, 1, 0}, info(0x30));
@@ -46,7 +48,8 @@ TEST(AddressCache, KeysDistinguishHandleNodeAndChunk) {
 
 TEST(AddressCache, GrowsOnDemandUpToLimitThenEvictsLru) {
   // Sec. 4.5: dynamic hash table growing on demand to a fixed limit.
-  AddressCache cache(3);
+  RemoteBases bases;
+  AddressCache cache(bases, 3);
   for (std::uint64_t h = 0; h < 3; ++h) {
     cache.insert(CacheKey{h, 0, 0}, info(h));
   }
@@ -62,7 +65,8 @@ TEST(AddressCache, GrowsOnDemandUpToLimitThenEvictsLru) {
 }
 
 TEST(AddressCache, ReinsertRefreshesValueWithoutGrowth) {
-  AddressCache cache(2);
+  RemoteBases bases;
+  AddressCache cache(bases, 2);
   cache.insert(CacheKey{1, 0, 0}, info(0x10));
   cache.insert(CacheKey{1, 0, 0}, info(0x99));
   EXPECT_EQ(cache.size(), 1u);
@@ -71,7 +75,8 @@ TEST(AddressCache, ReinsertRefreshesValueWithoutGrowth) {
 
 TEST(AddressCache, InvalidateHandleDropsAllNodes) {
   // Eager invalidation when a shared object is deallocated (Sec. 3.1).
-  AddressCache cache(100);
+  RemoteBases bases;
+  AddressCache cache(bases, 100);
   for (NodeId nd = 0; nd < 5; ++nd) {
     cache.insert(CacheKey{7, nd, 0}, info(nd));
     cache.insert(CacheKey{8, nd, 0}, info(nd));
@@ -85,7 +90,8 @@ TEST(AddressCache, InvalidateHandleDropsAllNodes) {
 }
 
 TEST(AddressCache, InvalidateSingleEntry) {
-  AddressCache cache(100);
+  RemoteBases bases;
+  AddressCache cache(bases, 100);
   cache.insert(CacheKey{1, 0, 0}, info(1));
   cache.insert(CacheKey{1, 1, 0}, info(2));
   cache.invalidate(CacheKey{1, 0, 0});
@@ -95,7 +101,8 @@ TEST(AddressCache, InvalidateSingleEntry) {
 }
 
 TEST(AddressCache, UnlimitedWhenMaxEntriesIsZero) {
-  AddressCache cache(0);
+  RemoteBases bases;
+  AddressCache cache(bases, 0);
   for (std::uint64_t h = 0; h < 1000; ++h) {
     cache.insert(CacheKey{h, 0, 0}, info(h));
   }
@@ -106,7 +113,8 @@ TEST(AddressCache, UnlimitedWhenMaxEntriesIsZero) {
 TEST(AddressCache, PaperSizedIndexIsOneKiB) {
   // The index of a 100-entry cache is 256 four-byte slots: allocated at
   // the first insert, at most half full at the limit, never regrown.
-  AddressCache cache(100);
+  RemoteBases bases;
+  AddressCache cache(bases, 100);
   EXPECT_EQ(cache.index_bytes(), 0u);
   for (std::uint64_t h = 0; h < 300; ++h) {
     cache.insert(CacheKey{h, 0, 0}, info(h));
@@ -114,6 +122,140 @@ TEST(AddressCache, PaperSizedIndexIsOneKiB) {
   }
   EXPECT_EQ(cache.size(), 100u);
   EXPECT_EQ(cache.stats().evictions, 200u);
+}
+
+TEST(AddressCache, PaperSizedCacheKeepsTwelveBytesAnEntry) {
+  // At the paper's limit a cache keeps 100 entries of {value id, newer,
+  // older} plus its 1 KiB index; the values live in the shared table.
+  RemoteBases bases;
+  AddressCache cache(bases, 100);
+  EXPECT_EQ(cache.host_bytes(), 0u);
+  for (std::uint64_t h = 0; h < 300; ++h) {
+    cache.insert(CacheKey{h, 0, 0}, info(h));
+  }
+  EXPECT_EQ(cache.host_bytes(), 100u * 12u + 1024u);
+  EXPECT_EQ(bases.size(), 100u);
+}
+
+// --- the shared table of remote bases -------------------------------------
+
+TEST(RemoteBases, TwoCachesInsertingOneValueShareIt) {
+  RemoteBases bases;
+  AddressCache a(bases, 100);
+  AddressCache b(bases, 100);
+  const CacheKey key{42, 3, 0};
+  a.insert(key, info(0x1000));
+  b.insert(key, info(0x1000));
+  EXPECT_EQ(bases.size(), 1u);
+  EXPECT_EQ(bases.references(), 2u);
+  const RemoteBases::Id id = bases.acquire({key, info(0x1000)});
+  EXPECT_EQ(bases.size(), 1u);
+  EXPECT_EQ(bases.references(), 3u);
+  EXPECT_EQ(bases.value(id).info.base, 0x1000u);
+  bases.release(id);
+  // A refresh with the same base takes no second reference.
+  a.insert(key, info(0x1000));
+  EXPECT_EQ(bases.references(), 2u);
+  EXPECT_EQ(a.stats().insertions, 1u);
+}
+
+TEST(RemoteBases, EvictingOrInvalidatingInOneCacheLeavesTheOther) {
+  RemoteBases bases;
+  AddressCache a(bases, 1);
+  AddressCache b(bases, 100);
+  const CacheKey key{7, 2, 0};
+  const auto b_reads_it = [&] {
+    const auto hit = b.lookup(key);
+    return hit && hit->base == 0x70 && hit->key == info(0x70).key;
+  };
+  b.insert(key, info(0x70));
+  a.insert(key, info(0x70));
+  a.insert(CacheKey{8, 2, 0}, info(0x80));  // evicts `key` from a
+  EXPECT_EQ(a.stats().evictions, 1u);
+  EXPECT_TRUE(b_reads_it());
+  a.insert(key, info(0x70));
+  a.invalidate(key);
+  EXPECT_TRUE(b_reads_it());
+  a.insert(key, info(0x70));
+  a.invalidate_handle(key.handle);
+  EXPECT_TRUE(b_reads_it());
+  a.insert(key, info(0x70));
+  a.invalidate_node(key.node);
+  EXPECT_TRUE(b_reads_it());
+  EXPECT_EQ(bases.size(), 1u);
+  EXPECT_EQ(bases.references(), 1u);
+}
+
+TEST(RemoteBases, ReinsertWithANewRkeyLeavesTheOtherCacheOnTheOldOne) {
+  // The piece was re-pinned: one cache learns the new rkey, the other
+  // keeps the old one until its RDMA NAKs.
+  RemoteBases bases;
+  AddressCache a(bases, 100);
+  AddressCache b(bases, 100);
+  const CacheKey key{5, 1, 0};
+  a.insert(key, net::BaseInfo{0x500, 11});
+  b.insert(key, net::BaseInfo{0x500, 11});
+  a.insert(key, net::BaseInfo{0x500, 12});
+  EXPECT_EQ(a.lookup(key)->key, 12u);
+  EXPECT_EQ(b.lookup(key)->key, 11u);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(bases.size(), 2u);
+  EXPECT_EQ(bases.references(), 2u);
+  b.insert(key, net::BaseInfo{0x500, 12});
+  EXPECT_EQ(bases.size(), 1u);
+  EXPECT_EQ(bases.references(), 2u);
+}
+
+TEST(RemoteBases, InsertByIdTakesOneReferencePerCache) {
+  // The warm-up path: the value is interned once and every cache takes
+  // a reference to its id.
+  RemoteBases bases;
+  AddressCache a(bases, 2);
+  AddressCache b(bases, 2);
+  const CacheKey key{9, 4, 1};
+  const RemoteBases::Id id = bases.acquire({key, info(0x90)});
+  a.insert(id);
+  b.insert(id);
+  a.insert(id);
+  EXPECT_EQ(bases.references(), 3u);
+  bases.release(id);
+  EXPECT_EQ(bases.references(), 2u);
+  EXPECT_EQ(a.lookup(key)->base, 0x90u);
+  EXPECT_EQ(a.stats().insertions, 1u);
+  // A key's entry moves to the newer value, by id as by value.
+  const RemoteBases::Id newer = bases.acquire({key, info(0x91)});
+  a.insert(newer);
+  bases.release(newer);
+  EXPECT_EQ(a.lookup(key)->base, 0x91u);
+  EXPECT_EQ(b.lookup(key)->base, 0x90u);
+  EXPECT_EQ(bases.size(), 2u);
+  EXPECT_EQ(bases.references(), 2u);
+}
+
+TEST(RemoteBases, MovedAndDestroyedCachesReleaseEachReferenceOnce) {
+  RemoteBases bases;
+  {
+    // Growing the vector moves every cache, as Runtime's nodes_ would.
+    std::vector<AddressCache> caches;
+    for (std::uint32_t n = 0; n < 9; ++n) {
+      caches.emplace_back(bases, 4);
+      for (std::uint32_t i = 0; i <= n; ++i) {
+        caches.back().insert(CacheKey{1, i, 0}, info(i));
+      }
+    }
+    EXPECT_EQ(bases.size(), 9u);
+    EXPECT_EQ(bases.references(), 1u + 2 + 3 + 4 + 4 + 4 + 4 + 4 + 4);
+    AddressCache moved(std::move(caches[8]));
+    EXPECT_EQ(caches[8].size(), 0u);
+    EXPECT_EQ(moved.lookup(CacheKey{1, 8, 0})->base, 8u);
+    caches[8].insert(CacheKey{1, 0, 0}, info(0));  // moved-from still works
+    while (caches.size() > 2) caches.pop_back();
+    EXPECT_EQ(bases.references(), 1u + 2 + 4);
+    EXPECT_EQ(bases.unreferenced(), nullptr);
+  }
+  EXPECT_EQ(bases.size(), 0u);
+  EXPECT_EQ(bases.references(), 0u);
+  EXPECT_EQ(bases.unreferenced(), nullptr);
 }
 
 // FlatIndex keeps a 24-bit entry number in each slot: entry number
@@ -171,7 +313,8 @@ TEST(FlatIndex, MissInALongProbeRunReadsOnlyTagMatchingKeys) {
 }
 
 TEST(AddressCache, ResetStatsKeepsEntries) {
-  AddressCache cache(10);
+  RemoteBases bases;
+  AddressCache cache(bases, 10);
   cache.insert(CacheKey{1, 0, 0}, info(1));
   cache.lookup(CacheKey{1, 0, 0});
   cache.reset_stats();
@@ -353,7 +496,8 @@ TEST(AddressCacheDifferential, MatchesListAndMapReference) {
       const std::uint64_t stream = seed * 1000 + capacity;
       std::size_t final_size = 0;
       {
-        CachePair p{AddressCache(capacity), ReferenceCache(capacity)};
+        RemoteBases bases;
+        CachePair p{AddressCache(bases, capacity), ReferenceCache(capacity)};
         run_stream(p, stream, kOps);
         if (HasFailure()) return;
         final_size = p.ref.size();
@@ -363,7 +507,8 @@ TEST(AddressCacheDifferential, MatchesListAndMapReference) {
       // see which keys survive. The survivors for m = 0, 1, 2, ... fix the
       // whole order; a lookup pass reorders the cache, hence the replay.
       for (std::size_t m = 0; m <= final_size; ++m) {
-        CachePair p{AddressCache(capacity), ReferenceCache(capacity)};
+        RemoteBases bases;
+        CachePair p{AddressCache(bases, capacity), ReferenceCache(capacity)};
         run_stream(p, stream, kOps);
         for (std::uint32_t i = 0; i < m; ++i) {
           const CacheKey fresh{0xf00dull << 32, 0, i};
@@ -387,7 +532,8 @@ TEST(AddressCacheDifferential, MatchesListAndMapReference) {
 // index doubles from 8 to 16,384 slots while lookups, refreshes and all
 // three invalidation forms run against the reference.
 TEST(AddressCacheDifferential, UnboundedIndexGrowsThroughManyDoublings) {
-  CachePair p{AddressCache(0), ReferenceCache(0)};
+  RemoteBases bases;
+  CachePair p{AddressCache(bases, 0), ReferenceCache(0)};
   sim::Rng rng(17);
   std::vector<CacheKey> keys;
   for (std::uint32_t i = 0; i < 6000; ++i) {
@@ -443,7 +589,8 @@ TEST(AddressCacheDifferential, InvalidationInsideLongProbeRuns) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
                    std::to_string(seed));
-      CachePair p{AddressCache(capacity), ReferenceCache(capacity)};
+      RemoteBases bases;
+      CachePair p{AddressCache(bases, capacity), ReferenceCache(capacity)};
       run_stream(p, seed * 7919 + capacity, 6000, keys);
       if (HasFailure()) return;
       expect_same_members(p, keys);
@@ -463,7 +610,8 @@ class LruHitRateProperty : public ::testing::TestWithParam<HitRateCase> {};
 
 TEST_P(LruHitRateProperty, UniformRandomHitRateTracksSizeRatio) {
   const auto& c = GetParam();
-  AddressCache cache(c.cache_size);
+  RemoteBases bases;
+  AddressCache cache(bases, c.cache_size);
   sim::Rng rng(c.cache_size * 977 + c.working_set);
   // Warm.
   for (std::uint64_t k = 0; k < c.working_set; ++k) {

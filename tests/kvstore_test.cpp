@@ -8,9 +8,12 @@
 // of wedging the open-loop generator.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <latch>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/runtime.h"
@@ -97,6 +100,84 @@ TEST(Zipf, SameSeedSameStreamDifferentSeedDiverges) {
 TEST(Zipf, RejectsDegenerateParameters) {
   EXPECT_THROW(ZipfGenerator(0, 1.0, 1), std::invalid_argument);
   EXPECT_THROW(ZipfGenerator(10, -0.1, 1), std::invalid_argument);
+}
+
+// The sampler before the CDF was shared: each generator builds its own
+// CDF and binary-searches it with its own stream.
+class PrivateCdfZipf {
+ public:
+  PrivateCdfZipf(std::uint64_t n, double skew, std::uint64_t seed)
+      : rng_(seed) {
+    double h = 0.0;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      h += std::pow(static_cast<double>(k), -skew);
+      cdf_.push_back(h);
+    }
+    for (double& c : cdf_) c /= h;
+    cdf_.back() = 1.0;
+  }
+
+  std::uint64_t next() {
+    const double u = rng_.uniform();
+    std::uint64_t lo = 0;
+    std::uint64_t hi = cdf_.size() - 1;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (cdf_[mid] <= u) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+ private:
+  std::vector<double> cdf_;
+  sim::Rng rng_;
+};
+
+TEST(Zipf, SharedCdfDrawsMatchAPrivateCdfBitForBit) {
+  struct Case {
+    std::uint64_t n;
+    double skew;
+  };
+  for (const Case c : {Case{1, 0.99}, Case{1, 0.0}, Case{100, 0.0},
+                       Case{4096, 0.99}, Case{1000, 1.2}, Case{257, 0.5}}) {
+    // A second generator on the same table draws its own stream.
+    const ZipfGenerator other(c.n, c.skew, 99);
+    ZipfGenerator gen(c.n, c.skew, 5);
+    PrivateCdfZipf ref(c.n, c.skew, 5);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(gen.next(), ref.next())
+          << "n " << c.n << " skew " << c.skew << " draw " << i;
+    }
+  }
+}
+
+TEST(Zipf, SameParametersShareOneTable) {
+  const ZipfGenerator a(4096, 0.99, 1);
+  const ZipfGenerator b(4096, 0.99, 2);
+  const ZipfGenerator other_skew(4096, 0.5, 1);
+  const ZipfGenerator other_keyspace(4095, 0.99, 1);
+  EXPECT_EQ(&a.cdf(), &b.cdf());
+  EXPECT_NE(&a.cdf(), &other_skew.cdf());
+  EXPECT_NE(&a.cdf(), &other_keyspace.cdf());
+  EXPECT_EQ(a.cdf().size(), 4096u);
+  // Generators built on several host threads at once share one table.
+  constexpr std::uint64_t kThreads = 4;
+  std::latch built(kThreads);
+  std::vector<const std::vector<double>*> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&built, &seen, t] {
+      const ZipfGenerator g(2048, 1.1, t);
+      built.arrive_and_wait();  // every thread's generator is alive
+      seen[t] = &g.cdf();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const auto* cdf : seen) EXPECT_EQ(cdf, seen[0]);
 }
 
 // ------------------------------------------- latency histogram ----------

@@ -395,6 +395,54 @@ TEST(Runtime, DeadlockErrorCountsTheBlockedThreads) {
   EXPECT_EQ(rt.live_threads(), 2u);
 }
 
+TEST(Runtime, ThreadThatReturnsHoldingACoreBreaksTheIdleResourceLaw) {
+  // Thread 1 (node 0, core 1) acquires its core and returns without
+  // releasing it: the queue drains with no thread blocked, and the
+  // end-of-run check names the held core.
+  Runtime rt(gm_config(2, 2));
+  try {
+    rt.run([&](UpcThread& th) -> Task<void> {
+      if (th.id() == 1) {
+        co_await rt.machine().core(th.node(), th.core()).acquire();
+      }
+    });
+    FAIL() << "run() returned";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(b)"), std::string::npos) << what;
+    EXPECT_NE(what.find("n0.core1 has 1 unit(s) in use"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(Runtime, LeakedRemoteBaseReferenceBreaksTheCacheLaw) {
+  // Remote reads fill the caches and the run ends clean; one reference
+  // taken outside any cache then breaks the count at the next run's end.
+  Runtime rt(gm_config(3, 1));
+  rt.run([&](UpcThread& th) -> Task<void> {
+    auto a = co_await th.all_alloc(30, 8, 10);
+    co_await th.barrier();
+    (void)co_await th.read<std::uint64_t>(a, ((th.id() + 1) % 3) * 10);
+    co_await th.barrier();
+  });
+  std::uint64_t entries = 0;
+  for (NodeId n = 0; n < 3; ++n) entries += rt.cache(n).size();
+  EXPECT_EQ(entries, 3u);
+  EXPECT_EQ(rt.remote_bases().references(), entries);
+  EXPECT_EQ(rt.remote_bases().size(), 3u);
+  rt.remote_bases().acquire({CacheKey{1, 0, 0}, net::BaseInfo{0x10, 1}});
+  try {
+    rt.run([](UpcThread&) -> Task<void> { co_return; });
+    FAIL() << "run() returned";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(a) the address caches hold 3 entries but the "
+                        "remote-base table counts 4 references"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(Runtime, LocksProvideMutualExclusionAcrossNodes) {
   Runtime rt(gm_config(2, 2));
   int in_critical = 0;

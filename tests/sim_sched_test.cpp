@@ -818,6 +818,67 @@ TEST(PoolAllocator, BlocksFreedInRandomOrderAllReturn) {
   }
 }
 
+TEST(PoolAllocator, CountsChunkSwitchesAndPartialListSteps) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // Once the class has taken a fresh chunk, its partial list and the
+  // spare list are empty. Filling that chunk and four more switches
+  // chunks four times. One block back in each of the four full,
+  // non-current chunks puts each on the partial list, in address order:
+  // an insert steps over the partial chunks below it. The five free
+  // blocks then go out lowest chunk first, one switch per chunk.
+  constexpr std::size_t kSize = 1920;
+  constexpr std::size_t kPerChunk = (kChunkBytes - 32) / kSize;
+  std::vector<void*> held = exhaust_spare_chunks(kSize);
+  std::vector<void*> script{held.back()};
+  held.pop_back();
+  const sim::PoolStats before = sim::pool_stats();
+  while (script.size() < 5 * kPerChunk) {
+    script.push_back(sim::pool_alloc(kSize));
+  }
+  EXPECT_EQ(sim::pool_stats().chunk_switches - before.chunk_switches, 4u);
+  EXPECT_EQ(sim::pool_stats().chunks - before.chunks, 4u);
+
+  std::vector<std::uintptr_t> chunks;  // in the order they were filled
+  for (std::size_t i = 0; i < 5; ++i) {
+    chunks.push_back(chunk_of(script[i * kPerChunk]));
+    for (std::size_t j = 1; j < kPerChunk; ++j) {
+      ASSERT_EQ(chunk_of(script[i * kPerChunk + j]), chunks.back());
+    }
+  }
+  std::uint64_t steps = 0;
+  std::vector<std::uintptr_t> partial;
+  for (const std::size_t i : {2u, 0u, 3u, 1u}) {
+    steps += static_cast<std::uint64_t>(
+        std::count_if(partial.begin(), partial.end(),
+                      [&](std::uintptr_t c) { return c < chunks[i]; }));
+    partial.push_back(chunks[i]);
+    sim::pool_free(script[i * kPerChunk], kSize);
+    script[i * kPerChunk] = nullptr;
+  }
+  // A block back in a chunk that is already partial moves no chunk.
+  sim::pool_free(script[kPerChunk + 1], kSize);
+  script[kPerChunk + 1] = nullptr;
+  EXPECT_EQ(sim::pool_stats().partial_steps - before.partial_steps, steps);
+
+  std::sort(partial.begin(), partial.end());
+  std::vector<std::uintptr_t> want;
+  for (const std::uintptr_t c : partial) {
+    want.insert(want.end(), c == chunks[1] ? 2 : 1, c);
+  }
+  std::vector<std::uintptr_t> got;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    script.push_back(sim::pool_alloc(kSize));
+    got.push_back(chunk_of(script.back()));
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(sim::pool_stats().chunk_switches - before.chunk_switches, 8u);
+  EXPECT_EQ(sim::pool_stats().chunks - before.chunks, 4u);
+  for (void* p : script) sim::pool_free(p, kSize);
+  for (void* p : held) sim::pool_free(p, kSize);
+}
+
 TEST(PoolAllocator, OversizeBlocksFallThrough) {
   const sim::PoolStats before = sim::pool_stats();
   void* big = sim::pool_alloc(1 << 20);
