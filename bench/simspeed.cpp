@@ -19,9 +19,11 @@
 // metrics hold the host memory of the whole process: its peak resident
 // set (perfcheck's memory gate), the sim pool's fresh chunk bytes and
 // live peak, whose difference is size-class waste, its chunk switches
-// (a class's current chunk ran dry) and partial-list steps, and
-// queue.far_frac, the share of schedules that went to the event queue's
-// far heap.
+// (a class's current chunk ran dry) and partial-list steps, the pool's
+// per-class census near its live peak (pool.census: live blocks and
+// chunks held by block size, taken when the peak last passed a multiple
+// of 64 KiB, at pool.census_live_bytes), and queue.far_frac, the share of
+// schedules that went to the event queue's far heap.
 //
 // Usage: simspeed [--machine gm|lapi|ib] [--seed N] [--json <file>]
 //                 [--scale-probe]
@@ -351,6 +353,19 @@ int main(int argc, char** argv) {
              bench::Json::number(pool.peak_live_bytes));
   rep.metric("pool.chunk_switches", bench::Json::number(pool.chunk_switches));
   rep.metric("pool.partial_steps", bench::Json::number(pool.partial_steps));
+  bench::Json census = bench::Json::object();
+  for (std::size_t c = 0; c < sim::kPoolClasses; ++c) {
+    const sim::PoolClassCount& n = pool.census[c];
+    if (n.live_blocks == 0 && n.chunks == 0) continue;
+    bench::Json row = bench::Json::object();
+    row.set("blocks", bench::Json::number(std::uint64_t{n.live_blocks}));
+    row.set("chunks", bench::Json::number(std::uint64_t{n.chunks}));
+    census.set(std::to_string((c + 1) * sim::kPoolGranularity),
+               std::move(row));
+  }
+  rep.metric("pool.census_live_bytes",
+             bench::Json::number(pool.census_live_bytes));
+  rep.metric("pool.census", std::move(census));
   rep.metric("queue.far_frac",
              bench::Json::number(schedules == 0
                                      ? 0.0

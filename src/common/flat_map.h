@@ -5,7 +5,8 @@
 // and backward-shift deletion, so no tombstones accumulate and a probe
 // touches a few adjacent slots instead of chasing heap nodes. The slot
 // array is allocated on the first insert and doubles when an insert
-// would pass half full; it never shrinks.
+// would pass half full; it never shrinks. A FlatIndex whose owner bounds
+// its members may instead be sized once, fuller, and never grow.
 //
 // FlatMap keeps each key and value in its slot. FlatIndex keeps only a
 // 4-byte slot of hash tag and entry number and reads keys from the
@@ -64,6 +65,7 @@ struct Table {
   std::vector<Slot> slots;
   std::size_t mask = 0;
   std::size_t size = 0;
+  bool fixed = false;  ///< sized once for a bound on the members
 
   /// The first slot of the probe run from `hash` that is empty or for
   /// which `hit(slot)` holds. The table must have slots.
@@ -80,10 +82,11 @@ struct Table {
   }
 
   /// Make room for one more member: allocate the first slots, or double
-  /// when the insert would pass half full. True if the members moved.
+  /// when the insert would pass half full (never once fixed). True if the
+  /// members moved.
   template <class HashOf>
   bool grow_for_one(const HashOf& hash_of) {
-    if ((size + 1) * 2 <= slots.size()) return false;
+    if (fixed || (size + 1) * 2 <= slots.size()) return false;
     resize(slots.empty() ? kMinSlots : slots.size() * 2, hash_of);
     return true;
   }
@@ -189,7 +192,8 @@ class FlatMap {
 /// slot's key, through the owner's `key_of(n)`, only when the tags
 /// match; a rehash and an erase's backward shift read the keys they
 /// move. So a key is stored once, in its entry. An owner with a fixed
-/// entry limit reserve()s for it once and never rehashes after.
+/// entry limit sizes the index for it once (reserve_bounded) and never
+/// rehashes after.
 template <class K, class Hash = FlatHash<K>>
 class FlatIndex {
  public:
@@ -204,13 +208,23 @@ class FlatIndex {
     return t_.slots.size() * sizeof(Slot);
   }
 
-  /// Grow, if needed, so that `n` members fit at most half full: the
-  /// smallest power of two of at least 2n slots.
+  /// Size the slots once for at most `n` members at a load of at most
+  /// 0.8: the smallest power of two of at least 1.25n slots (128 for
+  /// 100). The index never grows after, so its owner must keep at most
+  /// `n` members; the tags keep the longer probe runs of the fuller table
+  /// from reading keys.
   template <class KeyOf>
-  void reserve(std::size_t n, const KeyOf& key_of) {
-    const std::size_t want =
-        std::bit_ceil(std::max(2 * n, flat_detail::Table<Slot>::kMinSlots));
+  void reserve_bounded(std::size_t n, const KeyOf& key_of) {
+    const std::size_t want = std::bit_ceil(
+        std::max((n * 5 + 3) / 4, flat_detail::Table<Slot>::kMinSlots));
     if (want > t_.slots.size()) t_.resize(want, hash_of(key_of));
+    t_.fixed = true;
+  }
+
+  /// Remove every member; the slots stay allocated (and fixed, if so).
+  void clear() noexcept {
+    std::fill(t_.slots.begin(), t_.slots.end(), Slot{});
+    t_.size = 0;
   }
 
   /// The number of the entry whose key is `key`, or npos.

@@ -39,6 +39,65 @@ Addr AccessPath::cached_addr(const UpcThread& th, const CacheKey& key,
   return info ? info->base + node_off : kNullAddr;
 }
 
+Task<net::GetReply> AccessPath::am_get(const UpcThread& th,
+                                       const ArrayDesc& a, Layout::Loc loc,
+                                       NodeId owner, std::uint64_t node_off,
+                                       std::span<std::byte> dst,
+                                       bool want_base) {
+  return rt_.transport_.get(
+      {th.node(), th.core()}, owner,
+      net::GetRequest{
+          .svd_handle = a.handle.pack(),
+          .offset = node_off,
+          .len = static_cast<std::uint32_t>(dst.size()),
+          .want_base = want_base,
+          .target_core = a.layout->core_of(loc.thread),
+          .local_buf = static_cast<Addr>(
+              reinterpret_cast<std::uintptr_t>(dst.data()))});
+}
+
+namespace {
+
+/// get_span's transport leg and where it lands: the RDMA result and the
+/// AM reply share this one slot of its frame. Arm `rdma` or `am` with
+/// the leg's task, then co_await the variable in place (GCC 12 gives a
+/// co_await operand that is not a plain variable, and every by-value
+/// argument of a call inside it, a slot of the frame of its own).
+struct GetLeg {
+  Task<net::RdmaGetResult> rdma;
+  Task<net::GetReply> am;
+  net::Bytes data;
+  std::optional<net::BaseInfo> base;  ///< AM: the piggybacked base
+  OpStatus status = OpStatus::kOk;
+  bool nak = false;  ///< RDMA: the target no longer pins the window
+
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) noexcept {
+    if (rdma.valid()) {
+      return std::move(rdma).operator co_await().await_suspend(h);
+    }
+    return std::move(am).operator co_await().await_suspend(h);
+  }
+  // Takes the leg's result and frees its task's frame.
+  void await_resume() {
+    if (rdma.valid()) {
+      net::RdmaGetResult r = std::move(rdma).operator co_await().await_resume();
+      rdma = {};
+      data = std::move(r.data);
+      status = r.status;
+      nak = !r.ok();
+    } else {
+      net::GetReply r = std::move(am).operator co_await().await_resume();
+      am = {};
+      data = std::move(r.data);
+      base = r.base;
+      status = r.status;
+    }
+  }
+};
+
+}  // namespace
+
 Task<OpStatus> AccessPath::get_span(UpcThread& th, ArrayDesc a,
                                     Layout::Loc loc,
                                     std::span<std::byte> dst) {
@@ -48,6 +107,7 @@ Task<OpStatus> AccessPath::get_span(UpcThread& th, ArrayDesc a,
   const std::uint32_t len = static_cast<std::uint32_t>(dst.size());
   const std::uint64_t node_off = layout.node_offset(loc);
   const sim::Time t_start = rt_.sim_.now();
+  const net::Initiator from{th.node(), th.core()};
   sim::Resource::Waiter cpu;  // each charge on this thread's core
 
   if (owner == th.node()) {
@@ -79,6 +139,7 @@ Task<OpStatus> AccessPath::get_span(UpcThread& th, ArrayDesc a,
 
   const bool use_cache = rt_.cfg_.cache.enabled;
   const CacheKey key = rt_.make_key(a, owner, node_off);
+  GetLeg leg;  // the RDMA read, then any AM GET
 
   if (use_cache) {
     cpu.use(rt_.machine_.core(th.node(), th.core()), p.cache_lookup);
@@ -86,21 +147,22 @@ Task<OpStatus> AccessPath::get_span(UpcThread& th, ArrayDesc a,
     if (const Addr raddr = cached_addr(th, key, node_off)) {
       if (len > p.rdma_bounce_limit) {
         // Zero-copy into the user buffer: it must be registered locally.
-        co_await rt_.transport_.ensure_local_registered(
-            {th.node(), th.core()},
+        Task<void> reg = rt_.transport_.ensure_local_registered(
+            from,
             static_cast<Addr>(reinterpret_cast<std::uintptr_t>(dst.data())),
             len);
+        co_await std::move(reg);
       }
-      auto res = co_await rt_.transport_.rdma_get({th.node(), th.core()},
-                                                  owner, raddr, len);
-      if (res.status != OpStatus::kOk) co_return res.status;
-      if (res.ok()) {
+      leg.rdma = rt_.transport_.rdma_get(from, owner, raddr, len);
+      co_await leg;
+      if (leg.status != OpStatus::kOk) co_return leg.status;
+      if (!leg.nak) {
         if (len <= p.rdma_bounce_limit) {
           // Landed in a preregistered bounce buffer; copy out on the CPU.
           cpu.use(rt_.machine_.core(th.node(), th.core()), p.copy_time(len));
           co_await cpu;
         }
-        std::memcpy(dst.data(), res.data.data(), len);
+        std::memcpy(dst.data(), leg.data.data(), len);
         ++rt_.counters_.rdma_gets;
         // Offload backends (IB) complete one-sided reads entirely on the
         // NIC DMA engine; mark them apart from handler-CPU completions.
@@ -118,23 +180,15 @@ Task<OpStatus> AccessPath::get_span(UpcThread& th, ArrayDesc a,
 
   // Default SVD path (Fig. 3a): AM request, target-side translation, the
   // reply piggybacks the base address when caching is on.
-  auto reply = co_await rt_.transport_.get(
-      {th.node(), th.core()}, owner,
-      net::GetRequest{
-          .svd_handle = a.handle.pack(),
-          .offset = node_off,
-          .len = len,
-          .want_base = use_cache,
-          .target_core = layout.core_of(loc.thread),
-          .local_buf = static_cast<Addr>(
-              reinterpret_cast<std::uintptr_t>(dst.data()))});
-  if (reply.status != OpStatus::kOk) co_return reply.status;
-  if (reply.base && use_cache) {
+  leg.am = am_get(th, a, loc, owner, node_off, dst, use_cache);
+  co_await leg;
+  if (leg.status != OpStatus::kOk) co_return leg.status;
+  if (leg.base && use_cache) {
     cpu.use(rt_.machine_.core(th.node(), th.core()), p.cache_update);
     co_await cpu;
-    rt_.node(th.node()).cache.insert(key, *reply.base);
+    rt_.node(th.node()).cache.insert(key, *leg.base);
   }
-  std::memcpy(dst.data(), reply.data.data(), len);
+  std::memcpy(dst.data(), leg.data.data(), len);
   ++rt_.counters_.am_gets;
   trace(th, TraceOp::kGet, TracePath::kAm, owner, len, t_start);
   co_return OpStatus::kOk;
@@ -244,6 +298,28 @@ Task<OpStatus> AccessPath::put_span(UpcThread& th, ArrayDesc a,
   co_return OpStatus::kOk;
 }
 
+void AccessPath::apply_local_amo(const UpcThread& th, OpKind kind,
+                                 const ArrayDesc& a, Layout::Loc loc,
+                                 std::uint64_t node_off, std::uint64_t operand,
+                                 std::uint64_t compare, std::uint64_t* result,
+                                 sim::Time t_start) {
+  const NodeId owner = th.node();
+  const std::uint64_t old = rt_.apply_amo(
+      owner, rt_.local_translate(owner, a.handle, node_off, kAmoLen), kind,
+      operand, compare);
+  if (result != nullptr) *result = old;
+  if (loc.thread == th.id()) {
+    ++rt_.counters_.local_amos;
+    trace(th, TraceOp::kAmo, TracePath::kLocal, owner, kAmoLen, t_start);
+  } else {
+    ++rt_.counters_.shm_amos;
+    trace(th, TraceOp::kAmo, TracePath::kShm, owner, kAmoLen, t_start);
+  }
+  if (kind == OpKind::kCas && old != compare) {
+    ++rt_.counters_.cas_failures;
+  }
+}
+
 Task<OpStatus> AccessPath::amo_span(UpcThread& th, OpKind kind, ArrayDesc a,
                                     Layout::Loc loc, std::uint64_t operand,
                                     std::uint64_t compare,
@@ -260,24 +336,11 @@ Task<OpStatus> AccessPath::amo_span(UpcThread& th, OpKind kind, ArrayDesc a,
     // updated through the node's memory system. Within a node the UPC
     // threads are cooperatively scheduled on the DES, so the plain
     // read-modify-write is already indivisible.
-    const bool same_thread = loc.thread == th.id();
     cpu.use(rt_.machine_.core(th.node(), th.core()),
-            same_thread ? p.local_access : p.shm_latency);
+            loc.thread == th.id() ? p.local_access : p.shm_latency);
     co_await cpu;
-    const std::uint64_t old = rt_.apply_amo(
-        owner, rt_.local_translate(owner, a.handle, node_off, kAmoLen), kind,
-        operand, compare);
-    if (result != nullptr) *result = old;
-    if (same_thread) {
-      ++rt_.counters_.local_amos;
-      trace(th, TraceOp::kAmo, TracePath::kLocal, owner, kAmoLen, t_start);
-    } else {
-      ++rt_.counters_.shm_amos;
-      trace(th, TraceOp::kAmo, TracePath::kShm, owner, kAmoLen, t_start);
-    }
-    if (kind == OpKind::kCas && old != compare) {
-      ++rt_.counters_.cas_failures;
-    }
+    apply_local_amo(th, kind, a, loc, node_off, operand, compare, result,
+                    t_start);
     co_return OpStatus::kOk;
   }
 
@@ -308,29 +371,34 @@ Task<OpStatus> AccessPath::amo_span(UpcThread& th, OpKind kind, ArrayDesc a,
     req.raddr = cached_addr(th, key, node_off);
   }
 
-  net::AmoResult res =
-      co_await rt_.transport_.amo({th.node(), th.core()}, owner, req);
-  if (res.status == OpStatus::kOk && !res.ok()) {
-    // NAK: the cached window is no longer pinned. Invalidate and retry
-    // through the AM lowering (which translates at the home node).
-    rt_.node(th.node()).cache.invalidate(key);
-    ++rt_.counters_.rdma_naks;
-    req.raddr = kNullAddr;
-    res = co_await rt_.transport_.amo({th.node(), th.core()}, owner, req);
+  // One co_await site serves the first try and the retry after a NAK.
+  for (;;) {
+    Task<net::AmoResult> leg =
+        rt_.transport_.amo({th.node(), th.core()}, owner, req);
+    const net::AmoResult res = co_await std::move(leg);
+    if (res.status == OpStatus::kOk && !res.ok()) {
+      // NAK: the cached window is no longer pinned. Invalidate and retry
+      // through the AM lowering (which translates at the home node).
+      rt_.node(th.node()).cache.invalidate(key);
+      ++rt_.counters_.rdma_naks;
+      req.raddr = kNullAddr;
+      continue;
+    }
+    if (res.status != OpStatus::kOk) co_return res.status;
+    if (result != nullptr) *result = res.value;
+    if (res.offloaded) {
+      ++rt_.counters_.rdma_amos;
+      trace(th, TraceOp::kAmo, TracePath::kRdmaOffload, owner, kAmoLen,
+            t_start);
+    } else {
+      ++rt_.counters_.am_amos;
+      trace(th, TraceOp::kAmo, TracePath::kAm, owner, kAmoLen, t_start);
+    }
+    if (kind == OpKind::kCas && res.value != compare) {
+      ++rt_.counters_.cas_failures;
+    }
+    co_return OpStatus::kOk;
   }
-  if (res.status != OpStatus::kOk) co_return res.status;
-  if (result != nullptr) *result = res.value;
-  if (res.offloaded) {
-    ++rt_.counters_.rdma_amos;
-    trace(th, TraceOp::kAmo, TracePath::kRdmaOffload, owner, kAmoLen, t_start);
-  } else {
-    ++rt_.counters_.am_amos;
-    trace(th, TraceOp::kAmo, TracePath::kAm, owner, kAmoLen, t_start);
-  }
-  if (kind == OpKind::kCas && res.value != compare) {
-    ++rt_.counters_.cas_failures;
-  }
-  co_return OpStatus::kOk;
 }
 
 Task<OpStatus> AccessPath::execute(UpcThread& th, CommOp op) {

@@ -167,6 +167,20 @@ class AccessPath {
   /// the caller's coroutine frame).
   Addr cached_addr(const UpcThread& th, const CacheKey& key,
                    std::uint64_t node_off);
+  /// amo_span's shared-local tier once its core charge is paid: apply
+  /// the verb, count and trace it (a plain function, so its locals stay
+  /// out of amo_span's frame).
+  void apply_local_amo(const UpcThread& th, OpKind kind, const ArrayDesc& a,
+                       Layout::Loc loc, std::uint64_t node_off,
+                       std::uint64_t operand, std::uint64_t compare,
+                       std::uint64_t* result, sim::Time t_start);
+  /// get_span's AM leg: builds the request in this plain function, so no
+  /// copy of it stays in get_span's frame (the transport's leg keeps its
+  /// own).
+  sim::Task<net::GetReply> am_get(const UpcThread& th, const ArrayDesc& a,
+                                  Layout::Loc loc, NodeId owner,
+                                  std::uint64_t node_off,
+                                  std::span<std::byte> dst, bool want_base);
   /// get_span for a kGet, put_span otherwise: a plain function, so a
   /// caller that serves either kind awaits one task temporary.
   sim::Task<OpStatus> span(UpcThread& th, OpKind kind, const ArrayDesc& a,
@@ -236,6 +250,8 @@ class CompletionEngine {
   sim::Task<void> drain_puts();
 
   std::uint64_t outstanding() const noexcept { return outstanding_async_; }
+  /// PUTs issued whose remote completion has not arrived yet.
+  std::uint64_t outstanding_puts() const noexcept { return outstanding_puts_; }
   const CommStats& stats() const noexcept { return stats_; }
   void reset_stats() {
     stats_ = CommStats{};

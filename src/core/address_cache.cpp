@@ -45,10 +45,19 @@ const RemoteBase* RemoteBases::unreferenced() const noexcept {
 
 // ----------------------------------------------------- AddressCache ---
 
-AddressCache::~AddressCache() {
+AddressCache::~AddressCache() { release_all(); }
+
+void AddressCache::release_all() noexcept {
   for (std::uint32_t e = mru_; e != kNil; e = entries_[e].older) {
     bases_->release(entries_[e].value);
   }
+}
+
+void AddressCache::clear() noexcept {
+  release_all();
+  index_.clear();
+  entries_.clear();
+  mru_ = lru_ = free_ = kNil;
 }
 
 AddressCache::AddressCache(AddressCache&& other) noexcept
@@ -160,7 +169,9 @@ void AddressCache::place(std::uint32_t e, RemoteBases::Id id) {
   entries_[e].value = id;
   push_front(e);
   // Sized for the whole limit at the first insert, then never again.
-  if (max_entries_ != 0) index_.reserve(max_entries_, key_of());
+  if (max_entries_ != 0 && index_.size() == 0) {
+    index_.reserve_bounded(max_entries_, key_of());
+  }
   index_.insert(e, key_of());
   ++stats_.insertions;
 }

@@ -26,8 +26,9 @@
 // 4-byte entry numbers (FlatIndex, common/flat_map.h) finds entries by
 // the key of their value. The entry array grows on demand up to the
 // limit. A bounded cache sizes its index once, at the first insert, for
-// the whole limit (256 slots, 1 KiB, at the paper's 100 entries), so it
-// never rehashes; an unbounded one doubles its index on demand. A full
+// the whole limit at a load of at most 0.8 (128 slots, 512 B, at the
+// paper's 100 entries), so it never rehashes; an unbounded one doubles
+// its index on demand, keeping it at most half full. A full
 // cache allocates nothing to insert or evict, and one that is never
 // used (cache off) costs nothing. Values are immutable: re-inserting a
 // key with a new base (the piece was re-pinned) moves that cache to
@@ -194,6 +195,10 @@ class AddressCache {
   /// Drop one entry (e.g. an RDMA NAK revealed the target unpinned it).
   void invalidate(const CacheKey& key);
 
+  /// Drop every entry in one pass, counting no invalidation; the index
+  /// keeps its slots (a warm-up replacing the whole cache).
+  void clear() noexcept;
+
   std::size_t size() const noexcept { return index_.size(); }
   std::size_t max_entries() const noexcept { return max_entries_; }
   /// Bytes of the index's slot array (0 before the first insert).
@@ -218,6 +223,8 @@ class AddressCache {
   const RemoteBase& value_of(std::uint32_t e) const noexcept {
     return bases_->value(entries_[e].value);
   }
+  /// Release the reference of every entry on the LRU list.
+  void release_all() noexcept;
   void unlink(std::uint32_t e) noexcept;
   void push_front(std::uint32_t e) noexcept;
   /// Make `e` the most recently used entry.

@@ -34,13 +34,6 @@ LayoutSpec from_wire(const net::WireLayout& w) {
   return s;
 }
 
-/// A throwing adapter's frame: await the status form, then raise a
-/// failure (net::raise_if_failed). Also wraps the runtime's own control
-/// sends, which have no status surface: a lost control leg aborts run().
-Task<void> raised(Task<OpStatus> status_form) {
-  net::raise_if_failed(co_await std::move(status_form));
-}
-
 }  // namespace
 
 // ===================================================== Runtime basics ===
@@ -90,31 +83,30 @@ Runtime::Runtime(RuntimeConfig cfg)
   tracer_ = Tracer(cfg_.trace);
 }
 
-Runtime::~Runtime() = default;
+Runtime::~Runtime() {
+  // The frames an aborted run leaves suspended point into the threads,
+  // nodes, transport and machine, which die before sim_.
+  sim_.destroy_processes();
+}
 
-namespace {
-// One frame per UPC thread, suspended for the whole run: it keeps only
-// pointers. `body` is run()'s parameter, which outlives sim_.run().
-Task<void> thread_main(const Runtime::ThreadBody& body, UpcThread* th,
-                       std::uint32_t* live_threads) {
-  co_await body(*th);
+sim::Process UpcThread::main(
+    const std::function<Task<void>(UpcThread&)>& body) {
+  co_await body(*this);
   // End-of-run safety for coalescing: ops still parked in staging
   // buffers are shipped now, so an unwaited nonblocking op is applied by
   // the end of run() exactly as its uncoalesced runner coroutine would
   // have been (sim_.run() drains the spawned batches). No-op by
   // construction when coalescing is off.
-  th->flush_all();
+  flush_all();
   // Lets the failure detector's tick loop terminate; what is left when
   // the queue drains is the deadlocked threads.
-  --*live_threads;
+  --rt_->live_threads_;
 }
-}  // namespace
 
 void Runtime::run(ThreadBody body) {
+  const std::uint64_t pool_bytes = sim::pool_stats().live_bytes;
   live_threads_ = threads();
-  for (auto& th : threads_) {
-    sim_.spawn(thread_main(body, th.get(), &live_threads_));
-  }
+  for (auto& th : threads_) th->main(body);
   // The failure detector runs only under fabric fault plans, so every
   // other configuration executes the exact event sequence it always did.
   if (machine_.faults().fabric_enabled()) {
@@ -127,10 +119,10 @@ void Runtime::run(ThreadBody body) {
         "Runtime::run: deadlock — " + std::to_string(live_threads_) +
         " UPC thread(s) blocked with no pending events");
   }
-  check_invariants();
+  check_invariants(pool_bytes);
 }
 
-void Runtime::check_invariants() const {
+void Runtime::check_invariants(std::uint64_t pool_bytes) const {
   const auto broken = [](const std::string& law) {
     throw std::logic_error("Runtime::run: end-of-run invariant broken: " +
                            law);
@@ -158,6 +150,29 @@ void Runtime::check_invariants() const {
                  std::to_string(r.queue_length()) + " waiter(s)");
         }
       });
+  // (c) Every nonblocking op finished and every PUT's remote completion
+  // arrived.
+  for (const auto& th : threads_) {
+    const CompletionEngine& ce = th->completion_;
+    if (ce.outstanding() != 0 || ce.outstanding_puts() != 0) {
+      broken("(c) UPC thread " + std::to_string(th->id()) + " has " +
+             std::to_string(ce.outstanding()) +
+             " nonblocking op(s) in flight and " +
+             std::to_string(ce.outstanding_puts()) +
+             " PUT remote completion(s) outstanding");
+    }
+  }
+  // (d) The run gave back every pool block it took: no coroutine frame,
+  // callback spill or payload outlives it (a process started before run()
+  // may end inside it, so the count may also fall). Trivial where the
+  // freelists are compiled out (AddressSanitizer builds count nothing).
+  const sim::PoolStats& pool = sim::pool_stats();
+  if (pool.live_bytes > pool_bytes) {
+    broken("(d) the sim pool holds " + std::to_string(pool.live_bytes) +
+           " live bytes (" + std::to_string(pool.live_blocks) +
+           " blocks), " + std::to_string(pool_bytes) +
+           " when run() began");
+  }
 }
 
 void Runtime::on_peer_dead(NodeId corpse) {
@@ -299,7 +314,7 @@ void Runtime::publish_bases(NodeId origin, svd::Handle h) {
     // O(nodes) messages per node per object: the "extensive
     // communication" cost the SVD design avoids (Sec. 2.1). Delivery is
     // asynchronous; accesses racing it simply miss and take the AM path.
-    sim_.spawn(raised(transport_.control(net::Initiator{origin, 0}, n, msg)));
+    sim_.spawn(Raising(transport_.control(net::Initiator{origin, 0}, n, msg)));
   }
 }
 
@@ -507,7 +522,7 @@ void Runtime::grant_lock(NodeId home_node, std::uint64_t handle,
     waiter.lock_wait_->set(true);
     return;
   }
-  sim_.spawn(raised(transport_.control(
+  sim_.spawn(Raising(transport_.control(
       net::Initiator{home_node, 0}, req_node,
       net::LockGrant{handle, requester, true})));
 }
@@ -621,6 +636,10 @@ void Runtime::warm_address_cache(const ArrayDesc& a) {
       skip = static_cast<std::uint32_t>(h.chunks - take);
       room -= take;
     }
+    // A suffix that fills the cache replaces everything it held: empty
+    // it in one pass instead of evicting entry by entry, whose backward
+    // shifts read keys across the fixed index's long probe runs.
+    if (room == 0) cache.clear();
     for (std::size_t i = first; i < homes.size(); ++i) {
       const Home& h = homes[i];
       if (h.node == init) continue;
@@ -637,13 +656,15 @@ void Runtime::warm_address_cache(const ArrayDesc& a) {
 
 // ===================================================== UpcThread =======
 
+sim::Simulator& UpcThread::simulator() noexcept { return rt_->sim_; }
+
 sim::Time UpcThread::now() const { return rt_->sim_.now(); }
 
 Task<void> UpcThread::compute(Duration d) {
   co_await rt_->machine_.core(node_, core_).use(d);
 }
 
-Task<void> UpcThread::fence() { return raised(fence_status()); }
+Raising UpcThread::fence() { return Raising(fence_status()); }
 
 Task<void> UpcThread::barrier() {
   const sim::Time t_start = rt_->sim_.now();
@@ -784,30 +805,28 @@ CommOp UpcThread::checked_op_2d(OpKind kind, const ArrayDesc& a,
 // Plain functions, not coroutines: argument checks and op construction
 // have no simulated-time side effects, so each status form forwards the
 // execute task directly — no wrapper, wait() or execute() frame — and
-// its throwing twin adds only the one raised() frame. All call sites
+// its throwing twin wraps the task in a frameless Raising. All call sites
 // co_await immediately, so the issue point is unchanged in simulated
 // time, and argument errors still throw at the call.
 
-Task<void> UpcThread::get(const ArrayDesc& a, std::uint64_t elem,
+Raising UpcThread::get(const ArrayDesc& a, std::uint64_t elem,
+                       std::span<std::byte> dst) {
+  return Raising(get_status(a, elem, dst));
+}
+
+Raising UpcThread::put(const ArrayDesc& a, std::uint64_t elem,
+                       std::span<const std::byte> src) {
+  return Raising(put_status(a, elem, src));
+}
+
+Raising UpcThread::memget(const ArrayDesc& a, std::uint64_t elem_start,
                           std::span<std::byte> dst) {
-  return raised(get_status(a, elem, dst));
+  return Raising(memget_status(a, elem_start, dst));
 }
 
-Task<void> UpcThread::put(const ArrayDesc& a, std::uint64_t elem,
+Raising UpcThread::memput(const ArrayDesc& a, std::uint64_t elem_start,
                           std::span<const std::byte> src) {
-  return raised(put_status(a, elem, src));
-}
-
-Task<void> UpcThread::memget(const ArrayDesc& a, std::uint64_t elem_start,
-                             std::span<std::byte> dst) {
-  return raised(completion_.run_blocking(checked_op_multi(
-      OpKind::kGet, a, elem_start, dst.data(), nullptr, dst.size())));
-}
-
-Task<void> UpcThread::memput(const ArrayDesc& a, std::uint64_t elem_start,
-                             std::span<const std::byte> src) {
-  return raised(completion_.run_blocking(checked_op_multi(
-      OpKind::kPut, a, elem_start, nullptr, src.data(), src.size())));
+  return Raising(memput_status(a, elem_start, src));
 }
 
 // --- nonblocking surface ----------------------------------------------
@@ -838,9 +857,9 @@ OpHandle UpcThread::memput_nb(const ArrayDesc& a, std::uint64_t elem_start,
                        src.size()));
 }
 
-Task<void> UpcThread::wait(OpHandle h) { return raised(wait_status(h)); }
+Raising UpcThread::wait(OpHandle h) { return Raising(wait_status(h)); }
 
-Task<void> UpcThread::wait_all() { return raised(completion_.wait_all()); }
+Raising UpcThread::wait_all() { return Raising(completion_.wait_all()); }
 
 Task<OpStatus> UpcThread::wait_status(OpHandle h) {
   return completion_.wait(h);
@@ -874,6 +893,20 @@ Task<OpStatus> UpcThread::put_status(const ArrayDesc& a, std::uint64_t elem,
                                      std::span<const std::byte> src) {
   return completion_.run_blocking(
       checked_op_1d(OpKind::kPut, a, elem, nullptr, src.data(), src.size()));
+}
+
+Task<OpStatus> UpcThread::memget_status(const ArrayDesc& a,
+                                        std::uint64_t elem_start,
+                                        std::span<std::byte> dst) {
+  return completion_.run_blocking(checked_op_multi(
+      OpKind::kGet, a, elem_start, dst.data(), nullptr, dst.size()));
+}
+
+Task<OpStatus> UpcThread::memput_status(const ArrayDesc& a,
+                                        std::uint64_t elem_start,
+                                        std::span<const std::byte> src) {
+  return completion_.run_blocking(checked_op_multi(
+      OpKind::kPut, a, elem_start, nullptr, src.data(), src.size()));
 }
 
 Task<OpStatus> UpcThread::fetch_add_status(const ArrayDesc& a,
@@ -919,15 +952,15 @@ Task<void> UpcThread::memcpy_shared(const ArrayDesc& dst,
   }
 }
 
-Task<void> UpcThread::get2d(const ArrayDesc& a, std::uint64_t r,
-                            std::uint64_t c, std::span<std::byte> dst) {
-  return raised(completion_.run_blocking(
+Raising UpcThread::get2d(const ArrayDesc& a, std::uint64_t r,
+                         std::uint64_t c, std::span<std::byte> dst) {
+  return Raising(completion_.run_blocking(
       checked_op_2d(OpKind::kGet, a, r, c, dst.data(), nullptr, dst.size())));
 }
 
-Task<void> UpcThread::put2d(const ArrayDesc& a, std::uint64_t r,
-                            std::uint64_t c, std::span<const std::byte> src) {
-  return raised(completion_.run_blocking(
+Raising UpcThread::put2d(const ArrayDesc& a, std::uint64_t r,
+                         std::uint64_t c, std::span<const std::byte> src) {
+  return Raising(completion_.run_blocking(
       checked_op_2d(OpKind::kPut, a, r, c, nullptr, src.data(), src.size())));
 }
 

@@ -13,6 +13,7 @@
 // populate the cache for subsequent accesses.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -42,11 +43,37 @@ namespace xlupc::core {
 
 class Runtime;
 
+/// What a throwing blocking op (get, put, memget, fence, wait, ...)
+/// returns: its status form's task, which awaiting runs in place before
+/// it raises the failure the task ended with (net::raise_if_failed). It
+/// is one coroutine handle wide and keeps no frame of its own, so the
+/// throwing form costs the caller nothing over the status form. Await
+/// it where it is made, as the op's Task would be.
+class [[nodiscard]] Raising {
+ public:
+  explicit Raising(sim::Task<OpStatus> status) noexcept
+      : status_(std::move(status)) {}
+
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(
+      std::coroutine_handle<> caller) noexcept {
+    return std::move(status_).operator co_await().await_suspend(caller);
+  }
+  void await_resume() {
+    net::raise_if_failed(
+        std::move(status_).operator co_await().await_resume());
+  }
+
+ private:
+  sim::Task<OpStatus> status_;
+};
+
 /// Execution context of one UPC thread. All operations are awaitable and
 /// advance simulated time; they must only be called from within the
 /// thread's own coroutine body.
 /// Each throwing call is its status form (get_status, wait_status, ...)
-/// plus net::raise_if_failed (docs/FAULTS.md).
+/// plus net::raise_if_failed (docs/FAULTS.md); the blocking ones return
+/// a Raising over the status form's task.
 class UpcThread {
  public:
   UpcThread(Runtime& rt, ThreadId id, NodeId node, std::uint32_t core,
@@ -61,11 +88,12 @@ class UpcThread {
   std::uint32_t core() const noexcept { return core_; }
   sim::Rng& rng() noexcept { return rng_; }
   Runtime& runtime() noexcept { return *rt_; }
+  sim::Simulator& simulator() noexcept;
   sim::Time now() const;
 
   // --- synchronization ---
   sim::Task<void> barrier();  ///< upc_barrier (implies fence)
-  sim::Task<void> fence();    ///< wait for remote completion of my PUTs
+  Raising fence();  ///< wait for remote completion of my PUTs
   sim::Task<void> compute(sim::Duration d);  ///< occupy my core for `d`
 
   // --- allocation (upc_all_alloc / upc_global_alloc / upc_free) ---
@@ -83,17 +111,17 @@ class UpcThread {
   // --- data movement ---
   /// GET elements starting at `elem` into `dst`; the span must not cross
   /// an ownership boundary (use memget for arbitrary spans).
-  sim::Task<void> get(const ArrayDesc& a, std::uint64_t elem,
-                      std::span<std::byte> dst);
+  Raising get(const ArrayDesc& a, std::uint64_t elem,
+              std::span<std::byte> dst);
   /// PUT `src` at `elem`; same contiguity requirement as get().
-  sim::Task<void> put(const ArrayDesc& a, std::uint64_t elem,
-                      std::span<const std::byte> src);
+  Raising put(const ArrayDesc& a, std::uint64_t elem,
+              std::span<const std::byte> src);
   /// upc_memget: arbitrary element range, split at ownership boundaries.
-  sim::Task<void> memget(const ArrayDesc& a, std::uint64_t elem_start,
-                         std::span<std::byte> dst);
+  Raising memget(const ArrayDesc& a, std::uint64_t elem_start,
+                 std::span<std::byte> dst);
   /// upc_memput.
-  sim::Task<void> memput(const ArrayDesc& a, std::uint64_t elem_start,
-                         std::span<const std::byte> src);
+  Raising memput(const ArrayDesc& a, std::uint64_t elem_start,
+                 std::span<const std::byte> src);
   /// upc_memcpy: shared-to-shared copy, split at the ownership
   /// boundaries of both arrays (pulls through a private staging buffer,
   /// as the XLUPC runtime's generic path does).
@@ -101,10 +129,10 @@ class UpcThread {
                                 const ArrayDesc& src, std::uint64_t src_elem,
                                 std::uint64_t count);
   /// 2-D element access (multi-blocked arrays).
-  sim::Task<void> get2d(const ArrayDesc& a, std::uint64_t r, std::uint64_t c,
-                        std::span<std::byte> dst);
-  sim::Task<void> put2d(const ArrayDesc& a, std::uint64_t r, std::uint64_t c,
-                        std::span<const std::byte> src);
+  Raising get2d(const ArrayDesc& a, std::uint64_t r, std::uint64_t c,
+                std::span<std::byte> dst);
+  Raising put2d(const ArrayDesc& a, std::uint64_t r, std::uint64_t c,
+                std::span<const std::byte> src);
 
   // --- nonblocking data movement (docs/COMM_ENGINE.md) ---
   // Each *_nb issues the op and returns immediately; the op runs as its
@@ -121,10 +149,10 @@ class UpcThread {
                      std::span<const std::byte> src);
   /// Suspend until the op behind `h` completes (no-op on a spent
   /// handle); raises the failure the op ended with.
-  sim::Task<void> wait(OpHandle h);
+  Raising wait(OpHandle h);
   /// Retire every outstanding handle of this thread, then raise the
   /// worst failure among them.
-  sim::Task<void> wait_all();
+  Raising wait_all();
   /// wait() with the typed-status contract (docs/FAULTS.md): errors from
   /// a dead peer come back as OpStatus::kPeerFailed, an exhausted
   /// retransmission budget as kTimeout, instead of as exceptions.
@@ -148,6 +176,14 @@ class UpcThread {
                                  std::span<std::byte> dst);
   sim::Task<OpStatus> put_status(const ArrayDesc& a, std::uint64_t elem,
                                  std::span<const std::byte> src);
+  /// memget/memput with the typed-status contract: the op stops at its
+  /// first failed run and returns that run's status.
+  sim::Task<OpStatus> memget_status(const ArrayDesc& a,
+                                    std::uint64_t elem_start,
+                                    std::span<std::byte> dst);
+  sim::Task<OpStatus> memput_status(const ArrayDesc& a,
+                                    std::uint64_t elem_start,
+                                    std::span<const std::byte> src);
   /// fetch_add with the typed-status contract; the old value lands in
   /// `*result` only when the returned status is kOk.
   sim::Task<OpStatus> fetch_add_status(const ArrayDesc& a, std::uint64_t elem,
@@ -232,6 +268,12 @@ class UpcThread {
   friend class Runtime;
   friend class AccessPath;
 
+  /// The thread's whole life as a detached simulated process: `body`,
+  /// then the end-of-run flush of its staged ops and its leave from the
+  /// runtime's live-thread count. One frame for the run, beside the
+  /// body's own.
+  sim::Process main(const std::function<sim::Task<void>(UpcThread&)>& body);
+
   // Build validated CommOp descriptors (shared by the blocking wrappers
   // and the *_nb surface; throws on malformed spans).
   CommOp checked_op_1d(OpKind kind, const ArrayDesc& a, std::uint64_t elem,
@@ -273,7 +315,10 @@ class Runtime final : public net::AmTarget {
   /// then checks the end-of-run invariants and throws std::logic_error
   /// naming the first one broken: (a) the address caches' entries equal
   /// the remote-base table's references, and no value is held without
-  /// one; (b) every machine resource is idle with no waiter.
+  /// one; (b) every machine resource is idle with no waiter; (c) no UPC
+  /// thread has a nonblocking op in flight or a PUT remote completion
+  /// outstanding; (d) the sim pool's live bytes are no higher than when
+  /// run() began.
   void run(ThreadBody body);
 
   // --- introspection ---
@@ -418,9 +463,10 @@ class Runtime final : public net::AmTarget {
   // exchange rounds of wire latency.
   sim::Duration barrier_cost() const;
 
-  // The end-of-run invariants run() checks; O(nodes + resources +
-  // cached values).
-  void check_invariants() const;
+  // The end-of-run invariants run() checks; O(nodes + threads +
+  // resources + cached values). `pool_bytes` is the sim pool's live bytes
+  // when run() began.
+  void check_invariants(std::uint64_t pool_bytes) const;
 
   RuntimeConfig cfg_;
   sim::Simulator sim_;

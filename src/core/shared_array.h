@@ -41,12 +41,12 @@ class SharedArray {
     return th.write<T>(desc_, i, v);
   }
   /// Bulk read into a caller-provided vector (upc_memget).
-  sim::Task<void> read_many(UpcThread& th, std::uint64_t start,
-                            std::span<T> out) const {
+  Raising read_many(UpcThread& th, std::uint64_t start,
+                    std::span<T> out) const {
     return th.memget(desc_, start, std::as_writable_bytes(out));
   }
-  sim::Task<void> write_many(UpcThread& th, std::uint64_t start,
-                             std::span<const T> in) const {
+  Raising write_many(UpcThread& th, std::uint64_t start,
+                     std::span<const T> in) const {
     return th.memput(desc_, start, std::as_bytes(in));
   }
 

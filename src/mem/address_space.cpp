@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 
 namespace xlupc::mem {
@@ -18,10 +19,7 @@ AddressSpace::AddressSpace(NodeId node) : node_(node), next_(node_base(node)) {}
 
 Addr AddressSpace::allocate(std::size_t size) {
   const Addr addr = next_;
-  Block block;
-  block.size = size;
-  block.bytes.assign(size, std::byte{0});
-  blocks_.emplace(addr, std::move(block));
+  blocks_.push_back(Block{addr, std::vector<std::byte>(size)});
   // Reserve at least one alignment unit so even empty allocations get
   // distinct addresses.
   next_ += round_up(std::max<std::size_t>(size, 1), kAlign);
@@ -29,35 +27,43 @@ Addr AddressSpace::allocate(std::size_t size) {
   return addr;
 }
 
-void AddressSpace::free(Addr addr) {
-  auto it = blocks_.find(addr);
-  if (it == blocks_.end()) {
-    throw std::invalid_argument("AddressSpace::free: not an allocation base");
-  }
-  bytes_allocated_ -= it->second.size;
-  blocks_.erase(it);
+const AddressSpace::Block* AddressSpace::at_or_below(Addr addr) const noexcept {
+  const auto it = std::upper_bound(
+      blocks_.begin(), blocks_.end(), addr,
+      [](Addr a, const Block& b) { return a < b.base; });
+  return it == blocks_.begin() ? nullptr : &*std::prev(it);
 }
 
-const AddressSpace::Block& AddressSpace::locate(Addr addr, std::size_t len,
-                                                Addr* base) const {
-  auto it = blocks_.upper_bound(addr);
-  if (it == blocks_.begin()) {
+const AddressSpace::Block* AddressSpace::find(Addr addr) const noexcept {
+  const Block* b = at_or_below(addr);
+  return b != nullptr && b->base == addr ? b : nullptr;
+}
+
+void AddressSpace::free(Addr addr) {
+  const Block* b = find(addr);
+  if (b == nullptr) {
+    throw std::invalid_argument("AddressSpace::free: not an allocation base");
+  }
+  bytes_allocated_ -= b->bytes.size();
+  blocks_.erase(blocks_.begin() + (b - blocks_.data()));
+}
+
+const AddressSpace::Block& AddressSpace::locate(Addr addr,
+                                                std::size_t len) const {
+  const Block* b = at_or_below(addr);
+  if (b == nullptr) {
     throw std::out_of_range("AddressSpace: address below all allocations");
   }
-  --it;
-  const Addr start = it->first;
-  const Block& block = it->second;
-  if (addr < start || addr - start > block.size ||
-      len > block.size - (addr - start)) {
+  const std::size_t size = b->bytes.size();
+  if (addr - b->base > size || len > size - (addr - b->base)) {
     throw std::out_of_range("AddressSpace: range not inside an allocation");
   }
-  if (base != nullptr) *base = start;
-  return block;
+  return *b;
 }
 
 bool AddressSpace::contains(Addr addr, std::size_t len) const {
   try {
-    locate(addr, len, nullptr);
+    locate(addr, len);
     return true;
   } catch (const std::out_of_range&) {
     return false;
@@ -65,47 +71,39 @@ bool AddressSpace::contains(Addr addr, std::size_t len) const {
 }
 
 void AddressSpace::read(Addr addr, std::span<std::byte> out) const {
-  Addr base = 0;
-  const Block& block = locate(addr, out.size(), &base);
-  std::memcpy(out.data(), block.bytes.data() + (addr - base), out.size());
+  std::memcpy(out.data(), data(addr, out.size()), out.size());
 }
 
 void AddressSpace::write(Addr addr, std::span<const std::byte> in) {
-  Addr base = 0;
-  // locate() is const; the block's byte storage is logically mutable here.
-  const Block& block = locate(addr, in.size(), &base);
-  std::memcpy(const_cast<std::byte*>(block.bytes.data()) + (addr - base),
-              in.data(), in.size());
+  std::memcpy(data(addr, in.size()), in.data(), in.size());
 }
 
 std::byte* AddressSpace::data(Addr addr, std::size_t len) {
-  Addr base = 0;
-  const Block& block = locate(addr, len, &base);
-  return const_cast<std::byte*>(block.bytes.data()) + (addr - base);
+  const Block& block = locate(addr, len);
+  // locate() is const; the block's byte storage is logically mutable here.
+  return const_cast<std::byte*>(block.bytes.data()) + (addr - block.base);
 }
 
 const std::byte* AddressSpace::data(Addr addr, std::size_t len) const {
-  Addr base = 0;
-  const Block& block = locate(addr, len, &base);
-  return block.bytes.data() + (addr - base);
+  const Block& block = locate(addr, len);
+  return block.bytes.data() + (addr - block.base);
 }
 
 std::size_t AddressSpace::allocation_size(Addr addr) const {
-  auto it = blocks_.find(addr);
-  if (it == blocks_.end()) {
+  const Block* b = find(addr);
+  if (b == nullptr) {
     throw std::invalid_argument("AddressSpace::allocation_size: unknown base");
   }
-  return it->second.size;
+  return b->bytes.size();
 }
 
 Addr AddressSpace::owning_block(Addr addr) const {
-  auto it = blocks_.upper_bound(addr);
-  if (it == blocks_.begin()) return kNullAddr;
-  --it;
-  if (addr - it->first >= std::max<std::size_t>(it->second.size, 1)) {
+  const Block* b = at_or_below(addr);
+  if (b == nullptr ||
+      addr - b->base >= std::max<std::size_t>(b->bytes.size(), 1)) {
     return kNullAddr;
   }
-  return it->first;
+  return b->base;
 }
 
 }  // namespace xlupc::mem

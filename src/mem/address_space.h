@@ -7,11 +7,14 @@
 //
 // Allocations carry actual bytes: GET/PUT in the runtime move real data,
 // letting tests assert end-to-end integrity rather than just timing.
+//
+// The blocks sit in one vector in address order: allocation addresses
+// only grow, so a new block is appended, and a lookup is a binary search
+// over adjacent records instead of a walk down tree nodes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -74,16 +77,20 @@ class AddressSpace {
 
  private:
   struct Block {
-    std::size_t size;
-    std::vector<std::byte> bytes;
+    Addr base;
+    std::vector<std::byte> bytes;  ///< the allocation's size and contents
   };
 
+  /// The block starting at `addr`, or nullptr.
+  const Block* find(Addr addr) const noexcept;
+  /// The last block starting at or below `addr`, or nullptr.
+  const Block* at_or_below(Addr addr) const noexcept;
   // Returns the block containing [addr, addr+len) or throws.
-  const Block& locate(Addr addr, std::size_t len, Addr* base) const;
+  const Block& locate(Addr addr, std::size_t len) const;
 
   NodeId node_;
   Addr next_;
-  std::map<Addr, Block> blocks_;
+  std::vector<Block> blocks_;  ///< ascending base addresses
   std::size_t bytes_allocated_ = 0;
 };
 

@@ -1,6 +1,8 @@
 #include "mem/pinned_table.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace xlupc::mem {
 
@@ -8,17 +10,27 @@ namespace {
 constexpr std::size_t kChunk = kPinChunkBytes;  // chunked granularity
 }  // namespace
 
+PinnedAddressTable::Regions::const_iterator PinnedAddressTable::at_or_below(
+    Addr addr) const {
+  const auto it = std::upper_bound(
+      regions_.begin(), regions_.end(), addr,
+      [](Addr a, const Region& r) { return a < r.base; });
+  return it == regions_.begin() ? regions_.end() : std::prev(it);
+}
+
+PinnedAddressTable::Regions::iterator PinnedAddressTable::at_or_below(
+    Addr addr) {
+  const auto it = std::as_const(*this).at_or_below(addr);
+  return regions_.begin() + (it - regions_.cbegin());
+}
+
 bool PinnedAddressTable::covered(Addr addr, std::size_t len) const {
   Addr cursor = addr;
   const Addr end = addr + len;
   while (cursor < end) {
-    auto it = regions_.upper_bound(cursor);
-    if (it == regions_.begin()) return false;
-    --it;
-    const Addr rbase = it->first;
-    const Addr rend = rbase + it->second.len;
-    if (cursor < rbase || cursor >= rend) return false;
-    cursor = rend;
+    const auto it = at_or_below(cursor);
+    if (it == regions_.end() || cursor >= it->end()) return false;
+    cursor = it->end();
   }
   return true;
 }
@@ -28,18 +40,17 @@ bool PinnedAddressTable::is_pinned(Addr addr, std::size_t len) const {
 }
 
 std::optional<RdmaKey> PinnedAddressTable::key_for(Addr addr) const {
-  auto it = regions_.upper_bound(addr);
-  if (it == regions_.begin()) return std::nullopt;
-  --it;
-  if (addr >= it->first && addr < it->first + it->second.len) {
-    return it->second.key;
-  }
+  const auto it = at_or_below(addr);
+  if (it != regions_.end() && addr < it->end()) return it->key;
   return std::nullopt;
 }
 
 void PinnedAddressTable::insert_region(Addr addr, std::size_t len,
                                        PinResult& result) {
-  regions_.emplace(addr, Region{len, next_key_++, ++use_clock_});
+  const auto at = std::upper_bound(
+      regions_.begin(), regions_.end(), addr,
+      [](Addr a, const Region& r) { return a < r.base; });
+  regions_.insert(at, Region{addr, len, next_key_++, ++use_clock_});
   pinned_bytes_ += len;
   ++registrations_;
   ++result.new_handles;
@@ -50,19 +61,17 @@ bool PinnedAddressTable::make_room(std::size_t need, PinResult& result) {
   if (limits_.max_total_bytes == 0) return true;
   if (need > limits_.max_total_bytes) return false;
   while (pinned_bytes_ + need > limits_.max_total_bytes) {
-    auto victim = regions_.end();
-    for (auto it = regions_.begin(); it != regions_.end(); ++it) {
-      if (victim == regions_.end() ||
-          it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    if (victim == regions_.end()) return false;
-    pinned_bytes_ -= victim->second.len;
+    if (regions_.empty()) return false;
+    const auto victim = std::min_element(
+        regions_.begin(), regions_.end(),
+        [](const Region& a, const Region& b) {
+          return a.last_use < b.last_use;
+        });
+    pinned_bytes_ -= victim->len;
     ++deregistrations_;
     ++cap_evictions_;
     ++result.evicted_handles;
-    result.evicted_bytes += victim->second.len;
+    result.evicted_bytes += victim->len;
     regions_.erase(victim);
   }
   return true;
@@ -83,18 +92,13 @@ PinResult PinnedAddressTable::pin_greedy(Addr addr, std::size_t len) {
   // one so regions in the table never overlap.
   Addr lo = addr;
   Addr hi = addr + len;
-  for (auto it = regions_.begin(); it != regions_.end();) {
-    const Addr rbase = it->first;
-    const Addr rend = rbase + it->second.len;
-    if (rbase < hi && rend > lo) {
-      lo = std::min(lo, rbase);
-      hi = std::max(hi, rend);
-      pinned_bytes_ -= it->second.len;
-      it = regions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(regions_, [&](const Region& r) {
+    if (r.base >= addr + len || r.end() <= addr) return false;
+    lo = std::min(lo, r.base);
+    hi = std::max(hi, r.end());
+    pinned_bytes_ -= r.len;
+    return true;
+  });
   insert_region(lo, static_cast<std::size_t>(hi - lo), result);
   result.ok = true;
   result.key = *key_for(addr);
@@ -113,9 +117,7 @@ PinResult PinnedAddressTable::pin_chunked(Addr addr, std::size_t len) {
   bool all_ok = true;
   for (Addr cursor = start; cursor < end; cursor += piece) {
     if (covered(cursor, piece)) {
-      auto it = regions_.upper_bound(cursor);
-      --it;
-      it->second.last_use = ++use_clock_;  // refresh LRU on reuse
+      at_or_below(cursor)->last_use = ++use_clock_;  // refresh LRU on reuse
       continue;
     }
     if (!make_room(piece, result)) {
@@ -140,18 +142,13 @@ std::size_t PinnedAddressTable::unpin(Addr addr, std::size_t len) {
   len = std::max<std::size_t>(len, 1);
   const Addr end = addr + len;
   std::size_t removed = 0;
-  for (auto it = regions_.begin(); it != regions_.end();) {
-    const Addr rbase = it->first;
-    const Addr rend = rbase + it->second.len;
-    if (rbase < end && rend > addr) {  // overlap
-      pinned_bytes_ -= it->second.len;
-      ++deregistrations_;
-      ++removed;
-      it = regions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(regions_, [&](const Region& r) {
+    if (r.base >= end || r.end() <= addr) return false;  // no overlap
+    pinned_bytes_ -= r.len;
+    ++deregistrations_;
+    ++removed;
+    return true;
+  });
   return removed;
 }
 

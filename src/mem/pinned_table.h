@@ -15,10 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -98,10 +95,18 @@ class PinnedAddressTable {
 
  private:
   struct Region {
+    Addr base;
     std::size_t len;
     RdmaKey key;
     std::uint64_t last_use;  // logical clock for LRU recycling (chunked)
+
+    Addr end() const noexcept { return base + len; }
   };
+  using Regions = std::vector<Region>;
+
+  /// The last region starting at or below `addr`, or end().
+  Regions::iterator at_or_below(Addr addr);
+  Regions::const_iterator at_or_below(Addr addr) const;
 
   PinResult pin_greedy(Addr addr, std::size_t len);
   PinResult pin_chunked(Addr addr, std::size_t len);
@@ -113,7 +118,7 @@ class PinnedAddressTable {
 
   PinStrategy strategy_;
   PinLimits limits_;
-  std::map<Addr, Region> regions_;  // keyed by region base, non-overlapping
+  Regions regions_;  // ascending bases, non-overlapping
   std::size_t pinned_bytes_ = 0;
   RdmaKey next_key_ = 1;
   std::uint64_t use_clock_ = 0;

@@ -163,7 +163,7 @@ std::string Fabric::port_name(std::uint64_t key) const {
 
 Fabric::Port& Fabric::port(std::uint64_t key) {
   if (Port* p = ports_.find(key)) return *p;
-  return ports_.try_emplace(key, *sim_, config_.port_credits);
+  return ports_.try_emplace(key, *sim_, config_.port_credits, usage_epoch_);
 }
 
 void Fabric::for_each_port(
@@ -174,6 +174,7 @@ void Fabric::for_each_port(
 }
 
 void Fabric::reset_port_usage() {
+  usage_epoch_ = sim_->now();
   ports_.for_each([](std::uint64_t, Port& p) {
     p.buf.reset_usage();
     p.wire.reset_usage();

@@ -154,8 +154,8 @@ class Fabric {
   /// single-lane egress link that serializes one message at a time. Held
   /// in place in the ports table, whose values never move.
   struct Port {
-    Port(sim::Simulator& sim, std::uint64_t credits)
-        : buf(sim, credits), wire(sim, 1) {}
+    Port(sim::Simulator& sim, std::uint64_t credits, sim::Time usage_epoch)
+        : buf(sim, credits, usage_epoch), wire(sim, 1, usage_epoch) {}
     sim::Resource buf;
     sim::Resource wire;
   };
@@ -213,6 +213,9 @@ class Fabric {
   FabricParams config_;
   FabricStats stats_;
   StableMap<std::uint64_t, Port> ports_;
+  /// When reset_port_usage() last ran: a port first touched later starts
+  /// its usage window there, like the ports that existed at the reset.
+  sim::Time usage_epoch_ = 0;
 };
 
 }  // namespace xlupc::net

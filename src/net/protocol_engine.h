@@ -76,51 +76,62 @@ class ProtocolEngine {
   /// caller's resumption directly, with no coroutine frame at all. Only
   /// fault-plan runs pay for the reliability coroutine, and only a
   /// congested fabric for its transit.
-  auto deliver(NodeId src, NodeId dst, sim::Resource* retx_nic,
-               sim::Duration retx_cost, std::uint64_t retx_bytes) {
-    struct Awaiter {
-      sim::Simulator* sim;
-      sim::Duration lat;           ///< fast path: bare link latency
-      sim::Task<void> transit;     ///< congested fabric, no fault plan
-      sim::Task<OpStatus> faulty;  ///< engaged only under a fault plan
+  ///
+  /// A leg that crosses the wire more than once keeps one Delivery and
+  /// re-arms it, `d = deliver(...); st = co_await d;`, instead of
+  /// giving each co_await site a slot of its frame (sim::Resource::Waiter
+  /// has the same idiom). Its fast path is a plain sim::Simulator::Delay,
+  /// so the same variable also serves the leg's handler service times:
+  /// `d = {sim.delay(t), {}, {}}; co_await d;`. Awaiting it releases the
+  /// coroutine it ran.
+  struct Delivery {
+    sim::Simulator::Delay hop;   ///< fast path: bare link latency
+    sim::Task<void> transit;     ///< congested fabric, no fault plan
+    sim::Task<OpStatus> faulty;  ///< engaged only under a fault plan
 
-      bool await_ready() const noexcept {
-        return !transit.valid() && !faulty.valid() && lat == 0;
+    bool await_ready() const noexcept {
+      return !transit.valid() && !faulty.valid() && hop.await_ready();
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      if (faulty.valid()) {
+        return std::move(faulty).operator co_await().await_suspend(h);
       }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-        if (faulty.valid()) {
-          return std::move(faulty).operator co_await().await_suspend(h);
-        }
-        if (transit.valid()) {
-          return std::move(transit).operator co_await().await_suspend(h);
-        }
-        sim->schedule_resume_after(lat, h);
-        return std::noop_coroutine();
+      if (transit.valid()) {
+        return std::move(transit).operator co_await().await_suspend(h);
       }
-      OpStatus await_resume() {
-        if (faulty.valid()) {
-          return std::move(faulty).operator co_await().await_resume();
-        }
-        if (transit.valid()) {
-          std::move(transit).operator co_await().await_resume();
-        }
-        return OpStatus::kOk;
+      hop.await_suspend(h);
+      return std::noop_coroutine();
+    }
+    OpStatus await_resume() {
+      if (faulty.valid()) {
+        const OpStatus st =
+            std::move(faulty).operator co_await().await_resume();
+        faulty = {};
+        return st;
       }
-    };
+      if (transit.valid()) {
+        std::move(transit).operator co_await().await_resume();
+        transit = {};
+      }
+      return OpStatus::kOk;
+    }
+  };
+  Delivery deliver(NodeId src, NodeId dst, sim::Resource* retx_nic,
+                   sim::Duration retx_cost, std::uint64_t retx_bytes) {
+    sim::Simulator& sim = machine_.simulator();
     if (!machine_.faults().enabled()) {
       if (!machine_.fabric().enabled()) {
-        return Awaiter{&machine_.simulator(), machine_.latency(src, dst), {},
-                       {}};
+        return Delivery{sim.delay(machine_.latency(src, dst)), {}, {}};
       }
       // Congestion-aware fabric, no fault plan: the single point-to-point
       // delay becomes a hop-by-hop transit through finite switch buffers
       // (docs/FABRIC.md). `retx_bytes` is the message's wire size at
       // every call site, so it doubles as the per-hop serialization size.
-      return Awaiter{&machine_.simulator(), 0,
-                     machine_.fabric().transit(src, dst, retx_bytes), {}};
+      return Delivery{sim.delay(0),
+                      machine_.fabric().transit(src, dst, retx_bytes), {}};
     }
-    return Awaiter{&machine_.simulator(), 0, {},
-                   deliver_faulty(src, dst, retx_nic, retx_cost, retx_bytes)};
+    return Delivery{sim.delay(0), {},
+                    deliver_faulty(src, dst, retx_nic, retx_cost, retx_bytes)};
   }
 
   /// Target-side handler service time scaled by any active NodeSlowdown

@@ -231,9 +231,13 @@ Task<GetReply> Transport::get(Initiator from, NodeId dst,
 template <bool kIb>
 Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
                                     GetRequest req) {
-  auto& sim = machine_.simulator();
   const auto& p = machine_.params();
-  sim::Resource::Waiter w;  // every resource wait below (sim/resource.h)
+  // Every resource wait below re-arms `w`, and every wire traversal and
+  // handler delay `step`, so the frame holds one slot of each (and no
+  // reference it can recompute: the frames of GETs in flight are what a
+  // memget scan keeps).
+  sim::Resource::Waiter w;
+  ProtocolEngine::Delivery step;
 
   // Initiator: build and post the AM request (Fig. 5: "send Active Msg").
   // On IB the request is header-only, so its WQE carries it inline.
@@ -247,24 +251,29 @@ Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
         p.nic_tx_overhead + machine_.serialize_with_header(0));
   co_await w;
   stats_.wire_bytes += p.header_bytes;
-  st = co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
-                        p.nic_tx_overhead + machine_.serialize_with_header(0),
-                        p.header_bytes);
+  step = deliver(from.node, dst, &machine_.nic_tx(from.node),
+                 p.nic_tx_overhead + machine_.serialize_with_header(0),
+                 p.header_bytes);
+  st = co_await step;
   if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
 
   // Target: header handler translates the SVD handle, optionally pins the
   // object, and copies the data into a bounce buffer.
-  auto& hcpu = handler_cpu(dst, req.target_core);
-  w.acquire(hcpu);
+  w.acquire(handler_cpu(dst, req.target_core));
   co_await w;
-  co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
+  step = {machine_.simulator().delay(
+              scaled(dst, p.recv_overhead + p.svd_lookup)),
+          {}, {}};
+  co_await step;
   auto serve = target_.serve_get(dst, req);
-  co_await sim.delay(
-      scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-                      p.dereg_base * serve.reg_evicted_handles +
-                      // copy into the send bounce buffer
-                      p.copy_time(req.len)));
-  hcpu.release();
+  step = {machine_.simulator().delay(scaled(
+              dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
+                       p.dereg_base * serve.reg_evicted_handles +
+                       // copy into the send bounce buffer
+                       p.copy_time(req.len))),
+          {}, {}};
+  co_await step;
+  handler_cpu(dst, req.target_core).release();
 
   // Reply carrying the data (plus the piggybacked base address); on IB an
   // RDMA write into the initiator's preposted eager buffer.
@@ -272,10 +281,10 @@ Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
         p.nic_tx_overhead + machine_.serialize_with_header(req.len));
   co_await w;
   stats_.wire_bytes += p.header_bytes + req.len;
-  st = co_await deliver(dst, from.node, &machine_.nic_tx(dst),
-                        p.nic_tx_overhead +
-                            machine_.serialize_with_header(req.len),
-                        p.header_bytes + req.len);
+  step = deliver(dst, from.node, &machine_.nic_tx(dst),
+                 p.nic_tx_overhead + machine_.serialize_with_header(req.len),
+                 p.header_bytes + req.len);
+  st = co_await step;
   if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
 
   // Initiator: receive dispatch (IB: CQ poll); small replies land in a

@@ -432,8 +432,10 @@ class Transport {
 
   // --- reliability layer: delegated to the shared ProtocolEngine ---
   /// One wire traversal src -> dst; see ProtocolEngine::deliver.
-  auto deliver(NodeId src, NodeId dst, sim::Resource* retx_nic,
-               sim::Duration retx_cost, std::uint64_t retx_bytes) {
+  ProtocolEngine::Delivery deliver(NodeId src, NodeId dst,
+                                   sim::Resource* retx_nic,
+                                   sim::Duration retx_cost,
+                                   std::uint64_t retx_bytes) {
     return protocol_.deliver(src, dst, retx_nic, retx_cost, retx_bytes);
   }
   /// Handler service time under slowdowns; see ProtocolEngine::scaled.

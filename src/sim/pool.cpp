@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <new>
 
 namespace xlupc::sim {
@@ -11,9 +12,9 @@ namespace {
 // 32-byte class granularity up to 2 KiB covers every coroutine frame and
 // callback spill the runtime produces (measured distribution peaks at
 // 64-1024 bytes); anything larger is rare enough to leave to malloc.
-constexpr std::size_t kGranularity = 32;
-constexpr std::size_t kMaxBlock = 2048;
-constexpr std::size_t kClasses = kMaxBlock / kGranularity;
+constexpr std::size_t kGranularity = kPoolGranularity;
+constexpr std::size_t kClasses = kPoolClasses;
+constexpr std::size_t kMaxBlock = kClasses * kGranularity;
 constexpr std::size_t kChunkBytes = 64 * 1024;
 constexpr std::size_t kSlabBytes = 2 * 1024 * 1024;
 
@@ -57,6 +58,7 @@ struct Pool {
   Chunk* spare;     ///< chunks no class holds, every block free
   char* slab_next;  ///< the next uncarved chunk of the current slab
   char* slab_end;
+  std::uint64_t census_mark;  ///< live bytes that take the next census
 };
 constinit Pool g_pool{};
 
@@ -89,6 +91,7 @@ Chunk* fresh_chunk() {
 
 // Give `chunk`, whose blocks are all free, wholesale to class `cls`.
 void carve(Chunk* chunk, std::size_t cls) {
+  ++g_pool.stats.classes[cls].chunks;
   char* const base = reinterpret_cast<char*>(chunk);
   const std::size_t block = block_bytes(cls);
   FreeBlock* head = nullptr;
@@ -130,6 +133,24 @@ Chunk* next_chunk(std::size_t cls) {
   return chunk;
 }
 
+// `chunk`, with no block out, leaves its class for the spare list.
+void to_spare(Chunk* chunk) {
+  --g_pool.stats.classes[chunk->cls].chunks;
+  chunk->next = g_pool.spare;
+  g_pool.spare = chunk;
+}
+
+// The live bytes passed their peak: record it, and take a census each
+// time it passes another 64 KiB.
+void raise_peak(PoolStats& st) {
+  st.peak_live_bytes = st.live_bytes;
+  if (st.live_bytes < g_pool.census_mark) return;
+  std::copy(std::begin(st.classes), std::end(st.classes),
+            std::begin(st.census));
+  st.census_live_bytes = st.live_bytes;
+  g_pool.census_mark = (st.live_bytes / kChunkBytes + 1) * kChunkBytes;
+}
+
 // A block came back to `chunk`, which is not its class's current one.
 // A chunk that was full joins the partial list, in address order; one
 // with no block out leaves its class for the spare list. Refilling from
@@ -139,8 +160,7 @@ void settle(Chunk* chunk, bool was_full) {
   SizeClass& c = g_pool.classes[chunk->cls];
   if (chunk->live == 0) {
     if (!was_full) unlink_partial(c, chunk);
-    chunk->next = g_pool.spare;
-    g_pool.spare = chunk;
+    to_spare(chunk);
   } else {
     Chunk* prev = nullptr;
     Chunk* next = c.partial;
@@ -175,7 +195,9 @@ void* pool_alloc(std::size_t bytes) {
   ++chunk->live;
   PoolStats& st = g_pool.stats;
   st.live_bytes += block_bytes(cls);
-  st.peak_live_bytes = std::max(st.peak_live_bytes, st.live_bytes);
+  ++st.live_blocks;
+  ++st.classes[cls].live_blocks;
+  if (st.live_bytes > st.peak_live_bytes) raise_peak(st);
   return block;
 }
 
@@ -189,7 +211,10 @@ void pool_free(void* p, std::size_t bytes) noexcept {
   const bool was_full = chunk->free == nullptr;
   chunk->free = ::new (p) FreeBlock{chunk->free};
   --chunk->live;
-  g_pool.stats.live_bytes -= block_bytes(chunk->cls);
+  PoolStats& st = g_pool.stats;
+  st.live_bytes -= block_bytes(chunk->cls);
+  --st.live_blocks;
+  --st.classes[chunk->cls].live_blocks;
   if ((was_full || chunk->live == 0) &&
       chunk != g_pool.classes[chunk->cls].current) {
     settle(chunk, was_full);
@@ -201,8 +226,7 @@ void pool_trim() noexcept {
   for (SizeClass& c : g_pool.classes) {
     Chunk* const chunk = c.current;
     if (chunk == nullptr || chunk->live != 0) continue;
-    chunk->next = g_pool.spare;
-    g_pool.spare = chunk;
+    to_spare(chunk);
     c.current = nullptr;
   }
 }

@@ -62,6 +62,17 @@ void pool_free(void* p, std::size_t bytes) noexcept;
 /// when the freelists are compiled out.
 void pool_trim() noexcept;
 
+/// Size classes: blocks of (class + 1) x kPoolGranularity bytes, up to
+/// 2 KiB; larger blocks go to operator new.
+inline constexpr std::size_t kPoolGranularity = 32;
+inline constexpr std::size_t kPoolClasses = 64;
+
+/// One size class's share of the pool.
+struct PoolClassCount {
+  std::uint32_t live_blocks = 0;  ///< blocks handed out and not yet freed
+  std::uint32_t chunks = 0;       ///< 64 KiB chunks the class holds
+};
+
 /// Allocation statistics, for tests and docs/PERFORMANCE.md numbers.
 struct PoolStats {
   /// Blocks handed out without taking a fresh chunk.
@@ -72,6 +83,7 @@ struct PoolStats {
   std::uint64_t chunks = 0;
   std::uint64_t chunk_bytes = 0;      ///< total backing bytes reserved
   std::uint64_t live_bytes = 0;       ///< class blocks handed out, in bytes
+  std::uint64_t live_blocks = 0;      ///< class blocks handed out
   std::uint64_t peak_live_bytes = 0;  ///< high-water mark of live_bytes
   /// Times a class's current chunk ran out of free blocks and the class
   /// switched to a partial, spare or fresh chunk.
@@ -79,12 +91,19 @@ struct PoolStats {
   /// Partial-list entries stepped over to insert a chunk that turned
   /// partial (the list is kept in address order).
   std::uint64_t partial_steps = 0;
+  /// Each class's live blocks and chunks now, indexed by class.
+  PoolClassCount classes[kPoolClasses] = {};
+  /// `classes` as it stood when the live peak last passed a multiple of
+  /// 64 KiB, and `live_bytes` then: the pool's make-up within 64 KiB of
+  /// its peak, at the cost of one compare per allocation.
+  PoolClassCount census[kPoolClasses] = {};
+  std::uint64_t census_live_bytes = 0;
 };
 const PoolStats& pool_stats() noexcept;
 
 /// Mixin giving a class (and, for coroutine promise types, the whole
 /// coroutine frame) pooled allocation. Task<T>::promise_type and
-/// Simulator's detached driver inherit this, which is what removes the
+/// Simulator::Process inherit this, which is what removes the
 /// per-operation frame malloc from every co_await chain. The delete is
 /// sized-only, so a coroutine frame is freed with its frame size.
 struct PooledFrame {

@@ -19,8 +19,10 @@ namespace xlupc::sim {
 
 class Resource {
  public:
-  Resource(Simulator& sim, std::uint64_t capacity)
-      : sim_(&sim), capacity_(capacity) {}
+  /// `usage_epoch` starts the usage window (see reset_usage()) of a
+  /// resource made inside a window that its owner began earlier.
+  Resource(Simulator& sim, std::uint64_t capacity, Time usage_epoch = 0)
+      : sim_(&sim), capacity_(capacity), usage_epoch_(usage_epoch) {}
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
   /// Only for building a container of idle resources: queued awaiters and

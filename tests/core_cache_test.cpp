@@ -1,6 +1,7 @@
 // Tests for the remote address cache — the paper's core data structure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <optional>
 #include <stdexcept>
@@ -110,15 +111,15 @@ TEST(AddressCache, UnlimitedWhenMaxEntriesIsZero) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(AddressCache, PaperSizedIndexIsOneKiB) {
-  // The index of a 100-entry cache is 256 four-byte slots: allocated at
-  // the first insert, at most half full at the limit, never regrown.
+TEST(AddressCache, PaperSizedIndexIsHalfAKiB) {
+  // The index of a 100-entry cache is 128 four-byte slots: allocated at
+  // the first insert, at most 0.8 full at the limit, never regrown.
   RemoteBases bases;
   AddressCache cache(bases, 100);
   EXPECT_EQ(cache.index_bytes(), 0u);
   for (std::uint64_t h = 0; h < 300; ++h) {
     cache.insert(CacheKey{h, 0, 0}, info(h));
-    ASSERT_EQ(cache.index_bytes(), 1024u) << "after " << h + 1 << " inserts";
+    ASSERT_EQ(cache.index_bytes(), 512u) << "after " << h + 1 << " inserts";
   }
   EXPECT_EQ(cache.size(), 100u);
   EXPECT_EQ(cache.stats().evictions, 200u);
@@ -126,14 +127,35 @@ TEST(AddressCache, PaperSizedIndexIsOneKiB) {
 
 TEST(AddressCache, PaperSizedCacheKeepsTwelveBytesAnEntry) {
   // At the paper's limit a cache keeps 100 entries of {value id, newer,
-  // older} plus its 1 KiB index; the values live in the shared table.
+  // older} plus its 512-byte index; the values live in the shared table.
   RemoteBases bases;
   AddressCache cache(bases, 100);
   EXPECT_EQ(cache.host_bytes(), 0u);
   for (std::uint64_t h = 0; h < 300; ++h) {
     cache.insert(CacheKey{h, 0, 0}, info(h));
   }
-  EXPECT_EQ(cache.host_bytes(), 100u * 12u + 1024u);
+  EXPECT_EQ(cache.host_bytes(), 100u * 12u + 512u);
+  EXPECT_EQ(bases.size(), 100u);
+}
+
+TEST(AddressCache, FullPaperSizedCacheStaysCorrectAcrossEvictingInserts) {
+  // 10^4 inserts of fresh keys through a full 100-entry cache: every
+  // insert evicts, the 128-slot index is never regrown, and the cache
+  // holds exactly its 100 most recent keys.
+  RemoteBases bases;
+  AddressCache cache(bases, 100);
+  for (std::uint64_t h = 0; h < 10'000; ++h) {
+    cache.insert(CacheKey{h, static_cast<NodeId>(h % 7), 0}, info(h));
+    ASSERT_EQ(cache.index_bytes(), 512u);
+  }
+  EXPECT_EQ(cache.size(), 100u);
+  EXPECT_EQ(cache.stats().evictions, 9'900u);
+  for (std::uint64_t h = 9'900; h < 10'000; ++h) {
+    const auto got = cache.lookup(CacheKey{h, static_cast<NodeId>(h % 7), 0});
+    ASSERT_TRUE(got.has_value()) << h;
+    EXPECT_EQ(got->base, info(h).base);
+  }
+  EXPECT_FALSE(cache.lookup(CacheKey{9'899, 9'899 % 7, 0}).has_value());
   EXPECT_EQ(bases.size(), 100u);
 }
 
@@ -295,7 +317,7 @@ TEST(FlatIndex, MissInALongProbeRunReadsOnlyTagMatchingKeys) {
     return keys[n];
   };
   Index index;
-  index.reserve(32, key_of);
+  index.reserve_bounded(32, key_of);
   for (std::uint64_t tag = 1; tag <= 12; ++tag) {
     keys.push_back(tag << 56 | 5);
     index.insert(static_cast<std::uint32_t>(keys.size() - 1), key_of);
@@ -310,6 +332,60 @@ TEST(FlatIndex, MissInALongProbeRunReadsOnlyTagMatchingKeys) {
   EXPECT_EQ(reads_to_find(std::uint64_t{7} << 56 | 1 << 20 | 5),
             std::pair(Index::npos, std::size_t{1}));
   EXPECT_EQ(reads_to_find(keys.back()), std::pair(11u, std::size_t{1}));
+}
+
+TEST(FlatIndex, BoundedIndexAtLoadPointEightReadsOnlyTagMatchingKeys) {
+  // reserve_bounded(100) gives the paper's cache its 128 slots (load
+  // 0.78 when full) and fixes them: 10^4 evicting inserts (erase the
+  // oldest member, insert a new one) never rehash, so each insert reads
+  // only the keys its backward shift and probe move past, never all 100.
+  // A miss whose tag no member carries reads no key at all, however long
+  // its probe run at this load.
+  using Index = FlatIndex<std::uint64_t>;
+  std::vector<std::uint64_t> keys(100);
+  std::size_t reads = 0;
+  auto key_of = [&keys, &reads](std::uint32_t n) {
+    ++reads;
+    return keys[n];
+  };
+  const auto tag = [](std::uint64_t k) {
+    return FlatHash<std::uint64_t>{}(k) >> 56;
+  };
+  Index index;
+  index.reserve_bounded(100, key_of);
+  EXPECT_EQ(index.slot_bytes(), 128u * 4u);
+  std::uint64_t next = 1;
+  for (std::uint32_t n = 0; n < 100; ++n) {
+    keys[n] = next++;
+    index.insert(n, key_of);
+  }
+  std::size_t most_reads = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint32_t n = static_cast<std::uint32_t>(i % 100);
+    reads = 0;
+    index.erase(n, key_of);
+    keys[n] = next++;
+    index.insert(n, key_of);
+    most_reads = std::max(most_reads, reads);
+    ASSERT_EQ(index.slot_bytes(), 128u * 4u);
+    ASSERT_EQ(index.size(), 100u);
+  }
+  EXPECT_LT(most_reads, 100u);
+  // Every member is still found, reading its own key.
+  for (std::uint32_t n = 0; n < 100; ++n) {
+    ASSERT_EQ(index.find(keys[n], key_of), n);
+  }
+  // Misses whose hash tag no member carries.
+  std::vector<bool> used(256, false);
+  for (std::uint64_t k : keys) used[tag(k)] = true;
+  int misses = 0;
+  for (std::uint64_t k = next + 1'000'000; misses < 1'000; ++k) {
+    if (used[tag(k)]) continue;
+    reads = 0;
+    ASSERT_EQ(index.find(k, key_of), Index::npos);
+    ASSERT_EQ(reads, 0u) << k;
+    ++misses;
+  }
 }
 
 TEST(AddressCache, ResetStatsKeepsEntries) {

@@ -298,6 +298,39 @@ TEST(FabricPorts, ListedInKeyOrderThroughMachine) {
   EXPECT_EQ(m.fabric().port_count(), 5u);
 }
 
+// A port first touched inside a metrics window reports its utilization
+// over that window, as the ports the reset found do: a wire busy from the
+// reset on reads 1.0, not diluted by the time before the reset.
+TEST(FabricPorts, PortFirstTouchedInsideAWindowReportsUtilizationOverIt) {
+  const PlatformParams p = power5_lapi();  // flat switch: 0 -> 3 is one port
+  sim::Simulator sim;
+  Fabric fab(sim, p, finite(4));
+  const std::uint64_t bytes = 1 << 16;
+  const Time t0 = p.wire_base;  // when the message reaches its port
+  ASSERT_GT(t0, 0u);
+  double util = -1.0;
+  // Spawned first, so at t0 the reset runs before the transit takes the
+  // port; the reading comes while the wire still serializes the message.
+  sim.spawn([](sim::Simulator& s, Fabric& f, Time at) -> Task<> {
+    co_await s.delay(at);
+    f.reset_port_usage();
+  }(sim, fab, t0));
+  sim.spawn([](Fabric& f, std::uint64_t b) -> Task<> {
+    co_await f.transit(0, 3, b);
+  }(fab, bytes));
+  sim.spawn([](sim::Simulator& s, Fabric& f, Time at,
+               double& out) -> Task<> {
+    co_await s.delay(at);
+    f.for_each_port([&out](std::uint64_t, const sim::Resource&,
+                           const sim::Resource& wire) {
+      out = wire.utilization();
+    });
+  }(sim, fab, t0 + p.serialize(bytes), util));
+  sim.run();
+  EXPECT_EQ(fab.port_count(), 1u);
+  EXPECT_DOUBLE_EQ(util, 1.0);
+}
+
 // --- runtime integration -------------------------------------------------
 
 core::RuntimeConfig rt_config(const char* machine, std::uint32_t nodes) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <span>
+#include <stdexcept>
 #include <set>
 #include <string>
 #include <vector>
@@ -441,6 +444,177 @@ TEST(Runtime, LeakedRemoteBaseReferenceBreaksTheCacheLaw) {
               std::string::npos)
         << what;
   }
+}
+
+TEST(Runtime, OpLeftStagedBreaksTheInFlightOpLaw) {
+  // A process thread 0 leaves behind issues a coalescible GET after every
+  // body has ended and flushed its staging buffers: the queue drains with
+  // the op still staged, no resource held, and the end-of-run check
+  // names the thread.
+  RuntimeConfig cfg = gm_config(2, 1);
+  cfg.coalesce.threshold = 64;
+  Runtime rt(cfg);
+  std::uint64_t out = 0;
+  try {
+    rt.run([&](UpcThread& th) -> Task<void> {
+      auto a = co_await th.all_alloc(2, 8, 1);
+      co_await th.barrier();
+      if (th.id() != 0) co_return;
+      rt.simulator().spawn([](UpcThread& t, ArrayDesc arr,
+                              std::uint64_t* dst) -> Task<void> {
+        co_await t.simulator().delay(sim::us(100));
+        (void)t.get_nb(arr, 1, std::as_writable_bytes(std::span(dst, 1)));
+      }(th, a, &out));
+    });
+    FAIL() << "run() returned";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(c) UPC thread 0 has 1 nonblocking op(s) in flight "
+                        "and 0 PUT remote completion(s) outstanding"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(Runtime, FrameLeftSuspendedBreaksThePoolLaw) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // A process a thread body spawns parks on a trigger nobody fires: no
+  // thread is blocked, so the run ends, but its frames outlive it.
+  Runtime rt(gm_config(2, 1));
+  sim::Trigger never(rt.simulator());
+  try {
+    rt.run([&](UpcThread& th) -> Task<void> {
+      if (th.id() == 1) {
+        rt.simulator().spawn(
+            [](sim::Trigger& t) -> Task<void> { co_await t.wait(); }(never));
+      }
+      co_return;
+    });
+    FAIL() << "run() returned";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(d) the sim pool holds"), std::string::npos) << what;
+    EXPECT_NE(what.find("when run() began"), std::string::npos) << what;
+  }
+}
+
+TEST(Runtime, AbortedRunDestroysItsFramesBeforeWhatTheyPointTo) {
+  // Thread 0 returns from a PUT to node 1 at local completion, leaving
+  // the detached remote half in flight, and throws. By then thread 1
+  // holds node 0's core 1 for a millisecond and threads 2 and 3 queue on
+  // that core. The abort leaves every one of those frames suspended; the
+  // Runtime's destructor destroys them while the threads, nodes,
+  // transport and machine their waiters, hooks and locals point into
+  // still exist: each suspended body's scope guard reads its thread and
+  // the machine as it is destroyed (a use after free in the sanitizer
+  // build otherwise), and no pool block outlives the Runtime.
+  struct Guard {
+    UpcThread* th;
+    std::vector<std::uint64_t>* seen;
+    ~Guard() {
+      seen->push_back(th->id() * 100 +
+                      th->runtime().machine().core(0, 1).queue_length() * 10 +
+                      th->comm_stats().issued);
+    }
+  };
+  std::vector<std::uint64_t> seen;
+  const std::uint64_t blocks = sim::pool_stats().live_blocks;
+  auto rt = std::make_unique<Runtime>(gm_config(2, 2));
+  std::uint64_t v = 7;
+  try {
+    rt->run([&](UpcThread& th) -> Task<void> {
+      auto a = co_await th.all_alloc(4, 8, 1);
+      co_await th.barrier();
+      if (th.id() == 0) {
+        co_await th.put(a, 2, std::as_bytes(std::span(&v, 1)));
+        throw std::runtime_error("abort");
+      }
+      const Guard guard{&th, &seen};
+      co_await rt->machine().core(0, 1).use(th.id() == 1 ? sim::ms(1)
+                                                         : sim::us(1));
+    });
+    FAIL() << "run() returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "abort");
+  }
+  EXPECT_EQ(rt->machine().core(0, 1).queue_length(), 2u);
+  EXPECT_EQ(rt->thread(0).comm_stats().issued, 1u);
+  // Three thread processes and the PUT's detached half are left.
+  EXPECT_GE(rt->simulator().live_processes(), 4u);
+  EXPECT_TRUE(seen.empty());
+  rt.reset();
+  // Threads 1-3 were destroyed in spawn order, with the queue as it was.
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{120, 220, 320}));
+#ifndef __SANITIZE_ADDRESS__
+  EXPECT_EQ(sim::pool_stats().live_blocks, blocks);
+#endif
+  (void)blocks;
+}
+
+// Live sim pool blocks 1 us into a scan in which every UPC thread of a
+// 2 x 4 machine memgets 16 elements from the other node, through the
+// throwing memget or through memget_status.
+std::uint64_t blocks_during_remote_memget(bool throwing) {
+  Runtime rt(gm_config(2, 4));
+  std::uint64_t probed = 0;
+  sim::Time probe_at = 0;
+  std::vector<sim::Time> done(rt.threads());
+  rt.run([&](UpcThread& th) -> Task<void> {
+    auto a = co_await th.all_alloc(128, 8, 8);
+    std::vector<std::uint64_t> buf(16);
+    co_await th.barrier();
+    if (th.id() == 0) {
+      probe_at = th.now() + sim::us(1);
+      rt.simulator().spawn([](sim::Simulator& s, sim::Time at,
+                              std::uint64_t& out) -> Task<void> {
+        co_await s.delay(at - s.now());
+        out = sim::pool_stats().live_blocks;
+      }(rt.simulator(), probe_at, probed));
+    }
+    const std::uint64_t first = (th.id() + 4) % 8 * 8;
+    const auto dst = std::as_writable_bytes(std::span(buf));
+    if (throwing) {
+      co_await th.memget(a, first, dst);
+    } else {
+      EXPECT_EQ(co_await th.memget_status(a, first, dst), OpStatus::kOk);
+    }
+    done[th.id()] = th.now();
+    co_await th.barrier();
+  });
+  for (const sim::Time t : done) EXPECT_GT(t, probe_at);
+  return probed;
+}
+
+TEST(Runtime, ThrowingMemgetHoldsAsManyBlocksAsItsStatusForm) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // The throwing form is a frameless Raising over the status form's
+  // task, so a thread suspended in it keeps no adapter frame.
+  const std::uint64_t status_form = blocks_during_remote_memget(false);
+  EXPECT_EQ(blocks_during_remote_memget(true), status_form);
+}
+
+TEST(Runtime, BodyParkedOnATriggerHoldsItsDriverAndItsBody) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // A UPC thread parked on a frameless awaitable keeps two pool blocks:
+  // the process frame Runtime::run starts for it and its body's frame.
+  Runtime rt(gm_config(1, 1));
+  sim::Trigger go(rt.simulator());
+  std::uint64_t parked = 0;
+  rt.simulator().spawn([](sim::Simulator& s, sim::Trigger& t,
+                          std::uint64_t& out) -> Task<void> {
+    co_await s.delay(sim::us(1));
+    out = sim::pool_stats().live_blocks;
+    t.fire();
+  }(rt.simulator(), go, parked));
+  const std::uint64_t before = sim::pool_stats().live_blocks;
+  rt.run([&](UpcThread&) -> Task<void> { co_await go.wait(); });
+  EXPECT_EQ(parked - before, 2u);
 }
 
 TEST(Runtime, LocksProvideMutualExclusionAcrossNodes) {

@@ -879,6 +879,39 @@ TEST(PoolAllocator, CountsChunkSwitchesAndPartialListSteps) {
   for (void* p : held) sim::pool_free(p, kSize);
 }
 
+TEST(PoolAllocator, CensusFollowsTheLivePeakInSixtyFourKiBSteps) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // Live blocks are counted in total and per class. Pushing the live
+  // bytes 128 KiB past the old peak with 96-byte blocks passes at least
+  // one 64 KiB mark, so a census is taken within the last 64 KiB of the
+  // growth, and it holds the class's live count as it stood then.
+  const sim::PoolStats& st = sim::pool_stats();
+  constexpr std::size_t kCls = 96 / sim::kPoolGranularity - 1;
+  constexpr std::uint64_t kStep = 64 * 1024;
+  const std::uint64_t blocks = st.live_blocks;
+  const std::uint64_t in_class = st.classes[kCls].live_blocks;
+  const std::uint64_t target = st.peak_live_bytes + 2 * kStep;
+  std::vector<void*> held;
+  while (st.live_bytes < target) held.push_back(sim::pool_alloc(96));
+  EXPECT_EQ(st.live_blocks, blocks + held.size());
+  EXPECT_EQ(st.classes[kCls].live_blocks, in_class + held.size());
+  // 682 blocks of 96 bytes fit in a 64 KiB chunk after its header.
+  EXPECT_GE(st.classes[kCls].chunks, held.size() / 682);
+  EXPECT_GT(st.census_live_bytes + kStep, st.live_bytes);
+  EXPECT_LE(st.census_live_bytes, st.live_bytes);
+  EXPECT_LE(st.census[kCls].live_blocks, in_class + held.size());
+  EXPECT_GE(st.census[kCls].live_blocks + kStep / 96 + 1,
+            in_class + held.size());
+  const sim::PoolClassCount census = st.census[kCls];
+  for (void* p : held) sim::pool_free(p, 96);
+  EXPECT_EQ(st.live_blocks, blocks);
+  EXPECT_EQ(st.classes[kCls].live_blocks, in_class);
+  // Frees take no census.
+  EXPECT_EQ(st.census[kCls].live_blocks, census.live_blocks);
+}
+
 TEST(PoolAllocator, OversizeBlocksFallThrough) {
   const sim::PoolStats before = sim::pool_stats();
   void* big = sim::pool_alloc(1 << 20);
