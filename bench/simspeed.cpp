@@ -22,8 +22,10 @@
 // (a class's current chunk ran dry) and partial-list steps, the pool's
 // per-class census near its live peak (pool.census: live blocks and
 // chunks held by block size, taken when the peak last passed a multiple
-// of 64 KiB, at pool.census_live_bytes), and queue.far_frac, the share of
-// schedules that went to the event queue's far heap.
+// of 64 KiB, at pool.census_live_bytes) and where resident memory last
+// grew (pool.fresh_census, the same counts when the last fresh chunk was
+// carved, at pool.fresh_census_live_bytes), and queue.far_frac, the
+// share of schedules that went to the event queue's far heap.
 //
 // Usage: simspeed [--machine gm|lapi|ib] [--seed N] [--json <file>]
 //                 [--scale-probe]
@@ -84,6 +86,22 @@ double peak_rss_mb() {
   }
   std::fclose(f);
   return kb / 1024.0;
+}
+
+/// A pool census as JSON: {block bytes: {blocks, chunks}} for each class
+/// that holds a block or a chunk.
+bench::Json census_json(
+    const sim::PoolClassCount (&census)[sim::kPoolClasses]) {
+  bench::Json out = bench::Json::object();
+  for (std::size_t c = 0; c < sim::kPoolClasses; ++c) {
+    const sim::PoolClassCount& n = census[c];
+    if (n.live_blocks == 0 && n.chunks == 0) continue;
+    bench::Json row = bench::Json::object();
+    row.set("blocks", bench::Json::number(std::uint64_t{n.live_blocks}));
+    row.set("chunks", bench::Json::number(std::uint64_t{n.chunks}));
+    out.set(std::to_string((c + 1) * sim::kPoolGranularity), std::move(row));
+  }
+  return out;
 }
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
@@ -353,19 +371,12 @@ int main(int argc, char** argv) {
              bench::Json::number(pool.peak_live_bytes));
   rep.metric("pool.chunk_switches", bench::Json::number(pool.chunk_switches));
   rep.metric("pool.partial_steps", bench::Json::number(pool.partial_steps));
-  bench::Json census = bench::Json::object();
-  for (std::size_t c = 0; c < sim::kPoolClasses; ++c) {
-    const sim::PoolClassCount& n = pool.census[c];
-    if (n.live_blocks == 0 && n.chunks == 0) continue;
-    bench::Json row = bench::Json::object();
-    row.set("blocks", bench::Json::number(std::uint64_t{n.live_blocks}));
-    row.set("chunks", bench::Json::number(std::uint64_t{n.chunks}));
-    census.set(std::to_string((c + 1) * sim::kPoolGranularity),
-               std::move(row));
-  }
   rep.metric("pool.census_live_bytes",
              bench::Json::number(pool.census_live_bytes));
-  rep.metric("pool.census", std::move(census));
+  rep.metric("pool.census", census_json(pool.census));
+  rep.metric("pool.fresh_census_live_bytes",
+             bench::Json::number(pool.fresh_census_live_bytes));
+  rep.metric("pool.fresh_census", census_json(pool.fresh_census));
   rep.metric("queue.far_frac",
              bench::Json::number(schedules == 0
                                      ? 0.0

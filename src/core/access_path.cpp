@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "core/runtime.h"
 
@@ -23,6 +24,18 @@ constexpr std::uint32_t kAmoLen = sizeof(std::uint64_t);  ///< traced size
 // trace record is a member call rather than a capturing lambda, and no
 // request or descriptor is copied only to be passed on.
 
+const net::PlatformParams& AccessPath::params() const noexcept {
+  return rt_.cfg_.platform;
+}
+
+sim::Resource& AccessPath::core_of(const UpcThread& th) {
+  return rt_.machine_.core(th.node(), th.core());
+}
+
+net::Initiator AccessPath::seat_of(const UpcThread& th) noexcept {
+  return {th.node(), th.core()};
+}
+
 void AccessPath::trace(const UpcThread& th, TraceOp op, TracePath path,
                        NodeId owner, std::uint32_t len,
                        sim::Time t_start) const {
@@ -39,262 +52,295 @@ Addr AccessPath::cached_addr(const UpcThread& th, const CacheKey& key,
   return info ? info->base + node_off : kNullAddr;
 }
 
-Task<net::GetReply> AccessPath::am_get(const UpcThread& th,
-                                       const ArrayDesc& a, Layout::Loc loc,
-                                       NodeId owner, std::uint64_t node_off,
+net::GetRequest AccessPath::am_request(const ArrayDesc& a, Layout::Loc loc,
+                                       std::uint64_t node_off,
                                        std::span<std::byte> dst,
                                        bool want_base) {
-  return rt_.transport_.get(
-      {th.node(), th.core()}, owner,
-      net::GetRequest{
-          .svd_handle = a.handle.pack(),
-          .offset = node_off,
-          .len = static_cast<std::uint32_t>(dst.size()),
-          .want_base = want_base,
-          .target_core = a.layout->core_of(loc.thread),
-          .local_buf = static_cast<Addr>(
-              reinterpret_cast<std::uintptr_t>(dst.data()))});
+  return net::GetRequest{
+      .svd_handle = a.handle.pack(),
+      .offset = node_off,
+      .len = static_cast<std::uint32_t>(dst.size()),
+      .want_base = want_base,
+      .target_core = a.layout->core_of(loc.thread),
+      .local_buf =
+          static_cast<Addr>(reinterpret_cast<std::uintptr_t>(dst.data()))};
+}
+
+std::size_t AccessPath::next_piece(const Layout& layout, Layout::Loc& loc,
+                                   std::uint64_t& elem, std::size_t left) {
+  if (elem == kLocated) return left;
+  loc = layout.locate(elem);
+  const std::size_t len = std::min<std::size_t>(
+      left, layout.run_length(elem) * layout.elem_size());
+  elem += len / layout.elem_size();
+  return len;
 }
 
 namespace {
 
-/// get_span's transport leg and where it lands: the RDMA result and the
-/// AM reply share this one slot of its frame. Arm `rdma` or `am` with
-/// the leg's task, then co_await the variable in place (GCC 12 gives a
+/// get_span's transport leg: the task of a piece's RDMA read or AM GET,
+/// and what the transport reads from and lands in, one of the two at a
+/// time. Arm `task`, then co_await the variable in place (GCC 12 gives a
 /// co_await operand that is not a plain variable, and every by-value
-/// argument of a call inside it, a slot of the frame of its own).
+/// argument of a call inside it, a slot of the frame of its own);
+/// awaiting returns the leg's status and frees the leg's frame.
 struct GetLeg {
-  Task<net::RdmaGetResult> rdma;
-  Task<net::GetReply> am;
-  net::Bytes data;
-  std::optional<net::BaseInfo> base;  ///< AM: the piggybacked base
-  OpStatus status = OpStatus::kOk;
-  bool nak = false;  ///< RDMA: the target no longer pins the window
+  /// The AM GET's request and the reply it lands.
+  struct Am {
+    net::GetRequest req;
+    net::GetReply reply;
+  };
 
-  bool await_ready() const noexcept { return false; }
+  std::variant<net::RdmaGetResult, Am> slot;
+  Task<OpStatus> task;  ///< after `slot`: a leg dies before what it uses
+
+  net::RdmaGetResult& rdma() { return std::get<net::RdmaGetResult>(slot); }
+  Am& am() { return std::get<Am>(slot); }
+
+  bool await_ready() const { return task.await_ready(); }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) noexcept {
-    if (rdma.valid()) {
-      return std::move(rdma).operator co_await().await_suspend(h);
-    }
-    return std::move(am).operator co_await().await_suspend(h);
+    return task.await_suspend(h);
   }
-  // Takes the leg's result and frees its task's frame.
-  void await_resume() {
-    if (rdma.valid()) {
-      net::RdmaGetResult r = std::move(rdma).operator co_await().await_resume();
-      rdma = {};
-      data = std::move(r.data);
-      status = r.status;
-      nak = !r.ok();
-    } else {
-      net::GetReply r = std::move(am).operator co_await().await_resume();
-      am = {};
-      data = std::move(r.data);
-      base = r.base;
-      status = r.status;
-    }
+  OpStatus await_resume() {
+    const OpStatus st = task.await_resume();
+    task = {};
+    return st;
   }
 };
+
+/// Copy a landed piece into the user's buffer and free the landing
+/// buffer, so a memget's later pieces do not keep it.
+void land(std::byte* out, net::Bytes& data, std::size_t len) {
+  std::memcpy(out, data.data(), len);
+  data = {};
+}
 
 }  // namespace
 
 Task<OpStatus> AccessPath::get_span(UpcThread& th, ArrayDesc a,
-                                    Layout::Loc loc,
+                                    Layout::Loc loc, std::uint64_t elem,
                                     std::span<std::byte> dst) {
-  const auto& p = rt_.cfg_.platform;
-  const Layout& layout = *a.layout;
-  const NodeId owner = layout.node_of(loc.thread);
-  const std::uint32_t len = static_cast<std::uint32_t>(dst.size());
-  const std::uint64_t node_off = layout.node_offset(loc);
-  const sim::Time t_start = rt_.sim_.now();
-  const net::Initiator from{th.node(), th.core()};
+  // A thread waiting on a GET keeps this frame and its leg's, so it
+  // holds only what a suspension crosses: the platform, the owner, the
+  // initiator and the cache key are recomputed where used.
+  OpStatus st = OpStatus::kOk;
   sim::Resource::Waiter cpu;  // each charge on this thread's core
+  GetLeg leg;                 // each piece's RDMA read, then any AM GET
 
-  if (owner == th.node()) {
-    // Shared-local access: SVD translation is a local lookup; data moves
-    // over the node's memory system, no network involved.
-    cpu.use(rt_.machine_.core(th.node(), th.core()),
-            (loc.thread == th.id() ? p.local_access : p.shm_latency) +
-                sim::transfer_time(len, p.shm_copy_bw));
-    co_await cpu;
-    rt_.node(owner).space.read(
-        rt_.local_translate(owner, a.handle, node_off, len), dst);
-    if (loc.thread == th.id()) {
-      ++rt_.counters_.local_gets;
-      trace(th, TraceOp::kGet, TracePath::kLocal, owner, len, t_start);
-    } else {
-      ++rt_.counters_.shm_gets;
-      trace(th, TraceOp::kGet, TracePath::kShm, owner, len, t_start);
-    }
-    co_return OpStatus::kOk;
-  }
+  // One piece per ownership run, each contiguous on its owner; a memget
+  // stops at its first failed piece. `dst` is what is left to read.
+  for (std::size_t len = 0; !dst.empty(); dst = dst.subspan(len)) {
+    len = next_piece(*a.layout, loc, elem, dst.size());
+    const std::uint64_t node_off = a.layout->node_offset(loc);
+    const sim::Time t_start = rt_.sim_.now();
 
-  // Circuit breaker: once the failure detector has declared the owner
-  // dead, fail fast with kPeerFailed instead of hammering the dead peer
-  // through a full retransmission budget per access.
-  if (rt_.peer_failed(owner)) {
-    ++rt_.counters_.breaker_fast_fails;
-    co_return OpStatus::kPeerFailed;
-  }
-
-  const bool use_cache = rt_.cfg_.cache.enabled;
-  const CacheKey key = rt_.make_key(a, owner, node_off);
-  GetLeg leg;  // the RDMA read, then any AM GET
-
-  if (use_cache) {
-    cpu.use(rt_.machine_.core(th.node(), th.core()), p.cache_lookup);
-    co_await cpu;
-    if (const Addr raddr = cached_addr(th, key, node_off)) {
-      if (len > p.rdma_bounce_limit) {
-        // Zero-copy into the user buffer: it must be registered locally.
-        Task<void> reg = rt_.transport_.ensure_local_registered(
-            from,
-            static_cast<Addr>(reinterpret_cast<std::uintptr_t>(dst.data())),
-            len);
-        co_await std::move(reg);
+    if (owner_of(a, loc) == th.node()) {
+      // Shared-local access: SVD translation is a local lookup; data
+      // moves over the node's memory system, no network involved.
+      cpu.use(core_of(th),
+              (loc.thread == th.id() ? params().local_access
+                                     : params().shm_latency) +
+                  sim::transfer_time(len, params().shm_copy_bw));
+      co_await cpu;
+      rt_.node(th.node()).space.read(
+          rt_.local_translate(th.node(), a.handle, node_off, len),
+          dst.first(len));
+      if (loc.thread == th.id()) {
+        ++rt_.counters_.local_gets;
+        trace(th, TraceOp::kGet, TracePath::kLocal, th.node(), len, t_start);
+      } else {
+        ++rt_.counters_.shm_gets;
+        trace(th, TraceOp::kGet, TracePath::kShm, th.node(), len, t_start);
       }
-      leg.rdma = rt_.transport_.rdma_get(from, owner, raddr, len);
-      co_await leg;
-      if (leg.status != OpStatus::kOk) co_return leg.status;
-      if (!leg.nak) {
-        if (len <= p.rdma_bounce_limit) {
-          // Landed in a preregistered bounce buffer; copy out on the CPU.
-          cpu.use(rt_.machine_.core(th.node(), th.core()), p.copy_time(len));
-          co_await cpu;
+      continue;
+    }
+
+    // Circuit breaker: once the failure detector has declared the owner
+    // dead, fail fast with kPeerFailed instead of hammering the dead
+    // peer through a full retransmission budget per access.
+    if (rt_.peer_failed(owner_of(a, loc))) {
+      ++rt_.counters_.breaker_fast_fails;
+      co_return OpStatus::kPeerFailed;
+    }
+
+    if (rt_.cfg_.cache.enabled) {
+      cpu.use(core_of(th), params().cache_lookup);
+      co_await cpu;
+      if (const Addr raddr = cached_addr(
+              th, rt_.make_key(a, owner_of(a, loc), node_off), node_off)) {
+        if (len > params().rdma_bounce_limit) {
+          // Zero-copy into the user buffer: it must be registered
+          // locally, a charge only when the registration cache misses.
+          cpu.use(core_of(th),
+                  rt_.transport_.local_registration(
+                      seat_of(th),
+                      static_cast<Addr>(
+                          reinterpret_cast<std::uintptr_t>(dst.data())),
+                      len));
+          if (cpu.hold != 0) co_await cpu;
         }
-        std::memcpy(dst.data(), leg.data.data(), len);
-        ++rt_.counters_.rdma_gets;
-        // Offload backends (IB) complete one-sided reads entirely on the
-        // NIC DMA engine; mark them apart from handler-CPU completions.
-        trace(th, TraceOp::kGet,
-              p.rdma_offload ? TracePath::kRdmaOffload : TracePath::kRdma,
-              owner, len, t_start);
-        co_return OpStatus::kOk;
+        leg.slot.emplace<net::RdmaGetResult>();
+        leg.task = rt_.transport_.rdma_get(seat_of(th), owner_of(a, loc),
+                                           raddr,
+                                           static_cast<std::uint32_t>(len),
+                                           leg.rdma());
+        st = co_await leg;
+        if (st != OpStatus::kOk) co_return st;
+        if (leg.rdma().ok()) {
+          if (len <= params().rdma_bounce_limit) {
+            // Landed in a preregistered bounce buffer; copy out on the
+            // CPU.
+            cpu.use(core_of(th), params().copy_time(len));
+            co_await cpu;
+          }
+          land(dst.data(), leg.rdma().data, len);
+          ++rt_.counters_.rdma_gets;
+          // Offload backends (IB) complete one-sided reads entirely on
+          // the NIC DMA engine; mark them apart from handler-CPU
+          // completions.
+          trace(th, TraceOp::kGet,
+                params().rdma_offload ? TracePath::kRdmaOffload
+                                      : TracePath::kRdma,
+                owner_of(a, loc), len, t_start);
+          continue;
+        }
+        // NAK: the target no longer pins that window. Invalidate and fall
+        // back to the default path (which will re-populate the cache).
+        rt_.node(th.node()).cache.invalidate(
+            rt_.make_key(a, owner_of(a, loc), node_off));
+        ++rt_.counters_.rdma_naks;
       }
-      // NAK: the target no longer pins that window. Invalidate and fall
-      // back to the default path (which will re-populate the cache).
-      rt_.node(th.node()).cache.invalidate(key);
-      ++rt_.counters_.rdma_naks;
     }
-  }
 
-  // Default SVD path (Fig. 3a): AM request, target-side translation, the
-  // reply piggybacks the base address when caching is on.
-  leg.am = am_get(th, a, loc, owner, node_off, dst, use_cache);
-  co_await leg;
-  if (leg.status != OpStatus::kOk) co_return leg.status;
-  if (leg.base && use_cache) {
-    cpu.use(rt_.machine_.core(th.node(), th.core()), p.cache_update);
-    co_await cpu;
-    rt_.node(th.node()).cache.insert(key, *leg.base);
+    // Default SVD path (Fig. 3a): AM request, target-side translation,
+    // the reply piggybacks the base address when caching is on.
+    leg.slot.emplace<GetLeg::Am>(GetLeg::Am{
+        am_request(a, loc, node_off, dst.first(len), rt_.cfg_.cache.enabled),
+        {}});
+    leg.task = rt_.transport_.get(seat_of(th), owner_of(a, loc), leg.am().req,
+                                  leg.am().reply);
+    st = co_await leg;
+    if (st != OpStatus::kOk) co_return st;
+    if (leg.am().reply.base && rt_.cfg_.cache.enabled) {
+      cpu.use(core_of(th), params().cache_update);
+      co_await cpu;
+      rt_.node(th.node()).cache.insert(
+          rt_.make_key(a, owner_of(a, loc), node_off), *leg.am().reply.base);
+    }
+    land(dst.data(), leg.am().reply.data, len);
+    ++rt_.counters_.am_gets;
+    trace(th, TraceOp::kGet, TracePath::kAm, owner_of(a, loc), len, t_start);
   }
-  std::memcpy(dst.data(), leg.data.data(), len);
-  ++rt_.counters_.am_gets;
-  trace(th, TraceOp::kGet, TracePath::kAm, owner, len, t_start);
   co_return OpStatus::kOk;
 }
 
 Task<OpStatus> AccessPath::put_span(UpcThread& th, ArrayDesc a,
-                                    Layout::Loc loc,
+                                    Layout::Loc loc, std::uint64_t elem,
                                     std::span<const std::byte> src) {
   const auto& p = rt_.cfg_.platform;
   const Layout& layout = *a.layout;
-  const NodeId owner = layout.node_of(loc.thread);
-  const std::uint64_t node_off = layout.node_offset(loc);
-  const std::uint32_t len = static_cast<std::uint32_t>(src.size());
-  const sim::Time t_start = rt_.sim_.now();
-
-  if (owner == th.node()) {
-    const bool same_thread = loc.thread == th.id();
-    Duration cost = same_thread ? p.local_access : p.shm_latency;
-    cost += sim::transfer_time(len, p.shm_copy_bw);
-    co_await rt_.machine_.core(th.node(), th.core()).use(cost);
-    const Addr addr = rt_.local_translate(owner, a.handle, node_off, len);
-    rt_.node(owner).space.write(addr, src);
-    if (same_thread) {
-      ++rt_.counters_.local_puts;
-      trace(th, TraceOp::kPut, TracePath::kLocal, owner, len, t_start);
-    } else {
-      ++rt_.counters_.shm_puts;
-      trace(th, TraceOp::kPut, TracePath::kShm, owner, len, t_start);
-    }
-    co_return OpStatus::kOk;
-  }
-
-  // Circuit breaker (same contract as get_span).
-  if (rt_.peer_failed(owner)) {
-    ++rt_.counters_.breaker_fast_fails;
-    co_return OpStatus::kPeerFailed;
-  }
-
   const net::Initiator from{th.node(), th.core()};
   const bool cache_on = rt_.put_cache_enabled();
   Runtime* rt = &rt_;
+  sim::Resource::Waiter cpu;  // each charge on this thread's core
 
-  if (cache_on) {
-    const CacheKey key = rt_.make_key(a, owner, node_off);
-    co_await rt_.machine_.core(th.node(), th.core()).use(p.cache_lookup);
-    if (auto info = rt_.node(th.node()).cache.lookup(key)) {
-      const Addr raddr = info->base + node_off;
-      if (len <= p.rdma_bounce_limit) {
-        // Stage into a preregistered bounce buffer.
-        co_await rt_.machine_.core(th.node(), th.core()).use(p.copy_time(len));
+  // One piece per ownership run, as in get_span.
+  for (std::size_t off = 0, len = 0; off < src.size(); off += len) {
+    len = next_piece(layout, loc, elem, src.size() - off);
+    const std::span<const std::byte> piece = src.subspan(off, len);
+    const NodeId owner = layout.node_of(loc.thread);
+    const std::uint64_t node_off = layout.node_offset(loc);
+    const sim::Time t_start = rt_.sim_.now();
+
+    if (owner == th.node()) {
+      const bool same_thread = loc.thread == th.id();
+      cpu.use(rt_.machine_.core(th.node(), th.core()),
+              (same_thread ? p.local_access : p.shm_latency) +
+                  sim::transfer_time(len, p.shm_copy_bw));
+      co_await cpu;
+      const Addr addr = rt_.local_translate(owner, a.handle, node_off, len);
+      rt_.node(owner).space.write(addr, piece);
+      if (same_thread) {
+        ++rt_.counters_.local_puts;
+        trace(th, TraceOp::kPut, TracePath::kLocal, owner, len, t_start);
       } else {
-        co_await rt_.transport_.ensure_local_registered(
-            from, static_cast<Addr>(reinterpret_cast<std::uintptr_t>(
-                      src.data())),
-            len);
+        ++rt_.counters_.shm_puts;
+        trace(th, TraceOp::kPut, TracePath::kShm, owner, len, t_start);
       }
-      rt_.note_put_issued(th);
-      const ThreadId tid = th.id();
-      const net::RdmaPutResult res = co_await rt_.transport_.rdma_put(
-          from, owner, raddr, {src.begin(), src.end()},
-          [rt, tid] { rt->note_put_completed(tid); });
-      if (res.status == OpStatus::kOk && res.ok()) {
-        ++rt_.counters_.rdma_puts;
-        trace(th, TraceOp::kPut,
-              p.rdma_offload ? TracePath::kRdmaOffload : TracePath::kRdma,
-              owner, len, t_start);
-        co_return OpStatus::kOk;
-      }
-      // NAKed or failed: the completion hook never fires, so release the
-      // outstanding count here, or fence() waits for a completion that
-      // can never arrive.
-      rt_.note_put_completed(th.id());
-      if (res.status != OpStatus::kOk) co_return res.status;
-      rt_.node(th.node()).cache.invalidate(key);
-      ++rt_.counters_.rdma_naks;
+      continue;
     }
-  }
 
-  net::PutRequest req;
-  req.svd_handle = a.handle.pack();
-  req.offset = node_off;
-  req.data.assign(src.begin(), src.end());
-  req.want_base = cache_on;
-  req.target_core = layout.core_of(loc.thread);
-  req.local_buf =
-      static_cast<Addr>(reinterpret_cast<std::uintptr_t>(src.data()));
-  rt_.note_put_issued(th);
-  const ThreadId tid = th.id();
-  const CacheKey key = rt_.make_key(a, owner, node_off);
-  const NodeId my_node = th.node();
-  const OpStatus st = co_await rt_.transport_.put(
-      from, owner, std::move(req),
-      [rt, tid, key, my_node, cache_on](const net::PutAck& ack) {
-        if (ack.base && cache_on) {
-          rt->node(my_node).cache.insert(key, *ack.base);
+    // Circuit breaker (same contract as get_span).
+    if (rt_.peer_failed(owner)) {
+      ++rt_.counters_.breaker_fast_fails;
+      co_return OpStatus::kPeerFailed;
+    }
+
+    const CacheKey key = rt_.make_key(a, owner, node_off);
+    if (cache_on) {
+      cpu.use(rt_.machine_.core(th.node(), th.core()), p.cache_lookup);
+      co_await cpu;
+      if (const Addr raddr = cached_addr(th, key, node_off)) {
+        if (len <= p.rdma_bounce_limit) {
+          // Stage into a preregistered bounce buffer.
+          cpu.use(rt_.machine_.core(th.node(), th.core()), p.copy_time(len));
+          co_await cpu;
+        } else {
+          co_await rt_.transport_.ensure_local_registered(
+              from, static_cast<Addr>(reinterpret_cast<std::uintptr_t>(
+                        piece.data())),
+              len);
         }
-        rt->note_put_completed(tid);
-      });
-  if (st != OpStatus::kOk) {
-    // Same release: an awaited leg (rendezvous RTS/CTS, or the QP post
-    // on IB) failed, so the detached half that fires on_ack never ran.
-    rt_.note_put_completed(th.id());
-    co_return st;
+        rt_.note_put_issued(th);
+        const ThreadId tid = th.id();
+        const net::RdmaPutResult res = co_await rt_.transport_.rdma_put(
+            from, owner, raddr, {piece.begin(), piece.end()},
+            [rt, tid] { rt->note_put_completed(tid); });
+        if (res.status == OpStatus::kOk && res.ok()) {
+          ++rt_.counters_.rdma_puts;
+          trace(th, TraceOp::kPut,
+                p.rdma_offload ? TracePath::kRdmaOffload : TracePath::kRdma,
+                owner, len, t_start);
+          continue;
+        }
+        // NAKed or failed: the completion hook never fires, so release
+        // the outstanding count here, or fence() waits for a completion
+        // that can never arrive.
+        rt_.note_put_completed(th.id());
+        if (res.status != OpStatus::kOk) co_return res.status;
+        rt_.node(th.node()).cache.invalidate(key);
+        ++rt_.counters_.rdma_naks;
+      }
+    }
+
+    net::PutRequest req;
+    req.svd_handle = a.handle.pack();
+    req.offset = node_off;
+    req.data.assign(piece.begin(), piece.end());
+    req.want_base = cache_on;
+    req.target_core = layout.core_of(loc.thread);
+    req.local_buf =
+        static_cast<Addr>(reinterpret_cast<std::uintptr_t>(piece.data()));
+    rt_.note_put_issued(th);
+    const ThreadId tid = th.id();
+    const NodeId my_node = th.node();
+    const OpStatus st = co_await rt_.transport_.put(
+        from, owner, std::move(req),
+        [rt, tid, key, my_node, cache_on](const net::PutAck& ack) {
+          if (ack.base && cache_on) {
+            rt->node(my_node).cache.insert(key, *ack.base);
+          }
+          rt->note_put_completed(tid);
+        });
+    if (st != OpStatus::kOk) {
+      // Same release: an awaited leg (rendezvous RTS/CTS, or the QP post
+      // on IB) failed, so the detached half that fires on_ack never ran.
+      rt_.note_put_completed(th.id());
+      co_return st;
+    }
+    ++rt_.counters_.am_puts;
+    trace(th, TraceOp::kPut, TracePath::kAm, owner, len, t_start);
   }
-  ++rt_.counters_.am_puts;
-  trace(th, TraceOp::kPut, TracePath::kAm, owner, len, t_start);
   co_return OpStatus::kOk;
 }
 
@@ -324,20 +370,18 @@ Task<OpStatus> AccessPath::amo_span(UpcThread& th, OpKind kind, ArrayDesc a,
                                     Layout::Loc loc, std::uint64_t operand,
                                     std::uint64_t compare,
                                     std::uint64_t* result) {
-  const auto& p = rt_.cfg_.platform;
-  const Layout& layout = *a.layout;
-  const NodeId owner = layout.node_of(loc.thread);
-  const std::uint64_t node_off = layout.node_offset(loc);
+  // Like get_span's, this frame keeps only what a suspension crosses.
+  const std::uint64_t node_off = a.layout->node_offset(loc);
   const sim::Time t_start = rt_.sim_.now();
   sim::Resource::Waiter cpu;  // each charge on this thread's core
 
-  if (owner == th.node()) {
+  if (owner_of(a, loc) == th.node()) {
     // Shared-local atomic: translation is a local lookup and the word is
     // updated through the node's memory system. Within a node the UPC
     // threads are cooperatively scheduled on the DES, so the plain
     // read-modify-write is already indivisible.
-    cpu.use(rt_.machine_.core(th.node(), th.core()),
-            loc.thread == th.id() ? p.local_access : p.shm_latency);
+    cpu.use(core_of(th), loc.thread == th.id() ? params().local_access
+                                               : params().shm_latency);
     co_await cpu;
     apply_local_amo(th, kind, a, loc, node_off, operand, compare, result,
                     t_start);
@@ -345,7 +389,7 @@ Task<OpStatus> AccessPath::amo_span(UpcThread& th, OpKind kind, ArrayDesc a,
   }
 
   // Circuit breaker (same contract as get_span).
-  if (rt_.peer_failed(owner)) {
+  if (rt_.peer_failed(owner_of(a, loc))) {
     ++rt_.counters_.breaker_fast_fails;
     co_return OpStatus::kPeerFailed;
   }
@@ -356,43 +400,46 @@ Task<OpStatus> AccessPath::amo_span(UpcThread& th, OpKind kind, ArrayDesc a,
   req.offset = node_off;
   req.operand = operand;
   req.compare = compare;
-  req.target_core = layout.core_of(loc.thread);
+  req.target_core = a.layout->core_of(loc.thread);
 
   // Address-cache probe, meaningful only on offload backends (IB): a hit
   // arms the NIC-offloaded lowering with the cached remote address. On
   // GM/LAPI the AM handler translates at the home, so the probe (and its
   // cache_lookup charge) is skipped entirely — their AMO timing does not
   // depend on cache state.
-  const bool use_cache = rt_.cfg_.cache.enabled && p.rdma_offload;
-  const CacheKey key = rt_.make_key(a, owner, node_off);
-  if (use_cache) {
-    cpu.use(rt_.machine_.core(th.node(), th.core()), p.cache_lookup);
+  if (rt_.cfg_.cache.enabled && params().rdma_offload) {
+    cpu.use(core_of(th), params().cache_lookup);
     co_await cpu;
-    req.raddr = cached_addr(th, key, node_off);
+    req.raddr = cached_addr(th, rt_.make_key(a, owner_of(a, loc), node_off),
+                            node_off);
   }
 
-  // One co_await site serves the first try and the retry after a NAK.
+  // One co_await site serves the first try and the retry after a NAK;
+  // the leg reads `req` and lands its result in `res`.
+  net::AmoResult res;
   for (;;) {
-    Task<net::AmoResult> leg =
-        rt_.transport_.amo({th.node(), th.core()}, owner, req);
-    const net::AmoResult res = co_await std::move(leg);
-    if (res.status == OpStatus::kOk && !res.ok()) {
+    Task<OpStatus> leg =
+        rt_.transport_.amo(seat_of(th), owner_of(a, loc), req, res);
+    const OpStatus st = co_await leg;
+    if (st != OpStatus::kOk) co_return st;
+    if (!res.ok()) {
       // NAK: the cached window is no longer pinned. Invalidate and retry
       // through the AM lowering (which translates at the home node).
-      rt_.node(th.node()).cache.invalidate(key);
+      rt_.node(th.node()).cache.invalidate(
+          rt_.make_key(a, owner_of(a, loc), node_off));
       ++rt_.counters_.rdma_naks;
       req.raddr = kNullAddr;
       continue;
     }
-    if (res.status != OpStatus::kOk) co_return res.status;
     if (result != nullptr) *result = res.value;
     if (res.offloaded) {
       ++rt_.counters_.rdma_amos;
-      trace(th, TraceOp::kAmo, TracePath::kRdmaOffload, owner, kAmoLen,
-            t_start);
+      trace(th, TraceOp::kAmo, TracePath::kRdmaOffload, owner_of(a, loc),
+            kAmoLen, t_start);
     } else {
       ++rt_.counters_.am_amos;
-      trace(th, TraceOp::kAmo, TracePath::kAm, owner, kAmoLen, t_start);
+      trace(th, TraceOp::kAmo, TracePath::kAm, owner_of(a, loc), kAmoLen,
+            t_start);
     }
     if (kind == OpKind::kCas && res.value != compare) {
       ++rt_.counters_.cas_failures;
@@ -402,53 +449,27 @@ Task<OpStatus> AccessPath::amo_span(UpcThread& th, OpKind kind, ArrayDesc a,
 }
 
 Task<OpStatus> AccessPath::execute(UpcThread& th, CommOp op) {
-  // Plain dispatcher: single-run ops forward to the span coroutine with
-  // no execute() frame. Safe because get_span/put_span copy their
+  // Plain dispatcher: every op forwards to its span coroutine with no
+  // execute() frame. Safe because the span coroutines copy their
   // ArrayDesc / Loc / span arguments into their own frame — nothing
   // references the local `op` after this returns.
-  if (op.multi) {
-    return execute_multi(th, op.kind, std::move(op.array), op.elem, op.dst,
-                         op.src, op.bytes);
-  }
   const Layout& layout = *op.array.layout;
-  const Layout::Loc loc =
-      op.two_d ? layout.locate2d(op.row, op.col) : layout.locate(op.elem);
   if (is_amo(op.kind)) {
-    return amo_span(th, op.kind, std::move(op.array), loc, op.operand,
-                    op.compare, op.result);
+    return amo_span(th, op.kind, std::move(op.array), layout.locate(op.elem),
+                    op.operand, op.compare, op.result);
   }
-  return span(th, op.kind, op.array, loc, op.dst, op.src, op.bytes);
-}
-
-Task<OpStatus> AccessPath::span(UpcThread& th, OpKind kind,
-                                const ArrayDesc& a, Layout::Loc loc,
-                                std::byte* dst, const std::byte* src,
-                                std::size_t bytes) {
-  if (kind == OpKind::kGet) {
-    return get_span(th, a, loc, std::span<std::byte>(dst, bytes));
+  Layout::Loc loc;
+  std::uint64_t elem = op.elem;
+  if (op.two_d) {
+    loc = layout.locate2d(op.row, op.col);
+    elem = kLocated;
   }
-  return put_span(th, a, loc, std::span<const std::byte>(src, bytes));
-}
-
-Task<OpStatus> AccessPath::execute_multi(UpcThread& th, OpKind kind,
-                                         ArrayDesc a, std::uint64_t elem,
-                                         std::byte* dst, const std::byte* src,
-                                         std::size_t bytes) {
-  // memget/memput: split the range at ownership boundaries, exactly as
-  // the blocking loops did (each piece is contiguous on its owner).
-  const Layout& layout = *a.layout;
-  const std::uint64_t es = layout.elem_size();
-  for (std::size_t off = 0; off < bytes;) {
-    const std::size_t len = std::min(bytes - off, layout.run_length(elem) * es);
-    const OpStatus st =
-        co_await span(th, kind, a, layout.locate(elem),
-                      dst == nullptr ? nullptr : dst + off,
-                      src == nullptr ? nullptr : src + off, len);
-    if (st != OpStatus::kOk) co_return st;
-    elem += len / es;
-    off += len;
+  if (op.kind == OpKind::kGet) {
+    return get_span(th, std::move(op.array), loc, elem,
+                    std::span<std::byte>(op.dst, op.bytes));
   }
-  co_return OpStatus::kOk;
+  return put_span(th, std::move(op.array), loc, elem,
+                  std::span<const std::byte>(op.src, op.bytes));
 }
 
 Task<OpStatus> CompletionEngine::run_blocking(CommOp op) {
@@ -485,14 +506,14 @@ net::RdmaBatchOp AccessPath::to_batch_op(const CommOp& op) {
 // ===================================================== completion ======
 
 OpHandle CompletionEngine::issue(CommOp op) {
+  if (!slots_) slots_ = std::make_unique<SlotStore>();
   std::uint32_t idx;
-  if (!free_.empty()) {
-    idx = free_.back();
-    free_.pop_back();
+  if (!slots_->free.empty()) {
+    idx = slots_->free.back();
+    slots_->free.pop_back();
   } else {
-    if (!slots_) slots_ = std::make_unique<std::deque<Slot>>();
-    idx = static_cast<std::uint32_t>(slots_->size());
-    slots_->emplace_back();
+    idx = static_cast<std::uint32_t>(slots_->slots.size());
+    slots_->slots.emplace_back();
   }
   Slot& s = slot(idx);
   s.gen = next_gen_++;
@@ -547,7 +568,7 @@ void CompletionEngine::retire(std::uint32_t idx) {
   s.active = false;
   s.waiter.reset();
   s.op = CommOp{};
-  free_.push_back(idx);
+  slots_->free.push_back(idx);
 }
 
 Task<OpStatus> CompletionEngine::wait(OpHandle h) {
@@ -588,17 +609,13 @@ void CompletionEngine::note_put_completed() {
   if (outstanding_puts_ == 0) {
     throw std::logic_error("CompletionEngine: put completion without issue");
   }
-  if (--outstanding_puts_ == 0 && fence_trigger_) {
-    fence_trigger_->fire();
+  if (--outstanding_puts_ == 0 && fence_waiter_) {
+    rt_.sim_.post_resume(std::exchange(fence_waiter_, {}));
   }
 }
 
 Task<void> CompletionEngine::drain_puts() {
-  while (outstanding_puts_ > 0) {
-    fence_trigger_.emplace(rt_.sim_);
-    co_await fence_trigger_->wait();
-    fence_trigger_.reset();
-  }
+  while (outstanding_puts_ > 0) co_await FenceWait{this};
 }
 
 }  // namespace xlupc::core

@@ -26,6 +26,7 @@
 #include "core/coalescing_engine.h"
 #include "core/trace.h"
 #include "net/message.h"
+#include "net/transport.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 
@@ -55,9 +56,9 @@ inline ArrayDesc unowned_view(const ArrayDesc& a) noexcept {
   return ArrayDesc{a.handle, LayoutPtr(LayoutPtr(), a.layout.get())};
 }
 
-/// One data-movement operation, fully described at issue time. For
-/// `multi` ops (memget/memput) the range is split at ownership
-/// boundaries at execution time, exactly as the blocking loops did.
+/// One data-movement operation, fully described at issue time. Its span
+/// coroutine serves a 1-D GET or PUT one ownership run at a time; only
+/// `multi` ops (memget/memput) may cover more than one run.
 /// `array` is an unowned_view — see above.
 struct CommOp {
   OpKind kind = OpKind::kGet;
@@ -66,7 +67,7 @@ struct CommOp {
   std::uint64_t row = 0;   ///< 2-D element access (two_d set)
   std::uint64_t col = 0;
   bool two_d = false;
-  bool multi = false;  ///< split at ownership runs (memget/memput)
+  bool multi = false;  ///< may span ownership runs (memget/memput)
   std::byte* dst = nullptr;        ///< kGet destination
   const std::byte* src = nullptr;  ///< kPut source
   std::size_t bytes = 0;
@@ -122,20 +123,28 @@ class AccessPath {
   /// Serve one CommOp to completion (local completion for PUTs; remote
   /// completion is tracked by the thread's CompletionEngine for fence)
   /// and return its status; a multi-run op stops at its first failed run.
-  /// A plain dispatcher, not a coroutine: single-run ops (the common
-  /// case) forward straight to get_span/put_span with no frame of their
-  /// own; only multi-run memget/memput ops pay for a splitting coroutine.
+  /// A plain dispatcher, not a coroutine: every op forwards straight to
+  /// its span coroutine, which is the one frame the op keeps above its
+  /// transport leg.
   sim::Task<OpStatus> execute(UpcThread& th, CommOp op);
 
-  /// The tier dispatch for one contiguous span (never crosses an
-  /// ownership boundary). The descriptor is taken by value — copies of an
-  /// unowned_view are refcount-free — so callers may pass a descriptor
-  /// that dies before the returned task is awaited. Returns the status of
-  /// the transport leg, or kPeerFailed up front against a declared-dead
-  /// owner (the circuit breaker).
+  /// The `elem` of a span op whose start is located already: a 2-D op,
+  /// served as one piece at `loc`.
+  static constexpr std::uint64_t kLocated = ~std::uint64_t{0};
+
+  /// The tier dispatch of a GET or PUT: a 1-D op from element `elem`
+  /// (`loc` unused), walked one ownership run — one contiguous piece on
+  /// its owner — at a time, or a 2-D op at `loc` (elem == kLocated), one
+  /// piece. A memget or memput stops at its first failed piece; each
+  /// piece is counted and traced on its own. The descriptor is taken by
+  /// value — copies of an unowned_view are refcount-free — so callers may
+  /// pass a descriptor that dies before the returned task is awaited.
+  /// Returns the status of the failed transport leg, or kPeerFailed up
+  /// front against a declared-dead owner (the circuit breaker).
   sim::Task<OpStatus> get_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
-                               std::span<std::byte> dst);
+                               std::uint64_t elem, std::span<std::byte> dst);
   sim::Task<OpStatus> put_span(UpcThread& th, ArrayDesc a, Layout::Loc loc,
+                               std::uint64_t elem,
                                std::span<const std::byte> src);
   /// Atomic tier dispatch: local/shm apply on the calling node, remote
   /// elements go through Transport::amo() — NIC-offloaded verbs atomics
@@ -159,6 +168,16 @@ class AccessPath {
   static net::RdmaBatchOp to_batch_op(const CommOp& op);
 
  private:
+  // What the span coroutines recompute where they use it rather than
+  // keep across their suspensions (GCC 12 keeps every local of a
+  // coroutine in its frame): plain functions cost the frame nothing.
+  const net::PlatformParams& params() const noexcept;
+  sim::Resource& core_of(const UpcThread& th);
+  static net::Initiator seat_of(const UpcThread& th) noexcept;
+  static NodeId owner_of(const ArrayDesc& a, Layout::Loc loc) {
+    return a.layout->node_of(loc.thread);
+  }
+
   /// Record one trace event (no-op with tracing off).
   void trace(const UpcThread& th, TraceOp op, TracePath path, NodeId owner,
              std::uint32_t len, sim::Time t_start) const;
@@ -174,25 +193,17 @@ class AccessPath {
                        Layout::Loc loc, std::uint64_t node_off,
                        std::uint64_t operand, std::uint64_t compare,
                        std::uint64_t* result, sim::Time t_start);
-  /// get_span's AM leg: builds the request in this plain function, so no
-  /// copy of it stays in get_span's frame (the transport's leg keeps its
-  /// own).
-  sim::Task<net::GetReply> am_get(const UpcThread& th, const ArrayDesc& a,
-                                  Layout::Loc loc, NodeId owner,
-                                  std::uint64_t node_off,
-                                  std::span<std::byte> dst, bool want_base);
-  /// get_span for a kGet, put_span otherwise: a plain function, so a
-  /// caller that serves either kind awaits one task temporary.
-  sim::Task<OpStatus> span(UpcThread& th, OpKind kind, const ArrayDesc& a,
-                           Layout::Loc loc, std::byte* dst,
-                           const std::byte* src, std::size_t bytes);
-  /// memget/memput: split the range at ownership boundaries (coroutine —
-  /// the loop needs a frame to live in across the per-piece awaits). It
-  /// keeps only what it loops over, not the whole CommOp: in a memget
-  /// scan every UPC thread is suspended in one of these frames.
-  sim::Task<OpStatus> execute_multi(UpcThread& th, OpKind kind, ArrayDesc a,
-                                    std::uint64_t elem, std::byte* dst,
-                                    const std::byte* src, std::size_t bytes);
+  /// The AM GET request of the piece at `loc` (node offset `node_off`)
+  /// into `dst`: a plain function, so get_span's frame keeps only the
+  /// request the transport's leg reads, not the parts it is built from.
+  static net::GetRequest am_request(const ArrayDesc& a, Layout::Loc loc,
+                                    std::uint64_t node_off,
+                                    std::span<std::byte> dst, bool want_base);
+  /// The span coroutines' piece walk: the bytes of the next piece, of at
+  /// most `left`, with `loc` set to its start and `elem` advanced past
+  /// it; with elem == kLocated the one piece at `loc`, `left` bytes.
+  static std::size_t next_piece(const Layout& layout, Layout::Loc& loc,
+                                std::uint64_t& elem, std::size_t left);
 
   Runtime& rt_;
 };
@@ -273,9 +284,28 @@ class CompletionEngine {
     std::optional<sim::Trigger> waiter;
   };
 
-  Slot& slot(std::uint32_t idx) { return (*slots_)[idx]; }
+  /// The nonblocking surface's slots and the free list of retired ones.
+  /// A deque: Slot references stay stable across the co_awaits in
+  /// run_async/wait while new slots are issued.
+  struct SlotStore {
+    std::deque<Slot> slots;
+    std::vector<std::uint32_t> free;
+  };
+
+  /// Suspends drain_puts() until note_put_completed() counts the last
+  /// outstanding PUT: the fence has one waiter, the thread itself.
+  struct FenceWait {
+    CompletionEngine* engine;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      engine->fence_waiter_ = h;
+    }
+    void await_resume() const noexcept {}
+  };
+
+  Slot& slot(std::uint32_t idx) { return slots_->slots[idx]; }
   std::size_t slot_count() const noexcept {
-    return slots_ ? slots_->size() : 0;
+    return slots_ ? slots_->slots.size() : 0;
   }
   sim::Task<void> run_async(std::uint32_t idx);
   /// Op completion: mark the slot done with the op's status and wake its
@@ -286,20 +316,17 @@ class CompletionEngine {
 
   Runtime& rt_;
   UpcThread& th_;
-  // deque: Slot references stay stable across the co_awaits in
-  // run_async/wait while new slots are issued. Allocated by the first
-  // issue(), as an empty deque already allocates and a thread that only
-  // makes blocking calls never needs a slot; until then only the pointer
-  // is paid for.
-  std::unique_ptr<std::deque<Slot>> slots_;
-  std::vector<std::uint32_t> free_;
+  // Made by the first issue(): a thread that only makes blocking calls
+  // never needs a slot, and pays for the pointer alone.
+  std::unique_ptr<SlotStore> slots_;
   std::uint64_t next_gen_ = 1;
   std::uint64_t outstanding_async_ = 0;
   CommStats stats_;
 
-  // PUT remote-completion tracking for fence()/drain_puts().
+  // PUT remote-completion tracking for fence()/drain_puts(): the count,
+  // and the thread's suspended drain_puts() while it waits.
   std::uint64_t outstanding_puts_ = 0;
-  std::optional<sim::Trigger> fence_trigger_;
+  std::coroutine_handle<> fence_waiter_{};
 
   // Small-message staging buffers, made by the first staged op (so
   // never when cfg.coalesce is off).

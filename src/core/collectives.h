@@ -113,10 +113,10 @@ class Collective {
  private:
   explicit Collective(ArrayDesc scratch) : scratch_(std::move(scratch)) {}
 
-  sim::Task<T> read_slot(UpcThread& th, ThreadId slot) {
+  Reading<T> read_slot(UpcThread& th, ThreadId slot) {
     return th.read<T>(scratch_, slot);
   }
-  sim::Task<void> write_slot(UpcThread& th, ThreadId slot, T v) {
+  Writing<T> write_slot(UpcThread& th, ThreadId slot, T v) {
     // Remote completion matters for the following barrier; barrier()
     // already fences, so a plain put suffices.
     return th.write<T>(scratch_, slot, v);

@@ -54,19 +54,21 @@ class [[nodiscard]] Raising {
   explicit Raising(sim::Task<OpStatus> status) noexcept
       : status_(std::move(status)) {}
 
-  bool await_ready() const noexcept { return false; }
+  bool await_ready() const { return status_.await_ready(); }
   std::coroutine_handle<> await_suspend(
       std::coroutine_handle<> caller) noexcept {
-    return std::move(status_).operator co_await().await_suspend(caller);
+    return status_.await_suspend(caller);
   }
-  void await_resume() {
-    net::raise_if_failed(
-        std::move(status_).operator co_await().await_resume());
-  }
+  void await_resume() { net::raise_if_failed(status_.await_resume()); }
 
  private:
   sim::Task<OpStatus> status_;
 };
+
+template <class T>
+class Reading;
+template <class T>
+class Writing;
 
 /// Execution context of one UPC thread. All operations are awaitable and
 /// advance simulated time; they must only be called from within the
@@ -215,10 +217,13 @@ class UpcThread {
     return completion_.coalesce_stats();
   }
 
+  /// Typed element access: read_status / put_status plus the raise, as
+  /// frameless awaitables that hold the element's value (Reading and
+  /// Writing, below).
   template <class T>
-  sim::Task<T> read(const ArrayDesc& a, std::uint64_t i);
+  Reading<T> read(const ArrayDesc& a, std::uint64_t i);
   template <class T>
-  sim::Task<void> write(const ArrayDesc& a, std::uint64_t i, T v);
+  Writing<T> write(const ArrayDesc& a, std::uint64_t i, T v);
   /// Strict (UPC `strict`) accesses: a strict write completes remotely
   /// before the thread proceeds; a strict read completes all previous
   /// writes of this thread first. Relaxed accesses (`read`/`write`) only
@@ -490,19 +495,70 @@ class Runtime final : public net::AmTarget {
   std::uint32_t live_threads_ = 0;
 };
 
+/// What UpcThread::read<T> returns: the element's value and the status
+/// task of the GET that lands in it. Awaiting it runs the GET in place,
+/// raises the failure the GET ended with (net::raise_if_failed) and
+/// yields the value. Like Raising it keeps no frame of its own: a thread
+/// waiting on a typed read keeps only the op's span frame and its
+/// transport leg. The GET writes into it, so it is neither copyable nor
+/// movable; await it where it is made.
+template <class T>
+class [[nodiscard]] Reading {
+ public:
+  Reading(UpcThread& th, const ArrayDesc& a, std::uint64_t i)
+      : status_(th.read_status(a, i, &value_)) {}
+  Reading(const Reading&) = delete;
+  Reading& operator=(const Reading&) = delete;
+
+  bool await_ready() const { return status_.await_ready(); }
+  std::coroutine_handle<> await_suspend(
+      std::coroutine_handle<> caller) noexcept {
+    return status_.await_suspend(caller);
+  }
+  T await_resume() {
+    net::raise_if_failed(status_.await_resume());
+    return value_;
+  }
+
+ private:
+  T value_{};
+  sim::Task<OpStatus> status_;
+};
+
+/// What UpcThread::write<T> returns: the value to store and the status
+/// task of the PUT that reads it; awaiting runs the PUT to local
+/// completion and raises its failure. Frameless and pinned like Reading.
+template <class T>
+class [[nodiscard]] Writing {
+ public:
+  Writing(UpcThread& th, const ArrayDesc& a, std::uint64_t i, T v)
+      : value_(v),
+        status_(th.put_status(a, i, std::as_bytes(std::span(&value_, 1)))) {}
+  Writing(const Writing&) = delete;
+  Writing& operator=(const Writing&) = delete;
+
+  bool await_ready() const { return status_.await_ready(); }
+  std::coroutine_handle<> await_suspend(
+      std::coroutine_handle<> caller) noexcept {
+    return status_.await_suspend(caller);
+  }
+  void await_resume() { net::raise_if_failed(status_.await_resume()); }
+
+ private:
+  T value_;
+  sim::Task<OpStatus> status_;
+};
+
 // --- templated helpers -------------------------------------------------
 
 template <class T>
-sim::Task<T> UpcThread::read(const ArrayDesc& a, std::uint64_t i) {
-  T v{};
-  net::raise_if_failed(co_await read_status(a, i, &v));
-  co_return v;
+Reading<T> UpcThread::read(const ArrayDesc& a, std::uint64_t i) {
+  return Reading<T>(*this, a, i);
 }
 
 template <class T>
-sim::Task<void> UpcThread::write(const ArrayDesc& a, std::uint64_t i, T v) {
-  net::raise_if_failed(
-      co_await put_status(a, i, std::as_bytes(std::span(&v, 1))));
+Writing<T> UpcThread::write(const ArrayDesc& a, std::uint64_t i, T v) {
+  return Writing<T>(*this, a, i, v);
 }
 
 template <class T>

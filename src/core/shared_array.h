@@ -34,10 +34,10 @@ class SharedArray {
   bool valid() const noexcept { return desc_.valid(); }
   std::uint64_t size() const { return desc_.layout->total_elems(); }
 
-  sim::Task<T> read(UpcThread& th, std::uint64_t i) const {
+  Reading<T> read(UpcThread& th, std::uint64_t i) const {
     return th.read<T>(desc_, i);
   }
-  sim::Task<void> write(UpcThread& th, std::uint64_t i, T v) const {
+  Writing<T> write(UpcThread& th, std::uint64_t i, T v) const {
     return th.write<T>(desc_, i, v);
   }
   /// Bulk read into a caller-provided vector (upc_memget).

@@ -28,10 +28,10 @@ class SharedScalar {
   const ArrayDesc& desc() const noexcept { return desc_; }
   bool valid() const noexcept { return desc_.valid(); }
 
-  sim::Task<T> read(UpcThread& th) const {
+  Reading<T> read(UpcThread& th) const {
     return th.read<T>(desc_, home_);
   }
-  sim::Task<void> write(UpcThread& th, T v) const {
+  Writing<T> write(UpcThread& th, T v) const {
     return th.write<T>(desc_, home_, v);
   }
   sim::Task<void> write_strict(UpcThread& th, T v) const {

@@ -44,12 +44,12 @@ struct GetRequest {
   Addr local_buf = kNullAddr;
 };
 
-/// AM GET reply: the data plus the optional piggybacked base address,
-/// or the failure that ended the GET (no data then).
+/// Where an AM GET lands at the initiator: the data plus the optional
+/// piggybacked base address. The caller owns it; Transport::get fills it
+/// and returns the GET's status.
 struct GetReply {
   Bytes data;
   std::optional<BaseInfo> base;
-  OpStatus status = OpStatus::kOk;
 };
 
 /// AM PUT request (eager): deliver `data` into the object at `offset`.

@@ -93,24 +93,19 @@ class ProtocolEngine {
       return !transit.valid() && !faulty.valid() && hop.await_ready();
     }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-      if (faulty.valid()) {
-        return std::move(faulty).operator co_await().await_suspend(h);
-      }
-      if (transit.valid()) {
-        return std::move(transit).operator co_await().await_suspend(h);
-      }
+      if (faulty.valid()) return faulty.await_suspend(h);
+      if (transit.valid()) return transit.await_suspend(h);
       hop.await_suspend(h);
       return std::noop_coroutine();
     }
     OpStatus await_resume() {
       if (faulty.valid()) {
-        const OpStatus st =
-            std::move(faulty).operator co_await().await_resume();
+        const OpStatus st = faulty.await_resume();
         faulty = {};
         return st;
       }
       if (transit.valid()) {
-        std::move(transit).operator co_await().await_resume();
+        transit.await_resume();
         transit = {};
       }
       return OpStatus::kOk;

@@ -164,7 +164,7 @@ Duration Transport::reg_cache_cost(NodeId node, Addr addr, std::size_t len,
 
 Task<void> Transport::ensure_local_registered(Initiator from, Addr key,
                                               std::size_t len) {
-  const Duration cost = reg_cache_cost(from.node, key, len);
+  const Duration cost = local_registration(from, key, len);
   if (cost != 0) co_await machine_.core(from.node, from.core).use(cost);
 }
 
@@ -216,91 +216,103 @@ Task<OpStatus> Transport::admit_rendezvous(Initiator from, NodeId dst,
 
 // ---------------------------------------------------------------- GET ---
 
-Task<GetReply> Transport::get(Initiator from, NodeId dst,
-                              const GetRequest& req) {
+Task<OpStatus> Transport::get(Initiator from, NodeId dst,
+                              const GetRequest& req, GetReply& reply) {
   if (req.len <= machine_.params().eager_limit) {
     ++stats_.am_gets;
-    return ib_ ? get_eager<true>(from, dst, req)
-               : get_eager<false>(from, dst, req);
+    return ib_ ? get_eager<true>(from, dst, req, reply)
+               : get_eager<false>(from, dst, req, reply);
   }
   ++stats_.rendezvous_gets;
-  return ib_ ? get_rendezvous<true>(from, dst, req)
-             : get_rendezvous<false>(from, dst, req);
+  return ib_ ? get_rendezvous<true>(from, dst, req, reply)
+             : get_rendezvous<false>(from, dst, req, reply);
+}
+
+Duration Transport::handle_get(NodeId dst, const GetRequest& req,
+                               GetReply& reply, Addr* src_addr) {
+  const auto& p = machine_.params();
+  AmTarget::GetServe serve = target_.serve_get(dst, req);
+  reply.data = std::move(serve.data);
+  reply.base = serve.base;
+  if (src_addr != nullptr) *src_addr = serve.src_addr;
+  return p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
+         p.dereg_base * serve.reg_evicted_handles;
 }
 
 template <bool kIb>
-Task<GetReply> Transport::get_eager(Initiator from, NodeId dst,
-                                    GetRequest req) {
-  const auto& p = machine_.params();
+Task<OpStatus> Transport::get_eager(Initiator from, NodeId dst,
+                                    const GetRequest& req, GetReply& reply) {
   // Every resource wait below re-arms `w`, and every wire traversal and
-  // handler delay `step`, so the frame holds one slot of each (and no
-  // reference it can recompute: the frames of GETs in flight are what a
-  // memget scan keeps).
+  // handler delay `step`, so the frame holds one slot of each, and no
+  // reference it can recompute (machine_.params() included): the frames
+  // of GETs in flight are what a memget scan keeps.
+  OpStatus st = OpStatus::kOk;
+  WqeFor<kIb> wqe;
   sim::Resource::Waiter w;
   ProtocolEngine::Delivery step;
 
   // Initiator: build and post the AM request (Fig. 5: "send Active Msg").
   // On IB the request is header-only, so its WQE carries it inline.
-  w.use(machine_.core(from.node, from.core), p.send_overhead);
+  w.use(machine_.core(from.node, from.core), machine_.params().send_overhead);
   co_await w;
-  WqeFor<kIb> wqe;
-  OpStatus st = OpStatus::kOk;
   if constexpr (kIb) st = co_await post_wqe(from.node, dst, wqe);
-  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
-  w.use(machine_.nic_tx(from.node),
-        p.nic_tx_overhead + machine_.serialize_with_header(0));
+  if (st != OpStatus::kOk) co_return st;
+  w.use(machine_.nic_tx(from.node), machine_.params().nic_tx_overhead +
+                                        machine_.serialize_with_header(0));
   co_await w;
-  stats_.wire_bytes += p.header_bytes;
+  stats_.wire_bytes += machine_.params().header_bytes;
   step = deliver(from.node, dst, &machine_.nic_tx(from.node),
-                 p.nic_tx_overhead + machine_.serialize_with_header(0),
-                 p.header_bytes);
+                 machine_.params().nic_tx_overhead +
+                     machine_.serialize_with_header(0),
+                 machine_.params().header_bytes);
   st = co_await step;
-  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
+  if (st != OpStatus::kOk) co_return st;
 
   // Target: header handler translates the SVD handle, optionally pins the
   // object, and copies the data into a bounce buffer.
   w.acquire(handler_cpu(dst, req.target_core));
   co_await w;
-  step = {machine_.simulator().delay(
-              scaled(dst, p.recv_overhead + p.svd_lookup)),
+  step = {machine_.simulator().delay(scaled(
+              dst, machine_.params().recv_overhead +
+                       machine_.params().svd_lookup)),
           {}, {}};
   co_await step;
-  auto serve = target_.serve_get(dst, req);
   step = {machine_.simulator().delay(scaled(
-              dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-                       p.dereg_base * serve.reg_evicted_handles +
+              dst, handle_get(dst, req, reply) +
                        // copy into the send bounce buffer
-                       p.copy_time(req.len))),
+                       machine_.params().copy_time(req.len))),
           {}, {}};
   co_await step;
   handler_cpu(dst, req.target_core).release();
 
   // Reply carrying the data (plus the piggybacked base address); on IB an
   // RDMA write into the initiator's preposted eager buffer.
-  w.use(machine_.nic_tx(dst),
-        p.nic_tx_overhead + machine_.serialize_with_header(req.len));
+  w.use(machine_.nic_tx(dst), machine_.params().nic_tx_overhead +
+                                  machine_.serialize_with_header(req.len));
   co_await w;
-  stats_.wire_bytes += p.header_bytes + req.len;
+  stats_.wire_bytes += machine_.params().header_bytes + req.len;
   step = deliver(dst, from.node, &machine_.nic_tx(dst),
-                 p.nic_tx_overhead + machine_.serialize_with_header(req.len),
-                 p.header_bytes + req.len);
+                 machine_.params().nic_tx_overhead +
+                     machine_.serialize_with_header(req.len),
+                 machine_.params().header_bytes + req.len);
   st = co_await step;
-  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
+  if (st != OpStatus::kOk) co_return st;
 
   // Initiator: receive dispatch (IB: CQ poll); small replies land in a
   // preposted bounce buffer and are copied out, larger ones land in place.
   w.use(machine_.core(from.node, from.core),
-        reply_overhead<kIb>() +
-            (req.len <= p.both_copy_limit ? p.copy_time(req.len) : Duration{0}));
+        reply_overhead<kIb>() + (req.len <= machine_.params().both_copy_limit
+                                     ? machine_.params().copy_time(req.len)
+                                     : Duration{0}));
   co_await w;
   wqe.retire();
-
-  co_return GetReply{std::move(serve.data), serve.base};
+  co_return OpStatus::kOk;
 }
 
 template <bool kIb>
-Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
-                                         GetRequest req) {
+Task<OpStatus> Transport::get_rendezvous(Initiator from, NodeId dst,
+                                         const GetRequest& req,
+                                         GetReply& reply) {
   auto& sim = machine_.simulator();
   const auto& p = machine_.params();
 
@@ -314,26 +326,24 @@ Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
   WqeFor<kIb> wqe;
   OpStatus st = OpStatus::kOk;
   if constexpr (kIb) st = co_await post_wqe(from.node, dst, wqe);
-  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
+  if (st != OpStatus::kOk) co_return st;
   co_await machine_.nic_tx(from.node)
       .use(p.nic_tx_overhead + machine_.serialize_with_header(0));
   stats_.wire_bytes += p.header_bytes;
   st = co_await deliver(from.node, dst, &machine_.nic_tx(from.node),
                         p.nic_tx_overhead + machine_.serialize_with_header(0),
                         p.header_bytes);
-  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
+  if (st != OpStatus::kOk) co_return st;
 
   // Target: translate, register the source region, directed zero-copy send.
   auto& hcpu = handler_cpu(dst, req.target_core);
   bool pin_failed = false;
   st = co_await admit_rendezvous<kIb>(from, dst, hcpu, wqe, pin_failed);
-  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
-  auto serve = target_.serve_get(dst, req);
-  co_await sim.delay(
-      scaled(dst, p.reg_time(serve.reg_new_bytes, serve.reg_new_handles) +
-                      p.dereg_base * serve.reg_evicted_handles +
-                      reg_cache_cost(dst, serve.src_addr, req.len,
-                                     pin_failed)));
+  if (st != OpStatus::kOk) co_return st;
+  Addr src_addr = kNullAddr;
+  const Duration reg = handle_get(dst, req, reply, &src_addr);
+  co_await sim.delay(scaled(
+      dst, reg + reg_cache_cost(dst, src_addr, req.len, pin_failed)));
   hcpu.release();
 
   co_await machine_.nic_tx(dst).use(p.nic_tx_overhead +
@@ -343,12 +353,12 @@ Task<GetReply> Transport::get_rendezvous(Initiator from, NodeId dst,
                         p.nic_tx_overhead +
                             machine_.serialize_with_header(req.len),
                         p.header_bytes + req.len);
-  if (st != OpStatus::kOk) co_return GetReply{{}, {}, st};
+  if (st != OpStatus::kOk) co_return st;
 
   // Zero-copy landing: completion notification only (IB: a CQ poll).
   co_await machine_.core(from.node, from.core).use(reply_overhead<kIb>());
   wqe.retire();
-  co_return GetReply{std::move(serve.data), serve.base};
+  co_return OpStatus::kOk;
 }
 
 // ---------------------------------------------------------------- PUT ---
@@ -526,72 +536,88 @@ Task<void> Transport::put_payload_remote(Initiator from, NodeId dst,
 
 // --------------------------------------------------------------- RDMA ---
 
-Task<RdmaGetResult> Transport::rdma_get(Initiator from, NodeId dst, Addr raddr,
-                                        std::uint32_t len) {
-  return ib_ ? rdma_get_leg<true>(from, dst, raddr, len)
-             : rdma_get_leg<false>(from, dst, raddr, len);
+Task<OpStatus> Transport::rdma_get(Initiator from, NodeId dst, Addr raddr,
+                                   std::uint32_t len, RdmaGetResult& result) {
+  return ib_ ? rdma_get_leg<true>(from, dst, raddr, len, result)
+             : rdma_get_leg<false>(from, dst, raddr, len, result);
+}
+
+void Transport::read_window(NodeId dst, Addr raddr, std::size_t len,
+                            RdmaGetResult& result) {
+  const RdmaWindow win = target_.rdma_memory(dst, raddr, len);
+  result.nak = win.nak;
+  if (win.ok()) result.data.assign(win.memory, win.memory + len);
 }
 
 template <bool kIb>
-Task<RdmaGetResult> Transport::rdma_get_leg(Initiator from, NodeId dst,
-                                            Addr raddr, std::uint32_t len) {
+Task<OpStatus> Transport::rdma_get_leg(Initiator from, NodeId dst,
+                                       Addr raddr, std::uint32_t len,
+                                       RdmaGetResult& result) {
   // The read runs entirely on the NIC DMA engines (zero target-CPU
-  // cycles); IB adds only the QP/CQ bookkeeping.
-  WqeFor<kIb> wqe;
+  // cycles); IB adds only the QP/CQ bookkeeping. Waits and traversals
+  // re-arm `w` and `step`, as in get_eager.
   OpStatus st = OpStatus::kOk;
+  WqeFor<kIb> wqe;
+  sim::Resource::Waiter w;
+  ProtocolEngine::Delivery step;
   if constexpr (kIb) st = co_await post_wqe(from.node, dst, wqe);
-  if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
+  if (st != OpStatus::kOk) co_return st;
   ++stats_.rdma_gets;
-  const auto& p = machine_.params();
-  sim::Resource::Waiter w;  // every resource wait below (sim/resource.h)
 
   // Post the read descriptor; the initiator NIC sends it to the target NIC.
-  w.use(machine_.core(from.node, from.core), p.rdma_get_setup);
+  w.use(machine_.core(from.node, from.core), machine_.params().rdma_get_setup);
   co_await w;
-  w.use(machine_.nic_dma(from.node),
-        p.dma_engine_overhead + machine_.serialize_with_header(0));
+  w.use(machine_.nic_dma(from.node), machine_.params().dma_engine_overhead +
+                                         machine_.serialize_with_header(0));
   co_await w;
-  stats_.wire_bytes += p.header_bytes;
-  st = co_await deliver(from.node, dst, &machine_.nic_dma(from.node),
-                        p.dma_engine_overhead +
-                            machine_.serialize_with_header(0),
-                        p.header_bytes);
-  if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
+  stats_.wire_bytes += machine_.params().header_bytes;
+  step = deliver(from.node, dst, &machine_.nic_dma(from.node),
+                 machine_.params().dma_engine_overhead +
+                     machine_.serialize_with_header(0),
+                 machine_.params().header_bytes);
+  st = co_await step;
+  if (st != OpStatus::kOk) co_return st;
 
   // Target NIC DMA engine reads pinned memory and streams it back — the
   // remote CPU is not involved at all.
   w.acquire(machine_.nic_dma(dst));
   co_await w;
-  const RdmaWindow win = target_.rdma_memory(dst, raddr, len);
-  if (!win.ok()) {
+  read_window(dst, raddr, len, result);
+  if (!result.ok()) {
     // NAK: window not pinned. Small control frame back.
-    co_await machine_.simulator().delay(p.dma_engine_overhead);
+    step = {machine_.simulator().delay(machine_.params().dma_engine_overhead),
+            {}, {}};
+    co_await step;
     machine_.nic_dma(dst).release();
     ++stats_.rdma_naks;
-    st = co_await deliver(dst, from.node, &machine_.nic_dma(dst),
-                          p.dma_engine_overhead, 0);
-    if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
-    w.use(machine_.core(from.node, from.core), p.rdma_completion);
+    step = deliver(dst, from.node, &machine_.nic_dma(dst),
+                   machine_.params().dma_engine_overhead, 0);
+    st = co_await step;
+    if (st != OpStatus::kOk) co_return st;
+    w.use(machine_.core(from.node, from.core),
+          machine_.params().rdma_completion);
     co_await w;
     wqe.retire();
-    co_return RdmaGetResult{win.nak, OpStatus::kOk, {}};
+    co_return OpStatus::kOk;
   }
-  Bytes out(win.memory, win.memory + len);
-  co_await machine_.simulator().delay(p.dma_engine_overhead +
-                                     machine_.serialize_with_header(len));
+  step = {machine_.simulator().delay(machine_.params().dma_engine_overhead +
+                                     machine_.serialize_with_header(len)),
+          {}, {}};
+  co_await step;
   machine_.nic_dma(dst).release();
-  stats_.wire_bytes += p.header_bytes + len;
-  st = co_await deliver(dst, from.node, &machine_.nic_dma(dst),
-                        p.dma_engine_overhead +
-                            machine_.serialize_with_header(len),
-                        p.header_bytes + len);
-  if (st != OpStatus::kOk) co_return RdmaGetResult{RdmaNak::kNone, st, {}};
+  stats_.wire_bytes += machine_.params().header_bytes + len;
+  step = deliver(dst, from.node, &machine_.nic_dma(dst),
+                 machine_.params().dma_engine_overhead +
+                     machine_.serialize_with_header(len),
+                 machine_.params().header_bytes + len);
+  st = co_await step;
+  if (st != OpStatus::kOk) co_return st;
 
   // Completion detection at the initiator.
-  w.use(machine_.core(from.node, from.core), p.rdma_completion);
+  w.use(machine_.core(from.node, from.core), machine_.params().rdma_completion);
   co_await w;
   wqe.retire();
-  co_return RdmaGetResult{RdmaNak::kNone, OpStatus::kOk, std::move(out)};
+  co_return OpStatus::kOk;
 }
 
 Task<RdmaPutResult> Transport::rdma_put(Initiator from, NodeId dst, Addr raddr,
@@ -692,67 +718,76 @@ Task<OpStatus> Transport::control(Initiator from, NodeId dst,
 
 // ------------------------------------------------------------ atomics ---
 
-Task<AmoResult> Transport::amo(Initiator from, NodeId dst,
-                               const AmoRequest& req) {
+Task<OpStatus> Transport::amo(Initiator from, NodeId dst,
+                              const AmoRequest& req, AmoResult& result) {
   // A plain dispatcher, like get(): folding the NIC lowering into the AM
   // coroutine would grow every AM AMO frame by the NIC path's locals.
-  if (ib_ && req.raddr != kNullAddr) return amo_nic(from, dst, req);
-  return amo_am(from, dst, req);
+  if (ib_ && req.raddr != kNullAddr) return amo_nic(from, dst, req, result);
+  return amo_am(from, dst, req, result);
 }
 
-Task<AmoResult> Transport::amo_am(Initiator from, NodeId dst,
-                                  AmoRequest req) {
+Task<OpStatus> Transport::amo_am(Initiator from, NodeId dst,
+                                 const AmoRequest& req, AmoResult& result) {
   // AM-handler lowering (GM/LAPI and the IB cold-cache fallback): a
   // small request AM serviced on the handler CPU at the home node. The
   // handler CPU's mutual exclusion is what makes the read-modify-write
   // indivisible, and because the handler only runs after deliver() has
   // accepted the leg — the ProtocolEngine's sequence window suppresses
   // duplicated or retransmitted copies first — a FAA applies exactly
-  // once however many times its request crosses the wire.
+  // once however many times its request crosses the wire. Waits and
+  // traversals re-arm `w` and `step`, as in get_eager.
   ++stats_.amo_msgs;
-  auto& sim = machine_.simulator();
-  const auto& p = machine_.params();
-  sim::Resource::Waiter w;  // every resource wait below (sim/resource.h)
+  OpStatus st = OpStatus::kOk;
+  sim::Resource::Waiter w;
+  ProtocolEngine::Delivery step;
 
-  w.use(machine_.core(from.node, from.core), p.send_overhead);
+  w.use(machine_.core(from.node, from.core), machine_.params().send_overhead);
   co_await w;
   w.use(machine_.nic_tx(from.node),
-        p.nic_tx_overhead + machine_.serialize_with_header(kAmoBytes));
+        machine_.params().nic_tx_overhead +
+            machine_.serialize_with_header(kAmoBytes));
   co_await w;
-  stats_.wire_bytes += p.header_bytes + kAmoBytes;
-  OpStatus st = co_await deliver(
-      from.node, dst, &machine_.nic_tx(from.node),
-      p.nic_tx_overhead + machine_.serialize_with_header(kAmoBytes),
-      p.header_bytes + kAmoBytes);
-  if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
+  stats_.wire_bytes += machine_.params().header_bytes + kAmoBytes;
+  step = deliver(from.node, dst, &machine_.nic_tx(from.node),
+                 machine_.params().nic_tx_overhead +
+                     machine_.serialize_with_header(kAmoBytes),
+                 machine_.params().header_bytes + kAmoBytes);
+  st = co_await step;
+  if (st != OpStatus::kOk) co_return st;
 
   // Home node: translate the handle and apply the verb on the handler
   // CPU — serialized against every other AM, so concurrent atomics from
   // any number of initiators linearize here.
-  auto& hcpu = handler_cpu(dst, req.target_core);
-  w.acquire(hcpu);
+  w.acquire(handler_cpu(dst, req.target_core));
   co_await w;
-  co_await sim.delay(scaled(dst, p.recv_overhead + p.svd_lookup));
-  const std::uint64_t old = target_.serve_amo(dst, req);
-  hcpu.release();
+  step = {machine_.simulator().delay(scaled(
+              dst, machine_.params().recv_overhead +
+                       machine_.params().svd_lookup)),
+          {}, {}};
+  co_await step;
+  result = AmoResult{RdmaNak::kNone, target_.serve_amo(dst, req),
+                     /*offloaded=*/false};
+  handler_cpu(dst, req.target_core).release();
 
   // Reply carrying the old value.
   w.use(machine_.nic_tx(dst),
-        p.nic_tx_overhead + machine_.serialize_with_header(sizeof(old)));
+        machine_.params().nic_tx_overhead +
+            machine_.serialize_with_header(sizeof(result.value)));
   co_await w;
-  stats_.wire_bytes += p.header_bytes + sizeof(old);
-  st = co_await deliver(
-      dst, from.node, &machine_.nic_tx(dst),
-      p.nic_tx_overhead + machine_.serialize_with_header(sizeof(old)),
-      p.header_bytes + sizeof(old));
-  if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
-  w.use(machine_.core(from.node, from.core), p.recv_overhead);
+  stats_.wire_bytes += machine_.params().header_bytes + sizeof(result.value);
+  step = deliver(dst, from.node, &machine_.nic_tx(dst),
+                 machine_.params().nic_tx_overhead +
+                     machine_.serialize_with_header(sizeof(result.value)),
+                 machine_.params().header_bytes + sizeof(result.value));
+  st = co_await step;
+  if (st != OpStatus::kOk) co_return st;
+  w.use(machine_.core(from.node, from.core), machine_.params().recv_overhead);
   co_await w;
-  co_return AmoResult{RdmaNak::kNone, OpStatus::kOk, old, /*offloaded=*/false};
+  co_return OpStatus::kOk;
 }
 
-Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
-                                   AmoRequest req) {
+Task<OpStatus> Transport::amo_nic(Initiator from, NodeId dst,
+                                  const AmoRequest& req, AmoResult& result) {
   // NIC-offloaded verbs atomic (fetch-and-add / compare-and-swap WQE):
   // the target's DMA engine performs the fetch-modify-write against
   // pinned memory — no target CPU, neither application core nor progress
@@ -765,7 +800,7 @@ Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
 
   ib::Wqe wqe;
   OpStatus st = co_await post_wqe(from.node, dst, wqe);
-  if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
+  if (st != OpStatus::kOk) co_return st;
   co_await machine_.core(from.node, from.core).use(p.rdma_get_setup);
   co_await machine_.nic_dma(from.node)
       .use(p.dma_engine_overhead + machine_.serialize_with_header(kAmoBytes));
@@ -774,7 +809,7 @@ Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
       from.node, dst, &machine_.nic_dma(from.node),
       p.dma_engine_overhead + machine_.serialize_with_header(kAmoBytes),
       p.header_bytes + kAmoBytes);
-  if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
+  if (st != OpStatus::kOk) co_return st;
 
   auto& dma = machine_.nic_dma(dst);
   co_await dma.acquire();
@@ -788,10 +823,11 @@ Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
     ++stats_.rdma_naks;
     st = co_await deliver(dst, from.node, &machine_.nic_dma(dst),
                           p.dma_engine_overhead, 0);
-    if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
+    if (st != OpStatus::kOk) co_return st;
     co_await machine_.core(from.node, from.core).use(p.rdma_completion);
     wqe.retire();
-    co_return AmoResult{win.nak, OpStatus::kOk, 0, /*offloaded=*/false};
+    result = AmoResult{win.nak, 0, /*offloaded=*/false};
+    co_return OpStatus::kOk;
   }
   std::uint64_t old = 0;
   std::memcpy(&old, win.memory, sizeof(old));
@@ -808,10 +844,11 @@ Task<AmoResult> Transport::amo_nic(Initiator from, NodeId dst,
       dst, from.node, &machine_.nic_dma(dst),
       p.dma_engine_overhead + machine_.serialize_with_header(sizeof(old)),
       p.header_bytes + sizeof(old));
-  if (st != OpStatus::kOk) co_return AmoResult{RdmaNak::kNone, st, 0, false};
+  if (st != OpStatus::kOk) co_return st;
   co_await machine_.core(from.node, from.core).use(p.rdma_completion);
   wqe.retire();
-  co_return AmoResult{RdmaNak::kNone, OpStatus::kOk, old, /*offloaded=*/true};
+  result = AmoResult{RdmaNak::kNone, old, /*offloaded=*/true};
+  co_return OpStatus::kOk;
 }
 
 // -------------------------------------------------- aggregated batches ---

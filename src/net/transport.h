@@ -90,11 +90,11 @@ struct RdmaWindow {
   bool ok() const noexcept { return nak == RdmaNak::kNone; }
 };
 
-/// Outcome of a one-sided read: the data, the NAK reason, or the failure
-/// (`status`) that ended the leg. ok() means the read was accepted.
+/// Where a one-sided read lands at the initiator: the data, or the NAK
+/// reason. ok() means the read was accepted. The caller owns it;
+/// Transport::rdma_get fills it and returns the leg's status.
 struct RdmaGetResult {
   RdmaNak nak = RdmaNak::kNone;
-  OpStatus status = OpStatus::kOk;
   Bytes data;
 
   bool ok() const noexcept { return nak == RdmaNak::kNone; }
@@ -108,13 +108,13 @@ struct RdmaPutResult {
   bool ok() const noexcept { return nak == RdmaNak::kNone; }
 };
 
-/// Outcome of a remote atomic (FAA/CAS): the fetched old value, or the
-/// NAK reason when the offloaded lowering found the window unpinned (the
-/// caller invalidates its cache entry and retries through the AM
-/// lowering, mirroring the rdma_get fallback), or the leg's failure.
+/// Where a remote atomic (FAA/CAS) lands at the initiator: the fetched
+/// old value, or the NAK reason when the offloaded lowering found the
+/// window unpinned (the caller invalidates its cache entry and retries
+/// through the AM lowering, mirroring the rdma_get fallback). The caller
+/// owns it; Transport::amo fills it and returns the leg's status.
 struct AmoResult {
   RdmaNak nak = RdmaNak::kNone;
-  OpStatus status = OpStatus::kOk;
   std::uint64_t value = 0;  ///< word value before the update
   /// True when the update was applied by the NIC DMA engine alone (IB
   /// verbs atomics) — zero target-CPU cycles, traced as kRdmaOffload.
@@ -302,14 +302,19 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  // A failed leg stops where it failed and returns only its OpStatus
-  // (in the result's `status`, or as put()'s and control()'s value).
+  // Every leg returns its OpStatus; a failed leg stops where it failed.
+  // get(), rdma_get() and amo() land their result in a slot the caller
+  // passes: on kOk it holds the leg's result, after a failure it is
+  // unspecified. get() and amo() read their request from the caller too.
+  // The caller keeps both until the task is done (awaiting the task in
+  // the statement that makes it is enough), so a leg's frame carries no
+  // request and no result.
 
   /// Two-sided GET via the default SVD path (Fig. 3a / Fig. 5).
-  /// Completes when the data is available at the initiator.
-  /// A plain dispatcher: the leg coroutine copies `req` into its frame,
-  /// so the caller's request may die before the task is awaited.
-  sim::Task<GetReply> get(Initiator from, NodeId dst, const GetRequest& req);
+  /// Completes when the data, and the piggybacked base when asked for,
+  /// have landed in `reply` at the initiator. A plain dispatcher.
+  sim::Task<OpStatus> get(Initiator from, NodeId dst, const GetRequest& req,
+                          GetReply& reply);
 
   /// Two-sided PUT. Completes at *local* completion (source buffer
   /// reusable); `on_ack` fires later at remote completion — also when
@@ -317,12 +322,12 @@ class Transport {
   sim::Task<OpStatus> put(Initiator from, NodeId dst, PutRequest req,
                           PutAckHook on_ack);
 
-  /// One-sided RDMA read of [raddr, raddr+len) at `dst` (Fig. 3b).
-  /// Returns RdmaNak::kNotPinned when the target NAKs the window (memory
-  /// no longer pinned); the caller invalidates its cache entry and falls
-  /// back to the AM path.
-  sim::Task<RdmaGetResult> rdma_get(Initiator from, NodeId dst, Addr raddr,
-                                    std::uint32_t len);
+  /// One-sided RDMA read of [raddr, raddr+len) at `dst` (Fig. 3b) into
+  /// `result`. Lands RdmaNak::kNotPinned when the target NAKs the window
+  /// (memory no longer pinned); the caller invalidates its cache entry
+  /// and falls back to the AM path.
+  sim::Task<OpStatus> rdma_get(Initiator from, NodeId dst, Addr raddr,
+                               std::uint32_t len, RdmaGetResult& result);
 
   /// One-sided RDMA write; completes at local completion, `on_done` fires
   /// when the data has landed in target memory (or its landing leg
@@ -339,8 +344,11 @@ class Transport {
   /// remote address (`req.raddr`) lowers instead to a NIC-offloaded verbs
   /// atomic: the target's DMA engine applies it, zero target-CPU cycles,
   /// counted in `transport.ib.nic_atomics`. Completes when the old value
-  /// is available at the initiator. A plain dispatcher, like get().
-  sim::Task<AmoResult> amo(Initiator from, NodeId dst, const AmoRequest& req);
+  /// has landed in `result` at the initiator. A plain dispatcher, like
+  /// get(): folding the NIC lowering into the AM coroutine would grow
+  /// every AM AMO frame by the NIC path's locals.
+  sim::Task<OpStatus> amo(Initiator from, NodeId dst, const AmoRequest& req,
+                          AmoResult& result);
 
   /// Aggregated small-op batch (docs/COALESCING.md): one framed wire
   /// message carrying every member, unpacked per leg on the handler CPU
@@ -358,6 +366,12 @@ class Transport {
   /// (charged on the caller's core; cached with lazy deregistration).
   sim::Task<void> ensure_local_registered(Initiator from, Addr key,
                                           std::size_t len);
+  /// The same registration, for a caller that charges the returned time
+  /// on its core itself (when it is not zero), with no task.
+  sim::Duration local_registration(Initiator from, Addr key,
+                                   std::size_t len) {
+    return reg_cache_cost(from.node, key, len);
+  }
 
   /// Aggregate statistics, the ProtocolEngine's counters included.
   const TransportStats& stats() const noexcept { return stats_; }
@@ -399,7 +413,11 @@ class Transport {
   // get(), put(), rdma_get() and rdma_put() pick the instantiation from
   // ib_; kIb then switches the verbs steps on at compile time, so the
   // GM/LAPI coroutine frames carry no verbs state. Their sim::pool size
-  // classes set the memory of every in-flight op (`scale` peak RSS).
+  // classes set the memory of every in-flight op (`scale` peak RSS): the
+  // GM/LAPI GET, RDMA-read and AM AMO legs, one of which every waiting
+  // span frame awaits, share one class. Each keeps one
+  // sim::Resource::Waiter and one ProtocolEngine::Delivery, re-armed for
+  // every resource wait and for every wire traversal and handler delay.
   struct NoWqe {
     void retire() {}
   };
@@ -463,11 +481,24 @@ class Transport {
                                        sim::Resource& hcpu, WqeFor<kIb>& wqe,
                                        bool& pin_failed);
 
+  /// The target's GET handler: serve `req` at `dst`, land the data and
+  /// any piggybacked base in `reply`, and return the handler's
+  /// registration and deregistration time, unscaled; a non-null
+  /// `src_addr` gets the data's local address. A plain function, so its
+  /// GetServe stays out of the legs' frames.
+  sim::Duration handle_get(NodeId dst, const GetRequest& req,
+                           GetReply& reply, Addr* src_addr = nullptr);
+  /// The target NIC's read of [raddr, raddr+len): the NAK reason, and on
+  /// acceptance the bytes, landed in `result`.
+  void read_window(NodeId dst, Addr raddr, std::size_t len,
+                   RdmaGetResult& result);
+
   template <bool kIb>
-  sim::Task<GetReply> get_eager(Initiator from, NodeId dst, GetRequest req);
+  sim::Task<OpStatus> get_eager(Initiator from, NodeId dst,
+                                const GetRequest& req, GetReply& reply);
   template <bool kIb>
-  sim::Task<GetReply> get_rendezvous(Initiator from, NodeId dst,
-                                     GetRequest req);
+  sim::Task<OpStatus> get_rendezvous(Initiator from, NodeId dst,
+                                     const GetRequest& req, GetReply& reply);
   template <bool kIb>
   sim::Task<OpStatus> put_eager(Initiator from, NodeId dst, PutRequest req,
                                 PutAckHook on_ack);
@@ -484,8 +515,8 @@ class Transport {
                                      PutRequest req, PutAck ack,
                                      PutAckHook on_ack, WqeFor<kIb> wqe);
   template <bool kIb>
-  sim::Task<RdmaGetResult> rdma_get_leg(Initiator from, NodeId dst,
-                                        Addr raddr, std::uint32_t len);
+  sim::Task<OpStatus> rdma_get_leg(Initiator from, NodeId dst, Addr raddr,
+                                   std::uint32_t len, RdmaGetResult& result);
   template <bool kIb>
   sim::Task<RdmaPutResult> rdma_put_leg(Initiator from, NodeId dst,
                                         Addr raddr, Bytes data,
@@ -494,8 +525,10 @@ class Transport {
   sim::Task<void> rdma_put_landing(Initiator from, NodeId dst,
                                    std::byte* dst_mem, Bytes data,
                                    DoneHook on_done);
-  sim::Task<AmoResult> amo_am(Initiator from, NodeId dst, AmoRequest req);
-  sim::Task<AmoResult> amo_nic(Initiator from, NodeId dst, AmoRequest req);
+  sim::Task<OpStatus> amo_am(Initiator from, NodeId dst,
+                             const AmoRequest& req, AmoResult& result);
+  sim::Task<OpStatus> amo_nic(Initiator from, NodeId dst,
+                              const AmoRequest& req, AmoResult& result);
 
   Machine& machine_;
   AmTarget& target_;

@@ -108,13 +108,35 @@ void unlink_partial(SizeClass& c, Chunk* chunk) {
   if (chunk->next != nullptr) chunk->next->prev = chunk->prev;
 }
 
+// `chunk`, with no block out, leaves its class for the spare list.
+void to_spare(Chunk* chunk) {
+  --g_pool.stats.classes[chunk->cls].chunks;
+  chunk->next = g_pool.spare;
+  g_pool.spare = chunk;
+}
+
+// Give each class's current chunk that has no block out to the spare
+// list. A class whose last block came back to its current chunk keeps
+// that chunk, so a class idle for a while would sit on it.
+void spare_empty_currents() {
+  for (SizeClass& c : g_pool.classes) {
+    Chunk* const chunk = c.current;
+    if (chunk == nullptr || chunk->live != 0) continue;
+    to_spare(chunk);
+    c.current = nullptr;
+  }
+}
+
 // The current chunk of `cls` has no free block: the lowest partial
-// chunk takes its place, else a spare chunk, else a fresh one. Only a
-// fresh chunk's first block is not counted as a reuse.
+// chunk takes its place, else a spare chunk (another class's empty
+// current chunk included: one 64-entry scan before each fresh chunk),
+// else a fresh one. Only a fresh chunk's first block is not counted as
+// a reuse; each fresh chunk takes a census (fresh_census).
 Chunk* next_chunk(std::size_t cls) {
   ++g_pool.stats.chunk_switches;
   SizeClass& c = g_pool.classes[cls];
   Chunk* chunk = c.partial;
+  if (chunk == nullptr && g_pool.spare == nullptr) spare_empty_currents();
   if (chunk != nullptr) {
     unlink_partial(c, chunk);
     ++g_pool.stats.reuses;
@@ -126,18 +148,15 @@ Chunk* next_chunk(std::size_t cls) {
   } else {
     chunk = fresh_chunk();
     carve(chunk, cls);
+    PoolStats& st = g_pool.stats;
+    std::copy(std::begin(st.classes), std::end(st.classes),
+              std::begin(st.fresh_census));
+    st.fresh_census_live_bytes = st.live_bytes;
   }
   // The old current chunk has every block out: it joins no list until
   // one comes back.
   c.current = chunk;
   return chunk;
-}
-
-// `chunk`, with no block out, leaves its class for the spare list.
-void to_spare(Chunk* chunk) {
-  --g_pool.stats.classes[chunk->cls].chunks;
-  chunk->next = g_pool.spare;
-  g_pool.spare = chunk;
 }
 
 // The live bytes passed their peak: record it, and take a census each
@@ -222,13 +241,7 @@ void pool_free(void* p, std::size_t bytes) noexcept {
 }
 
 void pool_trim() noexcept {
-  if (!kFreelists) return;
-  for (SizeClass& c : g_pool.classes) {
-    Chunk* const chunk = c.current;
-    if (chunk == nullptr || chunk->live != 0) continue;
-    to_spare(chunk);
-    c.current = nullptr;
-  }
+  if (kFreelists) spare_empty_currents();
 }
 
 const PoolStats& pool_stats() noexcept { return g_pool.stats; }

@@ -58,8 +58,9 @@ void pool_free(void* p, std::size_t bytes) noexcept;
 
 /// Give each class's current chunk, when it has no live block, to the
 /// spare list, from which any class carves before it takes a fresh chunk
-/// (other chunks go there as soon as their last block is freed). A no-op
-/// when the freelists are compiled out.
+/// (other chunks go there as soon as their last block is freed; a class
+/// that needs a fresh chunk also does this first). A no-op when the
+/// freelists are compiled out.
 void pool_trim() noexcept;
 
 /// Size classes: blocks of (class + 1) x kPoolGranularity bytes, up to
@@ -98,6 +99,12 @@ struct PoolStats {
   /// its peak, at the cost of one compare per allocation.
   PoolClassCount census[kPoolClasses] = {};
   std::uint64_t census_live_bytes = 0;
+  /// `classes` as it stood when the last fresh chunk was carved (that
+  /// chunk counted, the block it was carved for not yet out), and
+  /// `live_bytes` then. Resident memory follows carved chunks, not live
+  /// bytes, so this shows which classes held the chunks when it grew.
+  PoolClassCount fresh_census[kPoolClasses] = {};
+  std::uint64_t fresh_census_live_bytes = 0;
 };
 const PoolStats& pool_stats() noexcept;
 

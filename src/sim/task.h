@@ -3,12 +3,14 @@
 // A Task<T> is a coroutine that starts suspended and runs when awaited.
 // Completion resumes the awaiting coroutine via symmetric transfer, so long
 // await chains (UPC thread -> runtime -> transport) cost no stack depth.
-// Tasks are move-only and own their coroutine frame.
+// Tasks are move-only, own their coroutine frame and are their own
+// awaiters.
 #pragma once
 
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/pool.h"
@@ -60,7 +62,8 @@ struct ValuePromise<void> : PromiseBase {
 }  // namespace detail
 
 /// A lazily-started coroutine returning T. `co_await task` runs it to
-/// completion in simulated time and yields its result.
+/// completion in simulated time and yields its result; a task is awaited
+/// at most once.
 template <class T = void>
 class [[nodiscard]] Task {
  public:
@@ -85,23 +88,25 @@ class [[nodiscard]] Task {
 
   bool valid() const noexcept { return static_cast<bool>(handle_); }
 
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> handle;
-
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> cont) noexcept {
-        handle.promise().continuation = cont;
-        return handle;  // start (or resume into) the child coroutine
-      }
-      T await_resume() {
-        auto& p = handle.promise();
-        if (p.error) std::rethrow_exception(p.error);
-        return p.take();
-      }
-    };
-    return Awaiter{handle_};
+  // A Task is its own awaiter: a co_await site keeps the task it awaits
+  // and nothing beside it (an operator co_await would add an awaiter
+  // copy of the handle to the awaiting frame). Awaiting a moved-from
+  // task, or one already awaited to its end, throws std::logic_error.
+  bool await_ready() const {
+    if (!handle_ || handle_.done()) {
+      throw std::logic_error("sim::Task: awaited an empty or finished task");
+    }
+    return false;
+  }
+  std::coroutine_handle<> await_suspend(
+      std::coroutine_handle<> cont) noexcept {
+    handle_.promise().continuation = cont;
+    return handle_;  // start (or resume into) the child coroutine
+  }
+  T await_resume() {
+    auto& p = handle_.promise();
+    if (p.error) std::rethrow_exception(p.error);
+    return p.take();
   }
 
  private:

@@ -393,7 +393,7 @@ TEST(CoalescingLazy, ThreadThatNeverStagesHasNoStagingState) {
   // only makes blocking calls, which are never staged: its statistics
   // read zero, and its flushes schedule nothing, before and after thread
   // 0's batches and a metrics reset.
-  EXPECT_LE(sizeof(UpcThread), 224u);
+  EXPECT_LE(sizeof(UpcThread), 160u);
   auto cfg = config(net::TransportKind::kGm, 2, 1);
   cfg.coalesce = batching();
   core::Runtime rt(std::move(cfg));

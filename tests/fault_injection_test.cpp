@@ -182,7 +182,8 @@ sim::Duration timed_get(Rig& rig, std::uint32_t len, GetReply* out = nullptr) {
     a = r.sim.now();
     GetRequest req;
     req.len = l;
-    auto reply = co_await r.transport.get({0, 0}, 1, req);
+    GetReply reply;
+    (void)co_await r.transport.get({0, 0}, 1, req, reply);
     b = r.sim.now();
     if (o != nullptr) *o = std::move(reply);
   }(rig, len, out, t0, t1));
@@ -265,7 +266,8 @@ TEST(FaultTransport, AwaitedGetThrowsTransportTimeoutAfterMaxRetries) {
   rig.sim.spawn([](Rig& r, OpStatus& st) -> sim::Task<> {
     GetRequest req;
     req.len = 8;
-    st = (co_await r.transport.get({0, 0}, 1, req)).status;
+    GetReply reply;
+    st = co_await r.transport.get({0, 0}, 1, req, reply);
     raise_if_failed(st);
   }(rig, status));
   EXPECT_THROW(rig.sim.run(), TransportTimeout);
@@ -292,13 +294,15 @@ const AwaitedLeg kAwaitedLegs[] = {
      [](Rig& r, int&) -> sim::Task<OpStatus> {
        GetRequest req;
        req.len = 8;
-       co_return (co_await r.transport.get({0, 0}, 1, req)).status;
+       GetReply reply;
+       co_return co_await r.transport.get({0, 0}, 1, req, reply);
      }},
     {"rendezvous GET", false, OpStatus::kTimeout, 0,
      [](Rig& r, int&) -> sim::Task<OpStatus> {
        GetRequest req;
        req.len = static_cast<std::uint32_t>(r.machine.params().eager_limit + 8);
-       co_return (co_await r.transport.get({0, 0}, 1, req)).status;
+       GetReply reply;
+       co_return co_await r.transport.get({0, 0}, 1, req, reply);
      }},
     // An eager PUT completes locally before its wire leg: the call
     // succeeds and the failed detached half still fires the hook once.
@@ -318,9 +322,9 @@ const AwaitedLeg kAwaitedLegs[] = {
      }},
     {"rdma_get", false, OpStatus::kTimeout, 0,
      [](Rig& r, int&) -> sim::Task<OpStatus> {
-       co_return (co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1),
-                                                64))
-           .status;
+       RdmaGetResult result;
+       co_return co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1),
+                                               64, result);
      }},
     // Accepted one-sided write: local completion, like the eager PUT.
     {"rdma_put", false, OpStatus::kOk, 1,
@@ -343,14 +347,16 @@ const AwaitedLeg kAwaitedLegs[] = {
      [](Rig& r, int&) -> sim::Task<OpStatus> {
        AmoRequest req;
        req.operand = 1;
-       co_return (co_await r.transport.amo({0, 0}, 1, req)).status;
+       AmoResult result;
+       co_return co_await r.transport.amo({0, 0}, 1, req, result);
      }},
     {"NIC AMO", true, OpStatus::kTimeout, 0,
      [](Rig& r, int&) -> sim::Task<OpStatus> {
        AmoRequest req;
        req.operand = 1;
        req.raddr = r.target.base(1);
-       co_return (co_await r.transport.amo({0, 0}, 1, req)).status;
+       AmoResult result;
+       co_return co_await r.transport.amo({0, 0}, 1, req, result);
      }},
     {"rdma_batch", false, OpStatus::kTimeout, 0,
      [](Rig& r, int&) -> sim::Task<OpStatus> {

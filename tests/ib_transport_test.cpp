@@ -164,7 +164,7 @@ GetReply run_get(Rig& rig, std::uint32_t len, Addr local_buf = kNullAddr) {
     GetRequest req;
     req.len = l;
     req.local_buf = b;
-    o = co_await r.transport.get({0, 0}, 1, req);
+    (void)co_await r.transport.get({0, 0}, 1, req, o);
   }(rig, len, local_buf, out));
   rig.sim.run();
   return out;
@@ -251,7 +251,7 @@ TEST(IbProtocol, DataMovesIntactOnEveryPath) {
     GetRequest req;
     req.offset = 16384;
     req.len = 16384;  // > eager_limit: rendezvous
-    o = co_await r.transport.get({0, 0}, 1, req);
+    (void)co_await r.transport.get({0, 0}, 1, req, o);
   }(rig, rz));
   rig.sim.run();
   ASSERT_EQ(rz.data.size(), 16384u);
@@ -278,7 +278,8 @@ TEST(IbProtocol, HandlersRunOnTheProgressEngineNotAppCores) {
     req.len = 8;
     req.target_core = 0;
     a = r.sim.now();
-    (void)co_await r.transport.get({0, 0}, 1, req);
+    GetReply reply;
+    (void)co_await r.transport.get({0, 0}, 1, req, reply);
     b = r.sim.now();
   }(rig, t0, t1));
   rig.sim.run();
@@ -292,7 +293,7 @@ TEST(IbProtocol, OneSidedOpsCostZeroTargetCpu) {
   RdmaGetResult get_res;
   RdmaPutResult put_res;
   rig.sim.spawn([](Rig& r, RdmaGetResult& g, RdmaPutResult& p) -> sim::Task<> {
-    g = co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 64);
+    (void)co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 64, g);
     net::Bytes data(256, std::byte{0x2a});
     p = co_await r.transport.rdma_put({0, 0}, 1, r.target.base(1) + 1024,
                                       std::move(data), {});
@@ -336,7 +337,9 @@ TEST(IbProtocol, FullSendQueueBackpressuresPosters) {
   Rig rig(std::move(p));
   for (int i = 0; i < 6; ++i) {
     rig.sim.spawn([](Rig& r) -> sim::Task<> {
-      (void)co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 4096);
+      RdmaGetResult g;
+      (void)co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 4096,
+                                          g);
     }(rig));
   }
   rig.sim.run();
@@ -353,7 +356,9 @@ TEST(IbProtocol, FullSendQueueBackpressuresPosters) {
   Rig deep;
   for (int i = 0; i < 6; ++i) {
     deep.sim.spawn([](Rig& r) -> sim::Task<> {
-      (void)co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 4096);
+      RdmaGetResult g;
+      (void)co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 4096,
+                                          g);
     }(deep));
   }
   deep.sim.run();
@@ -377,26 +382,29 @@ TEST(IbProtocol, TimedOutLegRetiresItsWqe) {
        [](Rig& r) -> sim::Task<OpStatus> {
          GetRequest req;
          req.len = 64;
-         co_return (co_await r.transport.get({0, 0}, 1, req)).status;
+         GetReply reply;
+         co_return co_await r.transport.get({0, 0}, 1, req, reply);
        }},
       {"rendezvous GET",
        [](Rig& r) -> sim::Task<OpStatus> {
          GetRequest req;
          req.len = 16384;
-         co_return (co_await r.transport.get({0, 0}, 1, req)).status;
+         GetReply reply;
+         co_return co_await r.transport.get({0, 0}, 1, req, reply);
        }},
       {"rdma_get",
        [](Rig& r) -> sim::Task<OpStatus> {
-         co_return (co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1),
-                                                  64))
-             .status;
+         RdmaGetResult result;
+         co_return co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1),
+                                                 64, result);
        }},
       {"NIC FAA",
        [](Rig& r) -> sim::Task<OpStatus> {
          AmoRequest req;
          req.operand = 1;
          req.raddr = r.target.base(1);
-         co_return (co_await r.transport.amo({0, 0}, 1, req)).status;
+         AmoResult result;
+         co_return co_await r.transport.amo({0, 0}, 1, req, result);
        }},
       {"rendezvous PUT",
        [](Rig& r) -> sim::Task<OpStatus> {
@@ -432,7 +440,8 @@ TEST(IbProtocol, TeardownWithAWqeInFlightIsSafe) {
   rig.sim.spawn([](Rig& r) -> sim::Task<> {
     GetRequest req;
     req.len = 64;
-    (void)co_await r.transport.get({0, 0}, 1, req);
+    GetReply reply;
+    (void)co_await r.transport.get({0, 0}, 1, req, reply);
   }(rig));
   rig.sim.run_until(sim::us(1));  // request posted, reply not back yet
   const ib::QueuePair* q = rig.transport.queue_pair(0, 1);

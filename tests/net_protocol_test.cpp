@@ -90,7 +90,8 @@ sim::Duration run_get(Rig& rig, std::uint32_t len,
     req.len = l;
     req.target_core = tc;
     a = r.sim.now();
-    (void)co_await r.transport.get({0, 0}, 1, req);
+    GetReply reply;
+    (void)co_await r.transport.get({0, 0}, 1, req, reply);
     b = r.sim.now();
   }(rig, len, target_core, t0, t1));
   rig.sim.run();
@@ -195,7 +196,7 @@ TEST(Protocol, RdmaNakIsDistinctFromProtocolError) {
   RdmaGetResult get_res;
   RdmaPutResult put_res;
   rig.sim.spawn([](Rig& r, RdmaGetResult& g, RdmaPutResult& p) -> sim::Task<> {
-    g = co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 64);
+    (void)co_await r.transport.rdma_get({0, 0}, 1, r.target.base(1), 64, g);
     Bytes data(64, std::byte{0x2a});
     p = co_await r.transport.rdma_put({0, 0}, 1, r.target.base(1),
                                       std::move(data), {});
@@ -211,7 +212,8 @@ TEST(Protocol, RdmaNakIsDistinctFromProtocolError) {
   // Bogus address: throws regardless of pin state — not reported as NAK.
   Rig bad(mare_nostrum_gm());
   bad.sim.spawn([](Rig& r) -> sim::Task<> {
-    (void)co_await r.transport.rdma_get({0, 0}, 1, 0x2, 8);
+    RdmaGetResult g;
+    (void)co_await r.transport.rdma_get({0, 0}, 1, 0x2, 8, g);
   }(bad));
   EXPECT_THROW(bad.sim.run(), RdmaProtocolError);
   EXPECT_EQ(bad.transport.stats().rdma_naks, 0u);
@@ -227,7 +229,8 @@ TEST(Protocol, ConcurrentGetsToOneLapiNodeOverlapOnCommPool) {
         GetRequest req;
         req.len = 8192;
         req.target_core = static_cast<std::uint32_t>(k);
-        (void)co_await r.transport.get({0, 0}, 1, req);
+        GetReply reply;
+        (void)co_await r.transport.get({0, 0}, 1, req, reply);
       }(rig, i));
     }
     return rig.sim.run();
@@ -241,7 +244,8 @@ TEST(Protocol, ConcurrentGetsToOneLapiNodeOverlapOnCommPool) {
         GetRequest req;
         req.len = 8192;
         req.target_core = 0;
-        (void)co_await r.transport.get({0, 0}, 1, req);
+        GetReply reply;
+        (void)co_await r.transport.get({0, 0}, 1, req, reply);
       }(rig));
     }
     return rig.sim.run();
@@ -368,7 +372,8 @@ TEST(ProtocolBudget, TransportGetSurfacesTimeoutNotHang) {
   rig.sim.spawn([](Rig& r, OpStatus& st) -> sim::Task<> {
     GetRequest req;
     req.len = 8;
-    st = (co_await r.transport.get({0, 0}, 1, req)).status;
+    GetReply reply;
+    st = co_await r.transport.get({0, 0}, 1, req, reply);
   }(rig, status));
   rig.sim.run();
   EXPECT_EQ(status, OpStatus::kTimeout);

@@ -240,7 +240,8 @@ sim::Duration timed_get(Fixture& f, std::uint32_t len, bool want_base = false,
     GetRequest req;
     req.len = l;
     req.want_base = wb;
-    auto reply = co_await fx.transport.get({0, 0}, 1, req);
+    GetReply reply;
+    (void)co_await fx.transport.get({0, 0}, 1, req, reply);
     b = fx.sim.now();
     if (o != nullptr) *o = std::move(reply);
   }(f, len, want_base, out, t0, t1));
@@ -318,8 +319,9 @@ TEST(Transport, RdmaGetBypassesTargetCpuAndIsFaster) {
   f.sim.spawn([](Fixture& fx, net::Bytes& o, sim::Time& a,
                  sim::Time& b) -> sim::Task<> {
     a = fx.sim.now();
-    auto r = co_await fx.transport.rdma_get({0, 0}, 1,
-                                            fx.target.base(1), 8);
+    RdmaGetResult r;
+    (void)co_await fx.transport.rdma_get({0, 0}, 1, fx.target.base(1), 8,
+                                         r);
     b = fx.sim.now();
     o = std::move(r.data);
   }(f, got, t0, t1));
@@ -334,7 +336,8 @@ TEST(Transport, RdmaGetNakWhenUnpinned) {
   f.target.set_pinned(false);
   bool naked = false;
   f.sim.spawn([](Fixture& fx, bool& nak) -> sim::Task<> {
-    auto r = co_await fx.transport.rdma_get({0, 0}, 1, fx.target.base(1), 8);
+    RdmaGetResult r;
+    (void)co_await fx.transport.rdma_get({0, 0}, 1, fx.target.base(1), 8, r);
     nak = !r.ok() && r.nak == RdmaNak::kNotPinned;
   }(f, naked));
   f.sim.run();
@@ -345,7 +348,8 @@ TEST(Transport, RdmaGetNakWhenUnpinned) {
 TEST(Transport, RdmaToInvalidAddressThrows) {
   Fixture f(mare_nostrum_gm());
   f.sim.spawn([](Fixture& fx) -> sim::Task<> {
-    (void)co_await fx.transport.rdma_get({0, 0}, 1, 0x1, 8);
+    RdmaGetResult r;
+    (void)co_await fx.transport.rdma_get({0, 0}, 1, 0x1, 8, r);
   }(f));
   EXPECT_THROW(f.sim.run(), RdmaProtocolError);
 }
@@ -453,11 +457,14 @@ TEST(Transport, PlatformSelectsHandlerCpuAndVerbsSteps) {
       PutRequest put;
       put.data.assign(8, std::byte{1});
       co_await fx.transport.put({0, 0}, 1, std::move(put), {});
-      (void)co_await fx.transport.rdma_get({0, 0}, 1, fx.target.base(1), 8);
+      RdmaGetResult read;
+      (void)co_await fx.transport.rdma_get({0, 0}, 1, fx.target.base(1), 8,
+                                           read);
       AmoRequest faa;
       faa.operand = 1;
       faa.raddr = fx.target.base(1);
-      (void)co_await fx.transport.amo({0, 0}, 1, faa);
+      AmoResult old;
+      (void)co_await fx.transport.amo({0, 0}, 1, faa, old);
     }(f));
     f.sim.run();
     const auto& s = f.transport.stats();

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/runtime.h"
@@ -616,6 +617,118 @@ TEST(Runtime, BodyParkedOnATriggerHoldsItsDriverAndItsBody) {
   rt.run([&](UpcThread&) -> Task<void> { co_await go.wait(); });
   EXPECT_EQ(parked - before, 2u);
 }
+
+// Live sim pool blocks 1 ns into the remote GET that `op` makes from
+// thread 0 of a 2 x 2 GM machine with the address cache off, while the
+// GET's first request is on thread 0's core; every other thread has
+// returned. Element t of the array lives on thread t, so elements 2 and
+// 3 are on the other node, one piece each. The array comes from an
+// earlier run, so none of its allocation's messages is in flight.
+template <class Op>
+std::uint64_t blocks_during_remote_get(Op op) {
+  Runtime rt(gm_config(2, 2, /*cache=*/false));
+  ArrayDesc a;
+  rt.run([&](UpcThread& th) -> Task<void> {
+    ArrayDesc d = co_await th.all_alloc(4, 8, 1);
+    if (th.id() == 0) a = d;
+  });
+  const std::uint64_t before = sim::pool_stats().live_blocks;
+  std::uint64_t during = 0;
+  rt.run([&](UpcThread& th) -> Task<void> {
+    if (th.id() != 0) co_return;
+    rt.simulator().schedule_after(
+        1, [&during] { during = sim::pool_stats().live_blocks; });
+    co_await op(th, a);
+  });
+  return during - before;
+}
+
+TEST(Runtime, ThreadWaitingOnARemoteReadHoldsFourBlocks) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // Its driver, its body, the GET's span frame and its transport leg:
+  // the typed read keeps no frame of its own.
+  EXPECT_EQ(blocks_during_remote_get([](UpcThread& th, const ArrayDesc& a) {
+              return th.read<std::uint64_t>(a, 2);
+            }),
+            4u);
+}
+
+TEST(Runtime, ThreadWaitingOnATwoPieceMemgetHoldsFourBlocks) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // The span frame walks the pieces itself, so a memget keeps the same
+  // blocks as a one-element read: no splitter frame above the span.
+  std::vector<std::uint64_t> buf(2);
+  EXPECT_EQ(
+      blocks_during_remote_get([&buf](UpcThread& th, const ArrayDesc& a) {
+        return th.memget(a, 2, std::as_writable_bytes(std::span(buf)));
+      }),
+      4u);
+}
+
+// The words memget or memget_nb reads from elements 4..15 of a 4 x 1 GM
+// machine's array, one 4-element piece on each of nodes 1, 2 and 3,
+// after the failure detector has declared node 2 dead; `st` gets the
+// op's status. Element i holds 1000 + i; unread words keep kUntouched.
+constexpr std::uint64_t kUntouched = 0xdeadbeefull;
+
+std::vector<std::uint64_t> memget_past_a_dead_owner(bool nonblocking,
+                                                    OpStatus& st) {
+  RuntimeConfig cfg = gm_config(4, 1);
+  cfg.faults.seed = 13;
+  cfg.faults.crashes = {{2, sim::us(800.0)}};
+  Runtime rt(std::move(cfg));
+  std::vector<std::uint64_t> buf(12, kUntouched);
+  rt.run([&](UpcThread& th) -> Task<void> {
+    auto a = co_await th.all_alloc(16, 8, 4);
+    for (std::uint64_t i = 4 * th.id(); i < 4 * th.id() + 4; ++i) {
+      const std::uint64_t v = 1000 + i;
+      rt.debug_write(a, i, std::as_bytes(std::span(&v, 1)));
+    }
+    co_await th.barrier();  // before the crash: the only barrier
+    if (th.id() != 0) co_return;
+    for (int i = 0; i < 200 && !rt.peer_failed(2); ++i) {
+      co_await th.compute(sim::us(100.0));
+    }
+    EXPECT_TRUE(rt.peer_failed(2));
+    const auto dst = std::as_writable_bytes(std::span(buf));
+    if (nonblocking) {
+      st = co_await th.wait_status(th.memget_nb(a, 4, dst));
+    } else {
+      st = co_await th.memget_status(a, 4, dst);
+    }
+  });
+  return buf;
+}
+
+TEST(Runtime, MemgetStopsAtThePieceOfADeadOwner) {
+  // The first piece is read, the dead owner's piece fails up front with
+  // kPeerFailed (the circuit breaker), and the third is never asked for.
+  for (const bool nonblocking : {false, true}) {
+    OpStatus st = OpStatus::kOk;
+    const std::vector<std::uint64_t> got =
+        memget_past_a_dead_owner(nonblocking, st);
+    EXPECT_EQ(st, OpStatus::kPeerFailed) << "nonblocking " << nonblocking;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(got[i], 1004 + i) << "nonblocking " << nonblocking;
+    }
+    for (std::uint64_t i = 4; i < 12; ++i) {
+      EXPECT_EQ(got[i], kUntouched) << "nonblocking " << nonblocking;
+    }
+  }
+}
+
+// The typed read and write are frameless awaitables that the op writes
+// into or reads from, so they stay where they are made.
+static_assert(!std::is_copy_constructible_v<Reading<std::uint64_t>>);
+static_assert(!std::is_move_constructible_v<Reading<std::uint64_t>>);
+static_assert(!std::is_copy_assignable_v<Reading<std::uint64_t>>);
+static_assert(!std::is_move_assignable_v<Reading<std::uint64_t>>);
+static_assert(!std::is_copy_constructible_v<Writing<std::uint64_t>>);
+static_assert(!std::is_move_constructible_v<Writing<std::uint64_t>>);
 
 TEST(Runtime, LocksProvideMutualExclusionAcrossNodes) {
   Runtime rt(gm_config(2, 2));

@@ -503,6 +503,9 @@ TEST(PoolAllocator, SizedFreeReturnsBlockToItsClass) {
     sim::pool_free(c, n);
     sim::pool_free(d, n);
   }
+  // `keep` holds the first class's chunk: an empty current chunk would
+  // go to the 33-byte class if that class needed a fresh chunk.
+  void* keep = sim::pool_alloc(32);
   void* small = sim::pool_alloc(32);
   sim::pool_free(small, 32);
   void* next_class = sim::pool_alloc(33);
@@ -511,6 +514,7 @@ TEST(PoolAllocator, SizedFreeReturnsBlockToItsClass) {
   EXPECT_EQ(same_class, small);
   sim::pool_free(same_class, 1);
   sim::pool_free(next_class, 33);
+  sim::pool_free(keep, 32);
 }
 
 TEST(PoolAllocator, LiveBytesCountHandedOutBlocksByClassSize) {
@@ -910,6 +914,52 @@ TEST(PoolAllocator, CensusFollowsTheLivePeakInSixtyFourKiBSteps) {
   EXPECT_EQ(st.classes[kCls].live_blocks, in_class);
   // Frees take no census.
   EXPECT_EQ(st.census[kCls].live_blocks, census.live_blocks);
+}
+
+TEST(PoolAllocator, EmptyCurrentChunkOfAnotherClassServesBeforeAFreshChunk) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // The 1952-byte class gets its only block back into its current
+  // chunk, which stays its current chunk. When the 2016-byte class then
+  // runs dry with no partial and no spare chunk, it takes that empty
+  // chunk instead of carving a fresh one.
+  constexpr std::size_t kIdle = 1952;
+  constexpr std::size_t kBusy = 2016;
+  std::vector<void*> busy = exhaust_spare_chunks(kBusy);
+  void* idle = sim::pool_alloc(kIdle);
+  sim::pool_free(idle, kIdle);
+  const sim::PoolStats& st = sim::pool_stats();
+  const std::uint64_t chunks = st.chunks;
+  const std::uint64_t switches = st.chunk_switches;
+  while (st.chunk_switches == switches) busy.push_back(sim::pool_alloc(kBusy));
+  EXPECT_EQ(st.chunks, chunks);
+  EXPECT_EQ(chunk_of(busy.back()), chunk_of(idle));
+  for (void* p : busy) sim::pool_free(p, kBusy);
+}
+
+TEST(PoolAllocator, FreshCensusIsTakenWhenAFreshChunkIsCarved) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // The block that needs a fresh chunk takes the census: its class with
+  // the fresh chunk counted and the block not yet out. Blocks reused
+  // afterwards take none.
+  constexpr std::size_t kSize = 1888;
+  constexpr std::size_t kCls = kSize / sim::kPoolGranularity - 1;
+  std::vector<void*> held = exhaust_spare_chunks(kSize);
+  const sim::PoolStats& st = sim::pool_stats();
+  EXPECT_EQ(st.fresh_census[kCls].chunks, st.classes[kCls].chunks);
+  EXPECT_EQ(st.fresh_census[kCls].live_blocks + 1,
+            st.classes[kCls].live_blocks);
+  EXPECT_EQ(st.fresh_census_live_bytes + kSize, st.live_bytes);
+  const sim::PoolClassCount census = st.fresh_census[kCls];
+  sim::pool_free(held.back(), kSize);
+  held.back() = sim::pool_alloc(kSize);
+  held.push_back(sim::pool_alloc(kSize));
+  EXPECT_EQ(st.fresh_census[kCls].live_blocks, census.live_blocks);
+  EXPECT_EQ(st.fresh_census[kCls].chunks, census.chunks);
+  for (void* p : held) sim::pool_free(p, kSize);
 }
 
 TEST(PoolAllocator, OversizeBlocksFallThrough) {

@@ -233,6 +233,38 @@ TEST(Task, MoveOnlySemantics) {
   EXPECT_TRUE(a.valid());
 }
 
+TEST(Task, AwaitingASpentOrMovedFromTaskThrows) {
+  // A task is its own awaiter and can be awaited as an lvalue, once:
+  // awaiting it again, or awaiting the task it was moved from, throws
+  // instead of resuming a finished (or no) coroutine.
+  Simulator sim;
+  std::vector<std::string> seen;
+  sim.spawn([](Simulator& s, std::vector<std::string>& out) -> Task<> {
+    auto make = [](Simulator& s2) -> Task<int> {
+      co_await s2.delay(us(1));
+      co_return 7;
+    };
+    Task<int> t = make(s);
+    out.push_back(std::to_string(co_await t));
+    try {
+      (void)co_await t;
+    } catch (const std::logic_error&) {
+      out.push_back("spent");
+    }
+    Task<int> u = make(s);
+    Task<int> v = std::move(u);
+    try {
+      (void)co_await u;
+    } catch (const std::logic_error&) {
+      out.push_back("moved-from");
+    }
+    out.push_back(std::to_string(co_await v));
+  }(sim, seen));
+  sim.run();
+  EXPECT_EQ(seen,
+            (std::vector<std::string>{"7", "spent", "moved-from", "7"}));
+}
+
 TEST(Task, UnawaitedTaskDestroysCleanly) {
   // A lazily-started coroutine that is never awaited must not leak or run.
   bool ran = false;
