@@ -15,6 +15,7 @@
 // the resulting runtime.
 #include <cstdio>
 
+#include "benchsupport/jobs.h"
 #include "benchsupport/report.h"
 #include "benchsupport/table.h"
 #include "dis/pointer.h"
@@ -72,10 +73,16 @@ int main(int argc, char** argv) {
       "Stressmark, hybrid GM, 4 threads/node\n\n");
   bench::Table table({"nodes", "strategy", "time (us)", "vs SVD-only",
                       "entries/node", "alloc ctrl msgs", "hit rate"});
-  for (std::uint32_t nodes : {4u, 16u, 64u}) {
-    const Outcome svd = run(nodes, 0);
-    const Outcome cache = run(nodes, 1);
-    const Outcome full = run(nodes, 2);
+  const std::uint32_t scales[] = {4u, 16u, 64u};
+  // Job (scale, mode) at index scale * 3 + mode.
+  const auto runs = bench::run_jobs(rep.jobs(), 9, [&](std::size_t i) {
+    return run(scales[i / 3], static_cast<int>(i % 3));
+  });
+  for (std::size_t s = 0; s < 3; ++s) {
+    const std::uint32_t nodes = scales[s];
+    const Outcome& svd = runs[s * 3];
+    const Outcome& cache = runs[s * 3 + 1];
+    const Outcome& full = runs[s * 3 + 2];
     if (nodes == 16) {
       // Metrics: the paper-default strategy at the middle scale.
       rep.config("metrics_run",

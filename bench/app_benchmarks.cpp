@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "benchsupport/jobs.h"
 #include "benchsupport/report.h"
 #include "benchsupport/table.h"
 #include "core/forall.h"
@@ -29,6 +30,12 @@ using sim::Task;
 
 namespace {
 
+// One app run: the measured phase and the run's report.
+struct AppRun {
+  double us = 0.0;
+  core::RunReport report;
+};
+
 core::RuntimeConfig make_config(std::string_view machine, bool cache) {
   core::RuntimeConfig cfg;
   cfg.platform = net::make_machine(machine);
@@ -38,8 +45,7 @@ core::RuntimeConfig make_config(std::string_view machine, bool cache) {
   return cfg;
 }
 
-double run_stencil(std::string_view machine, bool cache,
-                   core::RunReport* report) {
+AppRun run_stencil(std::string_view machine, bool cache) {
   core::Runtime rt(make_config(machine, cache));
   sim::Time t0 = 0, t1 = 0;
   rt.run([&](UpcThread& th) -> Task<void> {
@@ -66,12 +72,10 @@ double run_stencil(std::string_view machine, bool cache,
     }
     if (th.id() == 0) t1 = th.now();
   });
-  if (report != nullptr) *report = rt.metrics();
-  return sim::to_us(t1 - t0);
+  return {sim::to_us(t1 - t0), rt.metrics()};
 }
 
-double run_spmv(std::string_view machine, bool cache,
-                core::RunReport* report) {
+AppRun run_spmv(std::string_view machine, bool cache) {
   core::Runtime rt(make_config(machine, cache));
   constexpr std::uint64_t kN = 1024;
   sim::Time t0 = 0, t1 = 0;
@@ -95,12 +99,10 @@ double run_spmv(std::string_view machine, bool cache,
     }
     if (th.id() == 0) t1 = th.now();
   });
-  if (report != nullptr) *report = rt.metrics();
-  return sim::to_us(t1 - t0);
+  return {sim::to_us(t1 - t0), rt.metrics()};
 }
 
-double run_gups(std::string_view machine, bool cache,
-                core::RunReport* report) {
+AppRun run_gups(std::string_view machine, bool cache) {
   core::Runtime rt(make_config(machine, cache));
   constexpr std::uint64_t kN = 8192;
   sim::Time t0 = 0, t1 = 0;
@@ -116,8 +118,7 @@ double run_gups(std::string_view machine, bool cache,
     co_await th.barrier();
     if (th.id() == 0) t1 = th.now();
   });
-  if (report != nullptr) *report = rt.metrics();
-  return sim::to_us(t1 - t0);
+  return {sim::to_us(t1 - t0), rt.metrics()};
 }
 
 }  // namespace
@@ -131,21 +132,21 @@ int main(int argc, char** argv) {
                       "improvement %"});
   struct App {
     const char* name;
-    double (*fn)(std::string_view, bool, core::RunReport*);
+    AppRun (*fn)(std::string_view, bool);
   };
   const App apps[] = {{"stencil", run_stencil},
                       {"spmv", run_spmv},
                       {"gups", run_gups}};
-  core::RunReport representative;
-  for (const App& app : apps) {
-    for (std::string_view machine : {"gm", "lapi"}) {
-      const double z = app.fn(machine, false, nullptr);
-      // Metrics: the cached GM stencil run (static neighbour pattern).
-      const bool keep = app.fn == run_stencil && machine == "gm";
-      const double w = app.fn(machine, true, keep ? &representative : nullptr);
-      table.row({app.name, machine == "gm" ? "GM" : "LAPI", fmt(z, 1),
-                 fmt(w, 1), fmt(100.0 * (z - w) / z, 1)});
-    }
+  const std::string_view machines[] = {"gm", "lapi"};
+  // Job (app, machine, cache) at index (app * 2 + machine) * 2 + cache.
+  const auto runs = bench::run_jobs(rep.jobs(), 12, [&](std::size_t i) {
+    return apps[i / 4].fn(machines[i / 2 % 2], i % 2 == 1);
+  });
+  for (std::size_t i = 0; i < 12; i += 2) {
+    const double z = runs[i].us;
+    const double w = runs[i + 1].us;
+    table.row({apps[i / 4].name, i / 2 % 2 == 0 ? "GM" : "LAPI", fmt(z, 1),
+               fmt(w, 1), fmt(100.0 * (z - w) / z, 1)});
   }
   table.print();
   std::printf(
@@ -153,9 +154,10 @@ int main(int argc, char** argv) {
       "microbenchmark gains because their few cache entries never evict;\n"
       "gups sits lower, like Pointer, because every access is a surprise\n"
       "(yet the piggybacked population still covers the node set).\n");
+  // Metrics: the cached GM stencil run (static neighbour pattern).
   rep.config(make_config("gm", true));
   rep.config("metrics_run", bench::Json::str("stencil GM, cached"));
-  rep.metrics(representative);
+  rep.metrics(runs[1].report);
   rep.results(table);
   return rep.finish();
 }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "benchsupport/jobs.h"
 #include "benchsupport/report.h"
 #include "benchsupport/table.h"
 #include "dis/neighborhood.h"
@@ -27,6 +28,12 @@ struct Scale {
   std::uint32_t nodes;
 };
 
+// The paper's hybrid-GM scales: 8-2 ... 2048-512 (4 threads per node).
+const std::vector<Scale> kScales = {{8, 2},     {16, 4},    {32, 8},
+                                    {64, 16},   {128, 32},  {256, 64},
+                                    {512, 128}, {1024, 256}, {2048, 512}};
+const std::vector<std::size_t> kCacheSizes = {4, 10, 100};
+
 core::RuntimeConfig config(const Scale& s, std::size_t cache_entries) {
   core::RuntimeConfig cfg;
   cfg.platform = net::make_machine("gm");
@@ -36,38 +43,56 @@ core::RuntimeConfig config(const Scale& s, std::size_t cache_entries) {
   return cfg;
 }
 
+// Hit-rate run `job`: Pointer (8a) for the first kScales x kCacheSizes
+// jobs, then Neighborhood (8b), each scale by scale, cache size by size.
+dis::StressResult run_hit_rate(std::size_t job) {
+  const std::size_t per_figure = kScales.size() * kCacheSizes.size();
+  core::RuntimeConfig cfg =
+      config(kScales[job % per_figure / kCacheSizes.size()],
+             kCacheSizes[job % kCacheSizes.size()]);
+  if (job < per_figure) {
+    dis::PointerParams p;
+    p.hops = 48;
+    return dis::run_pointer(std::move(cfg), p);
+  }
+  dis::NeighborhoodParams p;
+  p.samples_per_thread = 32;
+  return dis::run_neighborhood(std::move(cfg), p);
+}
+
+// One figure's table from its hit-rate runs.
+bench::Table hit_rate_table(const std::vector<dis::StressResult>& runs,
+                            std::size_t first) {
+  bench::Table table({"threads-nodes", "4 entries", "10 entries",
+                      "100 entries"});
+  std::size_t next = first;
+  for (const Scale& s : kScales) {
+    std::vector<std::string> row{std::to_string(s.threads) + "-" +
+                                 std::to_string(s.nodes)};
+    for (std::size_t k = 0; k < kCacheSizes.size(); ++k) {
+      row.push_back(fmt(runs[next++].cache.hit_rate(), 3));
+    }
+    table.row(std::move(row));
+  }
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Reporter rep("fig8_cache_size_hitrate", argc, argv);
-  // The paper's hybrid-GM scales: 8-2 ... 2048-512 (4 threads per node).
-  const std::vector<Scale> scales = {{8, 2},     {16, 4},   {32, 8},
-                                     {64, 16},   {128, 32}, {256, 64},
-                                     {512, 128}, {1024, 256}, {2048, 512}};
-  const std::vector<std::size_t> cache_sizes = {4, 10, 100};
+  const std::size_t per_figure = kScales.size() * kCacheSizes.size();
+  const auto runs =
+      bench::run_jobs(rep.jobs(), 2 * per_figure, run_hit_rate);
 
   // Metrics: representative Pointer run (first scale, 10-entry cache).
+  rep.config(config(kScales[0], 10));
+  rep.config("metrics_run", bench::Json::str("Pointer 8-2, 10-entry cache"));
+  rep.metrics(runs[1].report);
+
   std::printf("Figure 8a: Pointer hit rate vs cache size (observed node 0)\n\n");
   {
-    bench::Table table({"threads-nodes", "4 entries", "10 entries",
-                        "100 entries"});
-    for (const Scale& s : scales) {
-      std::vector<std::string> row{std::to_string(s.threads) + "-" +
-                                   std::to_string(s.nodes)};
-      for (std::size_t cs : cache_sizes) {
-        dis::PointerParams p;
-        p.hops = 48;
-        const auto r = dis::run_pointer(config(s, cs), p);
-        if (s.threads == 8 && cs == 10) {
-          rep.config(config(s, cs));
-          rep.config("metrics_run",
-                     bench::Json::str("Pointer 8-2, 10-entry cache"));
-          rep.metrics(r.report);
-        }
-        row.push_back(fmt(r.cache.hit_rate(), 3));
-      }
-      table.row(std::move(row));
-    }
+    const bench::Table table = hit_rate_table(runs, 0);
     table.print();
     rep.results(table, "fig8a_pointer");
   }
@@ -75,19 +100,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nFigure 8b: Neighborhood hit rate vs cache size (observed node 0)\n\n");
   {
-    bench::Table table({"threads-nodes", "4 entries", "10 entries",
-                        "100 entries"});
-    for (const Scale& s : scales) {
-      std::vector<std::string> row{std::to_string(s.threads) + "-" +
-                                   std::to_string(s.nodes)};
-      for (std::size_t cs : cache_sizes) {
-        dis::NeighborhoodParams p;
-        p.samples_per_thread = 32;
-        const auto r = dis::run_neighborhood(config(s, cs), p);
-        row.push_back(fmt(r.cache.hit_rate(), 3));
-      }
-      table.row(std::move(row));
-    }
+    const bench::Table table = hit_rate_table(runs, per_figure);
     table.print();
     rep.results(table, "fig8b_neighborhood");
   }

@@ -8,18 +8,24 @@
 // to 8192 threads / 2048 nodes — 4x beyond the paper's largest run — with
 // the production 100-entry cache.
 #include <cstdio>
+#include <iterator>
 
+#include "benchsupport/jobs.h"
 #include "benchsupport/report.h"
 #include "benchsupport/table.h"
 #include "dis/field.h"
 #include "dis/neighborhood.h"
 #include "dis/pointer.h"
 #include "net/machine_registry.h"
+#include "sim/stats.h"
 
 using namespace xlupc;
 using bench::fmt;
 
 namespace {
+
+constexpr std::uint32_t kScales[] = {512u, 1024u, 2048u};
+enum Study : std::size_t { kPointer, kNeighborhood, kField, kStudies };
 
 core::RuntimeConfig config(std::uint32_t nodes) {
   core::RuntimeConfig cfg;
@@ -29,6 +35,32 @@ core::RuntimeConfig config(std::uint32_t nodes) {
   return cfg;
 }
 
+// One half of one study's improvement: job (scale, study, cache) runs
+// at index (scale * kStudies + study) * 2 + cache.
+dis::StressResult run_half(std::size_t job) {
+  core::RuntimeConfig cfg = config(kScales[job / (2 * kStudies)]);
+  cfg.cache.enabled = job % 2 == 1;
+  switch (job / 2 % kStudies) {
+    case kPointer: {
+      dis::PointerParams pp;
+      pp.elems_per_thread = 1024;  // keep backing memory modest at 8k threads
+      pp.hops = 24;
+      return dis::run_pointer(std::move(cfg), pp);
+    }
+    case kNeighborhood: {
+      dis::NeighborhoodParams np;
+      np.samples_per_thread = 16;
+      return dis::run_neighborhood(std::move(cfg), np);
+    }
+    default: {
+      dis::FieldParams fp;
+      fp.bytes_per_thread = 1 << 14;
+      fp.tokens = 2;
+      return dis::run_field(std::move(cfg), fp);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -36,22 +68,23 @@ int main(int argc, char** argv) {
   std::printf(
       "Scalability probe beyond the paper's 2048-512 maximum (Sec. 6\n"
       "future work), hybrid GM, 4 threads/node, 100-entry cache\n\n");
+  const auto runs =
+      bench::run_jobs(rep.jobs(), std::size(kScales) * kStudies * 2, run_half);
+  const auto half = [&](std::size_t scale, std::size_t study,
+                        bool cache) -> const dis::StressResult& {
+    return runs[(scale * kStudies + study) * 2 + cache];
+  };
   bench::Table table({"threads-nodes", "Pointer %", "Neighborhood %",
                       "Field %", "Pointer hit rate"});
-  for (std::uint32_t nodes : {512u, 1024u, 2048u}) {
-    dis::PointerParams pp;
-    pp.elems_per_thread = 1024;  // keep backing memory modest at 8k threads
-    pp.hops = 24;
-    dis::NeighborhoodParams np;
-    np.samples_per_thread = 16;
-    dis::FieldParams fp;
-    fp.bytes_per_thread = 1 << 14;
-    fp.tokens = 2;
-    const auto p = dis::pointer_improvement(config(nodes), pp);
-    const auto n = dis::neighborhood_improvement(config(nodes), np);
-    const auto f = dis::field_improvement(config(nodes), fp);
-    auto hit_cfg = config(nodes);
-    const auto hit = dis::run_pointer(std::move(hit_cfg), pp);
+  for (std::size_t s = 0; s < std::size(kScales); ++s) {
+    const std::uint32_t nodes = kScales[s];
+    const auto gain = [&](std::size_t study) {
+      return fmt(sim::improvement_percent(half(s, study, false).time_us,
+                                          half(s, study, true).time_us),
+                 1);
+    };
+    // The cached Pointer half is also the hit-rate run.
+    const dis::StressResult& hit = half(s, kPointer, true);
     if (nodes == 512u) {
       // Metrics: the paper-scale (512-node) cached Pointer run.
       rep.config(config(nodes));
@@ -60,8 +93,8 @@ int main(int argc, char** argv) {
       rep.metrics(hit.report);
     }
     table.row({std::to_string(nodes * 4) + "-" + std::to_string(nodes),
-               fmt(p.improvement_pct, 1), fmt(n.improvement_pct, 1),
-               fmt(f.improvement_pct, 1), fmt(hit.cache.hit_rate(), 3)});
+               gain(kPointer), gain(kNeighborhood), gain(kField),
+               fmt(hit.cache.hit_rate(), 3)});
   }
   table.print();
   std::printf(

@@ -17,9 +17,11 @@
 // event count for a seed; tools/perfcheck.sh gates CI on the committed
 // BENCH_simspeed.json event counts staying exact. The --json report's
 // metrics hold the host memory of the whole process: its peak resident
-// set (perfcheck's memory gate), the sim pool's fresh chunk bytes and
-// live peak, whose difference is size-class waste, its chunk switches
-// (a class's current chunk ran dry) and partial-list steps, the pool's
+// set (perfcheck's memory gate), the sim pool's fresh chunk bytes (a
+// chunk carved again after an empty pool unmapped its slabs counts
+// again) and live peak, the times the pool unmapped its slabs
+// (pool.releases), its chunk switches (a class's current chunk ran dry)
+// and partial-list steps, the pool's
 // per-class census near its live peak (pool.census: live blocks and
 // chunks held by block size, taken when the peak last passed a multiple
 // of 64 KiB, at pool.census_live_bytes) and where resident memory last
@@ -369,6 +371,7 @@ int main(int argc, char** argv) {
   rep.metric("pool.chunk_bytes", bench::Json::number(pool.chunk_bytes));
   rep.metric("pool.peak_live_bytes",
              bench::Json::number(pool.peak_live_bytes));
+  rep.metric("pool.releases", bench::Json::number(pool.releases));
   rep.metric("pool.chunk_switches", bench::Json::number(pool.chunk_switches));
   rep.metric("pool.partial_steps", bench::Json::number(pool.partial_steps));
   rep.metric("pool.census_live_bytes",

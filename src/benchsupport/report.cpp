@@ -1,8 +1,10 @@
 #include "benchsupport/report.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 
@@ -120,20 +122,45 @@ Json to_json(const core::RuntimeConfig& cfg) {
   return j;
 }
 
+namespace {
+
+// The value of `flag` at argv[i], given as `flag <value>` (advancing i)
+// or `flag=<value>`; nullopt when argv[i] is another argument.
+std::optional<std::string_view> flag_value(int argc, char** argv, int& i,
+                                           std::string_view flag) {
+  const std::string_view arg = argv[i];
+  if (arg == flag) {
+    if (i + 1 >= argc) return std::string_view{};
+    return std::string_view(argv[++i]);
+  }
+  if (arg.size() > flag.size() && arg.substr(0, flag.size()) == flag &&
+      arg[flag.size()] == '=') {
+    return arg.substr(flag.size() + 1);
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      if (i + 1 >= argc) {
+    if (const auto path = flag_value(argc, argv, i, "--json")) {
+      if (path->empty()) {
         throw std::invalid_argument("--json requires an output file path");
       }
-      args.json_path = argv[++i];
-    } else if (arg.rfind("--json=", 0) == 0) {
-      args.json_path = std::string(arg.substr(7));
-      if (args.json_path.empty()) {
-        throw std::invalid_argument("--json requires an output file path");
+      args.json_path = std::string(*path);
+    } else if (const auto n = flag_value(argc, argv, i, "--jobs")) {
+      unsigned jobs = 0;
+      const auto [end, ec] =
+          std::from_chars(n->data(), n->data() + n->size(), jobs);
+      if (n->empty() || ec != std::errc() || end != n->data() + n->size() ||
+          jobs == 0 || jobs > kMaxJobs) {
+        throw std::invalid_argument(
+            "--jobs requires a thread count from 1 to " +
+            std::to_string(kMaxJobs));
       }
+      args.jobs = jobs;
     }
   }
   return args;
@@ -144,7 +171,9 @@ Reporter::Reporter(std::string benchmark, int argc, char** argv)
   try {
     args_ = parse_bench_args(argc, argv);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+    std::fprintf(stderr,
+                 "error: %s\nusage: %s [--json <file>] [--jobs <n>]\n",
+                 e.what(), argc > 0 ? argv[0] : "bench");
     std::exit(2);
   }
 }

@@ -29,24 +29,33 @@ Json to_json(const core::RuntimeConfig& cfg);
 /// Command-line arguments shared by every bench binary.
 struct BenchArgs {
   std::string json_path;  ///< empty = no JSON output requested
+  /// Host threads for independent runs (run_jobs); 0 = one per hardware
+  /// thread.
+  unsigned jobs = 0;
 
   bool json() const noexcept { return !json_path.empty(); }
 };
 
-/// Parse `--json <file>` / `--json=<file>`; unknown arguments are
-/// ignored (benches historically take none). Throws std::invalid_argument
-/// when `--json` is given without a path.
+/// The most host threads `--jobs` accepts.
+inline constexpr unsigned kMaxJobs = 256;
+
+/// Parse `--json <file>` / `--json=<file>` and `--jobs <n>` /
+/// `--jobs=<n>`; unknown arguments are ignored (benches parse their own).
+/// Throws std::invalid_argument when `--json` is given without a path or
+/// `--jobs` without a whole number from 1 to kMaxJobs.
 BenchArgs parse_bench_args(int argc, char** argv);
 
 /// Collects one bench run's config, metrics and result rows, and writes
 /// the JSON document at finish() when --json was passed.
 class Reporter {
  public:
-  /// Parses the command line; a malformed `--json` prints an error and
-  /// exits with status 2 (benches have no other arguments to salvage).
+  /// Parses the command line; a malformed `--json` or `--jobs` prints an
+  /// error and a usage line and exits with status 2, before any run.
   Reporter(std::string benchmark, int argc, char** argv);
 
   bool json_enabled() const noexcept { return args_.json(); }
+  /// Host threads for run_jobs (`--jobs`; 0 = one per hardware thread).
+  unsigned jobs() const noexcept { return args_.jobs; }
 
   /// Add a free-form config entry.
   void config(const std::string& key, Json value);

@@ -1,6 +1,9 @@
 #include "sim/pool.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <iterator>
 #include <new>
@@ -49,9 +52,9 @@ struct SizeClass {
   Chunk* partial;
 };
 
-// Constant-initialized and trivially destructible, so it needs no init
-// guard and stays valid for frames freed by static destructors after
-// main() returns.
+// One per host thread. Constant-initialized and trivially destructible,
+// so it needs no init guard and stays valid for frames freed by static
+// destructors after main() returns.
 struct Pool {
   SizeClass classes[kClasses];
   PoolStats stats;
@@ -59,8 +62,11 @@ struct Pool {
   char* slab_next;  ///< the next uncarved chunk of the current slab
   char* slab_end;
   std::uint64_t census_mark;  ///< live bytes that take the next census
+  char** slabs;  ///< every slab mapped now (a malloc'd array), to unmap
+  std::size_t slab_count;
+  std::size_t slab_capacity;
 };
-constinit Pool g_pool{};
+constinit thread_local Pool g_pool{};
 
 std::size_t class_of(std::size_t bytes) {
   return bytes == 0 ? 0 : (bytes - 1) / kGranularity;
@@ -73,15 +79,58 @@ Chunk* chunk_of(void* p) {
                                   ~std::uintptr_t{kChunkBytes - 1});
 }
 
-// A chunk never handed out before, the next one of the current 2 MiB
-// slab. A slab is 64 KiB-aligned, and its uncarved chunks are never
-// touched, so they cost no resident memory.
-Chunk* fresh_chunk() {
-  if (g_pool.slab_next == g_pool.slab_end) {
-    g_pool.slab_next = static_cast<char*>(
-        ::operator new(kSlabBytes, std::align_val_t{kChunkBytes}));
-    g_pool.slab_end = g_pool.slab_next + kSlabBytes;
+// A new 2 MiB slab, 64 KiB-aligned, mapped straight from the kernel.
+// Its uncarved chunks are never touched, so they cost no resident
+// memory. Not operator new: freeing a 2 MiB block through glibc raises
+// its mmap threshold, and later multi-MB vectors then stay resident in
+// the brk heap.
+void map_slab() {
+  if (g_pool.slab_count == g_pool.slab_capacity) {
+    const std::size_t capacity =
+        std::max<std::size_t>(16, 2 * g_pool.slab_count);
+    void* const grown =
+        std::realloc(g_pool.slabs, capacity * sizeof(char*));
+    if (grown == nullptr) throw std::bad_alloc();
+    g_pool.slabs = static_cast<char**>(grown);
+    g_pool.slab_capacity = capacity;
   }
+  // Map a chunk more than a slab and trim it to the aligned slab inside.
+  void* const raw = ::mmap(nullptr, kSlabBytes + kChunkBytes,
+                           PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  char* const lo = static_cast<char*>(raw);
+  const std::size_t head =
+      (kChunkBytes - reinterpret_cast<std::uintptr_t>(lo) % kChunkBytes) %
+      kChunkBytes;
+  char* const slab = lo + head;
+  if (head != 0) ::munmap(lo, head);
+  ::munmap(slab + kSlabBytes, kChunkBytes - head);
+  g_pool.slabs[g_pool.slab_count++] = slab;
+  g_pool.slab_next = slab;
+  g_pool.slab_end = slab + kSlabBytes;
+  g_pool.stats.mapped_bytes += kSlabBytes;
+}
+
+// The pool has no live block, and every chunk it carved is spare: unmap
+// every slab and start again from none.
+void unmap_slabs() {
+  for (std::size_t i = 0; i < g_pool.slab_count; ++i) {
+    ::munmap(g_pool.slabs[i], kSlabBytes);
+  }
+  std::free(g_pool.slabs);
+  g_pool.slabs = nullptr;
+  g_pool.slab_count = g_pool.slab_capacity = 0;
+  g_pool.spare = nullptr;
+  g_pool.slab_next = g_pool.slab_end = nullptr;
+  g_pool.stats.mapped_bytes = 0;
+  ++g_pool.stats.releases;
+}
+
+// A chunk never handed out since the last unmap_slabs(), the next one of
+// the current slab.
+Chunk* fresh_chunk() {
+  if (g_pool.slab_next == g_pool.slab_end) map_slab();
   char* const at = g_pool.slab_next;
   g_pool.slab_next += kChunkBytes;
   ++g_pool.stats.chunks;
@@ -241,7 +290,9 @@ void pool_free(void* p, std::size_t bytes) noexcept {
 }
 
 void pool_trim() noexcept {
-  if (kFreelists) spare_empty_currents();
+  if (!kFreelists) return;
+  spare_empty_currents();
+  if (g_pool.stats.live_blocks == 0 && g_pool.slab_count != 0) unmap_slabs();
 }
 
 const PoolStats& pool_stats() noexcept { return g_pool.stats; }

@@ -17,9 +17,8 @@
 //    PooledFrame::operator delete, containers through PoolAllocator,
 //    callback spills with sizeof).
 //  * backing chunks of 64 KiB, aligned to 64 KiB, are carved one at a
-//    time from 2 MiB slabs taken from operator new; a slab's uncarved
-//    chunks are never touched, so they cost no resident memory. Slabs
-//    are never returned to the OS.
+//    time from 2 MiB slabs mapped with mmap; a slab's uncarved chunks
+//    are never touched, so they cost no resident memory.
 //  * a chunk's first 32-byte granule is its header: its own LIFO
 //    freelist, its live count, its class and its partial-list links.
 //    pool_free finds it by masking the block's address. A class
@@ -32,8 +31,12 @@
 //    the Simulator calls when run() returns and when it is destroyed,
 //    also gives away current chunks with no live block. Chunk memory
 //    thus follows the live blocks, not each class's past peak.
-//  * single-threaded by design, like the simulator itself. There is one
-//    process-global pool (coroutine frames outlive any one Simulator).
+//  * a trim that finds no live block unmaps every slab, so the pages of
+//    a finished run go back to the OS and the next run carves afresh.
+//  * one pool per host thread, like the simulator itself single-threaded
+//    (coroutine frames outlive any one Simulator, so the pool is not a
+//    Simulator's). A block must be freed on the thread that allocated
+//    it; independent Simulators may run on different threads.
 //  * AddressSanitizer builds compile the freelists out: every block is
 //    its own ::operator new allocation, released by a sized
 //    ::operator delete, so ASan checks each frame's lifetime and each
@@ -53,14 +56,15 @@ namespace xlupc::sim {
 void* pool_alloc(std::size_t bytes);
 
 /// Return a block to its freelist. `bytes` must be the size it was
-/// allocated with.
+/// allocated with, and the calling thread the one that allocated it.
 void pool_free(void* p, std::size_t bytes) noexcept;
 
 /// Give each class's current chunk, when it has no live block, to the
 /// spare list, from which any class carves before it takes a fresh chunk
 /// (other chunks go there as soon as their last block is freed; a class
-/// that needs a fresh chunk also does this first). A no-op when the
-/// freelists are compiled out.
+/// that needs a fresh chunk also does this first). When the calling
+/// thread's pool then has no live block, unmap all its slabs. A no-op
+/// when the freelists are compiled out.
 void pool_trim() noexcept;
 
 /// Size classes: blocks of (class + 1) x kPoolGranularity bytes, up to
@@ -74,15 +78,22 @@ struct PoolClassCount {
   std::uint32_t chunks = 0;       ///< 64 KiB chunks the class holds
 };
 
-/// Allocation statistics, for tests and docs/PERFORMANCE.md numbers.
+/// Allocation statistics of the calling thread's pool, for tests and
+/// docs/PERFORMANCE.md numbers.
 struct PoolStats {
   /// Blocks handed out without taking a fresh chunk.
   std::uint64_t reuses = 0;
   std::uint64_t oversize = 0;  ///< larger than the largest class
   /// Fresh 64 KiB chunks carved from a slab (a spare chunk a class
-  /// re-carves is not counted again).
+  /// re-carves is not counted again; a chunk carved again after its
+  /// slab was unmapped is).
   std::uint64_t chunks = 0;
-  std::uint64_t chunk_bytes = 0;      ///< total backing bytes reserved
+  std::uint64_t chunk_bytes = 0;      ///< total backing bytes carved
+  /// Bytes of the slabs mapped now. They come from mmap, so heap
+  /// trackers that follow operator new (tools/hotspots.sh -m) miss them.
+  std::uint64_t mapped_bytes = 0;
+  /// Times pool_trim() found no live block and unmapped every slab.
+  std::uint64_t releases = 0;
   std::uint64_t live_bytes = 0;       ///< class blocks handed out, in bytes
   std::uint64_t live_blocks = 0;      ///< class blocks handed out
   std::uint64_t peak_live_bytes = 0;  ///< high-water mark of live_bytes

@@ -496,6 +496,40 @@ TEST(BenchArgs, ParsesJsonFlagForms) {
   }
 }
 
+TEST(BenchArgs, ParsesJobsFlagForms) {
+  {
+    const char* argv[] = {"bench", "--seed", "1", "--jobs", "4"};
+    EXPECT_EQ(bench::parse_bench_args(5, const_cast<char**>(argv)).jobs, 4u);
+  }
+  {
+    const char* argv[] = {"bench", "--jobs=256"};
+    EXPECT_EQ(bench::parse_bench_args(2, const_cast<char**>(argv)).jobs,
+              256u);
+  }
+  {
+    const char* argv[] = {"bench"};
+    EXPECT_EQ(bench::parse_bench_args(1, const_cast<char**>(argv)).jobs, 0u);
+  }
+}
+
+TEST(BenchArgs, BadJobsValueExitsWithUsageBeforeAnyRun) {
+  // 0, 257, a word and a missing value: the Reporter, the first thing a
+  // bench makes, prints the error and a usage line and exits 2, so no
+  // job and no thread ever starts.
+  for (const char* bad : {"0", "257", "abc", "4x", ""}) {
+    const char* argv[] = {"bench", "--jobs", bad};
+    const int argc = *bad == '\0' ? 2 : 3;
+    EXPECT_THROW(bench::parse_bench_args(argc, const_cast<char**>(argv)),
+                 std::invalid_argument)
+        << "--jobs '" << bad << "'";
+    EXPECT_EXIT(bench::Reporter("bench", argc, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2),
+                "error: --jobs requires a thread count from 1 to 256\n"
+                "usage: bench \\[--json <file>\\] \\[--jobs <n>\\]")
+        << "--jobs '" << bad << "'";
+  }
+}
+
 // --- Golden file -------------------------------------------------------
 
 // The serialized report of the tiny fixed-seed run must stay byte-for-

@@ -2,21 +2,26 @@
 // (docs/PERFORMANCE.md): equal-time FIFO ordering on both insert paths
 // of the event queue, the queue against a sorted reference, the timing
 // wheel's window edges and far heap, its peak pending count, pool reuse
-// under churn, sized frees, chunks that follow the live blocks, and the
-// callback types.
+// under churn, sized frees, chunks that follow the live blocks, slabs
+// unmapped by the trim of an empty pool, one pool per host thread, and
+// the callback types.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <bitset>
+#include <cerrno>
 #include <coroutine>
 #include <functional>
+#include <latch>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -960,6 +965,98 @@ TEST(PoolAllocator, FreshCensusIsTakenWhenAFreshChunkIsCarved) {
   EXPECT_EQ(st.fresh_census[kCls].live_blocks, census.live_blocks);
   EXPECT_EQ(st.fresh_census[kCls].chunks, census.chunks);
   for (void* p : held) sim::pool_free(p, kSize);
+}
+
+// Whether the 64 KiB chunk at `chunk` is mapped: mincore fails with
+// ENOMEM when a page of the range is not.
+bool chunk_mapped(std::uintptr_t chunk) {
+  unsigned char pages[kChunkBytes / 4096];
+  return ::mincore(reinterpret_cast<void*>(chunk), kChunkBytes, pages) == 0 ||
+         errno != ENOMEM;
+}
+
+TEST(PoolAllocator, TrimOfAnEmptyPoolUnmapsEverySlab) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // On a fresh host thread, whose pool maps nothing yet, blocks of two
+  // classes fill 41 chunks over two 2 MiB slabs. While one block is
+  // live, a trim keeps every slab; once it is freed, the trim unmaps
+  // them all and the pages of every chunk are gone. The next block
+  // carves a fresh chunk from a new slab.
+  std::thread([] {
+    const sim::PoolStats& st = sim::pool_stats();
+    EXPECT_EQ(st.mapped_bytes, 0u);
+    std::vector<void*> big;
+    for (int i = 0; i < 40 * 31; ++i) big.push_back(sim::pool_alloc(2048));
+    void* const keep = sim::pool_alloc(64);
+    std::set<std::uintptr_t> chunks{chunk_of(keep)};
+    for (void* p : big) chunks.insert(chunk_of(p));
+    EXPECT_EQ(chunks.size(), 41u);
+    EXPECT_EQ(st.mapped_bytes, 2u << 21);
+    for (void* p : big) sim::pool_free(p, 2048);
+    sim::pool_trim();
+    EXPECT_EQ(st.mapped_bytes, 2u << 21);
+    EXPECT_EQ(st.releases, 0u);
+    for (std::uintptr_t c : chunks) EXPECT_TRUE(chunk_mapped(c));
+
+    sim::pool_free(keep, 64);
+    sim::pool_trim();
+    EXPECT_EQ(st.mapped_bytes, 0u);
+    EXPECT_EQ(st.releases, 1u);
+    for (std::uintptr_t c : chunks) {
+      EXPECT_FALSE(chunk_mapped(c)) << "a chunk's pages stayed mapped";
+    }
+    for (const sim::PoolClassCount& c : st.classes) EXPECT_EQ(c.chunks, 0u);
+
+    const std::uint64_t carved = st.chunks;
+    void* const again = sim::pool_alloc(64);
+    EXPECT_EQ(st.chunks, carved + 1);
+    EXPECT_EQ(st.mapped_bytes, 1u << 21);
+    sim::pool_free(again, 64);
+    sim::pool_trim();
+    EXPECT_EQ(st.mapped_bytes, 0u);
+    EXPECT_EQ(st.releases, 2u);
+  }).join();
+}
+
+TEST(PoolAllocator, EachHostThreadHasItsOwnPool) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "AddressSanitizer builds compile the freelists out";
+#endif
+  // Two host threads churn blocks of different classes at the same
+  // time. Each counts only its own blocks, leaves its pool empty and
+  // unmapped, and the calling thread's pool does not move.
+  const sim::PoolStats before = sim::pool_stats();
+  std::latch holding(2);
+  const auto churn = [&holding](std::size_t bytes, std::uint64_t count) {
+    const sim::PoolStats& st = sim::pool_stats();
+    const std::size_t cls = (bytes - 1) / sim::kPoolGranularity;
+    std::vector<void*> held;
+    for (int round = 0; round < 50; ++round) {
+      for (std::uint64_t i = 0; i < count; ++i) {
+        held.push_back(sim::pool_alloc(bytes));
+      }
+      if (round == 0) holding.arrive_and_wait();
+      EXPECT_EQ(st.live_blocks, count);
+      EXPECT_EQ(st.classes[cls].live_blocks, count);
+      EXPECT_EQ(st.live_bytes, count * (cls + 1) * sim::kPoolGranularity);
+      for (void* p : held) sim::pool_free(p, bytes);
+      held.clear();
+    }
+    EXPECT_EQ(st.live_blocks, 0u);
+    sim::pool_trim();
+    EXPECT_EQ(st.mapped_bytes, 0u);
+  };
+  std::thread a(churn, 96, 1000);
+  std::thread b(churn, 1000, 300);
+  a.join();
+  b.join();
+  const sim::PoolStats& after = sim::pool_stats();
+  EXPECT_EQ(after.live_blocks, before.live_blocks);
+  EXPECT_EQ(after.reuses, before.reuses);
+  EXPECT_EQ(after.chunks, before.chunks);
+  EXPECT_EQ(after.mapped_bytes, before.mapped_bytes);
 }
 
 TEST(PoolAllocator, OversizeBlocksFallThrough) {

@@ -5,7 +5,9 @@
 # Reruns every golden listed in tests/golden/manifest.txt (golden file,
 # bench, arguments; the wall-clock simspeed trajectory is not one of
 # them — tools/perfcheck.sh gates it with its own tolerance) and fails
-# on any byte difference. The benches are pure simulation, so a diff
+# on any byte difference. Each bench runs with --jobs 4, so the benches
+# that spread independent runs over host threads are held to the bytes
+# of their serial run. The benches are pure simulation, so a diff
 # means behaviour changed — regenerate the golden deliberately with the
 # manifest's command and review the diff, e.g.:
 #
@@ -17,7 +19,9 @@
 # (docs/FABRIC.md); congestion_sweep pins the finite-buffer incast and
 # routing-policy tables themselves. scale_probe pins the 512-2048-node
 # table, so the address-cache warm-up and the SVD replicas must keep
-# their exact simulated behaviour at scale. The --machine ib sweeps pin
+# their exact simulated behaviour at scale; fig8, fig9, app_benchmarks
+# and the pinning and resolution ablations pin the rest of the paper's
+# figures and design-space tables. The --machine ib sweeps pin
 # the verbs steps of the shared transport protocol (inline sends, RNR
 # retry, queue-pair fencing, timeouts), fig6 the GM/LAPI eager and
 # rendezvous paths.
@@ -53,7 +57,7 @@ while read -r golden name args; do
     continue
   fi
   # shellcheck disable=SC2086  # args is intentionally word-split
-  "$build/bench/$name" $args --json "$fresh" > /dev/null < /dev/null
+  "$build/bench/$name" $args --jobs 4 --json "$fresh" > /dev/null < /dev/null
   if cmp -s "$committed" "$fresh"; then
     echo "goldencheck: $golden matches ($name $args)"
   else
