@@ -22,7 +22,7 @@
 //
 // Usage: congestion_sweep [--seed N] [--json <file>] [--machine NAME]
 // Same seed => byte-identical output (deterministic simulation;
-// tools/determcheck.sh gates this in CI).
+// tools/goldencheck.sh gates it against the committed goldens).
 #include <cstdio>
 #include <cstring>
 #include <string>

@@ -1,9 +1,11 @@
 // Tests for the observability layer: the MetricsRegistry, per-Resource
 // instrumentation, Runtime::metrics()/reset_metrics(), the metric schema
-// against the docs/OBSERVABILITY.md taxonomy, and the JSON report
-// serialization (byte-stability against a golden file).
+// against the docs/OBSERVABILITY.md taxonomy, the JSON report
+// serialization (byte-stability against a golden file), and the recovery
+// work the committed seed-42 fault and chaos goldens record.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -558,6 +560,54 @@ TEST(RunReportJson, GoldenFileIsByteStable) {
   std::stringstream want;
   want << in.rdbuf();
   EXPECT_EQ(got, want.str());
+}
+
+// The value of the first `"name": <integer>` in a committed golden (a
+// report's counters come before its results), 0 when absent.
+std::uint64_t golden_counter(const std::string& golden,
+                             const std::string& name) {
+  const std::string path =
+      std::string(XLUPC_SOURCE_DIR) + "/tests/golden/" + golden;
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "missing golden file " << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t at = text.str().find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(text.str().substr(at + key.size()));
+}
+
+// tools/goldencheck.sh proves a build reproduces the seed-42 fault and
+// chaos goldens byte for byte; this checks that what they pin is real
+// recovery work on every machine: retransmits and NAK->AM fallbacks
+// under message loss, detector deaths and breaker fast-fails after a
+// crash, and on the ib fat tree reroutes around flapping links.
+TEST(Goldens, SeedFortyTwoSweepsRecordRecoveryWork) {
+  const struct {
+    const char* golden;
+    std::vector<std::string> counters;
+  } rows[] = {
+      {"fault_sweep.gm.seed42.json",
+       {"reliability.retransmits", "reliability.rdma_nak_fallbacks"}},
+      {"fault_sweep.lapi.seed42.json",
+       {"reliability.retransmits", "reliability.rdma_nak_fallbacks"}},
+      {"fault_sweep.ib.seed42.json",
+       {"reliability.retransmits", "reliability.rdma_nak_fallbacks"}},
+      {"chaos_sweep.gm.seed42.json",
+       {"fault.detector.deaths", "fault.breaker.fast_fails"}},
+      {"chaos_sweep.lapi.seed42.json",
+       {"fault.detector.deaths", "fault.breaker.fast_fails"}},
+      {"chaos_sweep.ib.seed42.json",
+       {"fault.detector.deaths", "fault.breaker.fast_fails",
+        "fault.fabric.failover_routes"}},
+  };
+  for (const auto& row : rows) {
+    for (const std::string& counter : row.counters) {
+      EXPECT_GT(golden_counter(row.golden, counter), 0u)
+          << counter << " in tests/golden/" << row.golden;
+    }
+  }
 }
 
 }  // namespace

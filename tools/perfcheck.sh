@@ -41,11 +41,6 @@ fi
 fresh=$(mktemp)
 trap 'rm -f "$fresh"' EXIT
 
-# Behavioural goldens first (every entry of tests/golden/manifest.txt):
-# those byte-compares live in tools/goldencheck.sh so ctest can gate
-# them without paying for the simspeed scale probe.
-"$repo_root"/tools/goldencheck.sh "$build"
-
 "$build"/bench/simspeed --scale-probe --json "$fresh"
 
 python3 - "$committed" "$fresh" "$min_ratio" <<'EOF'
